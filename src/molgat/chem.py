@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ParseError
+from .fileio import atomic_open
 
 SCHEMA_VERSION = 1
 
@@ -171,6 +172,17 @@ def validate_record(rec: ComplexRecord) -> None:
         raise DataError(f"{rec.complex_id}: rmsd must be a finite non-negative number")
 
 
+def select_atoms(atoms, bonds: list[Bond], keep):
+    """The atoms whose ``keep`` flag is set, and the bonds among them renumbered."""
+    index = {}
+    for old, flag in enumerate(keep):
+        if flag:
+            index[old] = len(index)
+    kept = [atoms[old] for old in index]
+    bonds = [Bond(index[b.i], index[b.j], b.order) for b in bonds if b.i in index and b.j in index]
+    return kept, bonds
+
+
 def ligand_first(rec: ComplexRecord) -> ComplexRecord:
     """Reorder atoms so every ligand atom precedes every protein atom.
 
@@ -300,7 +312,7 @@ def read_jsonl(path) -> list[ComplexRecord]:
 
 
 def write_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(record_to_json_line(rec))
             fh.write("\n")
@@ -412,45 +424,40 @@ def parse_pdb_protein(path, stats: dict | None = None):
             element = element.capitalize()
             raw_atoms.append((element, (x, y, z)))
 
-    kept, bonds = _infer_bonds(raw_atoms, stats=stats)
-    return _assemble_side(kept, bonds, is_ligand=False, stats=None)
+    kept, _ = select_atoms(raw_atoms, [], _supported(raw_atoms, stats))
+    return _annotate(kept, _infer_bonds(kept), is_ligand=False)
 
 
-def _infer_bonds(raw_atoms, stats: dict | None = None):
-    kept = []
-    for symbol, pos in raw_atoms:
-        if symbol in _ELEMENT_INDEX:
-            kept.append((symbol, pos))
-        elif stats is not None:
-            stats["dropped_atoms"] = stats.get("dropped_atoms", 0) + 1
-    if not kept:
-        return kept, []
-    coords = np.array([pos for _, pos in kept])
-    radii = np.array([COVALENT_RADII[sym] for sym, _ in kept])
+def _infer_bonds(atoms) -> list[Bond]:
+    """Single bonds between supported atoms closer than the radius cutoff."""
+    if not atoms:
+        return []
+    coords = np.array([pos for _, pos in atoms])
+    radii = np.array([COVALENT_RADII[sym] for sym, _ in atoms])
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     cutoff = BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :])
     ii, jj = np.nonzero(np.triu(dist < cutoff, k=1))
-    bonds = [(int(i), int(j), "single") for i, j in zip(ii, jj)]
-    return kept, bonds
+    return [Bond(int(i), int(j), "single") for i, j in zip(ii, jj)]
+
+
+def _supported(raw_atoms, stats: dict | None) -> list[bool]:
+    """Flags for atoms of supported elements; the others count in ``stats``."""
+    keep = [symbol in _ELEMENT_INDEX for symbol, _ in raw_atoms]
+    if stats is not None and not all(keep):
+        stats["dropped_atoms"] = stats.get("dropped_atoms", 0) + keep.count(False)
+    return keep
 
 
 def _assemble_side(raw_atoms, raw_bonds, is_ligand: bool, stats: dict | None):
     """Drop unsupported elements, remap bonds, derive per-atom annotations."""
-    keep_map = {}
-    kept = []
-    for idx, (symbol, pos) in enumerate(raw_atoms):
-        if symbol in _ELEMENT_INDEX:
-            keep_map[idx] = len(kept)
-            kept.append((symbol, pos))
-        elif stats is not None:
-            stats["dropped_atoms"] = stats.get("dropped_atoms", 0) + 1
+    bonds = [Bond(i, j, order) for i, j, order in raw_bonds]
+    kept, bonds = select_atoms(raw_atoms, bonds, _supported(raw_atoms, stats))
+    return _annotate(kept, bonds, is_ligand)
 
-    bonds = []
-    for i, j, order in raw_bonds:
-        if i in keep_map and j in keep_map:
-            bonds.append(Bond(keep_map[i], keep_map[j], order))
 
+def _annotate(kept, bonds, is_ligand: bool):
+    """Atoms with degree, hydrogen, valence and aromatic annotations from ``bonds``."""
     degree = [0] * len(kept)
     num_h = [0] * len(kept)
     valence_used = [0.0] * len(kept)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import os
 import sys
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import chem, graphs, metrics, synthetic
 from .errors import CheckpointError, DataError, MolgatError, NumericError, ParseError
+from .fileio import atomic_open
 from .model import ModelConfig, load_params, score
 from .training import (
     SCREEN_CATEGORIES,
@@ -34,6 +34,10 @@ from .training import (
 HISTOGRAM_BINS = 50
 
 
+class _UsageError(Exception):
+    """Flag or config values that parse but are invalid (exit code 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage errors exit 1 (argparse defaults to 2, which we reserve for data errors).
     def error(self, message):
@@ -41,18 +45,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(c) for c in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _load_config_file(path) -> dict:
@@ -72,17 +70,15 @@ def _resolve(args, file_cfg: dict, section: str, key: str, default, cast):
     return default
 
 
-def _parse_dims(text) -> tuple[int, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(d) for d in text)
-    return tuple(int(d) for d in str(text).split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(d) for d in text.split(","))
 
 
 def _resolved_model_config(args, file_cfg) -> ModelConfig:
     return ModelConfig(
         num_gat_layers=int(_resolve(args, file_cfg, "model", "num_gat_layers", 4, int)),
         gat_dim=int(_resolve(args, file_cfg, "model", "gat_dim", 140, int)),
-        fc_dims=_parse_dims(_resolve(args, file_cfg, "model", "fc_dims", (128, 128, 1), _parse_dims)),
+        fc_dims=_resolve(args, file_cfg, "model", "fc_dims", (128, 128, 1), _int_list),
         dropout_rate=float(_resolve(args, file_cfg, "model", "dropout_rate", 0.3, float)),
     )
 
@@ -98,13 +94,16 @@ def _resolved_train_config(args, file_cfg, n_categories: int) -> TrainConfig:
     )
 
 
-def _echo_config(out_dir, sections: dict) -> None:
+def _write_ini(path, sections: dict) -> None:
     cfg = configparser.ConfigParser()
     for name, mapping in sections.items():
         cfg[name] = {k: str(v) for k, v in mapping.items()}
-    buf = io.StringIO()
-    cfg.write(buf)
-    _atomic_write_text(os.path.join(out_dir, "config.resolved.ini"), buf.getvalue())
+    with atomic_open(path) as fh:
+        cfg.write(fh)
+
+
+def _echo_config(out_dir, sections: dict) -> None:
+    _write_ini(os.path.join(out_dir, "config.resolved.ini"), sections)
 
 
 def _ensure_out_dir(path) -> None:
@@ -180,16 +179,11 @@ def cmd_featurize(args) -> int:
         print("error: no samples survived featurization", file=sys.stderr)
         return 2
     graphs.write_cache(samples, args.out)
-    run_cfg = configparser.ConfigParser()
-    run_cfg["run"] = {
-        "inputs": ",".join(args.inputs),
-        "format": args.format,
-        "cutoff": str(args.cutoff),
-        "category": args.category,
-    }
-    buf = io.StringIO()
-    run_cfg.write(buf)
-    _atomic_write_text(f"{args.out}.config.ini", buf.getvalue())
+    _write_ini(
+        f"{args.out}.config.ini",
+        {"run": {"inputs": ",".join(args.inputs), "format": args.format,
+                 "cutoff": args.cutoff, "category": args.category}},
+    )
     print(f"wrote {args.out}")
     return 0
 
@@ -197,8 +191,11 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     categories = SCREEN_CATEGORIES if args.screening_only else TRAIN_CATEGORIES
-    model_cfg = _resolved_model_config(args, file_cfg)
-    train_cfg = _resolved_train_config(args, file_cfg, len(categories))
+    try:
+        model_cfg = _resolved_model_config(args, file_cfg)
+        train_cfg = _resolved_train_config(args, file_cfg, len(categories))
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
 
     samples = [s for s in _load_samples(args.cache) if s.label is not None]
     if not samples:
@@ -279,7 +276,8 @@ def cmd_evaluate(args) -> int:
             aggregate=trim(report.aggregate),
             skipped_proteins=report.skipped_proteins,
         )
-    _atomic_write_text(os.path.join(args.out, "report.json"), report.to_json() + "\n")
+    with atomic_open(os.path.join(args.out, "report.json")) as fh:
+        fh.write(report.to_json() + "\n")
     report.write_csv(os.path.join(args.out, "report.csv"))
     scores = [i.score for i in items]
     labels = [i.label for i in items]
@@ -329,16 +327,16 @@ def cmd_poses(args) -> int:
         raise DataError("pose evaluation requires rmsd annotations on every sample")
     _ensure_out_dir(args.out)
     items = _scored_items(samples, params, config)
-    n_values = [int(n) for n in args.top.split(",")]
     rows = []
-    for n in n_values:
+    for n in args.top:
         success = metrics.topn_success(items, n)
         rows.append((n, repr(100.0 * success)))
         print(f"top-{n}: {100.0 * success:.2f}% of complexes have a <2 A pose")
     _write_csv(os.path.join(args.out, "topn_success.csv"), ("n", "success_pct"), rows)
     _echo_config(
         args.out,
-        {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache), "top": args.top}},
+        {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache),
+                 "top": ",".join(map(str, args.top))}},
     )
     return 0
 
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--num-gat-layers", dest="num_gat_layers", type=int)
     p.add_argument("--gat-dim", dest="gat_dim", type=int)
-    p.add_argument("--fc-dims", dest="fc_dims", help="comma-separated, last must be 1")
+    p.add_argument("--fc-dims", dest="fc_dims", type=_int_list, help="comma-separated, last must be 1")
     p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--iterations", type=int)
@@ -424,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top", default="1,2,3,5,10", help="comma list of N values")
+    p.add_argument("--top", type=_int_list, default="1,2,3,5,10", help="comma list of N values")
     p.set_defaults(func=cmd_poses)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -444,6 +442,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -10,15 +10,14 @@ so gradients reach the distance-profile parameters.
 
 from __future__ import annotations
 
-import os
 import struct
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chem import CATEGORIES, ComplexRecord, featurize, ligand_first
+from .chem import CATEGORIES, ComplexRecord, featurize, ligand_first, select_atoms
 from .errors import CheckpointError, DataError
+from .fileio import Reader, read_checked, write_checked
 
 PRUNE_CUTOFF = 8.0  # protein atoms farther than this from every ligand atom are removed
 CONTACT_CUTOFF = 5.0  # intermolecular pairs closer than this enter the contact mask
@@ -60,17 +59,7 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
         return rec
     if not (keep & ~is_lig).any():
         raise DataError(f"{rec.complex_id}: no protein atoms within {cutoff} A of the ligand")
-    keep_map = {}
-    atoms = []
-    for idx, flag in enumerate(keep):
-        if flag:
-            keep_map[idx] = len(atoms)
-            atoms.append(rec.atoms[idx])
-    bonds = [
-        replace(b, i=keep_map[b.i], j=keep_map[b.j])
-        for b in rec.bonds
-        if b.i in keep_map and b.j in keep_map
-    ]
+    atoms, bonds = select_atoms(rec.atoms, rec.bonds, keep)
     return replace(rec, atoms=atoms, bonds=bonds)
 
 
@@ -191,23 +180,7 @@ def _encode_sample(s: GraphSample) -> bytes:
     return b"".join(parts)
 
 
-class _Reader:
-    def __init__(self, buf: bytes, offset: int):
-        self.buf = buf
-        self.off = offset
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise CheckpointError("cache truncated")
-        out = self.buf[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _decode_sample(r: _Reader) -> GraphSample:
+def _decode_sample(r: Reader) -> GraphSample:
     texts = []
     for _ in range(2):
         (length,) = r.unpack("<I")
@@ -235,27 +208,15 @@ def _decode_sample(r: _Reader) -> GraphSample:
 def write_cache(samples, path) -> None:
     body = struct.pack("<I", CACHE_VERSION) + struct.pack("<Q", len(samples))
     body += b"".join(_encode_sample(s) for s in samples)
-    blob = CACHE_MAGIC + body + struct.pack("<I", zlib.crc32(body))
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_checked(path, CACHE_MAGIC, body)
 
 
 def read_cache(path) -> list[GraphSample]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CACHE_MAGIC) + 16 or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise CheckpointError(f"{path}: not a graph cache file")
-    body, (crc,) = blob[len(CACHE_MAGIC) : -4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise CheckpointError(f"{path}: cache checksum mismatch")
-    r = _Reader(body, 0)
+    r = read_checked(path, CACHE_MAGIC, "graph cache")
     (version,) = r.unpack("<I")
     if version != CACHE_VERSION:
         raise CheckpointError(f"{path}: unsupported cache version {version}")
     (count,) = r.unpack("<Q")
     samples = [_decode_sample(r) for _ in range(count)]
-    if r.off != len(body):
-        raise CheckpointError(f"{path}: trailing bytes in cache")
+    r.finish()
     return samples

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .fileio import atomic_open
 
 RE_LEVELS = (0.005, 0.01, 0.02, 0.05)
 LOGAUC_LAMBDA = 0.001
@@ -63,26 +64,28 @@ def auroc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def _ranked_blocks(scores, labels):
+    """Positives and items ranked at or above each tied-score block (highest
+    score first), plus the numbers of positives and negatives."""
+    scores, labels = _split_arrays(scores, labels)
+    order = np.argsort(-scores, kind="mergesort")
+    tp = np.cumsum(labels[order] == 1)
+    block_ends = np.flatnonzero(np.diff(scores[order], append=np.inf))
+    n_pos = int((labels == 1).sum())
+    return tp[block_ends], block_ends + 1, n_pos, len(labels) - n_pos
+
+
 def roc_points(scores, labels):
     """Vertices of the empirical ROC: (fpr, tpr) arrays starting at (0, 0).
 
     Tied scores advance as one block, so every vertex corresponds to a
     realizable threshold.
     """
-    scores, labels = _split_arrays(scores, labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    tp, ranked, n_pos, n_neg = _ranked_blocks(scores, labels)
     if n_pos == 0 or n_neg == 0:
         raise DataError("roc needs at least one positive and one negative")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels == 1)
-    fp = np.cumsum(sorted_labels == 0)
-    block_ends = np.nonzero(np.append(np.diff(sorted_scores) != 0, True))[0]
-    fpr = np.concatenate([[0.0], fp[block_ends] / n_neg])
-    tpr = np.concatenate([[0.0], tp[block_ends] / n_pos])
-    return fpr, tpr
+    fpr = np.concatenate([[0.0], (ranked - tp) / n_neg])
+    return fpr, np.concatenate([[0.0], tp / n_pos])
 
 
 def adjusted_logauc(scores, labels, lam: float = LOGAUC_LAMBDA) -> float:
@@ -105,20 +108,18 @@ def adjusted_logauc(scores, labels, lam: float = LOGAUC_LAMBDA) -> float:
     return logauc - random_area
 
 
+def pr_points(scores, labels, name: str = "pr curve"):
+    """Vertices of the empirical precision-recall curve: (recall, precision)
+    arrays, one per tied-score block; ``name`` labels the no-positive error."""
+    tp, ranked, n_pos, _ = _ranked_blocks(scores, labels)
+    if n_pos == 0:
+        raise DataError(f"{name} needs at least one positive")
+    return tp / n_pos, tp / ranked
+
+
 def prauc(scores, labels) -> float:
     """Area under precision-recall in the average-precision (step) form."""
-    scores, labels = _split_arrays(scores, labels)
-    n_pos = int((labels == 1).sum())
-    if n_pos == 0:
-        raise DataError("prauc needs at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels == 1)
-    ranks = np.arange(1, len(sorted_labels) + 1)
-    block_ends = np.nonzero(np.append(np.diff(sorted_scores) != 0, True))[0]
-    recall = tp[block_ends] / n_pos
-    precision = tp[block_ends] / ranks[block_ends]
+    recall, precision = pr_points(scores, labels, "prauc")
     recall_prev = np.concatenate([[0.0], recall[:-1]])
     return float(((recall - recall_prev) * precision).sum())
 
@@ -192,7 +193,7 @@ class EvalReport:
         columns = ["protein_id", "n_samples", "n_positive", "n_negative"]
         metric_cols = [k for k in self.aggregate if k not in ("n_proteins", "n_skipped")]
         columns += sorted(metric_cols)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
             writer.writeheader()
             for row in self.per_protein:
@@ -266,24 +267,12 @@ def evaluate_scored(items: list[ScoredItem], re_levels=RE_LEVELS) -> EvalReport:
 def write_curve_csv(path, scores, labels, kind: str) -> None:
     """Dump pooled ROC ('roc') or PR ('pr') curve vertices for plotting."""
     if kind == "roc":
-        fpr, tpr = roc_points(scores, labels)
-        header, columns = ("fpr", "tpr"), (fpr, tpr)
+        header, columns = ("fpr", "tpr"), roc_points(scores, labels)
     elif kind == "pr":
-        scores_arr, labels_arr = _split_arrays(scores, labels)
-        order = np.argsort(-scores_arr, kind="mergesort")
-        sorted_labels = labels_arr[order]
-        sorted_scores = scores_arr[order]
-        tp = np.cumsum(sorted_labels == 1)
-        ranks = np.arange(1, len(sorted_labels) + 1)
-        block_ends = np.nonzero(np.append(np.diff(sorted_scores) != 0, True))[0]
-        n_pos = int((labels_arr == 1).sum())
-        if n_pos == 0:
-            raise DataError("pr curve needs at least one positive")
-        header = ("recall", "precision")
-        columns = (tp[block_ends] / n_pos, tp[block_ends] / ranks[block_ends])
+        header, columns = ("recall", "precision"), pr_points(scores, labels)
     else:
         raise ValueError(f"unknown curve kind {kind!r}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):

@@ -1,5 +1,5 @@
-"""The dual-adjacency classifier: shared gated attention over covalent and
-contact graphs, branch subtraction, sum pooling, and an MLP head.
+"""The dual-adjacency classifier: gated attention over covalent and contact
+graphs, sum pooling, and an MLP head.
 
 For every sample the contact adjacency is materialized on the tape as
 
@@ -8,25 +8,25 @@ For every sample the contact adjacency is materialized on the tape as
 
 with a single global learnable (mu, sigma) pair; sigma is stored as an
 unconstrained scalar and passed through softplus plus a small floor so it
-stays positive. Each attention layer is shared between the two branches, the
-branch outputs are subtracted (so a complex with no contacts pools to an
-exactly-zero vector), node features are summed into one graph vector, and a
-small MLP with ReLU hidden activations and a final sigmoid produces the
+stays positive. Each attention layer (``gat.gat_forward``) runs its shared
+weights over A1 and A2 and returns the contact branch minus the covalent
+branch, ``(1 - z) * ((att2 - att1) x W)``, so a complex with no contacts pools
+to an exactly-zero vector. Node features are summed into one graph vector,
+and a small MLP with ReLU hidden activations and a final sigmoid produces the
 activity probability.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Value, constant, parameter
 from .errors import CheckpointError, NumericError, ShapeError
-from .gat import GatParams, gat_forward, init_gat_params
+from .fileio import read_checked, write_checked
+from .gat import GatParams, gat_forward, glorot, init_gat_params
 from .graphs import GraphSample
 
 SIGMA_FLOOR = 1e-3
@@ -67,11 +67,7 @@ class ModelParams:
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        def glorot(rows, cols):
-            bound = np.sqrt(6.0 / (rows + cols))
-            return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
-
-        embed = glorot(config.input_dim, config.gat_dim)
+        embed = glorot(config.input_dim, config.gat_dim, rng)
         layers = [init_gat_params(config.gat_dim, rng) for _ in range(config.num_gat_layers)]
         mu = parameter(np.array([[3.0]]))
         # softplus(raw) + floor == 2.0 at initialization
@@ -79,7 +75,7 @@ class ModelParams:
         fc = []
         prev = config.gat_dim
         for dim in config.fc_dims:
-            fc.append((glorot(prev, dim), parameter(np.zeros((1, dim)))))
+            fc.append((glorot(prev, dim, rng), parameter(np.zeros((1, dim)))))
             prev = dim
         return cls(embed, layers, mu, sigma_raw, fc)
 
@@ -165,9 +161,7 @@ def predict(
 
     h = tape.matmul(constant(sample.features), params.embed)
     for layer in params.layers:
-        covalent = gat_forward(tape, h, a1, layer)
-        contact = gat_forward(tape, h, a2, layer)
-        h = tape.sub(contact, covalent)
+        h = gat_forward(tape, h, a1, a2, layer)
         if training and config.dropout_rate > 0:
             h = tape.dropout(h, config.dropout_rate, rng)
 
@@ -236,11 +230,7 @@ def save_params(path, params: ModelParams, config: ModelConfig, iteration: int =
     for v in tensors:
         body += struct.pack("<II", v.rows, v.cols)
         body += v.data.astype("<f8").tobytes()
-    blob = CHECKPOINT_MAGIC + body + struct.pack("<I", zlib.crc32(body))
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_checked(path, CHECKPOINT_MAGIC, body)
 
 
 def load_params(path, expected_config: ModelConfig | None = None):
@@ -250,30 +240,14 @@ def load_params(path, expected_config: ModelConfig | None = None):
     stored config; nothing is returned on failure (no partial loads). When
     ``expected_config`` is given it must match the stored config exactly.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8 or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    body, (crc,) = blob[len(CHECKPOINT_MAGIC) : -4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise CheckpointError(f"{path}: checkpoint checksum mismatch")
-    r_off = [0]
-
-    def unpack(fmt):
-        size = struct.calcsize(fmt)
-        if r_off[0] + size > len(body):
-            raise CheckpointError(f"{path}: checkpoint truncated")
-        out = struct.unpack_from(fmt, body, r_off[0])
-        r_off[0] += size
-        return out
-
-    (version,) = unpack("<I")
+    r = read_checked(path, CHECKPOINT_MAGIC, "checkpoint")
+    (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    num_layers, gat_dim, input_dim = unpack("<III")
-    (dropout_rate,) = unpack("<d")
-    (n_fc,) = unpack("<I")
-    fc_dims = unpack(f"<{n_fc}I")
+    num_layers, gat_dim, input_dim = r.unpack("<III")
+    (dropout_rate,) = r.unpack("<d")
+    (n_fc,) = r.unpack("<I")
+    fc_dims = r.unpack(f"<{n_fc}I")
     config = ModelConfig(
         num_gat_layers=num_layers,
         gat_dim=gat_dim,
@@ -285,26 +259,21 @@ def load_params(path, expected_config: ModelConfig | None = None):
         raise CheckpointError(
             f"{path}: checkpoint config {config} does not match expected {expected_config}"
         )
-    (iteration,) = unpack("<Q")
-    (n_tensors,) = unpack("<I")
+    (iteration,) = r.unpack("<Q")
+    (n_tensors,) = r.unpack("<I")
     shapes = _expected_shapes(config)
     if n_tensors != len(shapes):
         raise CheckpointError(f"{path}: expected {len(shapes)} tensors, found {n_tensors}")
     tensors = []
     for expected in shapes:
-        rows, cols = unpack("<II")
+        rows, cols = r.unpack("<II")
         if (rows, cols) != expected:
             raise CheckpointError(
                 f"{path}: tensor shape ({rows},{cols}) does not match config shape {expected}"
             )
-        count = rows * cols
-        if r_off[0] + 8 * count > len(body):
-            raise CheckpointError(f"{path}: checkpoint truncated")
-        data = np.frombuffer(body, dtype="<f8", count=count, offset=r_off[0]).reshape(rows, cols)
-        r_off[0] += 8 * count
+        data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
         tensors.append(parameter(data.copy()))
-    if r_off[0] != len(body):
-        raise CheckpointError(f"{path}: trailing bytes in checkpoint")
+    r.finish()
 
     it = iter(tensors)
     embed = next(it)

@@ -17,7 +17,7 @@ from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.gat import gat_forward, init_gat_params
 from molgat.graphs import build_sample, label_pose, prune_protein
 from molgat.metrics import adjusted_logauc, auroc, re_score, topn_success, ScoredItem
-from molgat.model import ModelConfig, ModelParams, load_params, predict, score
+from molgat.model import ModelConfig, ModelParams, load_params, materialize_a2, predict, score
 from molgat.synthetic import generate_corpus
 from molgat.training import TrainConfig, bce_loss, mean_bce, split_by_protein, train
 from molgat.cli import main as cli_main
@@ -237,11 +237,14 @@ class TestA4InvarianceSuite:
     def check_gat_internals(self, s, params, config):
         t = Tape()
         h = t.matmul(constant(s.features), params.embed)
+        a1 = constant(s.a1)
+        a2 = materialize_a2(t, s.dist, s.inter_mask, a1, params.mu, params.sigma_on(t))
         internals = {}
-        gat_forward(t, h, constant(s.a1), params.layers[0], internals=internals)
+        gat_forward(t, h, a1, a2, params.layers[0], internals=internals)
         z = internals["gate"].data
         assert np.all(z > 0.0) and np.all(z < 1.0)
-        np.testing.assert_allclose(internals["softmax"].data.sum(axis=1), 1.0, atol=1e-12)
+        for key in ("softmax1", "softmax2"):
+            np.testing.assert_allclose(internals[key].data.sum(axis=1), 1.0, atol=1e-12)
 
     def check_rigid_motion(self, record, params, config):
         rng = np.random.default_rng(5)

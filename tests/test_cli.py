@@ -276,6 +276,31 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--fc-dims", "3,2"], ["--fc-dims", "0,1"], ["--fc-dims", "a,1"],
+         ["--gat-dim", "0"], ["--num-gat-layers", "-1"], ["--batch-size", "0"]],
+    )
+    def test_invalid_train_values_are_one(self, workspace, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run")]
+                + flags
+            )
+        assert err.value.code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_integer_top_is_one(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["poses", "--cache", str(workspace / "poses.cache"),
+                 "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                 "--out", str(tmp_path / "poses"), "--top", "a"]
+            )
+        assert err.value.code == 1
+        assert "--top" in capsys.readouterr().err
+
     def test_data_error_is_two(self, tmp_path, capsys):
         rc = main(
             ["predict", "--input", str(tmp_path / "missing.cache"),

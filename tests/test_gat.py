@@ -9,7 +9,7 @@ from helpers import check_gradients
 
 
 def gat_oracle(x, adj, w, e, u, b):
-    """Straight numpy rendition of the layer's five steps (no tape)."""
+    """Straight numpy rendition of one gated branch's five steps (no tape)."""
     n = x.shape[0]
     xp = x @ w
     s = xp @ e @ xp.T
@@ -24,27 +24,43 @@ def gat_oracle(x, adj, w, e, u, b):
     return z * xp + (1.0 - z) * xpp
 
 
+def dual_oracle(x, a1, a2, params):
+    """The contact branch minus the covalent branch, each run separately."""
+    weights = (params.w.data, params.e.data, params.u.data, params.b.item())
+    return gat_oracle(x, a2, *weights) - gat_oracle(x, a1, *weights)
+
+
 def make_params(w, e, u, b):
     return GatParams(w=parameter(w), e=parameter(e), u=parameter(u), b=parameter([[b]]))
 
 
 def random_case(rng, n=5, f=3, dense_positive=False):
+    """Features, a covalent-like A1, a contact-like A2 and layer parameters.
+
+    Sparse cases give A2 the pattern of A1 plus extra weighted entries, the
+    way the model materializes the contact adjacency.
+    """
     x = parameter(rng.uniform(-1, 1, size=(n, f)))
     if dense_positive:
-        adj_data = rng.uniform(0.2, 1.0, size=(n, n))
-        adj_data = (adj_data + adj_data.T) / 2
+        adjs = []
+        for _ in range(2):
+            data = rng.uniform(0.2, 1.0, size=(n, n))
+            adjs.append((data + data.T) / 2)
+        a1_data, a2_data = adjs
     else:
         pattern = rng.random((n, n)) < 0.5
         pattern |= pattern.T
-        adj_data = pattern.astype(float)
-        np.fill_diagonal(adj_data, 1.0)
-    adj = parameter(adj_data)
+        a1_data = pattern.astype(float)
+        np.fill_diagonal(a1_data, 1.0)
+        contacts = np.triu((rng.random((n, n)) < 0.3) & (a1_data == 0.0), k=1)
+        weights = np.triu(rng.uniform(0.2, 1.0, size=(n, n)), k=1) * contacts
+        a2_data = a1_data + weights + weights.T
     params = init_gat_params(f, rng)
-    return x, adj, params
+    return x, parameter(a1_data), parameter(a2_data), params
 
 
-# Frozen step-by-step hand evaluation of the layer on a 3-node path graph
-# with hand-set 2x2 parameters (the independent oracle above reproduces it).
+# Frozen step-by-step hand evaluation of one gated branch on a 3-node path
+# graph with hand-set 2x2 parameters (gat_oracle above reproduces it).
 FIXTURE_X = np.array([[1.0, 0.5], [-0.25, 0.75], [0.0, -1.0]])
 FIXTURE_ADJ = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 FIXTURE_W = np.array([[0.2, -0.3], [0.4, 0.1]])
@@ -62,55 +78,71 @@ FIXTURE_EXPECTED = np.array(
 
 class TestForward:
     def test_path_graph_matches_hand_fixture(self):
+        # With A1 = I the covalent branch returns x W exactly, so the layer
+        # output is the frozen single-branch fixture minus x W.
         params = make_params(FIXTURE_W, FIXTURE_E, FIXTURE_U, FIXTURE_B)
-        out = gat_forward(Tape(), constant(FIXTURE_X), constant(FIXTURE_ADJ), params)
-        np.testing.assert_allclose(out.data, FIXTURE_EXPECTED, atol=1e-10)
-        oracle = gat_oracle(FIXTURE_X, FIXTURE_ADJ, FIXTURE_W, FIXTURE_E, FIXTURE_U, FIXTURE_B)
+        a1 = constant(np.eye(3))
+        out = gat_forward(Tape(), constant(FIXTURE_X), a1, constant(FIXTURE_ADJ), params)
+        np.testing.assert_allclose(out.data, FIXTURE_EXPECTED - FIXTURE_X @ FIXTURE_W, atol=1e-10)
+        oracle = dual_oracle(FIXTURE_X, np.eye(3), FIXTURE_ADJ, params)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            x, adj, params = random_case(rng, n=int(rng.integers(2, 7)), f=4)
-            out = gat_forward(Tape(), x, adj, params)
-            oracle = gat_oracle(
-                x.data, adj.data, params.w.data, params.e.data, params.u.data, params.b.item()
-            )
+        for k in range(10):
+            n = int(rng.integers(2, 7))
+            x, a1, a2, params = random_case(rng, n=n, f=4, dense_positive=k % 2 == 1)
+            out = gat_forward(Tape(), x, a1, a2, params)
+            oracle = dual_oracle(x.data, a1.data, a2.data, params)
             np.testing.assert_allclose(out.data, oracle, atol=1e-12)
+
+    def test_identical_adjacencies_give_exact_zero(self):
+        rng = np.random.default_rng(12)
+        for dense in (False, True):
+            x, a1, _, params = random_case(rng, n=6, f=4, dense_positive=dense)
+            out = gat_forward(Tape(), x, a1, constant(a1.data.copy()), params)
+            assert np.array_equal(out.data, np.zeros((6, 4)))
 
     def test_zero_features_give_zero_output(self):
         rng = np.random.default_rng(1)
-        _, adj, params = random_case(rng, n=4, f=3)
-        out = gat_forward(Tape(), constant(np.zeros((4, 3))), adj, params)
+        _, a1, a2, params = random_case(rng, n=4, f=3)
+        out = gat_forward(Tape(), constant(np.zeros((4, 3))), a1, a2, params)
         np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
 
     def test_single_node_returns_transformed_features(self):
+        # One node: each branch attends only to itself with weight A_k, so
+        # the output is (A2 - A1) (1 - z) x W.
         rng = np.random.default_rng(2)
         params = init_gat_params(3, rng)
         x = constant(rng.uniform(-1, 1, size=(1, 3)))
-        out = gat_forward(Tape(), x, constant([[1.0]]), params)
-        np.testing.assert_allclose(out.data, x.data @ params.w.data, atol=1e-14)
+        internals = {}
+        out = gat_forward(Tape(), x, constant([[1.0]]), constant([[2.5]]), params, internals)
+        z = internals["gate"].data
+        np.testing.assert_allclose(out.data, 1.5 * (1.0 - z) * (x.data @ params.w.data), atol=1e-14)
 
     def test_zero_diagonal_rejected(self):
         rng = np.random.default_rng(3)
-        x, adj, params = random_case(rng)
-        adj.data[2, 2] = 0.0
-        with pytest.raises(ShapeError, match="diagonal"):
-            gat_forward(Tape(), x, adj, params)
+        for which in (0, 1):
+            x, a1, a2, params = random_case(rng)
+            (a1, a2)[which].data[2, 2] = 0.0
+            with pytest.raises(ShapeError, match="diagonal"):
+                gat_forward(Tape(), x, a1, a2, params)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        x, adj, params = random_case(rng, n=5, f=3)
+        x, a1, a2, params = random_case(rng, n=5, f=3)
         with pytest.raises(ShapeError):
-            gat_forward(Tape(), x, constant(np.eye(4)), params)
+            gat_forward(Tape(), x, constant(np.eye(4)), a2, params)
         with pytest.raises(ShapeError):
-            gat_forward(Tape(), constant(np.zeros((5, 7))), adj, params)
+            gat_forward(Tape(), x, a1, constant(np.eye(4)), params)
+        with pytest.raises(ShapeError):
+            gat_forward(Tape(), constant(np.zeros((5, 7))), a1, a2, params)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        x, adj, params = random_case(rng)
-        out1 = gat_forward(Tape(), x, adj, params)
-        out2 = gat_forward(Tape(), x, adj, params)
+        x, a1, a2, params = random_case(rng)
+        out1 = gat_forward(Tape(), x, a1, a2, params)
+        out2 = gat_forward(Tape(), x, a1, a2, params)
         assert np.array_equal(out1.data, out2.data)
 
 
@@ -119,62 +151,68 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         for _ in range(5):
             n = int(rng.integers(3, 8))
-            x, adj, params = random_case(rng, n=n, f=4)
+            x, a1, a2, params = random_case(rng, n=n, f=4)
             perm = rng.permutation(n)
             p = np.eye(n)[perm]
-            out = gat_forward(Tape(), x, adj, params).data
+            out = gat_forward(Tape(), x, a1, a2, params).data
             out_perm = gat_forward(
-                Tape(), constant(p @ x.data), constant(p @ adj.data @ p.T), params
+                Tape(),
+                constant(p @ x.data),
+                constant(p @ a1.data @ p.T),
+                constant(p @ a2.data @ p.T),
+                params,
             ).data
             np.testing.assert_allclose(out_perm, p @ out, atol=1e-10)
 
     def test_score_symmetry_exact(self):
         rng = np.random.default_rng(7)
-        x, adj, params = random_case(rng, n=6, f=4)
+        x, a1, a2, params = random_case(rng, n=6, f=4)
         internals = {}
-        gat_forward(Tape(), x, adj, params, internals=internals)
+        gat_forward(Tape(), x, a1, a2, params, internals=internals)
         scores = internals["scores"].data
         assert np.array_equal(scores, scores.T)
 
     def test_gate_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
-            x, adj, params = random_case(rng)
+            x, a1, a2, params = random_case(rng)
             internals = {}
-            gat_forward(Tape(), x, adj, params, internals=internals)
+            gat_forward(Tape(), x, a1, a2, params, internals=internals)
             z = internals["gate"].data
             assert np.all(z > 0.0) and np.all(z < 1.0)
 
     def test_prescale_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            x, adj, params = random_case(rng)
+            x, a1, a2, params = random_case(rng)
             internals = {}
-            gat_forward(Tape(), x, adj, params, internals=internals)
-            sums = internals["softmax"].data.sum(axis=1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+            gat_forward(Tape(), x, a1, a2, params, internals=internals)
+            for key in ("softmax1", "softmax2"):
+                sums = internals[key].data.sum(axis=1)
+                np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_attention_scaled_by_adjacency(self):
         rng = np.random.default_rng(10)
-        x, adj, params = random_case(rng, dense_positive=True)
+        x, a1, a2, params = random_case(rng, dense_positive=True)
         internals = {}
-        gat_forward(Tape(), x, adj, params, internals=internals)
-        np.testing.assert_allclose(
-            internals["attention"].data, internals["softmax"].data * adj.data, atol=1e-15
-        )
+        gat_forward(Tape(), x, a1, a2, params, internals=internals)
+        for k, adj in (("1", a1), ("2", a2)):
+            np.testing.assert_allclose(
+                internals[f"attention{k}"].data, internals[f"softmax{k}"].data * adj.data, atol=1e-15
+            )
 
 
 class TestGradients:
     def test_all_parameters_and_adjacency(self):
         rng = np.random.default_rng(11)
-        x, adj, params = random_case(rng, n=5, f=3, dense_positive=True)
+        x, a1, a2, params = random_case(rng, n=5, f=3, dense_positive=True)
         weights = constant(rng.uniform(-1, 1, size=(5, 3)))
-        leaves = [params.w, params.e, params.u, params.b, adj, x]
+        leaves = [params.w, params.e, params.u, params.b, a1, a2, x]
 
         def forward():
             t = Tape()
-            return t.sum_all(t.mul(gat_forward(t, x, adj, params), weights)).item()
+            return t.sum_all(t.mul(gat_forward(t, x, a1, a2, params), weights)).item()
 
         t = Tape()
-        t.backward(t.sum_all(t.mul(gat_forward(t, x, adj, params), weights)))
+        t.backward(t.sum_all(t.mul(gat_forward(t, x, a1, a2, params), weights)))
         check_gradients(forward, leaves, tol=1e-4)

@@ -1,8 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from molgat import fileio
 from molgat.errors import DataError
 from molgat.metrics import (
     EvalReport,
@@ -11,6 +13,7 @@ from molgat.metrics import (
     auroc,
     evaluate_scored,
     per_protein_average,
+    pr_points,
     prauc,
     re_score,
     roc_points,
@@ -346,8 +349,69 @@ class TestCurveDumps:
         assert len(roc_lines) == 1 + len(fpr)
         last = roc_lines[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == 1.0
-        assert pr_path.read_text().splitlines()[0] == "recall,precision"
+        pr_rows = list(csv.reader(pr_path.read_text().splitlines()))
+        assert pr_rows[0] == ["recall", "precision"]
+        recall, precision = pr_points(scores, labels)
+        assert [[float(r), float(p)] for r, p in pr_rows[1:]] == [
+            [r, p] for r, p in zip(recall.tolist(), precision.tolist())
+        ]
+
+    def test_pr_points_merge_tied_blocks(self):
+        recall, precision = pr_points([0.9, 0.5, 0.5, 0.1], [1, 1, 0, 0])
+        np.testing.assert_array_equal(recall, [0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(precision, [1.0, 2.0 / 3.0, 0.5])
+        with pytest.raises(DataError, match="pr curve needs at least one positive"):
+            pr_points([0.2, 0.1], [0, 0])
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
             write_curve_csv(tmp_path / "x.csv", [1, 0], [1, 0], "lift")
+
+
+class _FailingFile:
+    """File stand-in that fails after ``budget`` writes, like a disk filling up."""
+
+    def __init__(self, fh, budget):
+        self.fh = fh
+        self.budget = budget
+
+    def write(self, text):
+        if self.budget == 0:
+            raise OSError("simulated write failure")
+        self.budget -= 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("target", ["report", "roc", "pr"])
+    def test_failure_part_way_leaves_no_partial_file(self, tmp_path, monkeypatch, target):
+        rng = np.random.default_rng(16)
+        items = [
+            ScoredItem(float(rng.normal()), int(k % 3 == 0), f"p{k % 4}", f"c{k}") for k in range(80)
+        ]
+        scores = [i.score for i in items]
+        labels = [i.label for i in items]
+        path = tmp_path / f"{target}.csv"
+
+        def write():
+            if target == "report":
+                evaluate_scored(items).write_csv(path)
+            else:
+                write_curve_csv(path, scores, labels, target)
+
+        write()
+        complete = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(
+            fileio, "open", lambda *a, **k: _FailingFile(real_open(*a, **k), budget=2), raising=False
+        )
+        with pytest.raises(OSError, match="simulated"):
+            write()
+        assert path.read_bytes() == complete
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
