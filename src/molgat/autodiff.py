@@ -91,9 +91,8 @@ def constant(data) -> Value:
 class Tape:
     """Ordered record of operations for one forward pass."""
 
-    def __init__(self, check_finite: bool = True):
+    def __init__(self):
         self._nodes: list[Value] = []
-        self.check_finite = check_finite
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -101,7 +100,7 @@ class Tape:
     # -- recording ---------------------------------------------------------
 
     def _record(self, data: np.ndarray, parents: tuple[Value, ...], backward) -> Value:
-        if self.check_finite and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise NumericError("operation produced non-finite values")
         out = Value(data)
         out.requires_grad = any(p.requires_grad for p in parents)

@@ -60,6 +60,7 @@ COVALENT_RADII = {
     "Br": 1.20,
 }
 BOND_INFERENCE_FACTOR = 1.3
+_BOND_BLOCK = 256  # atoms per row block of the bond search
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -429,16 +430,27 @@ def parse_pdb_protein(path, stats: dict | None = None):
 
 
 def _infer_bonds(atoms) -> list[Bond]:
-    """Single bonds between supported atoms closer than the radius cutoff."""
+    """Single bonds between supported atoms closer than the radius cutoff,
+    ordered by ``(i, j)`` with ``i < j``.
+
+    Rows are processed ``_BOND_BLOCK`` at a time, so memory grows with the
+    atom count rather than with its square.
+    """
+    from .graphs import pairwise_distances  # graphs imports this module
+
     if not atoms:
         return []
-    coords = np.array([pos for _, pos in atoms])
+    coords = np.array([pos for _, pos in atoms], dtype=np.float64)
     radii = np.array([COVALENT_RADII[sym] for sym, _ in atoms])
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    cutoff = BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :])
-    ii, jj = np.nonzero(np.triu(dist < cutoff, k=1))
-    return [Bond(int(i), int(j), "single") for i, j in zip(ii, jj)]
+    index = np.arange(len(atoms))
+    bonds = []
+    for s in range(0, len(atoms), _BOND_BLOCK):
+        rows = slice(s, s + _BOND_BLOCK)
+        cutoff = BOND_INFERENCE_FACTOR * (radii[rows, None] + radii[None, :])
+        upper = index[None, :] > index[rows, None]
+        ii, jj = np.nonzero(upper & (pairwise_distances(coords[rows], coords) < cutoff))
+        bonds += [Bond(int(i) + s, int(j), "single") for i, j in zip(ii, jj)]
+    return bonds
 
 
 def _supported(raw_atoms, stats: dict | None) -> list[bool]:

@@ -1,11 +1,14 @@
-"""Model-ready graph samples: pruning, adjacency, distances, pose labels, cache.
+"""Model-ready graph samples: pruning, pairwise distances, pose labels, cache.
 
-A ``GraphSample`` holds everything the network consumes for one complex:
-binary node features, the covalent adjacency (with self-loops), the dense
-interatomic distance matrix, and the intermolecular contact mask marking
-ligand-protein pairs closer than the contact cutoff. Gaussian contact weights
-are deliberately NOT materialized here; the model computes them on the tape
-so gradients reach the distance-profile parameters.
+A ``GraphSample`` stores only O(N) data for one complex: binary node
+features, coordinates (ligand rows first), the ligand/protein flag of each
+atom and the covalent bond list. The dense matrices the network consumes are
+derived from them on every access and never kept: the covalent adjacency
+``a1`` (with self-loops), the interatomic distances ``dist`` and the
+intermolecular contact mask ``inter_mask`` marking ligand-protein pairs closer
+than the contact cutoff. Gaussian contact weights are deliberately NOT
+materialized here; the model computes them on the tape so gradients reach the
+distance-profile parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chem import CATEGORIES, ComplexRecord, featurize, ligand_first, select_atoms
+from .chem import CATEGORIES, N_FEATURES, ComplexRecord, featurize, ligand_first, select_atoms
 from .errors import CheckpointError, DataError
 from .fileio import Reader, read_checked, write_checked
 
@@ -23,15 +26,38 @@ PRUNE_CUTOFF = 8.0  # protein atoms farther than this from every ligand atom are
 CONTACT_CUTOFF = 5.0  # intermolecular pairs closer than this enter the contact mask
 
 CACHE_MAGIC = b"MOLGATGC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between every row of ``a`` (Mx3) and every row of ``b`` (Kx3).
+
+    The squared coordinate differences are summed one coordinate at a time,
+    in place. That gives the same bits as ``sqrt((d * d).sum(axis=2))`` with
+    ``d = a[:, None, :] - b[None, :, :]``, without the MxKx3 intermediate.
+    """
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for k in (1, 2):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq)
+
+
+def contact_mask(is_ligand: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """{0,1} float mask of opposite-side pairs strictly closer than ``CONTACT_CUTOFF``."""
+    mask = dist < CONTACT_CUTOFF
+    mask &= is_ligand[:, None] != is_ligand[None, :]
+    return mask.astype(np.float64)
 
 
 @dataclass
 class GraphSample:
     features: np.ndarray  # N x 56 binary
-    a1: np.ndarray  # N x N covalent adjacency, unit diagonal
-    dist: np.ndarray  # N x N distances in angstroms
-    inter_mask: np.ndarray  # N x N {0,1}, intermolecular contacts only
+    coords: np.ndarray  # N x 3 angstroms, ligand rows first
+    is_ligand: np.ndarray  # N bool
+    bonds: np.ndarray  # K x 2 int, i < j, covalent bonds within one side
     complex_id: str
     protein_id: str
     category: str = "unlabeled"
@@ -42,6 +68,24 @@ class GraphSample:
     def num_atoms(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def a1(self) -> np.ndarray:
+        """N x N covalent adjacency with a unit diagonal."""
+        a1 = np.eye(self.num_atoms, dtype=np.float64)
+        a1[self.bonds[:, 0], self.bonds[:, 1]] = 1.0
+        a1[self.bonds[:, 1], self.bonds[:, 0]] = 1.0
+        return a1
+
+    @property
+    def dist(self) -> np.ndarray:
+        """N x N interatomic distances in angstroms."""
+        return pairwise_distances(self.coords, self.coords)
+
+    @property
+    def inter_mask(self) -> np.ndarray:
+        """N x N {0,1} intermolecular contacts (opposite sides, d < 5 A)."""
+        return contact_mask(self.is_ligand, self.dist)
+
 
 def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRecord:
     """Drop protein atoms farther than ``cutoff`` from every ligand atom.
@@ -51,9 +95,7 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
     """
     coords = rec.coordinates()
     is_lig = np.array([a.is_ligand for a in rec.atoms])
-    lig = coords[is_lig]
-    diff = coords[:, None, :] - lig[None, :, :]
-    min_dist = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+    min_dist = pairwise_distances(coords, coords[is_lig]).min(axis=1)
     keep = is_lig | (min_dist <= cutoff)
     if keep.all():
         return rec
@@ -66,34 +108,19 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
 def build_sample(rec: ComplexRecord, stats: dict | None = None) -> GraphSample:
     """Assemble a GraphSample from a (pruned) record.
 
-    Atoms are reordered ligand-first so rows align with the feature matrix.
-    The covalent adjacency gets a unit diagonal; the contact mask marks
-    opposite-side pairs strictly closer than ``CONTACT_CUTOFF``.
+    Atoms are reordered ligand-first so rows align with the feature matrix,
+    and each bond is stored as ``(i, j)`` with ``i < j``.
     """
     ordered = ligand_first(rec)
     coords = ordered.coordinates()
     if not np.isfinite(coords).all():
         raise DataError(f"{rec.complex_id}: non-finite coordinates")
-    n = len(ordered.atoms)
-    feats = featurize(ordered, stats)
-
-    a1 = np.eye(n, dtype=np.float64)
-    for b in ordered.bonds:
-        a1[b.i, b.j] = 1.0
-        a1[b.j, b.i] = 1.0
-
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-
-    is_lig = np.array([a.is_ligand for a in ordered.atoms])
-    opposite = is_lig[:, None] != is_lig[None, :]
-    inter_mask = (opposite & (dist < CONTACT_CUTOFF)).astype(np.float64)
-
+    bonds = np.array([(b.i, b.j) for b in ordered.bonds], dtype=np.int64).reshape(-1, 2)
     return GraphSample(
-        features=feats,
-        a1=a1,
-        dist=dist,
-        inter_mask=inter_mask,
+        features=featurize(ordered, stats),
+        coords=coords,
+        is_ligand=np.array([a.is_ligand for a in ordered.atoms], dtype=bool),
+        bonds=np.sort(bonds, axis=1),
         complex_id=ordered.complex_id,
         protein_id=ordered.protein_id,
         category=ordered.category,
@@ -147,7 +174,7 @@ def label_pose(rmsd: float) -> int | None:
 #
 # Layout (all integers little-endian):
 #   magic               8 bytes  b"MOLGATGC"
-#   version             u32
+#   version             u32      2
 #   sample count        u64
 #   per sample:
 #     complex_id        u32 length + utf-8 bytes
@@ -157,9 +184,10 @@ def label_pose(rmsd: float) -> int | None:
 #     rmsd              f64 (NaN = absent)
 #     n_atoms           u32
 #     features          n*56 bytes (uint8)
-#     a1                n*n bytes (uint8)
-#     inter_mask        n*n bytes (uint8)
-#     dist              n*n f64
+#     is_ligand         n bytes (uint8, 0 or 1)
+#     coords            n*3 f64
+#     n_bonds           u32
+#     bonds             n_bonds*2 u32, each pair i < j < n
 #   crc32               u32 over everything after the magic
 # ---------------------------------------------------------------------------
 
@@ -171,12 +199,12 @@ def _encode_sample(s: GraphSample) -> bytes:
         parts.append(raw)
     parts.append(struct.pack("<Bb", CATEGORIES.index(s.category), -1 if s.label is None else s.label))
     parts.append(struct.pack("<d", np.nan if s.rmsd is None else s.rmsd))
-    n = s.num_atoms
-    parts.append(struct.pack("<I", n))
+    parts.append(struct.pack("<I", s.num_atoms))
     parts.append(s.features.astype(np.uint8).tobytes())
-    parts.append(s.a1.astype(np.uint8).tobytes())
-    parts.append(s.inter_mask.astype(np.uint8).tobytes())
-    parts.append(s.dist.astype("<f8").tobytes())
+    parts.append(s.is_ligand.astype(np.uint8).tobytes())
+    parts.append(s.coords.astype("<f8").tobytes())
+    parts.append(struct.pack("<I", len(s.bonds)))
+    parts.append(s.bonds.astype("<u4").tobytes())
     return b"".join(parts)
 
 
@@ -184,19 +212,35 @@ def _decode_sample(r: Reader) -> GraphSample:
     texts = []
     for _ in range(2):
         (length,) = r.unpack("<I")
-        texts.append(r.take(length).decode("utf-8"))
+        try:
+            texts.append(r.take(length).decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{r.where}: identifier is not UTF-8") from None
     cat_idx, label = r.unpack("<Bb")
     (rmsd,) = r.unpack("<d")
     (n,) = r.unpack("<I")
-    feats = np.frombuffer(r.take(n * 56), dtype=np.uint8).reshape(n, 56).astype(np.float64)
-    a1 = np.frombuffer(r.take(n * n), dtype=np.uint8).reshape(n, n).astype(np.float64)
-    inter = np.frombuffer(r.take(n * n), dtype=np.uint8).reshape(n, n).astype(np.float64)
-    dist = np.frombuffer(r.take(n * n * 8), dtype="<f8").reshape(n, n).astype(np.float64)
+    feats = np.frombuffer(r.take(n * N_FEATURES), dtype=np.uint8).reshape(n, N_FEATURES)
+    flags = np.frombuffer(r.take(n), dtype=np.uint8)
+    coords = np.frombuffer(r.take(n * 24), dtype="<f8").reshape(n, 3).astype(np.float64)
+    (n_bonds,) = r.unpack("<I")
+    bonds = np.frombuffer(r.take(n_bonds * 8), dtype="<u4").reshape(n_bonds, 2).astype(np.int64)
+    where = f"{r.where} sample {texts[0]!r}"
+    if cat_idx >= len(CATEGORIES) or label not in (-1, 0, 1):
+        raise CheckpointError(f"{where}: category index {cat_idx} or label {label} out of range")
+    if (flags > 1).any():
+        raise CheckpointError(f"{where}: is_ligand byte other than 0/1")
+    if not np.isfinite(coords).all():
+        raise CheckpointError(f"{where}: non-finite coordinates")
+    if ((bonds[:, 0] >= bonds[:, 1]) | (bonds[:, 1] >= n)).any():
+        raise CheckpointError(f"{where}: bond index out of range or not i < j < n_atoms")
+    is_ligand = flags.astype(bool)
+    if (is_ligand[bonds[:, 0]] != is_ligand[bonds[:, 1]]).any():
+        raise CheckpointError(f"{where}: covalent bond crosses the ligand/protein boundary")
     return GraphSample(
-        features=feats,
-        a1=a1,
-        dist=dist,
-        inter_mask=inter,
+        features=feats.astype(np.float64),
+        coords=coords,
+        is_ligand=is_ligand,
+        bonds=bonds,
         complex_id=texts[0],
         protein_id=texts[1],
         category=CATEGORIES[cat_idx],

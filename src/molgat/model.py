@@ -27,7 +27,7 @@ from .autodiff import Tape, Value, constant, parameter
 from .errors import CheckpointError, NumericError, ShapeError
 from .fileio import read_checked, write_checked
 from .gat import GatParams, gat_forward, glorot, init_gat_params
-from .graphs import GraphSample
+from .graphs import GraphSample, contact_mask
 
 SIGMA_FLOOR = 1e-3
 
@@ -155,9 +155,9 @@ def predict(
         raise ValueError("training mode needs an rng for dropout")
 
     a1 = constant(sample.a1)
-    a2 = materialize_a2(
-        tape, sample.dist, sample.inter_mask, a1, params.mu, params.sigma_on(tape)
-    )
+    dist = sample.dist
+    contacts = contact_mask(sample.is_ligand, dist)
+    a2 = materialize_a2(tape, dist, contacts, a1, params.mu, params.sigma_on(tape))
 
     h = tape.matmul(constant(sample.features), params.embed)
     for layer in params.layers:
@@ -218,6 +218,11 @@ def _expected_shapes(config: ModelConfig) -> list[tuple[int, int]]:
 
 
 def save_params(path, params: ModelParams, config: ModelConfig, iteration: int = 0) -> None:
+    """Write a checkpoint atomically; non-finite tensors are refused before
+    anything is written."""
+    for name, v in params.named_values():
+        if not np.isfinite(v.data).all():
+            raise NumericError(f"{path}: refusing to save non-finite tensor {name}")
     body = struct.pack(
         "<IIII", CHECKPOINT_VERSION, config.num_gat_layers, config.gat_dim, config.input_dim
     )
@@ -236,9 +241,10 @@ def save_params(path, params: ModelParams, config: ModelConfig, iteration: int =
 def load_params(path, expected_config: ModelConfig | None = None):
     """Load a checkpoint; returns ``(params, config, iteration)``.
 
-    Verifies magic, version, checksum, and every tensor shape against the
-    stored config; nothing is returned on failure (no partial loads). When
-    ``expected_config`` is given it must match the stored config exactly.
+    Verifies magic, version, checksum, every tensor shape against the stored
+    config, and that every value is finite; nothing is returned on failure
+    (no partial loads). When ``expected_config`` is given it must match the
+    stored config exactly.
     """
     r = read_checked(path, CHECKPOINT_MAGIC, "checkpoint")
     (version,) = r.unpack("<I")
@@ -272,6 +278,8 @@ def load_params(path, expected_config: ModelConfig | None = None):
                 f"{path}: tensor shape ({rows},{cols}) does not match config shape {expected}"
             )
         data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {len(tensors)} has non-finite values")
         tensors.append(parameter(data.copy()))
     r.finish()
 

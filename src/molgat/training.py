@@ -166,8 +166,8 @@ def train(
     """Run the optimization loop and write checkpoints plus a CSV log.
 
     ``train_pools`` maps category name to a list of labeled GraphSamples.
-    A non-finite loss aborts immediately; the last written checkpoint stays
-    on disk untouched.
+    A non-finite loss or parameter gradient aborts before the Adam step; the
+    last written checkpoint stays on disk untouched.
     """
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(train_cfg.seed)
@@ -207,6 +207,12 @@ def train(
                 )
             params.zero_grad()
             tape.backward(loss)
+            for name, value in params.named_values():
+                if value.grad is not None and not np.isfinite(value.grad).all():
+                    raise NumericError(
+                        f"non-finite gradient of {name} at iteration {iteration}; "
+                        "last checkpoint retained"
+                    )
             adam.step(params.values())
             if params.num_parameters() != n_params:
                 raise NumericError("parameter count changed during training")

@@ -228,9 +228,9 @@ class TestA4InvarianceSuite:
         permuted = dataclasses.replace(
             s,
             features=s.features[perm],
-            a1=s.a1[np.ix_(perm, perm)],
-            dist=s.dist[np.ix_(perm, perm)],
-            inter_mask=s.inter_mask[np.ix_(perm, perm)],
+            coords=s.coords[perm],
+            is_ligand=s.is_ligand[perm],
+            bonds=np.sort(np.argsort(perm)[s.bonds], axis=1),
         )
         assert abs(score(s, params, config) - score(permuted, params, config)) <= 1e-10
 

@@ -309,6 +309,29 @@ class TestPdb:
                     expected += 1
         assert len(bonds) == expected == 11  # 3x(N-CA, CA-C, C=O) + 2 peptide bonds
 
+    def test_blocked_bond_search_matches_dense_oracle(self, tmp_path):
+        # 700 atoms span three row blocks of the bond search
+        rng = np.random.default_rng(17)
+        elements = rng.choice(["C", "N", "O", "S", "H"], size=700)
+        xyz = np.round(rng.uniform(0.0, 20.0, size=(700, 3)), 3)
+        lines = [
+            pdb_line(k + 1, el, "UNK", "A", k // 10 + 1, *pos, el)
+            for k, (el, pos) in enumerate(zip(elements, xyz))
+        ]
+        path = tmp_path / "random.pdb"
+        path.write_text("\n".join(lines) + "\nEND\n")
+        atoms, bonds = parse_pdb_protein(path)
+        assert len(atoms) == 700
+
+        coords = np.array([a.position for a in atoms])
+        radii = np.array([COVALENT_RADII[a.element] for a in atoms])
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        cutoff = BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :])
+        ii, jj = np.nonzero(np.triu(dist < cutoff, k=1))
+        assert len(ii) > 300
+        assert [(b.i, b.j) for b in bonds] == list(zip(ii.tolist(), jj.tolist()))
+
     def test_annotations_from_inferred_bonds(self, tmp_path):
         path = tmp_path / "tri.pdb"
         path.write_text("\n".join(triglycine_lines()) + "\n")

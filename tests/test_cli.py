@@ -1,12 +1,14 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from molgat import chem
 from molgat.cli import main
-from molgat.graphs import read_cache
+from molgat.fileio import write_checked
+from molgat.graphs import CACHE_MAGIC, read_cache
 from molgat.model import load_params
 from molgat.synthetic import generate_corpus, generate_pose_set
 
@@ -191,6 +193,16 @@ class TestEvaluate:
              "--checkpoint", str(bad), "--out", str(tmp_path / "eval")]
         )
         assert rc == 2
+
+    def test_v1_cache_is_two(self, workspace, tmp_path, capsys):
+        v1 = tmp_path / "v1.cache"
+        write_checked(v1, CACHE_MAGIC, struct.pack("<IQ", 1, 0))
+        rc = main(
+            ["evaluate", "--cache", str(v1),
+             "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(tmp_path / "eval")]
+        )
+        assert rc == 2
+        assert "unsupported cache version 1" in capsys.readouterr().err
 
 
 class TestPredict:

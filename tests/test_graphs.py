@@ -1,14 +1,21 @@
+import dataclasses
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, DataError
+from molgat.fileio import write_checked
 from molgat.graphs import (
+    CACHE_MAGIC,
     GraphSample,
     build_sample,
     compute_rmsd,
     label_pose,
     ligand_rmsd,
+    pairwise_distances,
     prune_protein,
     read_cache,
     write_cache,
@@ -269,6 +276,9 @@ class TestCache:
             np.testing.assert_array_equal(a.a1, b.a1)
             np.testing.assert_array_equal(a.inter_mask, b.inter_mask)
             np.testing.assert_array_equal(a.dist, b.dist)
+            np.testing.assert_array_equal(a.coords, b.coords)
+            np.testing.assert_array_equal(a.is_ligand, b.is_ligand)
+            np.testing.assert_array_equal(a.bonds, b.bonds)
 
     def test_write_is_deterministic(self, tmp_path):
         samples = self.samples()
@@ -291,3 +301,42 @@ class TestCache:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
         with pytest.raises(CheckpointError, match="not a graph cache"):
             read_cache(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        path = tmp_path / "v1.cache"
+        write_checked(path, CACHE_MAGIC, struct.pack("<IQ", 1, 0))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: unsupported cache version 1")):
+            read_cache(path)
+
+    @pytest.mark.parametrize(
+        "bonds, flag, message",
+        [
+            ([[0, 4]], 1, "bond index"),  # n_atoms is 4
+            ([[1, 1]], 1, "bond index"),
+            ([[0, 1]], 2, "is_ligand byte"),
+            ([[1, 2]], 1, "crosses the ligand/protein boundary"),
+        ],
+    )
+    def test_invalid_sample_rejected(self, tmp_path, bonds, flag, message):
+        sample = self.samples()[0]
+        flags = sample.is_ligand.astype(np.uint8)
+        flags[0] = flag
+        bad = dataclasses.replace(sample, bonds=np.array(bonds), is_ligand=flags)
+        path = tmp_path / "bad.cache"
+        write_cache([bad], path)
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
+            read_cache(path)
+
+
+class TestPairwiseDistances:
+    def test_bitwise_equal_to_broadcast_form(self):
+        rng = np.random.default_rng(11)
+        sizes = [tuple(rng.integers(1, 400, size=2)) for _ in range(60)] + [(40, 40), (300, 300), (600, 600)]
+        for k, (m, n) in enumerate(sizes):
+            a = rng.uniform(-60.0, 60.0, size=(m, 3))
+            b = a if k % 3 == 0 else rng.uniform(-60.0, 60.0, size=(n, 3))
+            if k % 2:  # PDB coordinates carry three decimals
+                a, b = np.round(a, 3), np.round(b, 3)
+            diff = a[:, None, :] - b[None, :, :]
+            expected = np.sqrt((diff * diff).sum(axis=2))
+            assert np.array_equal(pairwise_distances(a, b), expected)

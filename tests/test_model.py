@@ -130,14 +130,17 @@ class TestPredict:
         params = fresh_params()
         base = score(s, params, SMALL)
         perm = rng.permutation(s.num_atoms)
+        inverse = np.argsort(perm)  # new row of each old atom
         permuted = GraphSample(
             features=s.features[perm],
-            a1=s.a1[np.ix_(perm, perm)],
-            dist=s.dist[np.ix_(perm, perm)],
-            inter_mask=s.inter_mask[np.ix_(perm, perm)],
+            coords=s.coords[perm],
+            is_ligand=s.is_ligand[perm],
+            bonds=np.sort(inverse[s.bonds], axis=1),
             complex_id=s.complex_id,
             protein_id=s.protein_id,
         )
+        np.testing.assert_array_equal(permuted.a1, s.a1[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(permuted.inter_mask, s.inter_mask[np.ix_(perm, perm)])
         assert abs(score(permuted, params, SMALL) - base) <= 1e-10
 
     def test_rotation_invariance(self):
@@ -265,6 +268,26 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
         with pytest.raises(CheckpointError, match="version"):
             load_params(path)
+
+    def test_non_finite_tensor_rejected_on_load(self, tmp_path):
+        import struct
+        import zlib
+
+        _, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes()
+        body = bytearray(blob[len(CHECKPOINT_MAGIC) : -4])
+        body[-8:] = struct.pack("<d", np.nan)  # last value of the last tensor
+        path.write_bytes(CHECKPOINT_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_params(path)
+
+    def test_non_finite_tensor_refused_on_save(self, tmp_path):
+        params, path = self.roundtrip(tmp_path)
+        before = path.read_bytes()
+        params.mu.data[0, 0] = np.inf
+        with pytest.raises(NumericError, match="mu"):
+            save_params(path, params, SMALL, iteration=1235)
+        assert path.read_bytes() == before
 
     def test_config_mismatch_rejected(self, tmp_path):
         two_layer = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1))

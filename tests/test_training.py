@@ -139,16 +139,17 @@ class TestAdamAndSteps:
             assert params.sigma_value() > 0
 
     def test_mu_updates_only_with_contacts(self, pools, tmp_path):
-        # every synthetic complex here has contacts; zero out the masks to fake
-        # a contact-free batch
+        # every synthetic complex here has contacts; move the protein 100 A
+        # away to fake a contact-free batch
         import dataclasses
 
-        contact_free = {
-            name: [
-                dataclasses.replace(s, inter_mask=np.zeros_like(s.inter_mask)) for s in pool[:2]
-            ]
-            for name, pool in pools.items()
-        }
+        def far_protein(s):
+            coords = s.coords.copy()
+            coords[~s.is_ligand] += 100.0
+            return dataclasses.replace(s, coords=coords)
+
+        contact_free = {name: [far_protein(s) for s in pool[:2]] for name, pool in pools.items()}
+        assert all(s.inter_mask.sum() == 0 for pool in contact_free.values() for s in pool)
         with_contacts = {name: pool[:2] for name, pool in pools.items()}
         cfg = TrainConfig(batch_size=4, iterations=1, learning_rate=1e-3, seed=3, checkpoint_every=1)
 
@@ -232,6 +233,31 @@ class TestTrainLoop:
         params, _, iteration = load_params(tmp_path / "run" / "latest.ckpt")
         assert iteration == 5
         assert all(np.isfinite(v.data).all() for v in params.values())
+
+    @pytest.mark.parametrize("poison_from", [1, 2])
+    def test_nan_gradient_aborts_before_adam(self, pools, tmp_path, monkeypatch, poison_from):
+        cfg = TrainConfig(batch_size=4, iterations=3, learning_rate=1e-3, seed=2, checkpoint_every=1)
+        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(0))
+        calls = []
+        real_backward = Tape.backward
+
+        def poisoned_backward(tape, loss):
+            real_backward(tape, loss)
+            calls.append(1)
+            if len(calls) >= poison_from:
+                params.mu.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(Tape, "backward", poisoned_backward)
+        latest = tmp_path / "run" / "latest.ckpt"
+        with pytest.raises(NumericError, match="gradient of mu at iteration"):
+            train({n: p[:2] for n, p in pools.items()}, [], TINY_MODEL, cfg, tmp_path / "run", params=params)
+        assert np.isfinite(params.mu.data).all()  # Adam never saw the NaN
+        if poison_from == 1:
+            assert not latest.exists()
+        else:
+            saved, _, iteration = load_params(latest)
+            assert iteration == 1
+            assert all(np.isfinite(v.data).all() for v in saved.values())
 
     def test_parameter_count_constant(self, pools, tmp_path):
         cfg = TrainConfig(batch_size=4, iterations=5, learning_rate=1e-3, seed=0, checkpoint_every=5)
