@@ -1,4 +1,4 @@
-"""Dense-matrix reverse-mode automatic differentiation.
+"""Reverse-mode automatic differentiation over matrices and edge lists.
 
 Every differentiable quantity is a ``Value``: a 2-D float64 numpy array plus
 an accumulated gradient. Operations are methods on a ``Tape``; each call
@@ -8,7 +8,13 @@ every reachable leaf. A tape is built fresh for each forward pass
 (define-by-run) and is single-threaded.
 
 Scalars are represented as 1x1 matrices so the whole engine has one shape
-discipline.
+discipline. Graph operations take a sorted symmetric edge list
+(``graphs.Edges``: ``src``/``dst`` sorted by ``(src, dst)``, each row's first
+edge in ``starts``, each edge's reverse in ``rev``) and hold per-edge values
+as E x 1 columns. Sums over a row's edges run through ``np.add.reduceat`` on
+the sorted segments; sums over the edges into a node go through ``rev``,
+which turns them into row sums. Small graphs take their edge products from
+one dense N x N product instead (see ``_DENSE_ENTRIES_PER_EDGE``).
 """
 
 from __future__ import annotations
@@ -18,6 +24,43 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 _LOG_FLOOR = 1e-12
+
+
+# A graph whose N x N array holds at most this many entries per edge gets its
+# edge products from one dense N x N product instead of gathering E x F rows:
+# at N ~ 40 and E ~ 330 the dense product is several times faster, while the
+# N x N temporaries stay within a constant factor of the edge list's size.
+_DENSE_ENTRIES_PER_EDGE = 32
+
+
+def _small(edges) -> bool:
+    n = len(edges.starts)
+    return n * n <= _DENSE_ENTRIES_PER_EDGE * len(edges.src)
+
+
+def _edge_dots(a: np.ndarray, b: np.ndarray, edges) -> np.ndarray:
+    """E x 1 column of a[src_e] . b[dst_e]."""
+    if _small(edges):
+        return (a @ b.T)[edges.src, edges.dst][:, None]
+    return np.einsum("ij,ij->i", a[edges.src], b[edges.dst])[:, None]
+
+
+def _edge_sums(w: np.ndarray, x: np.ndarray, edges) -> np.ndarray:
+    """N x F rows out_i = sum over node i's edges e of w_e * x[dst_e]."""
+    if _small(edges):
+        n = len(edges.starts)
+        weights = np.zeros((n, n))
+        weights[edges.src, edges.dst] = w[:, 0]
+        return weights @ x
+    rows = x[edges.dst]
+    rows *= w
+    return np.add.reduceat(rows, edges.starts, axis=0)
+
+
+def _check_edges(op: str, edges, *per_edge) -> None:
+    for v in per_edge:
+        if v.shape != (len(edges.src), 1):
+            raise ShapeError(f"{op}: expected one value per edge ({len(edges.src)}x1), got {v.shape}")
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -312,6 +355,72 @@ class Tape:
             a.accumulate(g * keep)
 
         return self._record(a.data * keep, (a,), backward)
+
+    # -- edge-list operations ---------------------------------------------------
+
+    def edge_dot(self, a: Value, b: Value, edges) -> Value:
+        """out_e = a[src_e] . b[dst_e] for every edge, as an E x 1 column."""
+        if a.shape != b.shape or a.rows != len(edges.starts):
+            raise ShapeError(f"edge_dot: {a.shape} and {b.shape} must be {len(edges.starts)} x F")
+
+        def backward(g):
+            if a.requires_grad:
+                a.accumulate(_edge_sums(g, b.data, edges))
+            if b.requires_grad:
+                b.accumulate(_edge_sums(g[edges.rev], a.data, edges))
+
+        return self._record(_edge_dots(a.data, b.data, edges), (a, b), backward)
+
+    def permute_rows(self, a: Value, perm: np.ndarray) -> Value:
+        """out = a[perm], where ``perm`` is a permutation of a's rows."""
+        if len(perm) != a.rows:
+            raise ShapeError(f"permute_rows: {len(perm)} indices for {a.rows} rows")
+
+        def backward(g):
+            grad = np.empty_like(g)
+            grad[perm] = g
+            a.accumulate(grad)
+
+        return self._record(a.data[perm], (a,), backward)
+
+    def segment_softmax(self, scores: Value, edges, mask: np.ndarray) -> Value:
+        """Softmax of E x 1 ``scores`` over each source node's edges.
+
+        Only edges where the constant boolean ``mask`` (length E) is true take
+        part; the others get zero. Rows are stabilized by subtracting their
+        max over masked-in edges; a row with no masked-in edge is an error.
+        """
+        _check_edges("segment_softmax", edges, scores)
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != (len(edges.src),):
+            raise ShapeError(f"segment_softmax: mask shape {keep.shape} != ({len(edges.src)},)")
+        src = edges.src
+        s = scores.data[:, 0]
+        row_max = np.maximum.reduceat(np.where(keep, s, -np.inf), edges.starts)
+        if np.isneginf(row_max).any():
+            raise ShapeError("segment_softmax: a row has no masked-in edge")
+        ex = np.exp(np.where(keep, s - row_max[src], -np.inf))
+        out = ex / np.add.reduceat(ex, edges.starts)[src]
+
+        def backward(g):
+            dot = np.add.reduceat(g[:, 0] * out, edges.starts)
+            scores.accumulate((out * (g[:, 0] - dot[src]))[:, None])
+
+        return self._record(out[:, None], (scores,), backward)
+
+    def segment_sum(self, w: Value, x: Value, edges) -> Value:
+        """out_i = sum over node i's edges e of w_e * x[dst_e] (N x F)."""
+        _check_edges("segment_sum", edges, w)
+        if x.rows != len(edges.starts):
+            raise ShapeError(f"segment_sum: {x.rows} rows for {len(edges.starts)} nodes")
+
+        def backward(g):
+            if w.requires_grad:
+                w.accumulate(_edge_dots(g, x.data, edges))
+            if x.requires_grad:
+                x.accumulate(_edge_sums(w.data[edges.rev], g, edges))
+
+        return self._record(_edge_sums(w.data, x.data, edges), (w, x), backward)
 
     # -- backward ------------------------------------------------------------
 

@@ -1,24 +1,31 @@
 """Gate-augmented, distance-aware graph attention layer over two adjacencies.
 
-One layer maps node features x (N x F), the covalent adjacency A1 and the
-contact adjacency A2 (both N x N with a positive diagonal) to updated
-features. Both branches share the weights, the scores and the gate:
+One layer maps node features x (N x F) to updated features over a sorted
+symmetric edge list (``graphs.Edges``) that carries both adjacencies: the
+covalent adjacency A1 is 1 on the self-loop and bond edges, and the contact
+adjacency A2 has one weight per edge (``a2``, E x 1; the model sets it to 1
+on self-loops and bonds and to a Gaussian of the distance on contact edges).
+Both branches share the weights, the scores and the gate; for every edge
+(i, j):
 
-    x'  = x W                                  feature transform
-    e   = x' E x'^T + (x' E x'^T)^T            symmetric attention scores
-    a_k = softmax over {j : Ak_ij > 0} of e, then scaled entrywise by Ak
-    z   = sigmoid([x | x'] u + b)              per-node gate in (0,1)
-    out = (1 - z) * ((a_2 - a_1) x')
+    x'    = x W                                  feature transform
+    e_ij  = x'_i E x'_j + x'_j E x'_i            symmetric attention score
+    a_k   = softmax of e_ij over i's edges with Ak_ij > 0, times Ak_ij
+    z     = sigmoid([x | x'] u + b)              per-node gate in (0,1)
+    out_i = (1 - z_i) * sum_j (a_2 - a_1)_ij x'_j
 
 This is the contact branch minus the covalent branch of the gated layer
-``z * x' + (1 - z) * a_k x'``: the ``z * x'`` terms cancel. When A2 equals A1
-bit for bit, ``a_2 - a_1`` is exactly zero and so is the output. The
-``internals`` keys are scores (e), gate (z), softmax1/softmax2 (before the
-entrywise scaling) and attention1/attention2 (a_1, a_2).
+``z * x' + (1 - z) * a_k x'``: the ``z * x'`` terms cancel. Each layer costs
+O(N F^2 + E F). When a2 is 1 on every edge and no edge is a contact, both
+softmaxes run over the same edges, ``a_2 - a_1`` is exactly zero and so is
+the output. ``e_ij`` is computed once per edge as ``half + half[rev]``, so it
+is bit-for-bit symmetric. The ``internals`` keys are scores (e), gate (z),
+softmax1/softmax2 (before the weighting) and attention1/attention2 (a_1,
+a_2), each E x 1 in edge order except the N x 1 gate.
 
 Everything runs on the differentiation tape, so gradients reach W, E, u, b
-and the entries of both adjacencies (which is how the learnable distance
-profile behind the contact adjacency receives its gradient).
+and the A2 edge weights (which is how the learnable distance profile behind
+the contact adjacency receives its gradient).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 
 from .autodiff import Tape, Value, constant, parameter
 from .errors import ShapeError
+from .graphs import Edges
 
 
 @dataclass
@@ -57,35 +65,38 @@ def init_gat_params(dim: int, rng: np.random.Generator) -> GatParams:
 def gat_forward(
     tape: Tape,
     x: Value,
-    a1: Value,
+    edges: Edges,
     a2: Value,
     params: GatParams,
     internals: dict | None = None,
 ) -> Value:
     """Run one dual-adjacency gated attention layer; returns N x F features.
 
-    ``a1`` and ``a2`` must be square with a strictly positive diagonal
-    (self-loops); neighborhoods are read from their sparsity patterns. Pass
-    ``internals`` to capture the intermediate tape values listed above.
+    Every node's self-loop must be in both adjacencies: not a contact edge,
+    and a positive ``a2`` weight. Pass ``internals`` to capture the
+    intermediate tape values listed above.
     """
     n, f = x.shape
-    for adj in (a1, a2):
-        if adj.shape != (n, n):
-            raise ShapeError(f"adjacency {adj.shape} does not match {n} nodes")
-        if not (np.diagonal(adj.data) > 0).all():
-            raise ShapeError("adjacency has a zero diagonal entry (missing self-loop)")
+    if len(edges.starts) != n:
+        raise ShapeError(f"edge list of {len(edges.starts)} nodes does not match {n} nodes")
+    if a2.shape != (len(edges.src), 1):
+        raise ShapeError(f"a2 has shape {a2.shape}, expected one weight per edge ({len(edges.src)}x1)")
+    covalent = ~edges.contact
+    loops = edges.src == edges.dst
+    if not (covalent[loops].all() and (a2.data[loops, 0] > 0).all()):
+        raise ShapeError("adjacency has a zero diagonal entry (missing self-loop)")
     if params.w.shape != (f, f):
         raise ShapeError(f"layer width {params.w.shape} does not match feature dim {f}")
 
     xp = tape.matmul(x, params.w)
-    half = tape.matmul(tape.matmul(xp, params.e), tape.transpose(xp))
-    scores = tape.add(half, tape.transpose(half))
+    half = tape.edge_dot(tape.matmul(xp, params.e), xp, edges)
+    scores = tape.add(half, tape.permute_rows(half, edges.rev))
 
-    softmax1 = tape.masked_softmax(scores, a1.data > 0)
-    softmax2 = tape.masked_softmax(scores, a2.data > 0)
-    attention1 = tape.mul(softmax1, a1)
+    # A1 is 1 on every covalent edge, so its weighting leaves softmax1 as is.
+    attention1 = softmax1 = tape.segment_softmax(scores, edges, covalent)
+    softmax2 = tape.segment_softmax(scores, edges, a2.data[:, 0] > 0)
     attention2 = tape.mul(softmax2, a2)
-    xpp = tape.matmul(tape.sub(attention2, attention1), xp)
+    xpp = tape.segment_sum(tape.sub(attention2, attention1), xp, edges)
 
     gate_logit = tape.add(
         tape.matmul(tape.concat_cols(x, xp), params.u),

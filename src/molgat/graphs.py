@@ -2,13 +2,16 @@
 
 A ``GraphSample`` stores only O(N) data for one complex: binary node
 features, coordinates (ligand rows first), the ligand/protein flag of each
-atom and the covalent bond list. The dense matrices the network consumes are
-derived from them on every access and never kept: the covalent adjacency
-``a1`` (with self-loops), the interatomic distances ``dist`` and the
-intermolecular contact mask ``inter_mask`` marking ligand-protein pairs closer
-than the contact cutoff. Gaussian contact weights are deliberately NOT
-materialized here; the model computes them on the tape so gradients reach the
-distance-profile parameters.
+atom and the covalent bond list. The network consumes its ``edges``: the
+self-loops, both directions of every bond and both directions of every
+intermolecular contact (ligand-protein pairs closer than the contact cutoff),
+derived on every access and never kept. The contact search compares ligand
+atoms with protein atoms only, so no N x N array is built. The dense views
+``a1`` (covalent adjacency with self-loops), ``dist`` (interatomic distances)
+and ``inter_mask`` (contact mask) are derived on access for inspection and
+tests. Gaussian contact weights are deliberately NOT materialized here; the
+model computes them on the tape so gradients reach the distance-profile
+parameters.
 """
 
 from __future__ import annotations
@@ -45,11 +48,51 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def contact_mask(is_ligand: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """{0,1} float mask of opposite-side pairs strictly closer than ``CONTACT_CUTOFF``."""
-    mask = dist < CONTACT_CUTOFF
-    mask &= is_ligand[:, None] != is_ligand[None, :]
-    return mask.astype(np.float64)
+@dataclass(frozen=True)
+class Edges:
+    """Directed edge list of one graph, sorted by ``(src, dst)``.
+
+    The edge set is symmetric (every ``(i, j)`` has its ``(j, i)``), holds
+    each pair once and a self-loop for every node, so every row is a
+    non-empty segment. ``starts[i]`` is the index of row i's first edge,
+    ``rev[e]`` the index of the edge reversing ``e``, ``contact`` flags the
+    intermolecular contact edges, and ``dist`` holds each contact edge's
+    distance (0 on self-loops and bonds).
+    """
+
+    src: np.ndarray  # E int
+    dst: np.ndarray  # E int
+    starts: np.ndarray  # N int
+    rev: np.ndarray  # E int
+    contact: np.ndarray  # E bool
+    dist: np.ndarray  # E float
+
+    @classmethod
+    def build(cls, n: int, pairs: np.ndarray, contacts: np.ndarray | None = None,
+              contact_dist: np.ndarray | None = None) -> "Edges":
+        """Edges of n nodes from undirected ``pairs`` (Kx2, bonds) and
+        ``contacts`` (Cx2, with distances ``contact_dist``); self-loops and
+        both directions are added, repeated pairs are kept once."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        contacts = np.empty((0, 2), np.int64) if contacts is None else np.asarray(contacts, np.int64)
+        if contact_dist is None:
+            contact_dist = np.zeros(len(contacts))
+        loops = np.arange(n, dtype=np.int64)
+        src = np.concatenate([loops, pairs[:, 0], pairs[:, 1], contacts[:, 0], contacts[:, 1]])
+        dst = np.concatenate([loops, pairs[:, 1], pairs[:, 0], contacts[:, 1], contacts[:, 0]])
+        covalent = n + 2 * len(pairs)
+        is_contact = np.arange(len(src)) >= covalent
+        dist = np.concatenate([np.zeros(covalent), contact_dist, contact_dist])
+        keys, first = np.unique(src * n + dst, return_index=True)
+        src, dst = np.divmod(keys, n)
+        return cls(
+            src=src,
+            dst=dst,
+            starts=np.searchsorted(src, loops),
+            rev=np.searchsorted(keys, dst * n + src),
+            contact=is_contact[first],
+            dist=dist[first],
+        )
 
 
 @dataclass
@@ -69,6 +112,17 @@ class GraphSample:
         return self.features.shape[0]
 
     @property
+    def edges(self) -> Edges:
+        """Self-loops, bonds and intermolecular contacts (d < 5 A) as a
+        sorted symmetric edge list; the contact search is ligand x protein."""
+        lig = np.flatnonzero(self.is_ligand)
+        prot = np.flatnonzero(~self.is_ligand)
+        d = pairwise_distances(self.coords[lig], self.coords[prot])
+        li, pj = np.nonzero(d < CONTACT_CUTOFF)
+        contacts = np.stack([lig[li], prot[pj]], axis=1)
+        return Edges.build(self.num_atoms, self.bonds, contacts, d[li, pj])
+
+    @property
     def a1(self) -> np.ndarray:
         """N x N covalent adjacency with a unit diagonal."""
         a1 = np.eye(self.num_atoms, dtype=np.float64)
@@ -84,7 +138,9 @@ class GraphSample:
     @property
     def inter_mask(self) -> np.ndarray:
         """N x N {0,1} intermolecular contacts (opposite sides, d < 5 A)."""
-        return contact_mask(self.is_ligand, self.dist)
+        mask = self.dist < CONTACT_CUTOFF
+        mask &= self.is_ligand[:, None] != self.is_ligand[None, :]
+        return mask.astype(np.float64)
 
 
 def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRecord:

@@ -3,7 +3,9 @@
 Ranking metrics treat higher scores as more likely active. Ties get
 Mann-Whitney half credit everywhere: AUROC uses average ranks, and the
 ROC/PR curves advance through tied-score blocks as a unit, so every reported
-operating point is realizable by an actual score threshold.
+operating point is realizable by an actual score threshold. Top-N pose
+success counts a tied block that straddles the top-N cutoff by its expected
+success under a uniformly random order inside the block.
 
 Per-target report values are unweighted means over proteins (each protein
 counts once regardless of how many compounds were screened against it).
@@ -150,7 +152,13 @@ def per_protein_average(values) -> float:
 
 
 def topn_success(items: list[ScoredItem], n: int) -> float:
-    """Fraction of complexes with a pose under 2 A RMSD among the n top-scored."""
+    """Fraction of complexes with a pose under 2 A RMSD among the n top-scored.
+
+    Poses tied at the n-th highest score count as ranked in a uniformly random
+    order. When no near-native pose scores above that block of m tied poses,
+    q of which are near-native and k of which fit in the top n, the complex
+    counts its expected success ``1 - C(m - q, k) / C(m, k)``.
+    """
     if n < 1:
         raise DataError(f"n must be positive, got {n}")
     by_complex: dict[str, list[ScoredItem]] = {}
@@ -160,12 +168,19 @@ def topn_success(items: list[ScoredItem], n: int) -> float:
         by_complex.setdefault(item.complex_id, []).append(item)
     if not by_complex:
         raise DataError("no poses given")
-    hits = 0
+    total = 0.0
     for poses in by_complex.values():
-        ranked = sorted(poses, key=lambda p: -p.score)
-        if any(p.rmsd < 2.0 for p in ranked[:n]):
-            hits += 1
-    return hits / len(by_complex)
+        top = min(n, len(poses))
+        cutoff = sorted((p.score for p in poses), reverse=True)[top - 1]
+        above = [p for p in poses if p.score > cutoff]
+        if any(p.rmsd < 2.0 for p in above):
+            total += 1.0
+            continue
+        tied = [p for p in poses if p.score == cutoff]
+        near = sum(p.rmsd < 2.0 for p in tied)
+        k = top - len(above)
+        total += 1.0 - math.comb(len(tied) - near, k) / math.comb(len(tied), k)
+    return total / len(by_complex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Shared test utilities: the finite-difference gradient oracle.
+"""Shared test utilities: the finite-difference gradient oracle, pocket-size
+graph samples and the dense view of per-edge values.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
 """
 
 import numpy as np
+
+from molgat.graphs import GraphSample, pairwise_distances
 
 
 def finite_difference_grads(fn, leaves, h=1e-5):
@@ -46,3 +49,41 @@ def check_gradients(fn, leaves, tol, h=1e-5, floor=1e-4):
         assert leaf.grad is not None, "leaf received no gradient"
         err = max_relative_error(leaf.grad, num, floor=floor)
         assert err <= tol, f"gradient mismatch: max relative error {err:g} > {tol:g}"
+
+
+def pocket_sample(n_atoms, seed, n_ligand=30):
+    """A binding-pocket-size sample: a bonded ligand chain inside a shell of
+    protein atoms at about heavy-atom protein density, with random sparse
+    binary features. Atoms closer than 1.6 A on the protein side are bonded.
+    """
+    rng = np.random.default_rng(seed)
+    lig = np.zeros((n_ligand, 3))
+    for k in range(1, n_ligand):
+        step = rng.normal(size=3)
+        lig[k] = lig[k - 1] + 1.5 * step / np.linalg.norm(step)
+        lig[k] *= min(1.0, 5.0 / np.linalg.norm(lig[k]))
+    n_prot = n_atoms - n_ligand
+    inner, outer = 3.0, (n_prot / 0.05 / (4.0 / 3.0 * np.pi) + 8.0**3) ** (1 / 3)
+    dirs = rng.normal(size=(n_prot, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = rng.uniform(inner**3, outer**3, size=(n_prot, 1)) ** (1 / 3)
+    prot = lig.mean(axis=0) + dirs * radii
+    close = np.triu(pairwise_distances(prot, prot) < 1.6, k=1)
+    prot_bonds = np.argwhere(close) + n_ligand
+    lig_bonds = np.stack([np.arange(n_ligand - 1), np.arange(1, n_ligand)], axis=1)
+    return GraphSample(
+        features=(rng.random((n_atoms, 56)) < 0.1).astype(np.float64),
+        coords=np.concatenate([lig, prot]),
+        is_ligand=np.arange(n_atoms) < n_ligand,
+        bonds=np.concatenate([lig_bonds, prot_bonds]).astype(np.int64),
+        complex_id=f"pocket{n_atoms}-{seed}",
+        protein_id="pocket",
+    )
+
+
+def dense_of(edges, values):
+    """N x N matrix holding each edge's value at (src, dst), zero elsewhere."""
+    n = len(edges.starts)
+    m = np.zeros((n, n))
+    m[edges.src, edges.dst] = np.asarray(values).reshape(-1)
+    return m

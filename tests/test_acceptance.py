@@ -15,14 +15,14 @@ import pytest
 from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.gat import gat_forward, init_gat_params
-from molgat.graphs import build_sample, label_pose, prune_protein
+from molgat.graphs import Edges, build_sample, label_pose, prune_protein
 from molgat.metrics import adjusted_logauc, auroc, re_score, topn_success, ScoredItem
 from molgat.model import ModelConfig, ModelParams, load_params, materialize_a2, predict, score
 from molgat.synthetic import generate_corpus
 from molgat.training import TrainConfig, bce_loss, mean_bce, split_by_protein, train
 from molgat.cli import main as cli_main
 
-from helpers import check_gradients, finite_difference_grads, max_relative_error
+from helpers import check_gradients, dense_of, finite_difference_grads, max_relative_error
 
 GRAD_TOL = 1e-4
 FD_H = 1e-5
@@ -79,6 +79,10 @@ class TestA1GradientSuite:
 
         mask = (rng.random((4, 4)) < 0.7).astype(float)
         np.fill_diagonal(mask, 1.0)
+        edges = Edges.build(4, np.argwhere(np.triu(mask, k=1)))
+        n_edges = len(edges.src)
+        edge_mask = edges.dst != 3  # row 3 keeps only its self-loop
+        edge_mask |= edges.src == edges.dst
         drop_rng_seed = 17
         cases = {
             "matmul": (lambda t, a, b: t.matmul(a, b), [leaf(3, 4), leaf(4, 2)]),
@@ -101,6 +105,14 @@ class TestA1GradientSuite:
             "dropout": (
                 lambda t, a: t.dropout(a, 0.3, np.random.default_rng(drop_rng_seed)),
                 [leaf(4, 4)],
+            ),
+            "edge_dot": (lambda t, a, b: t.edge_dot(a, b, edges), [leaf(4, 3), leaf(4, 3)]),
+            "permute_rows": (lambda t, a: t.permute_rows(a, edges.rev), [leaf(n_edges, 2)]),
+            "segment_softmax": (
+                lambda t, a: t.segment_softmax(a, edges, edge_mask), [leaf(n_edges, 1)]
+            ),
+            "segment_sum": (
+                lambda t, w, x: t.segment_sum(w, x, edges), [leaf(n_edges, 1), leaf(4, 3)]
             ),
         }
         for name, (build, leaves) in cases.items():
@@ -237,14 +249,15 @@ class TestA4InvarianceSuite:
     def check_gat_internals(self, s, params, config):
         t = Tape()
         h = t.matmul(constant(s.features), params.embed)
-        a1 = constant(s.a1)
-        a2 = materialize_a2(t, s.dist, s.inter_mask, a1, params.mu, params.sigma_on(t))
+        edges = s.edges
+        a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
         internals = {}
-        gat_forward(t, h, a1, a2, params.layers[0], internals=internals)
+        gat_forward(t, h, edges, a2, params.layers[0], internals=internals)
         z = internals["gate"].data
         assert np.all(z > 0.0) and np.all(z < 1.0)
         for key in ("softmax1", "softmax2"):
-            np.testing.assert_allclose(internals[key].data.sum(axis=1), 1.0, atol=1e-12)
+            row_sums = np.add.reduceat(internals[key].data[:, 0], edges.starts)
+            np.testing.assert_allclose(row_sums, 1.0, atol=1e-12)
 
     def check_rigid_motion(self, record, params, config):
         rng = np.random.default_rng(5)
@@ -284,7 +297,7 @@ class TestA4InvarianceSuite:
         internals = {}
         p = predict(Tape(), s, params, config, internals=internals).item()
         assert np.array_equal(internals["pooled"].data, np.zeros((1, config.gat_dim)))
-        np.testing.assert_array_equal(internals["a2"].data, s.a1)
+        np.testing.assert_array_equal(dense_of(s.edges, internals["a2"].data), s.a1)
         # constant: any other no-contact complex scores identically
         atoms2 = [
             Atom("S", (0, 0, 0), True, 2, 1, 0, True),

@@ -5,14 +5,24 @@ import pytest
 
 from molgat.autodiff import Tape, Value, constant, parameter
 from molgat.errors import NumericError, ShapeError
+from molgat.graphs import Edges
 
-from helpers import check_gradients, finite_difference_grads, max_relative_error
+from helpers import check_gradients, dense_of, finite_difference_grads, max_relative_error
 
 OP_TOL = 1e-5  # op-level gradient agreement with central differences at h=1e-5
 
 
 def rand(rng, rows, cols, low=-1.0, high=1.0):
     return parameter(rng.uniform(low, high, size=(rows, cols)))
+
+
+def random_edges(rng, n, density=0.4):
+    """A random symmetric edge list on n nodes (self-loops always present),
+    with about a third of the non-loop pairs flagged as contacts."""
+    i, j = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    pairs = np.stack([i, j], axis=1)
+    is_contact = rng.random(len(pairs)) < 0.3
+    return Edges.build(n, pairs[~is_contact], pairs[is_contact])
 
 
 class TestForwardExamples:
@@ -99,6 +109,72 @@ class TestMaskedSoftmax:
     def test_mask_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Tape().masked_softmax(constant(np.zeros((2, 2))), np.ones((2, 3)))
+
+
+@pytest.mark.usefixtures("edge_kernel")
+class TestEdgeOps:
+    def test_edge_dot_matches_dense_product(self):
+        rng = np.random.default_rng(20)
+        edges = random_edges(rng, 7)
+        a, b = rng.uniform(-1, 1, size=(7, 4)), rng.uniform(-1, 1, size=(7, 4))
+        out = Tape().edge_dot(constant(a), constant(b), edges)
+        np.testing.assert_allclose(out.data[:, 0], (a @ b.T)[edges.src, edges.dst], atol=1e-14)
+
+    @pytest.mark.usefixtures("edge_kernel")
+    def test_permute_rows(self):
+        rng = np.random.default_rng(21)
+        edges = random_edges(rng, 6)
+        a = rng.uniform(-1, 1, size=(len(edges.src), 1))
+        out = Tape().permute_rows(constant(a), edges.rev)
+        np.testing.assert_array_equal(dense_of(edges, out.data[:, 0]), dense_of(edges, a[:, 0]).T)
+
+    def test_segment_softmax_matches_masked_softmax(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            edges = random_edges(rng, n)
+            scores = rng.uniform(-50, 50, size=(len(edges.src), 1))
+            mask = (rng.random(len(edges.src)) < 0.6) | (edges.src == edges.dst)
+            out = Tape().segment_softmax(constant(scores), edges, mask).data[:, 0]
+            dense = Tape().masked_softmax(constant(dense_of(edges, scores[:, 0])), dense_of(edges, mask))
+            np.testing.assert_allclose(dense_of(edges, out), dense.data, atol=1e-14)
+            np.testing.assert_allclose(np.add.reduceat(out, edges.starts), 1.0, atol=1e-12)
+            assert np.all(out[~mask] == 0.0)
+
+    def test_segment_softmax_row_without_masked_in_edge_rejected(self):
+        edges = Edges.build(3, [(0, 1)])
+        mask = np.ones(len(edges.src), dtype=bool)
+        mask[edges.src == 2] = False
+        with pytest.raises(ShapeError, match="no masked-in edge"):
+            Tape().segment_softmax(constant(np.zeros((len(edges.src), 1))), edges, mask)
+
+    def test_segment_sum_matches_dense_product(self):
+        rng = np.random.default_rng(23)
+        edges = random_edges(rng, 8)
+        w = rng.uniform(-1, 1, size=(len(edges.src), 1))
+        x = rng.uniform(-1, 1, size=(8, 3))
+        out = Tape().segment_sum(constant(w), constant(x), edges)
+        np.testing.assert_allclose(out.data, dense_of(edges, w[:, 0]) @ x, atol=1e-14)
+
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(24)
+        edges = random_edges(rng, 5)
+        e = len(edges.src)
+        t = Tape()
+        with pytest.raises(ShapeError):
+            t.edge_dot(constant(np.ones((4, 2))), constant(np.ones((4, 2))), edges)
+        with pytest.raises(ShapeError):
+            t.edge_dot(constant(np.ones((5, 2))), constant(np.ones((5, 3))), edges)
+        with pytest.raises(ShapeError):
+            t.segment_softmax(constant(np.ones((e - 1, 1))), edges, np.ones(e - 1, bool))
+        with pytest.raises(ShapeError):
+            t.segment_softmax(constant(np.ones((e, 1))), edges, np.ones(e + 1, bool))
+        with pytest.raises(ShapeError):
+            t.segment_sum(constant(np.ones((e, 1))), constant(np.ones((4, 2))), edges)
+        with pytest.raises(ShapeError):
+            t.segment_sum(constant(np.ones((e, 2))), constant(np.ones((5, 2))), edges)
+        with pytest.raises(ShapeError):
+            t.permute_rows(constant(np.ones((e, 1))), edges.rev[:-1])
 
 
 class TestBackwardExamples:
@@ -268,6 +344,69 @@ class TestGradientChecks:
         t = Tape()
         t.backward(t.sum_all(t.mul(t.masked_softmax(scores, mask), constant(weights))))
         check_gradients(forward, [scores], tol=OP_TOL)
+
+    @pytest.mark.usefixtures("edge_kernel")
+    def test_edge_dot(self):
+        rng = np.random.default_rng(30)
+        edges = random_edges(rng, 5)
+        a, b = rand(rng, 5, 3), rand(rng, 5, 3)
+        weights = rng.uniform(-1, 1, size=(len(edges.src), 1))
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(t.edge_dot(a, b, edges), constant(weights))).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.edge_dot(a, b, edges), constant(weights))))
+        check_gradients(forward, [a, b], tol=OP_TOL)
+
+    @pytest.mark.usefixtures("edge_kernel")
+    def test_permute_rows(self):
+        rng = np.random.default_rng(31)
+        edges = random_edges(rng, 5)
+        a = rand(rng, len(edges.src), 2)
+        weights = rng.uniform(-1, 1, size=a.shape)
+        for perm in (edges.rev, rng.permutation(len(edges.src))):  # involution, general
+
+            def forward():
+                t = Tape()
+                return t.sum_all(t.mul(t.permute_rows(a, perm), constant(weights))).item()
+
+            a.zero_grad()
+            t = Tape()
+            t.backward(t.sum_all(t.mul(t.permute_rows(a, perm), constant(weights))))
+            check_gradients(forward, [a], tol=OP_TOL)
+
+    @pytest.mark.usefixtures("edge_kernel")
+    def test_segment_softmax_gradient(self):
+        rng = np.random.default_rng(32)
+        edges = random_edges(rng, 5, density=0.7)
+        scores = rand(rng, len(edges.src), 1)
+        mask = (rng.random(len(edges.src)) < 0.7) | (edges.src == edges.dst)
+        weights = rng.uniform(-1, 1, size=scores.shape)
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(t.segment_softmax(scores, edges, mask), constant(weights))).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.segment_softmax(scores, edges, mask), constant(weights))))
+        check_gradients(forward, [scores], tol=OP_TOL)
+
+    @pytest.mark.usefixtures("edge_kernel")
+    def test_segment_sum(self):
+        rng = np.random.default_rng(33)
+        edges = random_edges(rng, 5)
+        w, x = rand(rng, len(edges.src), 1), rand(rng, 5, 3)
+        weights = rng.uniform(-1, 1, size=(5, 3))
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(t.segment_sum(w, x, edges), constant(weights))).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.segment_sum(w, x, edges), constant(weights))))
+        check_gradients(forward, [w, x], tol=OP_TOL)
 
     def test_dropout_gradient(self):
         rng = np.random.default_rng(12)

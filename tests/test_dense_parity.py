@@ -1,0 +1,72 @@
+"""The edge-list model against the dense N x N reference in ``dense_oracle``:
+scores, parameter gradients (mu and sigma_raw included) and the size of every
+tape node."""
+
+import numpy as np
+import pytest
+
+from molgat.autodiff import Tape
+from molgat.graphs import build_sample, prune_protein
+from molgat.model import ModelConfig, ModelParams, predict, score
+from molgat.synthetic import generate_corpus
+from molgat.training import bce_loss
+
+from dense_oracle import dense_predict, dense_score
+from helpers import pocket_sample
+
+PAPER = ModelConfig()
+A4_SMALL = ModelConfig(num_gat_layers=2, gat_dim=12, fc_dims=(8, 1), dropout_rate=0.3)
+
+
+def corpus(count, seed):
+    return [build_sample(prune_protein(r)) for r in generate_corpus(count, seed=seed)]
+
+
+def gradients(forward, sample, params, config):
+    params.zero_grad()
+    t = Tape()
+    t.backward(bce_loss(t, forward(t, sample, params, config), sample.label or 0))
+    return {name: np.zeros_like(v.data) if v.grad is None else v.grad.copy()
+            for name, v in params.named_values()}
+
+
+def assert_parity(samples, config, seed, grad_every):
+    params = ModelParams.initialize(config, np.random.default_rng(seed))
+    for k, s in enumerate(samples):
+        assert abs(score(s, params, config) - dense_score(s, params, config)) <= 1e-10
+        if k % grad_every:
+            continue
+        sparse = gradients(predict, s, params, config)
+        dense = gradients(dense_predict, s, params, config)
+        for name in sparse:
+            scale = np.abs(dense[name]).max()
+            err = np.abs(sparse[name] - dense[name]).max()
+            assert err <= 1e-9 * scale or err == 0.0, f"{s.complex_id} {name}: {err:g} vs {scale:g}"
+        assert np.abs(sparse["mu"]).max() > 0 or not s.edges.contact.any()
+
+
+@pytest.mark.usefixtures("edge_kernel")
+class TestDenseParity:
+    def test_a4_corpus(self):
+        assert_parity(corpus(6, 300), A4_SMALL, seed=4, grad_every=1)
+        assert_parity(corpus(6, 300), PAPER, seed=5, grad_every=2)
+
+    def test_a6_corpus(self):
+        assert_parity(corpus(80, 400), PAPER, seed=6, grad_every=8)
+
+    @pytest.mark.parametrize("n_atoms", [300, 600])
+    def test_pocket_samples(self, n_atoms):
+        assert_parity([pocket_sample(n_atoms, seed=n_atoms)], PAPER, seed=7, grad_every=1)
+
+
+def test_no_tape_node_is_n_squared():
+    s = pocket_sample(600, seed=11)
+    params = ModelParams.initialize(PAPER, np.random.default_rng(8))
+    t = Tape()
+    loss = bce_loss(t, predict(t, s, params, PAPER, training=True, rng=np.random.default_rng(9)), 1)
+    t.backward(loss)
+    n2 = s.num_atoms**2
+    assert len(t) > 0
+    for node in t._nodes:
+        assert node.data.size < n2, f"tape node of shape {node.data.shape}"
+        assert node.grad is None or node.grad.size < n2

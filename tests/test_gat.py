@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from molgat.autodiff import Tape, constant, parameter
 from molgat.errors import ShapeError
 from molgat.gat import GatParams, gat_forward, init_gat_params
+from molgat.graphs import Edges
 
-from helpers import check_gradients
+from helpers import check_gradients, dense_of
 
 
 def gat_oracle(x, adj, w, e, u, b):
@@ -30,33 +33,50 @@ def dual_oracle(x, a1, a2, params):
     return gat_oracle(x, a2, *weights) - gat_oracle(x, a1, *weights)
 
 
+def edges_from_dense(a1, a2):
+    """Edge list and E x 1 A2 weights for dense adjacencies: the support of
+    A1 + A2, with the edges outside A1's support flagged as contacts."""
+    n = a1.shape[0]
+    support = (a1 > 0) | (a2 > 0)
+    np.fill_diagonal(support, True)
+    i, j = np.nonzero(np.triu(support, k=1))
+    covalent = a1[i, j] > 0
+    pairs = np.stack([i, j], axis=1)
+    edges = Edges.build(n, pairs[covalent], pairs[~covalent])
+    return edges, a2[edges.src, edges.dst][:, None].copy()
+
+
+def dense_views(edges, a2):
+    """The dense A1 (1 on non-contact edges) and A2 (the edge weights)."""
+    return dense_of(edges, ~edges.contact), dense_of(edges, a2)
+
+
 def make_params(w, e, u, b):
     return GatParams(w=parameter(w), e=parameter(e), u=parameter(u), b=parameter([[b]]))
 
 
 def random_case(rng, n=5, f=3, dense_positive=False):
-    """Features, a covalent-like A1, a contact-like A2 and layer parameters.
+    """Features, an edge list, its A2 edge weights and layer parameters.
 
-    Sparse cases give A2 the pattern of A1 plus extra weighted entries, the
-    way the model materializes the contact adjacency.
+    Sparse cases give A2 the pattern of A1 plus extra weighted contact
+    entries, the way the model materializes the contact adjacency. Dense
+    cases connect every pair and give every edge a random positive A2 weight.
     """
     x = parameter(rng.uniform(-1, 1, size=(n, f)))
+    pattern = rng.random((n, n)) < 0.5
+    pattern |= pattern.T
+    a1_data = pattern.astype(float)
+    np.fill_diagonal(a1_data, 1.0)
     if dense_positive:
-        adjs = []
-        for _ in range(2):
-            data = rng.uniform(0.2, 1.0, size=(n, n))
-            adjs.append((data + data.T) / 2)
-        a1_data, a2_data = adjs
+        data = rng.uniform(0.2, 1.0, size=(n, n))
+        a2_data = (data + data.T) / 2
     else:
-        pattern = rng.random((n, n)) < 0.5
-        pattern |= pattern.T
-        a1_data = pattern.astype(float)
-        np.fill_diagonal(a1_data, 1.0)
         contacts = np.triu((rng.random((n, n)) < 0.3) & (a1_data == 0.0), k=1)
         weights = np.triu(rng.uniform(0.2, 1.0, size=(n, n)), k=1) * contacts
         a2_data = a1_data + weights + weights.T
+    edges, a2 = edges_from_dense(a1_data, a2_data)
     params = init_gat_params(f, rng)
-    return x, parameter(a1_data), parameter(a2_data), params
+    return x, edges, parameter(a2), params
 
 
 # Frozen step-by-step hand evaluation of one gated branch on a 3-node path
@@ -81,8 +101,8 @@ class TestForward:
         # With A1 = I the covalent branch returns x W exactly, so the layer
         # output is the frozen single-branch fixture minus x W.
         params = make_params(FIXTURE_W, FIXTURE_E, FIXTURE_U, FIXTURE_B)
-        a1 = constant(np.eye(3))
-        out = gat_forward(Tape(), constant(FIXTURE_X), a1, constant(FIXTURE_ADJ), params)
+        edges, a2 = edges_from_dense(np.eye(3), FIXTURE_ADJ)
+        out = gat_forward(Tape(), constant(FIXTURE_X), edges, constant(a2), params)
         np.testing.assert_allclose(out.data, FIXTURE_EXPECTED - FIXTURE_X @ FIXTURE_W, atol=1e-10)
         oracle = dual_oracle(FIXTURE_X, np.eye(3), FIXTURE_ADJ, params)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
@@ -91,22 +111,27 @@ class TestForward:
         rng = np.random.default_rng(0)
         for k in range(10):
             n = int(rng.integers(2, 7))
-            x, a1, a2, params = random_case(rng, n=n, f=4, dense_positive=k % 2 == 1)
-            out = gat_forward(Tape(), x, a1, a2, params)
-            oracle = dual_oracle(x.data, a1.data, a2.data, params)
+            x, edges, a2, params = random_case(rng, n=n, f=4, dense_positive=k % 2 == 1)
+            out = gat_forward(Tape(), x, edges, a2, params)
+            oracle = dual_oracle(x.data, *dense_views(edges, a2.data), params)
             np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_identical_adjacencies_give_exact_zero(self):
+        # No contact edges and unit A2 weights: both softmaxes run over the
+        # same edges, on a sparse pattern and on a complete graph.
         rng = np.random.default_rng(12)
         for dense in (False, True):
-            x, a1, _, params = random_case(rng, n=6, f=4, dense_positive=dense)
-            out = gat_forward(Tape(), x, a1, constant(a1.data.copy()), params)
+            x, edges, _, params = random_case(rng, n=6, f=4)
+            pattern = np.ones((6, 6)) if dense else dense_views(edges, np.ones((len(edges.src), 1)))[0]
+            edges, a2 = edges_from_dense(pattern, pattern)
+            assert not edges.contact.any()
+            out = gat_forward(Tape(), x, edges, constant(a2), params)
             assert np.array_equal(out.data, np.zeros((6, 4)))
 
     def test_zero_features_give_zero_output(self):
         rng = np.random.default_rng(1)
-        _, a1, a2, params = random_case(rng, n=4, f=3)
-        out = gat_forward(Tape(), constant(np.zeros((4, 3))), a1, a2, params)
+        _, edges, a2, params = random_case(rng, n=4, f=3)
+        out = gat_forward(Tape(), constant(np.zeros((4, 3))), edges, a2, params)
         np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
 
     def test_single_node_returns_transformed_features(self):
@@ -116,33 +141,41 @@ class TestForward:
         params = init_gat_params(3, rng)
         x = constant(rng.uniform(-1, 1, size=(1, 3)))
         internals = {}
-        out = gat_forward(Tape(), x, constant([[1.0]]), constant([[2.5]]), params, internals)
+        out = gat_forward(Tape(), x, Edges.build(1, []), constant([[2.5]]), params, internals)
         z = internals["gate"].data
         np.testing.assert_allclose(out.data, 1.5 * (1.0 - z) * (x.data @ params.w.data), atol=1e-14)
 
     def test_zero_diagonal_rejected(self):
+        # A self-loop missing from A1 (flagged as a contact) or from A2 (zero weight).
         rng = np.random.default_rng(3)
         for which in (0, 1):
-            x, a1, a2, params = random_case(rng)
-            (a1, a2)[which].data[2, 2] = 0.0
+            x, edges, a2, params = random_case(rng)
+            loop = np.flatnonzero((edges.src == 2) & (edges.dst == 2))
+            if which == 0:
+                contact = edges.contact.copy()
+                contact[loop] = True
+                edges = dataclasses.replace(edges, contact=contact)
+            else:
+                a2.data[loop] = 0.0
             with pytest.raises(ShapeError, match="diagonal"):
-                gat_forward(Tape(), x, a1, a2, params)
+                gat_forward(Tape(), x, edges, a2, params)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        x, a1, a2, params = random_case(rng, n=5, f=3)
+        x, edges, a2, params = random_case(rng, n=5, f=3)
+        four = Edges.build(4, [])
         with pytest.raises(ShapeError):
-            gat_forward(Tape(), x, constant(np.eye(4)), a2, params)
+            gat_forward(Tape(), x, four, constant(np.ones((4, 1))), params)
         with pytest.raises(ShapeError):
-            gat_forward(Tape(), x, a1, constant(np.eye(4)), params)
+            gat_forward(Tape(), x, edges, constant(np.ones((len(edges.src) - 1, 1))), params)
         with pytest.raises(ShapeError):
-            gat_forward(Tape(), constant(np.zeros((5, 7))), a1, a2, params)
+            gat_forward(Tape(), constant(np.zeros((5, 7))), edges, a2, params)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        x, a1, a2, params = random_case(rng)
-        out1 = gat_forward(Tape(), x, a1, a2, params)
-        out2 = gat_forward(Tape(), x, a1, a2, params)
+        x, edges, a2, params = random_case(rng)
+        out1 = gat_forward(Tape(), x, edges, a2, params)
+        out2 = gat_forward(Tape(), x, edges, a2, params)
         assert np.array_equal(out1.data, out2.data)
 
 
@@ -151,68 +184,69 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         for _ in range(5):
             n = int(rng.integers(3, 8))
-            x, a1, a2, params = random_case(rng, n=n, f=4)
+            x, edges, a2, params = random_case(rng, n=n, f=4)
             perm = rng.permutation(n)
             p = np.eye(n)[perm]
-            out = gat_forward(Tape(), x, a1, a2, params).data
+            out = gat_forward(Tape(), x, edges, a2, params).data
+            a1_dense, a2_dense = dense_views(edges, a2.data)
+            edges_perm, a2_perm = edges_from_dense(p @ a1_dense @ p.T, p @ a2_dense @ p.T)
             out_perm = gat_forward(
-                Tape(),
-                constant(p @ x.data),
-                constant(p @ a1.data @ p.T),
-                constant(p @ a2.data @ p.T),
-                params,
+                Tape(), constant(p @ x.data), edges_perm, constant(a2_perm), params
             ).data
             np.testing.assert_allclose(out_perm, p @ out, atol=1e-10)
 
     def test_score_symmetry_exact(self):
         rng = np.random.default_rng(7)
-        x, a1, a2, params = random_case(rng, n=6, f=4)
+        x, edges, a2, params = random_case(rng, n=6, f=4)
         internals = {}
-        gat_forward(Tape(), x, a1, a2, params, internals=internals)
+        gat_forward(Tape(), x, edges, a2, params, internals=internals)
         scores = internals["scores"].data
-        assert np.array_equal(scores, scores.T)
+        assert np.array_equal(edges.src[edges.rev], edges.dst)
+        assert np.array_equal(scores, scores[edges.rev])
 
     def test_gate_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
-            x, a1, a2, params = random_case(rng)
+            x, edges, a2, params = random_case(rng)
             internals = {}
-            gat_forward(Tape(), x, a1, a2, params, internals=internals)
+            gat_forward(Tape(), x, edges, a2, params, internals=internals)
             z = internals["gate"].data
             assert np.all(z > 0.0) and np.all(z < 1.0)
 
     def test_prescale_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            x, a1, a2, params = random_case(rng)
+            x, edges, a2, params = random_case(rng)
             internals = {}
-            gat_forward(Tape(), x, a1, a2, params, internals=internals)
+            gat_forward(Tape(), x, edges, a2, params, internals=internals)
             for key in ("softmax1", "softmax2"):
-                sums = internals[key].data.sum(axis=1)
+                sums = np.add.reduceat(internals[key].data[:, 0], edges.starts)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+            assert np.all(internals["softmax1"].data[edges.contact] == 0.0)
 
     def test_attention_scaled_by_adjacency(self):
         rng = np.random.default_rng(10)
-        x, a1, a2, params = random_case(rng, dense_positive=True)
+        x, edges, a2, params = random_case(rng, dense_positive=True)
         internals = {}
-        gat_forward(Tape(), x, a1, a2, params, internals=internals)
-        for k, adj in (("1", a1), ("2", a2)):
+        gat_forward(Tape(), x, edges, a2, params, internals=internals)
+        a1 = (~edges.contact)[:, None].astype(float)
+        for k, adj in (("1", a1), ("2", a2.data)):
             np.testing.assert_allclose(
-                internals[f"attention{k}"].data, internals[f"softmax{k}"].data * adj.data, atol=1e-15
+                internals[f"attention{k}"].data, internals[f"softmax{k}"].data * adj, atol=1e-15
             )
 
 
 class TestGradients:
     def test_all_parameters_and_adjacency(self):
         rng = np.random.default_rng(11)
-        x, a1, a2, params = random_case(rng, n=5, f=3, dense_positive=True)
+        x, edges, a2, params = random_case(rng, n=5, f=3, dense_positive=True)
         weights = constant(rng.uniform(-1, 1, size=(5, 3)))
-        leaves = [params.w, params.e, params.u, params.b, a1, a2, x]
+        leaves = [params.w, params.e, params.u, params.b, a2, x]
 
         def forward():
             t = Tape()
-            return t.sum_all(t.mul(gat_forward(t, x, a1, a2, params), weights)).item()
+            return t.sum_all(t.mul(gat_forward(t, x, edges, a2, params), weights)).item()
 
         t = Tape()
-        t.backward(t.sum_all(t.mul(gat_forward(t, x, a1, a2, params), weights)))
+        t.backward(t.sum_all(t.mul(gat_forward(t, x, edges, a2, params), weights)))
         check_gradients(forward, leaves, tol=1e-4)

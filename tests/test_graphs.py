@@ -10,6 +10,7 @@ from molgat.errors import CheckpointError, DataError
 from molgat.fileio import write_checked
 from molgat.graphs import (
     CACHE_MAGIC,
+    Edges,
     GraphSample,
     build_sample,
     compute_rmsd,
@@ -20,6 +21,9 @@ from molgat.graphs import (
     read_cache,
     write_cache,
 )
+from molgat.synthetic import generate_corpus
+
+from helpers import pocket_sample
 
 
 def atom(element, pos, is_ligand, degree=1):
@@ -196,6 +200,64 @@ class TestBuildSample:
         assert sample.features[0, :28].any() and sample.features[1, :28].any()
         assert sample.features[2, 28:].any()
         assert sample.a1[0, 1] == 1.0
+
+
+class TestEdges:
+    def samples(self):
+        out = [build_sample(TestBuildSample().fixture_record())]
+        out += [build_sample(prune_protein(r)) for r in generate_corpus(12, seed=300)]
+        rng = np.random.default_rng(3)
+        for s in out[1:4]:  # ligand rows not first
+            perm = rng.permutation(s.num_atoms)
+            out.append(dataclasses.replace(
+                s, features=s.features[perm], coords=s.coords[perm], is_ligand=s.is_ligand[perm],
+                bonds=np.sort(np.argsort(perm)[s.bonds], axis=1),
+            ))
+        return out + [pocket_sample(300, 1), pocket_sample(600, 2)]
+
+    def test_support_equals_dense_adjacency_support(self):
+        for s in self.samples():
+            edges = s.edges
+            src, dst = np.nonzero(s.a1 + s.inter_mask)  # row-major: sorted by (src, dst)
+            np.testing.assert_array_equal(edges.src, src)
+            np.testing.assert_array_equal(edges.dst, dst)
+            np.testing.assert_array_equal(edges.contact, s.inter_mask[src, dst] == 1.0)
+            np.testing.assert_array_equal(edges.src[edges.starts], np.arange(s.num_atoms))
+
+    def test_contact_distances_bit_equal_to_dist(self):
+        for s in self.samples():
+            edges = s.edges
+            dist = s.dist
+            c = edges.contact
+            assert np.array_equal(edges.dist[c], dist[edges.src[c], edges.dst[c]])
+            assert np.all(edges.dist[~c] == 0.0)
+
+    def test_pair_at_exactly_cutoff_excluded(self):
+        atoms = [
+            atom("C", (0, 0, 0), True),
+            atom("N", (1.4, 0, 0), True),
+            atom("O", (0, 0, 4.999), False),
+            atom("O", (0, 0, 5.0), False),
+            atom("O", (0, 0, 5.001), False),
+        ]
+        edges = build_sample(ComplexRecord("c", "p", atoms, [Bond(0, 1)])).edges
+        pairs = set(zip(edges.src[edges.contact].tolist(), edges.dst[edges.contact].tolist()))
+        assert (0, 2) in pairs and (2, 0) in pairs
+        assert not pairs & {(0, 3), (3, 0), (0, 4), (4, 0)}
+
+    def test_rev_is_involution_mapping_to_reverse_edge(self):
+        for s in self.samples():
+            edges = s.edges
+            assert np.array_equal(edges.rev[edges.rev], np.arange(len(edges.src)))
+            assert np.array_equal(edges.src[edges.rev], edges.dst)
+            assert np.array_equal(edges.dst[edges.rev], edges.src)
+
+    def test_repeated_pairs_kept_once(self):
+        edges = Edges.build(3, [(0, 1), (0, 1), (1, 2)])
+        assert list(zip(edges.src.tolist(), edges.dst.tolist())) == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)
+        ]
+        np.testing.assert_array_equal(edges.starts, [0, 2, 5])
 
 
 class TestRmsd:

@@ -270,6 +270,37 @@ class TestTopN:
         ]
         assert topn_success(items, 1) == 1.0
 
+    def test_tie_at_cutoff_counts_expected_success(self):
+        # One near-native and one decoy tied for the single top slot: 1/2,
+        # whichever comes first in the input.
+        near, decoy = ScoredItem(0.5, 1, "p", "c", rmsd=1.0), ScoredItem(0.5, 1, "p", "c", rmsd=7.0)
+        assert topn_success([decoy, near], 1) == 0.5
+        assert topn_success([near, decoy], 1) == 0.5
+
+    def test_ties_match_random_order_oracle(self):
+        # Expected success over every input order of each complex's poses,
+        # ranked by a stable sort: ties then fall in every order equally often.
+        import itertools
+
+        rng = np.random.default_rng(15)
+        items = [
+            ScoredItem(float(rng.integers(0, 3)), 1, "p", f"c{c}", rmsd=float(rng.uniform(0, 5)))
+            for c in range(12)
+            for _ in range(5)
+        ]
+        groups = {}
+        for item in items:
+            groups.setdefault(item.complex_id, []).append(item)
+        for n in (1, 2, 3, 5, 6):
+            expected = 0.0
+            for poses in groups.values():
+                orders = list(itertools.permutations(poses))
+                expected += sum(
+                    any(p.rmsd < 2.0 for p in sorted(order, key=lambda x: -x.score)[:n])
+                    for order in orders
+                ) / len(orders)
+            assert topn_success(items, n) == pytest.approx(expected / len(groups), abs=1e-12)
+
     def test_missing_rmsd_rejected(self):
         with pytest.raises(DataError, match="rmsd"):
             topn_success([ScoredItem(0.5, 1, "p", "c", rmsd=None)], 1)

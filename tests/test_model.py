@@ -17,7 +17,7 @@ from molgat.model import (
 )
 from molgat.training import bce_loss
 
-from helpers import check_gradients
+from helpers import check_gradients, dense_of
 
 SMALL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
 
@@ -51,38 +51,45 @@ def fresh_params(config=SMALL, seed=0):
     return ModelParams.initialize(config, np.random.default_rng(seed))
 
 
+def edge_weight(edges, a2, i, j):
+    """The A2 weight of edge (i, j)."""
+    (e,) = np.flatnonzero((edges.src == i) & (edges.dst == j))
+    return a2.data[e, 0]
+
+
 class TestMaterializeA2:
     def test_distance_at_mu_gives_one(self):
         s = sample_with_contact(3.0)
         params = fresh_params()
         params.mu.data[0, 0] = 3.0
         t = Tape()
-        a2 = materialize_a2(t, s.dist, s.inter_mask, constant(s.a1), params.mu, params.sigma_on(t))
-        assert a2.data[0, 2] == pytest.approx(1.0, abs=1e-12)
+        a2 = materialize_a2(t, s.edges, params.mu, params.sigma_on(t))
+        assert edge_weight(s.edges, a2, 0, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_contacts_reproduces_a1_exactly(self):
         s = no_contact_sample()
         params = fresh_params()
         t = Tape()
-        a2 = materialize_a2(t, s.dist, s.inter_mask, constant(s.a1), params.mu, params.sigma_on(t))
-        assert np.array_equal(a2.data, s.a1)
+        edges = s.edges
+        a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
+        assert np.array_equal(dense_of(edges, a2.data), s.a1)
 
     def test_gaussian_value(self):
-        # d=3, mu=2, sigma=4 -> exp(-0.25)
+        # d=3, mu=2, sigma=4 -> exp(-0.25); exactly 1 on self-loops and bonds
         s = sample_with_contact(3.0)
         t = Tape()
         mu = parameter([[2.0]])
         sigma = constant([[4.0]])
-        a2 = materialize_a2(t, s.dist, s.inter_mask, constant(s.a1), mu, sigma)
-        assert a2.data[0, 2] == pytest.approx(np.exp(-0.25), abs=1e-12)
-        assert a2.data[2, 0] == pytest.approx(np.exp(-0.25), abs=1e-12)
+        edges = s.edges
+        a2 = materialize_a2(t, edges, mu, sigma)
+        assert edge_weight(edges, a2, 0, 2) == pytest.approx(np.exp(-0.25), abs=1e-12)
+        assert edge_weight(edges, a2, 2, 0) == pytest.approx(np.exp(-0.25), abs=1e-12)
+        assert np.all(a2.data[~edges.contact] == 1.0)
 
     def test_nonpositive_sigma_rejected(self):
         s = sample_with_contact(3.0)
         with pytest.raises(NumericError):
-            materialize_a2(
-                Tape(), s.dist, s.inter_mask, constant(s.a1), parameter([[2.0]]), constant([[0.0]])
-            )
+            materialize_a2(Tape(), s.edges, parameter([[2.0]]), constant([[0.0]]))
 
     def test_distance_at_mu_maximizes_weight(self):
         params = fresh_params()
@@ -91,10 +98,8 @@ class TestMaterializeA2:
         for d in np.linspace(0.5, 4.9, 23):
             s = sample_with_contact(d)
             t = Tape()
-            a2 = materialize_a2(
-                t, s.dist, s.inter_mask, constant(s.a1), params.mu, params.sigma_on(t)
-            )
-            weights.append((abs(d - mu), a2.data[0, 2]))
+            a2 = materialize_a2(t, s.edges, params.mu, params.sigma_on(t))
+            weights.append((abs(d - mu), edge_weight(s.edges, a2, 0, 2)))
         best = min(weights, key=lambda p: p[0])
         assert max(weights, key=lambda p: p[1]) == best
 
