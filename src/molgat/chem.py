@@ -10,6 +10,10 @@ Feature encoding, per atom, is a 56-wide binary row: columns 0-27 are the
 ligand block, 28-55 the protein block, and only the block matching the atom's
 side is populated. Each 28-block is [element one-hot (10) | degree 0-5 (6) |
 attached hydrogens 0-4 (5) | implicit valence 0-5 (6) | aromatic flag (1)].
+
+The distance helpers live here, below their users: ``pairs_within`` is the one
+neighbour search behind every distance cutoff (covalent-radius bonds here,
+pruning and contacts in ``graphs``, the label rule in ``synthetic``).
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ COVALENT_RADII = {
     "Br": 1.20,
 }
 BOND_INFERENCE_FACTOR = 1.3
-_BOND_BLOCK = 256  # atoms per row block of the bond search
+_PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -201,6 +205,44 @@ def ligand_first(rec: ComplexRecord) -> ComplexRecord:
 
 
 # ---------------------------------------------------------------------------
+# Distances
+# ---------------------------------------------------------------------------
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between every row of ``a`` (Mx3) and every row of ``b`` (Kx3).
+
+    The squared coordinate differences are summed one coordinate at a time,
+    in place. That gives the same bits as ``sqrt((d * d).sum(axis=2))`` with
+    ``d = a[:, None, :] - b[None, :, :]``, without the MxKx3 intermediate.
+    """
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for k in (1, 2):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq)
+
+
+def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
+    """Every row pair of ``a`` (Mx3) and ``b`` (Kx3) with ``d <= cutoff``, as
+    ``(i, j, d)`` arrays in ``(i, j)`` order; ``d`` holds the same bits as
+    ``pairwise_distances(a, b)[i, j]``.
+
+    This is the one neighbour search behind bond inference, pruning, contacts
+    and the synthetic label rule. Rows of ``a`` are taken ``_PAIR_BLOCK`` at a
+    time, so memory grows with the input size rather than with its square.
+    """
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for s in range(0, len(a), _PAIR_BLOCK):
+        d = pairwise_distances(a[s:s + _PAIR_BLOCK], b)
+        i, j = np.nonzero(d <= cutoff)
+        found.append((i + s, j, d[i, j]))
+        del d  # freed before the next block's distances are allocated
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+# ---------------------------------------------------------------------------
 # Featurization
 # ---------------------------------------------------------------------------
 
@@ -270,6 +312,8 @@ def record_from_json_line(line: str, path=None, lineno: int | None = None) -> Co
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("malformed record (not a JSON object)", path=path, line=lineno)
     try:
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -431,26 +475,13 @@ def parse_pdb_protein(path, stats: dict | None = None):
 
 def _infer_bonds(atoms) -> list[Bond]:
     """Single bonds between supported atoms closer than the radius cutoff,
-    ordered by ``(i, j)`` with ``i < j``.
-
-    Rows are processed ``_BOND_BLOCK`` at a time, so memory grows with the
-    atom count rather than with its square.
-    """
-    from .graphs import pairwise_distances  # graphs imports this module
-
-    if not atoms:
-        return []
-    coords = np.array([pos for _, pos in atoms], dtype=np.float64)
+    ordered by ``(i, j)`` with ``i < j``."""
+    coords = np.array([pos for _, pos in atoms], dtype=np.float64).reshape(-1, 3)
     radii = np.array([COVALENT_RADII[sym] for sym, _ in atoms])
-    index = np.arange(len(atoms))
-    bonds = []
-    for s in range(0, len(atoms), _BOND_BLOCK):
-        rows = slice(s, s + _BOND_BLOCK)
-        cutoff = BOND_INFERENCE_FACTOR * (radii[rows, None] + radii[None, :])
-        upper = index[None, :] > index[rows, None]
-        ii, jj = np.nonzero(upper & (pairwise_distances(coords[rows], coords) < cutoff))
-        bonds += [Bond(int(i) + s, int(j), "single") for i, j in zip(ii, jj)]
-    return bonds
+    widest = max(COVALENT_RADII.values())
+    i, j, d = pairs_within(coords, coords, BOND_INFERENCE_FACTOR * (widest + widest))
+    keep = (j > i) & (d < BOND_INFERENCE_FACTOR * (radii[i] + radii[j]))
+    return [Bond(int(p), int(q), "single") for p, q in zip(i[keep], j[keep])]
 
 
 def _supported(raw_atoms, stats: dict | None) -> list[bool]:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import chem, graphs, metrics, synthetic
-from .errors import CheckpointError, DataError, MolgatError, NumericError, ParseError
+from .errors import DataError, MolgatError, NumericError, ParseError
 from .fileio import atomic_open
 from .model import ModelConfig, load_params, score
 from .training import (
@@ -61,37 +61,30 @@ def _load_config_file(path) -> dict:
     return {section: dict(cfg.items(section)) for section in cfg.sections()}
 
 
-def _resolve(args, file_cfg: dict, section: str, key: str, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if section in file_cfg and key in file_cfg[section]:
-        return cast(file_cfg[section][key])
-    return default
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
 
 
-def _resolved_model_config(args, file_cfg) -> ModelConfig:
-    return ModelConfig(
-        num_gat_layers=int(_resolve(args, file_cfg, "model", "num_gat_layers", 4, int)),
-        gat_dim=int(_resolve(args, file_cfg, "model", "gat_dim", 140, int)),
-        fc_dims=_resolve(args, file_cfg, "model", "fc_dims", (128, 128, 1), _int_list),
-        dropout_rate=float(_resolve(args, file_cfg, "model", "dropout_rate", 0.3, float)),
-    )
+# The keys settable by flag or INI file, with their INI parsers, per config
+# section; a key set by neither keeps its dataclass default.
+_SETTINGS = {
+    "model": (ModelConfig, {"num_gat_layers": int, "gat_dim": int, "fc_dims": _int_list,
+                            "dropout_rate": float}),
+    "train": (TrainConfig, {"batch_size": int, "iterations": int, "learning_rate": float,
+                            "seed": int, "checkpoint_every": int}),
+}
 
 
-def _resolved_train_config(args, file_cfg, n_categories: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(_resolve(args, file_cfg, "train", "batch_size", 32, int)),
-        iterations=int(_resolve(args, file_cfg, "train", "iterations", 150_000, int)),
-        learning_rate=float(_resolve(args, file_cfg, "train", "learning_rate", 1e-4, float)),
-        seed=int(_resolve(args, file_cfg, "train", "seed", 0, int)),
-        ratio=(1,) * n_categories,
-        checkpoint_every=int(_resolve(args, file_cfg, "train", "checkpoint_every", 100, int)),
-    )
+def _resolved(section: str, args, file_cfg: dict, **fixed):
+    """The section's config from flags, then the INI file, then the defaults."""
+    cls, parsers = _SETTINGS[section]
+    values = {}
+    for key, parse in parsers.items():
+        if (flag := getattr(args, key)) is not None:
+            values[key] = flag
+        elif key in file_cfg.get(section, {}):
+            values[key] = parse(file_cfg[section][key])
+    return cls(**values, **fixed)
 
 
 def _write_ini(path, sections: dict) -> None:
@@ -192,8 +185,8 @@ def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     categories = SCREEN_CATEGORIES if args.screening_only else TRAIN_CATEGORIES
     try:
-        model_cfg = _resolved_model_config(args, file_cfg)
-        train_cfg = _resolved_train_config(args, file_cfg, len(categories))
+        model_cfg = _resolved("model", args, file_cfg)
+        train_cfg = _resolved("train", args, file_cfg, ratio=(1,) * len(categories))
     except ValueError as exc:
         raise _UsageError(exc) from exc
 
@@ -216,13 +209,7 @@ def cmd_train(args) -> int:
         args.out,
         {
             "model": vars(model_cfg) | {"fc_dims": ",".join(map(str, model_cfg.fc_dims))},
-            "train": {
-                "batch_size": train_cfg.batch_size,
-                "iterations": train_cfg.iterations,
-                "learning_rate": train_cfg.learning_rate,
-                "seed": train_cfg.seed,
-                "checkpoint_every": train_cfg.checkpoint_every,
-            },
+            "train": {key: getattr(train_cfg, key) for key in _SETTINGS["train"][1]},
             "run": {
                 "cache": ",".join(args.cache),
                 "val_fraction": args.val_fraction,
@@ -447,10 +434,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, DataError, CheckpointError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MolgatError as exc:
+    except (MolgatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

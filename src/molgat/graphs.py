@@ -1,12 +1,13 @@
-"""Model-ready graph samples: pruning, pairwise distances, pose labels, cache.
+"""Model-ready graph samples: pruning, pose labels, cache.
 
 A ``GraphSample`` stores only O(N) data for one complex: binary node
 features, coordinates (ligand rows first), the ligand/protein flag of each
 atom and the covalent bond list. The network consumes its ``edges``: the
 self-loops, both directions of every bond and both directions of every
 intermolecular contact (ligand-protein pairs closer than the contact cutoff),
-derived on every access and never kept. The contact search compares ligand
-atoms with protein atoms only, so no N x N array is built. The dense views
+derived on every access and never kept. Pruning and the contact search go
+through ``chem.pairs_within``; the contact search compares ligand atoms with
+protein atoms only, so no N x N array is built. The dense views
 ``a1`` (covalent adjacency with self-loops), ``dist`` (interatomic distances)
 and ``inter_mask`` (contact mask) are derived on access for inspection and
 tests. Gaussian contact weights are deliberately NOT materialized here; the
@@ -22,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chem import CATEGORIES, N_FEATURES, ComplexRecord, featurize, ligand_first, select_atoms
+from .chem import pairs_within, pairwise_distances
 from .errors import CheckpointError, DataError
 from .fileio import Reader, read_checked, write_checked
 
@@ -30,22 +32,6 @@ CONTACT_CUTOFF = 5.0  # intermolecular pairs closer than this enter the contact 
 
 CACHE_MAGIC = b"MOLGATGC"
 CACHE_VERSION = 2
-
-
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between every row of ``a`` (Mx3) and every row of ``b`` (Kx3).
-
-    The squared coordinate differences are summed one coordinate at a time,
-    in place. That gives the same bits as ``sqrt((d * d).sum(axis=2))`` with
-    ``d = a[:, None, :] - b[None, :, :]``, without the MxKx3 intermediate.
-    """
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
-    sq *= sq
-    for k in (1, 2):
-        d = np.subtract.outer(a[:, k], b[:, k])
-        d *= d
-        sq += d
-    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -117,10 +103,10 @@ class GraphSample:
         sorted symmetric edge list; the contact search is ligand x protein."""
         lig = np.flatnonzero(self.is_ligand)
         prot = np.flatnonzero(~self.is_ligand)
-        d = pairwise_distances(self.coords[lig], self.coords[prot])
-        li, pj = np.nonzero(d < CONTACT_CUTOFF)
-        contacts = np.stack([lig[li], prot[pj]], axis=1)
-        return Edges.build(self.num_atoms, self.bonds, contacts, d[li, pj])
+        li, pj, d = pairs_within(self.coords[lig], self.coords[prot], CONTACT_CUTOFF)
+        close = d < CONTACT_CUTOFF
+        contacts = np.stack([lig[li[close]], prot[pj[close]]], axis=1)
+        return Edges.build(self.num_atoms, self.bonds, contacts, d[close])
 
     @property
     def a1(self) -> np.ndarray:
@@ -151,8 +137,8 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
     """
     coords = rec.coordinates()
     is_lig = np.array([a.is_ligand for a in rec.atoms])
-    min_dist = pairwise_distances(coords, coords[is_lig]).min(axis=1)
-    keep = is_lig | (min_dist <= cutoff)
+    keep = is_lig.copy()
+    keep[pairs_within(coords, coords[is_lig], cutoff)[0]] = True
     if keep.all():
         return rec
     if not (keep & ~is_lig).any():
@@ -285,6 +271,10 @@ def _decode_sample(r: Reader) -> GraphSample:
         raise CheckpointError(f"{where}: category index {cat_idx} or label {label} out of range")
     if (flags > 1).any():
         raise CheckpointError(f"{where}: is_ligand byte other than 0/1")
+    if flags.all() or not flags.any():
+        raise CheckpointError(f"{where}: sample needs at least one ligand and one protein atom")
+    if (feats > 1).any():
+        raise CheckpointError(f"{where}: feature byte other than 0/1")
     if not np.isfinite(coords).all():
         raise CheckpointError(f"{where}: non-finite coordinates")
     if ((bonds[:, 0] >= bonds[:, 1]) | (bonds[:, 1] >= n)).any():

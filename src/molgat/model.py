@@ -54,7 +54,7 @@ class ModelConfig:
             raise ValueError("all model dimensions must be positive")
         if any(d < 1 for d in self.fc_dims):
             raise ValueError("all fully connected dimensions must be positive")
-        if self.fc_dims[-1] != 1:
+        if not self.fc_dims or self.fc_dims[-1] != 1:
             raise ValueError("the last fully connected layer must output a single unit")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
@@ -252,13 +252,10 @@ def load_params(path, expected_config: ModelConfig | None = None):
     (dropout_rate,) = r.unpack("<d")
     (n_fc,) = r.unpack("<I")
     fc_dims = r.unpack(f"<{n_fc}I")
-    config = ModelConfig(
-        num_gat_layers=num_layers,
-        gat_dim=gat_dim,
-        fc_dims=fc_dims,
-        dropout_rate=dropout_rate,
-        input_dim=input_dim,
-    )
+    try:
+        config = ModelConfig(num_layers, gat_dim, fc_dims, dropout_rate, input_dim)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid stored config ({exc})") from None
     if expected_config is not None and expected_config != config:
         raise CheckpointError(
             f"{path}: checkpoint config {config} does not match expected {expected_config}"

@@ -9,7 +9,8 @@ atoms arranged around it, and the activity label is a planted geometric rule:
 
 Positives get such a pair planted at 2.5-3.3 A. Negatives are scrubbed of any
 qualifying pair; half of them get a near-miss {N, O} pair planted at
-3.8-4.9 A so a model cannot succeed without using distances.
+3.8-4.9 A so a model cannot succeed without using distances. Qualifying pairs
+are found with ``chem.pairs_within``, the search the graph cutoffs use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chem import Bond, ComplexRecord, _assemble_side
+from .chem import Bond, ComplexRecord, _assemble_side, pairs_within, pairwise_distances
 from .graphs import label_pose, ligand_rmsd
 
 POSITIVE_PAIR_RANGE = (2.5, 3.3)
@@ -49,6 +50,7 @@ def _random_ligand(rng):
 
 
 def _random_protein(rng, ligand_coords, n_atoms):
+    ligand = np.array(ligand_coords)
     coords = []
     bonds = []
     while len(coords) < n_atoms:
@@ -61,7 +63,7 @@ def _random_protein(rng, ligand_coords, n_atoms):
                 for _ in range(8):  # avoid burrowing into the ligand
                     step = _unit(rng) * rng.uniform(1.4, 1.6)
                     candidate = coords[-1] + step
-                    if min(np.linalg.norm(candidate - lc) for lc in ligand_coords) > 2.0:
+                    if pairwise_distances(candidate[None], ligand).min() > 2.0:
                         break
                 else:
                     candidate = coords[-1] + step
@@ -74,14 +76,10 @@ def _random_protein(rng, ligand_coords, n_atoms):
 
 
 def _qualifying_pairs(lig_el, lig_xyz, prot_el, prot_xyz, cutoff):
-    pairs = []
-    for i, (el_i, xi) in enumerate(zip(lig_el, lig_xyz)):
-        if el_i not in ("N", "O"):
-            continue
-        for j, (el_j, xj) in enumerate(zip(prot_el, prot_xyz)):
-            if {el_i, el_j} == {"N", "O"} and np.linalg.norm(xi - xj) < cutoff:
-                pairs.append((i, j))
-    return pairs
+    """Ligand/protein index pairs closer than ``cutoff`` with elements {N, O}."""
+    i, j, d = pairs_within(np.array(lig_xyz), np.array(prot_xyz), cutoff)
+    close = zip(i[d < cutoff].tolist(), j[d < cutoff].tolist())
+    return [(p, q) for p, q in close if {lig_el[p], prot_el[q]} == {"N", "O"}]
 
 
 def generate_record(

@@ -34,7 +34,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     seed: int = 0
     ratio: tuple[int, ...] = (1, 1, 1, 1)
-    checkpoint_every: int = 1000
+    checkpoint_every: int = 100
 
     def __post_init__(self):
         self.ratio = tuple(int(r) for r in self.ratio)
@@ -51,13 +51,12 @@ class TrainConfig:
 
 
 def bce_loss(tape: Tape, pred: Value, label: int) -> Value:
-    """Binary cross entropy of one prediction; logs clamped at 1e-12."""
+    """Binary cross entropy of one prediction, recording only the labelled branch:
+    ``-log(p)`` for label 1, ``-log(1 - p)`` for label 0; logs clamped at 1e-12."""
     if label not in (0, 1):
         raise DataError(f"label must be 0 or 1, got {label!r}")
-    log_p = tape.log(pred)
-    log_not_p = tape.log(tape.sub(constant([[1.0]]), pred))
-    weighted = tape.add(tape.scale(log_p, float(label)), tape.scale(log_not_p, 1.0 - label))
-    return tape.scale(weighted, -1.0)
+    p = pred if label == 1 else tape.sub(constant([[1.0]]), pred)
+    return tape.scale(tape.log(p), -1.0)
 
 
 def mean_bce(tape: Tape, preds: list[Value], labels: list[int]) -> Value:

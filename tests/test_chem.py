@@ -1,6 +1,9 @@
+import ast
+
 import numpy as np
 import pytest
 
+from molgat import chem
 from molgat.chem import (
     Atom,
     Bond,
@@ -10,6 +13,8 @@ from molgat.chem import (
     atom_feature_row,
     featurize,
     ligand_first,
+    pairs_within,
+    pairwise_distances,
     parse_complex,
     parse_pdb_protein,
     parse_sdf_ligand,
@@ -66,6 +71,11 @@ class TestCanonicalJson:
     def test_wrong_schema_version_rejected(self):
         line = record_to_json_line(tiny_record()).replace('"schema_version":1', '"schema_version":99')
         with pytest.raises(ParseError):
+            record_from_json_line(line)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null"])
+    def test_non_object_line_rejected(self, line):
+        with pytest.raises(ParseError, match="malformed record"):
             record_from_json_line(line)
 
     def test_parse_is_deterministic(self, tmp_path):
@@ -393,3 +403,45 @@ class TestParseComplex:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_complex("x", fmt="mol2")
+
+
+class TestPairsWithin:
+    def test_matches_brute_force_oracle(self):
+        # 700 rows of ``a`` span three row blocks of the search
+        rng = np.random.default_rng(23)
+        for m, k, cutoff, decimals in [(700, 300, 3.0, 3), (700, 700, 2.5, None), (257, 40, 8.0, 3)]:
+            a = rng.uniform(0.0, 25.0, size=(m, 3))
+            b = rng.uniform(0.0, 25.0, size=(k, 3))
+            if decimals is not None:
+                a, b = np.round(a, decimals), np.round(b, decimals)
+            diff = a[:, None, :] - b[None, :, :]
+            dense = np.sqrt((diff * diff).sum(axis=2))
+            ii, jj = np.nonzero(dense <= cutoff)
+            assert len(ii) > 100
+            i, j, d = pairs_within(a, b, cutoff)
+            assert np.array_equal(i, ii) and np.array_equal(j, jj)
+            assert np.array_equal(d, pairwise_distances(a, b)[ii, jj])
+
+    def test_empty_inputs(self):
+        pts = np.ones((5, 3))
+        for a, b in [(pts[:0], pts), (pts, pts[:0]), (pts[:0], pts[:0])]:
+            i, j, d = pairs_within(a, b, 10.0)
+            assert len(i) == len(j) == len(d) == 0
+            assert i.dtype.kind == j.dtype.kind == "i" and d.dtype == np.float64
+
+    def test_pair_at_exactly_cutoff_included(self):
+        a = np.array([[0.0, 0.0, 0.0]])
+        b = np.array([[3.0, 4.0, 0.0], [3.0, 4.0, 1e-6], [0.0, 0.0, 1.0]])
+        i, j, d = pairs_within(a, b, 5.0)
+        assert j.tolist() == [0, 2] and d.tolist() == [5.0, 1.0]
+
+    def test_chem_does_not_import_graphs(self):
+        # chem sits below graphs; importing graphs from chem would be a cycle
+        tree = ast.parse(open(chem.__file__, encoding="utf-8").read())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported += [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+        assert not [name for name in imported if "graphs" in name.split(".")]

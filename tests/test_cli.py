@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 import os
 import struct
@@ -5,12 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from molgat import chem
+from molgat import chem, cli
 from molgat.cli import main
 from molgat.fileio import write_checked
 from molgat.graphs import CACHE_MAGIC, read_cache
-from molgat.model import load_params
+from molgat.model import CHECKPOINT_MAGIC, ModelConfig, load_params
 from molgat.synthetic import generate_corpus, generate_pose_set
+from molgat.training import TrainConfig, TrainResult
 
 from test_chem import METHANE_ATOMS, METHANE_BONDS, sdf_text, triglycine_lines
 
@@ -74,6 +77,16 @@ class TestFeaturize:
         assert rc == 0
         assert "parsed 3 sample(s); 1 rejected" in out
         assert "broken" in out
+
+    def test_non_object_line_listed_and_run_continues(self, tmp_path, capsys):
+        lines = [chem.record_to_json_line(r) for r in generate_corpus(2, seed=60)]
+        path = tmp_path / "array.jsonl"
+        path.write_text("\n".join([lines[0], "[1, 2]", lines[1]]) + "\n")
+        rc = main(["featurize", str(path), "--out", str(tmp_path / "array.cache")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "parsed 2 sample(s); 1 rejected" in out
+        assert f"{path}:2:" in out and "malformed record" in out
 
     def test_all_failures_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -144,6 +157,23 @@ class TestTrain:
         assert iteration == 6  # flag wins over the file's 4
         echoed = (tmp_path / "run" / "config.resolved.ini").read_text()
         assert "iterations = 6" in echoed and "gat_dim = 8" in echoed
+
+    def test_defaults_echo_dataclass_defaults(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+
+        def fake_train(pools, val, model_cfg, train_cfg, out_dir):
+            return TrainResult(latest_path=str(out / "latest.ckpt"), best_path=None,
+                               log_path=str(out / "train_log.csv"), final_loss=0.0)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        assert main(["train", "--cache", str(workspace / "train.cache"), "--out", str(out)]) == 0
+        echoed = configparser.ConfigParser()
+        echoed.read(out / "config.resolved.ini")
+        model = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
+        model["fc_dims"] = ",".join(map(str, model["fc_dims"]))
+        train = {f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "ratio"}
+        assert dict(echoed["model"]) == {k: str(v) for k, v in model.items()}
+        assert dict(echoed["train"]) == {k: str(v) for k, v in train.items()}
 
 
 class TestEvaluate:
@@ -221,6 +251,16 @@ class TestPredict:
         assert sum(int(line.split(",")[2]) for line in hist_lines) == n_scored
         for line in score_lines[1:]:
             assert 0.0 < float(line.split(",")[2]) < 1.0
+
+    def test_non_object_jsonl_line_is_two(self, workspace, tmp_path, capsys):
+        path = tmp_path / "array.jsonl"
+        path.write_text("[1, 2]\n")
+        rc = main(
+            ["predict", "--input", str(path),
+             "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(tmp_path / "pred")]
+        )
+        assert rc == 2
+        assert "malformed record" in capsys.readouterr().err
 
     def test_jsonl_input_accepted(self, workspace, tmp_path):
         rc = main(
@@ -319,3 +359,20 @@ class TestExitCodes:
              "--checkpoint", str(tmp_path / "missing.ckpt"), "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "layers, fc_dims, dropout",
+        [(0, (8, 1), 0.3), (2, (), 0.3), (2, (8, 2), 0.3), (2, (8, 1), float("nan"))],
+    )
+    def test_invalid_stored_config_is_two(self, workspace, tmp_path, capsys, layers, fc_dims, dropout):
+        # a checkpoint whose checksum is valid but whose stored config is not
+        body = struct.pack("<IIII", 1, layers, 8, 56) + struct.pack("<d", dropout)
+        body += struct.pack(f"<I{len(fc_dims)}I", len(fc_dims), *fc_dims) + struct.pack("<QI", 0, 0)
+        ckpt = tmp_path / "bad.ckpt"
+        write_checked(ckpt, CHECKPOINT_MAGIC, body)
+        rc = main(
+            ["predict", "--input", str(workspace / "test.cache"), "--checkpoint", str(ckpt),
+             "--out", str(tmp_path / "pred")]
+        )
+        assert rc == 2
+        assert f"{ckpt}: invalid stored config" in capsys.readouterr().err

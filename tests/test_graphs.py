@@ -389,6 +389,36 @@ class TestCache:
         with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
             read_cache(path)
 
+    def degenerate(self, case):
+        sample = self.samples()[0]  # ligand rows 0-1, protein rows 2-3
+        if case == "no atoms":
+            return dataclasses.replace(
+                sample, features=sample.features[:0], coords=sample.coords[:0],
+                is_ligand=sample.is_ligand[:0], bonds=sample.bonds[:0],
+            )
+        if case == "no ligand atom":
+            return dataclasses.replace(sample, is_ligand=np.zeros(4, bool))
+        if case == "no protein atom":
+            return dataclasses.replace(sample, is_ligand=np.ones(4, bool))
+        features = sample.features.copy()
+        features[2, 30] = 7.0
+        return dataclasses.replace(sample, features=features)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no atoms", "at least one ligand and one protein atom"),
+            ("no ligand atom", "at least one ligand and one protein atom"),
+            ("no protein atom", "at least one ligand and one protein atom"),
+            ("feature byte 7", "feature byte other than 0/1"),
+        ],
+    )
+    def test_degenerate_sample_rejected(self, tmp_path, case, message):
+        path = tmp_path / "bad.cache"
+        write_cache([self.samples()[1], self.degenerate(case)], path)
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
+            read_cache(path)
+
 
 class TestPairwiseDistances:
     def test_bitwise_equal_to_broadcast_form(self):

@@ -294,6 +294,10 @@ class TestCheckpoint:
             save_params(path, params, SMALL, iteration=1235)
         assert path.read_bytes() == before
 
+    def test_empty_fc_dims_rejected(self):
+        with pytest.raises(ValueError, match="single unit"):
+            ModelConfig(fc_dims=())
+
     def test_config_mismatch_rejected(self, tmp_path):
         two_layer = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1))
         four_layer = ModelConfig(num_gat_layers=4, gat_dim=8, fc_dims=(6, 1))

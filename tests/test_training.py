@@ -52,6 +52,13 @@ class TestBceLoss:
         )
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("label, nodes", [(1, 2), (0, 3)])
+    def test_records_only_the_labelled_branch(self, label, nodes):
+        t = Tape()
+        loss = bce_loss(t, constant([[0.3]]), label)
+        assert len(t) == nodes  # log, scale; for label 0 also 1 - p
+        assert loss.item() == -np.log(0.3 if label else 1.0 - 0.3)
+
     def test_bad_label_rejected(self):
         with pytest.raises(DataError):
             bce_loss(Tape(), constant([[0.5]]), 2)
