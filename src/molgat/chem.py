@@ -13,11 +13,18 @@ attached hydrogens 0-4 (5) | implicit valence 0-5 (6) | aromatic flag (1)].
 
 The distance helpers live here, below their users: ``pairs_within`` is the one
 neighbour search behind every distance cutoff (covalent-radius bonds here,
-pruning and contacts in ``graphs``, the label rule in ``synthetic``).
+pruning and contacts in ``graphs``, the label rule in ``synthetic``). It takes
+a cell list, O(N + pairs) in time and memory, when both point sets have more
+than ``_PAIR_BLOCK`` rows (bond inference over a whole PDB entry), and
+blocked dense distances otherwise (pruning against the ligand's rows, the
+ligand x protein contact search, small graphs); both paths return the same
+bits. Its inputs must be finite: the PDB reader rejects a non-finite
+coordinate at its line before any search runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -64,7 +71,16 @@ COVALENT_RADII = {
     "Br": 1.20,
 }
 BOND_INFERENCE_FACTOR = 1.3
-_PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``
+_PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs both sides longer
+
+# Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
+# 1e-12, far above the few ulps of rounding in a distance; coordinates are
+# clamped at 2**50 cells, where floor division is still exact; and cutoffs
+# below 1e-150 (whose squares could underflow) take the dense path.
+_GRID_MARGIN = 1.0 + 1e-12
+_GRID_CLIP = 2.0**50
+_GRID_MIN_CUTOFF = 1e-150
+_NEIGHBOUR_STEPS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -227,12 +243,25 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
     """Every row pair of ``a`` (Mx3) and ``b`` (Kx3) with ``d <= cutoff``, as
     ``(i, j, d)`` arrays in ``(i, j)`` order; ``d`` holds the same bits as
-    ``pairwise_distances(a, b)[i, j]``.
+    ``pairwise_distances(a, b)[i, j]``. Every coordinate must be finite
+    (``ValueError`` otherwise).
 
     This is the one neighbour search behind bond inference, pruning, contacts
-    and the synthetic label rule. Rows of ``a`` are taken ``_PAIR_BLOCK`` at a
-    time, so memory grows with the input size rather than with its square.
+    and the synthetic label rule. It has two paths with the same output:
+
+    - a cell list (``_grid_pairs``) when both sides have more than
+      ``_PAIR_BLOCK`` rows: O(M + K + pairs) time and memory;
+    - otherwise blocked dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a
+      time: O(M K) time, memory linear in K. This serves the short side of
+      pruning (ligand rows) and of the contact search, where a grid costs
+      more than it saves.
     """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("pairs_within: non-finite coordinates")
+    if min(len(a), len(b)) > _PAIR_BLOCK and cutoff >= _GRID_MIN_CUTOFF:
+        found = _grid_pairs(a, b, cutoff)
+        if found is not None:
+            return found
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for s in range(0, len(a), _PAIR_BLOCK):
         d = pairwise_distances(a[s:s + _PAIR_BLOCK], b)
@@ -240,6 +269,51 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
         found.append((i + s, j, d[i, j]))
         del d  # freed before the next block's distances are allocated
     return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float):
+    """``pairs_within`` through a cell list (Allen & Tildesley 1987, 5.3.2), or
+    None when the cell keys would overflow int64.
+
+    Space is cut into cubes slightly wider than ``cutoff``, so every pair the
+    distance test accepts lies in the same or an adjacent cell, even after the
+    rounding of its distance. Each cell is keyed by one integer and only the
+    occupied cells of ``b`` exist, as its sorted keys; ``searchsorted`` over
+    all rows and offsets at once finds the 27 cells around every row of
+    ``a``. Coordinates beyond
+    ``_GRID_CLIP`` cells from the origin are clamped into the outermost cells
+    (clamping never moves two points apart), which keeps the floor division
+    exact and the key span bounded whatever the bounding box.
+    """
+    width = cutoff * _GRID_MARGIN
+    limit = _GRID_CLIP * width
+    qa = np.floor_divide(np.clip(a, -limit, limit), width)
+    qb = np.floor_divide(np.clip(b, -limit, limit), width)
+    lo = np.minimum(qa.min(axis=0), qb.min(axis=0)) - 1
+    nx, ny, nz = (int(n) for n in np.maximum(qa.max(axis=0), qb.max(axis=0)) - lo + 2)
+    if nx * ny * nz > np.iinfo(np.int64).max:
+        return None
+    stride = np.array([ny * nz, nz, 1], dtype=np.int64)
+    key_b = (qb - lo).astype(np.int64) @ stride
+    order = np.argsort(key_b, kind="stable")
+    key_b = key_b[order]
+    near = ((qa - lo).astype(np.int64) @ stride)[:, None] + _NEIGHBOUR_STEPS @ stride
+    first = np.searchsorted(key_b, near.ravel(), "left")
+    count = np.searchsorted(key_b, near.ravel(), "right") - first
+    end = np.cumsum(count)
+    i = np.repeat(np.arange(len(a)), len(_NEIGHBOUR_STEPS)).repeat(count)
+    j = order[np.arange(end[-1]) + np.repeat(first + count - end, count)]
+    d = a[i, 0] - b[j, 0]
+    d *= d
+    for k in (1, 2):
+        t = a[i, k] - b[j, k]
+        t *= t
+        d += t
+    np.sqrt(d, out=d)
+    keep = d <= cutoff
+    i, j, d = i[keep], j[keep], d[keep]
+    s = np.lexsort((j, i))
+    return i[s], j[s], d[s]
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +514,11 @@ def parse_pdb_protein(path, stats: dict | None = None):
     When the element columns are blank the first alphabetic character of the
     atom name is used. Alternate locations other than '' or 'A' are skipped.
 
-    Covalent bonds are inferred between atom pairs closer than
-    ``1.3 x (sum of single-bond covalent radii)``; all inferred bonds are
-    single order and aromatic flags stay false.
+    A coordinate that parses as NaN or infinity raises ``ParseError`` at its
+    line. Covalent bonds are inferred between atom pairs closer than
+    ``1.3 x (sum of single-bond covalent radii)``, through the cell list of
+    ``pairs_within`` on proteins of more than ``_PAIR_BLOCK`` atoms; all
+    inferred bonds are single order and aromatic flags stay false.
     """
     raw_atoms = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -461,6 +537,8 @@ def parse_pdb_protein(path, stats: dict | None = None):
                 z = float(line[46:54])
             except ValueError as exc:
                 raise ParseError("bad coordinates", path=path, line=lineno) from exc
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ParseError("non-finite coordinates", path=path, line=lineno)
             element = line[76:78].strip() if len(line) >= 78 else ""
             if not element:
                 name = line[12:16].strip()

@@ -52,6 +52,10 @@ class Reader:
         self.off = 0
         self.where = where
 
+    @property
+    def remaining(self) -> int:
+        return len(self.buf) - self.off
+
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.buf):
             raise CheckpointError(f"{self.where} truncated")

@@ -145,8 +145,11 @@ def predict(
     training: bool = False,
     rng: np.random.Generator | None = None,
     internals: dict | None = None,
+    edges: Edges | None = None,
 ) -> Value:
-    """Forward pass for one sample; returns the 1x1 probability on the tape."""
+    """Forward pass for one sample; returns the 1x1 probability on the tape.
+
+    ``edges`` is ``sample.edges`` when a caller already holds it."""
     if sample.features.shape[1] != config.input_dim:
         raise ShapeError(
             f"sample feature width {sample.features.shape[1]} != input_dim {config.input_dim}"
@@ -154,7 +157,8 @@ def predict(
     if training and rng is None:
         raise ValueError("training mode needs an rng for dropout")
 
-    edges = sample.edges
+    if edges is None:
+        edges = sample.edges
     a2 = materialize_a2(tape, edges, params.mu, params.sigma_on(tape))
 
     h = tape.matmul(constant(sample.features), params.embed)
@@ -178,9 +182,10 @@ def predict(
     return out
 
 
-def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> float:
+def score(sample: GraphSample, params: ModelParams, config: ModelConfig,
+          edges: Edges | None = None) -> float:
     """Deterministic inference probability (dropout off)."""
-    return predict(Tape(), sample, params, config, training=False).item()
+    return predict(Tape(), sample, params, config, training=False, edges=edges).item()
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +267,12 @@ def load_params(path, expected_config: ModelConfig | None = None):
         )
     (iteration,) = r.unpack("<Q")
     (n_tensors,) = r.unpack("<I")
+    count = 4 * num_layers + 3 + 2 * n_fc  # the length of _expected_shapes(config)
+    if n_tensors != count:
+        raise CheckpointError(f"{path}: expected {count} tensors, found {n_tensors}")
+    if 16 * count > r.remaining:  # each tensor holds a shape and at least one value
+        raise CheckpointError(f"{path}: checkpoint truncated")
     shapes = _expected_shapes(config)
-    if n_tensors != len(shapes):
-        raise CheckpointError(f"{path}: expected {len(shapes)} tensors, found {n_tensors}")
     tensors = []
     for expected in shapes:
         rows, cols = r.unpack("<II")

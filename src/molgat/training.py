@@ -145,12 +145,12 @@ class TrainResult:
     final_loss: float | None = None
 
 
-def _validation_auroc(val_samples, params, model_cfg) -> float:
+def _validation_auroc(val_samples, params, model_cfg, edges_of) -> float:
     labeled = [s for s in val_samples if s.label is not None]
     labels = [s.label for s in labeled]
     if not labeled or len(set(labels)) < 2:
         return float("nan")
-    scores = [score(s, params, model_cfg) for s in labeled]
+    scores = [score(s, params, model_cfg, edges=edges_of[id(s)]) for s in labeled]
     return auroc(scores, labels)
 
 
@@ -165,6 +165,8 @@ def train(
     """Run the optimization loop and write checkpoints plus a CSV log.
 
     ``train_pools`` maps category name to a list of labeled GraphSamples.
+    Each sample's edge list (pools and ``val_samples``) is built once, at the
+    start, and kept in memory for the run rather than rebuilt on every draw.
     A non-finite loss or parameter gradient aborts before the Adam step; the
     last written checkpoint stays on disk untouched.
     """
@@ -179,6 +181,9 @@ def train(
             if s.label is None:
                 raise DataError(f"sample {s.complex_id} in pool '{name}' has no label")
 
+    # Each edge list is smaller than its sample's feature matrix.
+    every = {id(s): s for s in [*val_samples, *(s for pool in train_pools.values() for s in pool)]}
+    edges_of = {key: s.edges for key, s in every.items()}
     batches = balanced_batches(train_pools, train_cfg, rng)
     adam = Adam(train_cfg.learning_rate)
 
@@ -196,7 +201,8 @@ def train(
             batch = next(batches)
             tape = Tape()
             preds = [
-                predict(tape, s, params, model_cfg, training=True, rng=rng) for s in batch
+                predict(tape, s, params, model_cfg, training=True, rng=rng, edges=edges_of[id(s)])
+                for s in batch
             ]
             loss = mean_bce(tape, preds, [s.label for s in batch])
             loss_value = loss.item()
@@ -217,7 +223,7 @@ def train(
                 raise NumericError("parameter count changed during training")
 
             if iteration % train_cfg.checkpoint_every == 0 or iteration == train_cfg.iterations:
-                val_auroc = _validation_auroc(val_samples, params, model_cfg)
+                val_auroc = _validation_auroc(val_samples, params, model_cfg, edges_of)
                 row = {
                     "iteration": iteration,
                     "train_loss": repr(loss_value),

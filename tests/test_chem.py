@@ -319,28 +319,43 @@ class TestPdb:
                     expected += 1
         assert len(bonds) == expected == 11  # 3x(N-CA, CA-C, C=O) + 2 peptide bonds
 
-    def test_blocked_bond_search_matches_dense_oracle(self, tmp_path):
-        # 700 atoms span three row blocks of the bond search
+    def test_blocked_bond_search_matches_dense_oracle(self, tmp_path, grid_calls):
+        # 700 atoms span three row blocks of the bond search; 1,200 atoms at
+        # the same density (0.0875 atoms/A^3) also run the cell list
         rng = np.random.default_rng(17)
-        elements = rng.choice(["C", "N", "O", "S", "H"], size=700)
-        xyz = np.round(rng.uniform(0.0, 20.0, size=(700, 3)), 3)
-        lines = [
-            pdb_line(k + 1, el, "UNK", "A", k // 10 + 1, *pos, el)
-            for k, (el, pos) in enumerate(zip(elements, xyz))
-        ]
-        path = tmp_path / "random.pdb"
-        path.write_text("\n".join(lines) + "\nEND\n")
-        atoms, bonds = parse_pdb_protein(path)
-        assert len(atoms) == 700
+        for n, side in [(700, 20.0), (1200, 20.0 * (1200 / 700) ** (1 / 3))]:
+            elements = rng.choice(["C", "N", "O", "S", "H"], size=n)
+            xyz = np.round(rng.uniform(0.0, side, size=(n, 3)), 3)
+            lines = [
+                pdb_line(k + 1, el, "UNK", "A", k // 10 + 1, *pos, el)
+                for k, (el, pos) in enumerate(zip(elements, xyz))
+            ]
+            path = tmp_path / "random.pdb"
+            path.write_text("\n".join(lines) + "\nEND\n")
+            grid_calls.clear()
+            atoms, bonds = parse_pdb_protein(path)
+            assert len(atoms) == n
+            assert grid_calls == [True]
 
-        coords = np.array([a.position for a in atoms])
-        radii = np.array([COVALENT_RADII[a.element] for a in atoms])
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        cutoff = BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :])
-        ii, jj = np.nonzero(np.triu(dist < cutoff, k=1))
-        assert len(ii) > 300
-        assert [(b.i, b.j) for b in bonds] == list(zip(ii.tolist(), jj.tolist()))
+            coords = np.array([a.position for a in atoms])
+            radii = np.array([COVALENT_RADII[a.element] for a in atoms])
+            diff = coords[:, None, :] - coords[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            cutoff = BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :])
+            ii, jj = np.nonzero(np.triu(dist < cutoff, k=1))
+            del diff, dist, cutoff
+            assert len(ii) > n // 2
+            assert [(b.i, b.j) for b in bonds] == list(zip(ii.tolist(), jj.tolist()))
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_coordinate_rejected_at_its_line(self, tmp_path, field):
+        lines = triglycine_lines()
+        lines[4] = lines[4][:38] + f"{field:>8}" + lines[4][46:]  # the y field of atom 5
+        path = tmp_path / "nan.pdb"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite coordinates") as err:
+            parse_pdb_protein(path)
+        assert err.value.line == 5 and err.value.path == path
 
     def test_annotations_from_inferred_bonds(self, tmp_path):
         path = tmp_path / "tri.pdb"
@@ -405,6 +420,22 @@ class TestParseComplex:
             parse_complex("x", fmt="mol2")
 
 
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Records each call of the cell-list search: True when it answered,
+    False when it handed the search back to the dense path."""
+    calls = []
+    real = chem._grid_pairs
+
+    def spy(*args):
+        found = real(*args)
+        calls.append(found is not None)
+        return found
+
+    monkeypatch.setattr(chem, "_grid_pairs", spy)
+    return calls
+
+
 class TestPairsWithin:
     def test_matches_brute_force_oracle(self):
         # 700 rows of ``a`` span three row blocks of the search
@@ -434,6 +465,90 @@ class TestPairsWithin:
         b = np.array([[3.0, 4.0, 0.0], [3.0, 4.0, 1e-6], [0.0, 0.0, 1.0]])
         i, j, d = pairs_within(a, b, 5.0)
         assert j.tolist() == [0, 2] and d.tolist() == [5.0, 1.0]
+
+    @staticmethod
+    def assert_matches_oracle(a, b, cutoff):
+        diff = a[:, None, :] - b[None, :, :]
+        ii, jj = np.nonzero(np.sqrt((diff * diff).sum(axis=2)) <= cutoff)
+        i, j, d = pairs_within(a, b, cutoff)
+        assert i.dtype == j.dtype == np.intp and d.dtype == np.float64
+        assert np.array_equal(i, ii) and np.array_equal(j, jj)
+        assert np.array_equal(d, pairwise_distances(a, b)[ii, jj])
+        return len(ii)
+
+    def test_grid_negative_coordinates(self, grid_calls):
+        rng = np.random.default_rng(31)
+        a = rng.uniform(-40.0, -15.0, size=(600, 3))
+        b = rng.uniform(-40.0, -15.0, size=(400, 3))
+        assert self.assert_matches_oracle(a, b, 3.0) > 100
+        assert grid_calls == [True]
+
+    def test_grid_atoms_on_cell_faces(self, grid_calls):
+        # every coordinate a multiple of the cutoff: coincident atoms and pairs
+        # at exactly the cutoff along each axis, across cell faces
+        rng = np.random.default_rng(32)
+        a = rng.integers(-5, 5, size=(500, 3)) * 2.5
+        b = rng.integers(-5, 5, size=(300, 3)) * 2.5
+        assert self.assert_matches_oracle(a, b, 2.5) > 1000
+        assert grid_calls == [True]
+
+    def test_grid_pairs_at_exactly_cutoff_straddle_a_face(self, grid_calls):
+        # every (k, k) pair lies at the cutoff with the cell face at x = 0
+        # between its ends; in the first half a is 1e-20 below that face, so
+        # the rounded distance equals the cutoff although the exact
+        # separation exceeds it
+        cutoff = 3.12
+        y = 4.0 * np.arange(300.0)
+        a = np.stack([np.repeat([-1e-20, -cutoff], 150), y, np.zeros(300)], axis=1)
+        b = np.stack([np.repeat([cutoff, 0.0], 150), y, np.zeros(300)], axis=1)
+        i, j, d = pairs_within(a, b, cutoff)
+        assert i.tolist() == j.tolist() == list(range(300)) and (d == cutoff).all()
+        assert self.assert_matches_oracle(a, b, cutoff) == 300
+        assert grid_calls == [True, True]
+
+    def test_grid_all_atoms_at_one_point(self, grid_calls):
+        pts = np.full((300, 3), -1.25)
+        assert self.assert_matches_oracle(pts, pts[:260], 4.0) == 300 * 260
+        assert grid_calls == [True]
+
+    @pytest.mark.parametrize("far", [1e17, -1e17])
+    def test_grid_far_outlier(self, grid_calls, far):
+        # the cells do not scale with the bounding box: one atom 1e17 A away
+        rng = np.random.default_rng(33)
+        a = rng.uniform(0.0, 20.0, size=(600, 3))
+        a[123] = [far, 0.0, 0.0]
+        b = np.concatenate([a[100:500], [[far, 1.0, 0.0]]])
+        assert self.assert_matches_oracle(a, b, 3.12) > 1000
+        assert grid_calls == [True]
+
+    def test_far_outlier_on_every_axis_still_exact(self, grid_calls):
+        # cell keys that would overflow int64 send the search to the dense path
+        rng = np.random.default_rng(34)
+        a = rng.uniform(0.0, 20.0, size=(400, 3))
+        a[7] = [1e17, -1e17, 1e17]
+        assert self.assert_matches_oracle(a, a, 3.12) > 1000
+        assert grid_calls == [False]
+
+    def test_contact_and_prune_shapes_take_the_dense_path(self, grid_calls):
+        rng = np.random.default_rng(35)
+        ligand = rng.uniform(0.0, 8.0, size=(30, 3))
+        pocket = rng.uniform(-10.0, 18.0, size=(600, 3))
+        protein = rng.uniform(-20.0, 28.0, size=(5000, 3))
+        pairs_within(ligand, pocket, 5.0)  # the contact search
+        pairs_within(protein, ligand, 8.0)  # pruning
+        assert grid_calls == []
+        pairs_within(protein[:1000], protein[:1000], 3.12)  # bond inference
+        assert grid_calls == [True]
+
+    @pytest.mark.parametrize("n", [10, 300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, n, bad):
+        pts = np.random.default_rng(36).uniform(0.0, 10.0, size=(n, 3))
+        broken = pts.copy()
+        broken[n // 2, 1] = bad
+        for a, b in [(broken, pts), (pts, broken)]:
+            with pytest.raises(ValueError, match="non-finite"):
+                pairs_within(a, b, 3.0)
 
     def test_chem_does_not_import_graphs(self):
         # chem sits below graphs; importing graphs from chem would be a cycle

@@ -311,6 +311,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_params(path)
 
+    @pytest.mark.parametrize("num_layers, n_tensors", [(200_000, 0), (10**9, 4 * 10**9 + 7)])
+    def test_huge_layer_count_refused_before_shapes_are_built(self, tmp_path, monkeypatch, num_layers, n_tensors):
+        # a CRC-valid header-only checkpoint storing an enormous num_gat_layers
+        import struct
+
+        from molgat import model
+        from molgat.fileio import write_checked
+
+        def no_shapes(config):
+            raise AssertionError("per-layer shapes built for an unreadable checkpoint")
+
+        monkeypatch.setattr(model, "_expected_shapes", no_shapes)
+        body = struct.pack("<IIII", 1, num_layers, 8, 56) + struct.pack("<d", 0.3)
+        body += struct.pack("<III", 2, 6, 1) + struct.pack("<Q", 0) + struct.pack("<I", n_tensors)
+        path = tmp_path / "huge.ckpt"
+        write_checked(path, CHECKPOINT_MAGIC, body)
+        assert path.stat().st_size == 60
+        with pytest.raises(CheckpointError, match="huge.ckpt"):
+            load_params(path)
+
     def test_loaded_params_produce_identical_scores(self, tmp_path):
         params, path = self.roundtrip(tmp_path)
         loaded, config, _ = load_params(path)

@@ -214,6 +214,39 @@ class TestTrainLoop:
         ck2 = (tmp_path / "b" / "latest.ckpt").read_bytes()
         assert ck1 == ck2
 
+    def test_edges_built_once_per_sample_with_identical_trajectory(self, pools, tmp_path, monkeypatch):
+        import molgat.model
+        import molgat.training
+        from molgat.graphs import GraphSample
+
+        cfg = TrainConfig(batch_size=8, iterations=12, learning_rate=1e-3, seed=11, checkpoint_every=3)
+        samples = [s for pool in pools.values() for s in pool]
+        _, val = split_by_protein(samples, 0.2, seed=11)
+        builds = []
+        real_edges = GraphSample.edges.fget
+
+        def counted_edges(sample):
+            builds.append(id(sample))
+            return real_edges(sample)
+
+        monkeypatch.setattr(GraphSample, "edges", property(counted_edges))
+        memo = train(pools, val, TINY_MODEL, cfg, tmp_path / "memo")
+        assert sorted(builds) == sorted({id(s) for s in samples})  # each sample once, val included
+
+        # the same run with every draw and every validation score rebuilding its edges
+        def fresh(fn):
+            return lambda *args, edges=None, **kwargs: fn(*args, **kwargs)
+
+        monkeypatch.setattr(molgat.training, "predict", fresh(molgat.model.predict))
+        monkeypatch.setattr(molgat.training, "score", fresh(molgat.model.score))
+        builds.clear()
+        rebuilt = train(pools, val, TINY_MODEL, cfg, tmp_path / "rebuilt")
+        assert len(builds) > 12 * 8
+        for key in ("train_loss", "val_auroc", "mu", "sigma"):
+            assert [r[key] for r in memo.log_rows] == [r[key] for r in rebuilt.log_rows]
+        ck_memo = (tmp_path / "memo" / "latest.ckpt").read_bytes()
+        assert ck_memo == (tmp_path / "rebuilt" / "latest.ckpt").read_bytes()
+
     def test_unlabeled_sample_rejected(self, pools, tmp_path):
         import dataclasses
 
