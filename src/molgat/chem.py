@@ -17,14 +17,13 @@ pruning and contacts in ``graphs``, the label rule in ``synthetic``). It takes
 a cell list, O(N + pairs) in time and memory, when both point sets have more
 than ``_PAIR_BLOCK`` rows (bond inference over a whole PDB entry), and
 blocked dense distances otherwise (pruning against the ligand's rows, the
-ligand x protein contact search, small graphs); both paths return the same
-bits. Its inputs must be finite: the PDB reader rejects a non-finite
-coordinate at its line before any search runs.
+ligand x protein contact search, small graphs), where the grid is the slower
+one; both paths return the same bits. Its inputs must be finite: the PDB
+reader rejects a non-finite coordinate at its line before any search runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -74,13 +73,15 @@ BOND_INFERENCE_FACTOR = 1.3
 _PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs both sides longer
 
 # Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
-# 1e-12, far above the few ulps of rounding in a distance; coordinates are
-# clamped at 2**50 cells, where floor division is still exact; and cutoffs
-# below 1e-150 (whose squares could underflow) take the dense path.
+# 1e-12, far above the few ulps of rounding in a distance, and at least 1e-150
+# wide, where a distance that passes the test cannot come from underflowed
+# squares (``featurize --cutoff`` passes any float). Floor division into cells
+# is exact below 2**50 cells from the origin; rows farther out are compared
+# densely.
 _GRID_MARGIN = 1.0 + 1e-12
+_GRID_MIN_WIDTH = 1e-150
 _GRID_CLIP = 2.0**50
-_GRID_MIN_CUTOFF = 1e-150
-_NEIGHBOUR_STEPS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+_NEIGHBOUR_STEPS = np.array([-1.0, 0.0, 1.0])
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -250,18 +251,35 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     and the synthetic label rule. It has two paths with the same output:
 
     - a cell list (``_grid_pairs``) when both sides have more than
-      ``_PAIR_BLOCK`` rows: O(M + K + pairs) time and memory;
-    - otherwise blocked dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a
-      time: O(M K) time, memory linear in K. This serves the short side of
-      pruning (ligand rows) and of the contact search, where a grid costs
-      more than it saves.
+      ``_PAIR_BLOCK`` rows: O(M + K + pairs) time and memory. Rows more than
+      2**50 cells from the origin (about 3.5e15 A at the bond cutoff) are
+      compared densely with the other side instead;
+    - otherwise blocked dense distances (``_dense_pairs``): O(M K) time,
+      memory linear in K. This serves the short side of pruning (ligand rows)
+      and of the contact search, where the dense path is the faster one.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("pairs_within: non-finite coordinates")
-    if min(len(a), len(b)) > _PAIR_BLOCK and cutoff >= _GRID_MIN_CUTOFF:
-        found = _grid_pairs(a, b, cutoff)
-        if found is not None:
-            return found
+    if min(len(a), len(b)) <= _PAIR_BLOCK:
+        return _dense_pairs(a, b, cutoff)
+    width = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
+    near_a, near_b = ((np.abs(x) < _GRID_CLIP * width).all(axis=1) for x in (a, b))
+    if near_a.all() and near_b.all():
+        return _grid_pairs(a, b, cutoff, width)
+    ia, ib = np.flatnonzero(near_a), np.flatnonzero(near_b)
+    fa, fb = np.flatnonzero(~near_a), np.flatnonzero(~near_b)
+    parts = []
+    for rows_a, rows_b, search in [(ia, ib, pairs_within), (fa, np.arange(len(b)), _dense_pairs),
+                                   (ia, fb, _dense_pairs)]:
+        i, j, d = search(a[rows_a], b[rows_b], cutoff)
+        parts.append((rows_a[i], rows_b[j], d))
+    i, j, d = (np.concatenate(p) for p in zip(*parts))
+    s = np.lexsort((j, i))
+    return i[s], j[s], d[s]
+
+
+def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
+    """``pairs_within`` from dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a time."""
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for s in range(0, len(a), _PAIR_BLOCK):
         d = pairwise_distances(a[s:s + _PAIR_BLOCK], b)
@@ -271,37 +289,36 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float):
-    """``pairs_within`` through a cell list (Allen & Tildesley 1987, 5.3.2), or
-    None when the cell keys would overflow int64.
+def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float, width: float):
+    """``pairs_within`` through a cell list (Allen & Tildesley 1987, 5.3.2),
+    for rows less than ``_GRID_CLIP`` cells of ``width`` from the origin.
 
-    Space is cut into cubes slightly wider than ``cutoff``, so every pair the
-    distance test accepts lies in the same or an adjacent cell, even after the
-    rounding of its distance. Each cell is keyed by one integer and only the
-    occupied cells of ``b`` exist, as its sorted keys; ``searchsorted`` over
-    all rows and offsets at once finds the 27 cells around every row of
-    ``a``. Coordinates beyond
-    ``_GRID_CLIP`` cells from the origin are clamped into the outermost cells
-    (clamping never moves two points apart), which keeps the floor division
-    exact and the key span bounded whatever the bounding box.
+    Space is cut into cubes ``width`` wide, slightly wider than ``cutoff``, so
+    every pair the distance test accepts lies in the same or an adjacent cell,
+    even after the rounding of its distance. Only the occupied cells of ``b``
+    exist, numbered axis by axis: a row's rank over the axes so far, times the
+    count of distinct cell indices on the next axis, plus its place among
+    them, is ranked again among the occupied values, so every key stays below
+    K**2 whatever the bounding box. The ranks of the 27 cells around each row
+    of ``a`` are found the same way (-1 when ``b`` has no row there).
     """
-    width = cutoff * _GRID_MARGIN
-    limit = _GRID_CLIP * width
-    qa = np.floor_divide(np.clip(a, -limit, limit), width)
-    qb = np.floor_divide(np.clip(b, -limit, limit), width)
-    lo = np.minimum(qa.min(axis=0), qb.min(axis=0)) - 1
-    nx, ny, nz = (int(n) for n in np.maximum(qa.max(axis=0), qb.max(axis=0)) - lo + 2)
-    if nx * ny * nz > np.iinfo(np.int64).max:
-        return None
-    stride = np.array([ny * nz, nz, 1], dtype=np.int64)
-    key_b = (qb - lo).astype(np.int64) @ stride
-    order = np.argsort(key_b, kind="stable")
-    key_b = key_b[order]
-    near = ((qa - lo).astype(np.int64) @ stride)[:, None] + _NEIGHBOUR_STEPS @ stride
-    first = np.searchsorted(key_b, near.ravel(), "left")
-    count = np.searchsorted(key_b, near.ravel(), "right") - first
+    qa, qb = np.floor_divide(a, width), np.floor_divide(b, width)
+    cell_b = np.zeros(len(b), np.int64)
+    cell_a = np.zeros((len(a), 1), np.int64)
+    for k in range(3):
+        index = np.unique(qb[:, k])
+        step = _rank(index, qa[:, k, None] + _NEIGHBOUR_STEPS)[:, None, :]
+        key_b = cell_b * len(index) + np.searchsorted(index, qb[:, k])
+        key_a = np.where(step < 0, -1, cell_a[:, :, None] * len(index) + step)
+        cells = np.unique(key_b)
+        cell_b = np.searchsorted(cells, key_b)
+        cell_a = _rank(cells, key_a.reshape(len(a), -1))
+    order = np.argsort(cell_b, kind="stable")
+    count_b = np.bincount(cell_b, minlength=len(cells))
+    first = (np.cumsum(count_b) - count_b)[cell_a.ravel()]
+    count = np.where(cell_a.ravel() < 0, 0, count_b[cell_a.ravel()])
     end = np.cumsum(count)
-    i = np.repeat(np.arange(len(a)), len(_NEIGHBOUR_STEPS)).repeat(count)
+    i = np.repeat(np.arange(len(a)), count.reshape(len(a), -1).sum(axis=1))
     j = order[np.arange(end[-1]) + np.repeat(first + count - end, count)]
     d = a[i, 0] - b[j, 0]
     d *= d
@@ -314,6 +331,13 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float):
     i, j, d = i[keep], j[keep], d[keep]
     s = np.lexsort((j, i))
     return i[s], j[s], d[s]
+
+
+def _rank(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of every entry of ``x`` in the sorted, unique ``sorted_values``; -1 where absent."""
+    r = np.searchsorted(sorted_values, x)
+    hit = sorted_values[np.minimum(r, len(sorted_values) - 1)] == x
+    return np.where(hit, r, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ seed reproduces the run bit-for-bit on one machine.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -182,8 +183,10 @@ def train(
                 raise DataError(f"sample {s.complex_id} in pool '{name}' has no label")
 
     # Each edge list is smaller than its sample's feature matrix.
-    every = {id(s): s for s in [*val_samples, *(s for pool in train_pools.values() for s in pool)]}
-    edges_of = {key: s.edges for key, s in every.items()}
+    edges_of = {}
+    for s in itertools.chain(val_samples, *train_pools.values()):
+        if id(s) not in edges_of:
+            edges_of[id(s)] = s.edges
     batches = balanced_batches(train_pools, train_cfg, rng)
     adam = Adam(train_cfg.learning_rate)
 

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,10 +321,11 @@ class TestPdb:
         assert len(bonds) == expected == 11  # 3x(N-CA, CA-C, C=O) + 2 peptide bonds
 
     def test_blocked_bond_search_matches_dense_oracle(self, tmp_path, grid_calls):
-        # 700 atoms span three row blocks of the bond search; 1,200 atoms at
-        # the same density (0.0875 atoms/A^3) also run the cell list
+        # at one density (0.0875 atoms/A^3): 250 atoms take the dense path of
+        # the bond search, 700 and 1,200 atoms the cell list
         rng = np.random.default_rng(17)
-        for n, side in [(700, 20.0), (1200, 20.0 * (1200 / 700) ** (1 / 3))]:
+        for n in [250, 700, 1200]:
+            side = 20.0 * (n / 700) ** (1 / 3)
             elements = rng.choice(["C", "N", "O", "S", "H"], size=n)
             xyz = np.round(rng.uniform(0.0, side, size=(n, 3)), 3)
             lines = [
@@ -335,7 +337,7 @@ class TestPdb:
             grid_calls.clear()
             atoms, bonds = parse_pdb_protein(path)
             assert len(atoms) == n
-            assert grid_calls == [True]
+            assert grid_calls == ([] if n <= chem._PAIR_BLOCK else [(n, n)])
 
             coords = np.array([a.position for a in atoms])
             radii = np.array([COVALENT_RADII[a.element] for a in atoms])
@@ -422,25 +424,27 @@ class TestParseComplex:
 
 @pytest.fixture
 def grid_calls(monkeypatch):
-    """Records each call of the cell-list search: True when it answered,
-    False when it handed the search back to the dense path."""
+    """Records the row counts ``(len(a), len(b))`` of each call of the
+    cell-list search."""
     calls = []
     real = chem._grid_pairs
 
-    def spy(*args):
-        found = real(*args)
-        calls.append(found is not None)
-        return found
+    def spy(a, b, *args):
+        i, j, d = real(a, b, *args)
+        calls.append((len(a), len(b)))
+        return i, j, d
 
     monkeypatch.setattr(chem, "_grid_pairs", spy)
     return calls
 
 
 class TestPairsWithin:
-    def test_matches_brute_force_oracle(self):
-        # 700 rows of ``a`` span three row blocks of the search
+    def test_matches_brute_force_oracle(self, grid_calls):
+        # the first two shapes take the cell list; on the dense path 700 and
+        # 257 rows of ``a`` span three and two row blocks
         rng = np.random.default_rng(23)
-        for m, k, cutoff, decimals in [(700, 300, 3.0, 3), (700, 700, 2.5, None), (257, 40, 8.0, 3)]:
+        for m, k, cutoff, decimals in [(700, 300, 3.0, 3), (700, 700, 2.5, None),
+                                       (700, 40, 8.0, 3), (257, 40, 8.0, 3)]:
             a = rng.uniform(0.0, 25.0, size=(m, 3))
             b = rng.uniform(0.0, 25.0, size=(k, 3))
             if decimals is not None:
@@ -452,6 +456,7 @@ class TestPairsWithin:
             i, j, d = pairs_within(a, b, cutoff)
             assert np.array_equal(i, ii) and np.array_equal(j, jj)
             assert np.array_equal(d, pairwise_distances(a, b)[ii, jj])
+        assert grid_calls == [(700, 300), (700, 700)]
 
     def test_empty_inputs(self):
         pts = np.ones((5, 3))
@@ -481,7 +486,7 @@ class TestPairsWithin:
         a = rng.uniform(-40.0, -15.0, size=(600, 3))
         b = rng.uniform(-40.0, -15.0, size=(400, 3))
         assert self.assert_matches_oracle(a, b, 3.0) > 100
-        assert grid_calls == [True]
+        assert grid_calls == [(600, 400)]
 
     def test_grid_atoms_on_cell_faces(self, grid_calls):
         # every coordinate a multiple of the cutoff: coincident atoms and pairs
@@ -490,7 +495,7 @@ class TestPairsWithin:
         a = rng.integers(-5, 5, size=(500, 3)) * 2.5
         b = rng.integers(-5, 5, size=(300, 3)) * 2.5
         assert self.assert_matches_oracle(a, b, 2.5) > 1000
-        assert grid_calls == [True]
+        assert grid_calls == [(500, 300)]
 
     def test_grid_pairs_at_exactly_cutoff_straddle_a_face(self, grid_calls):
         # every (k, k) pair lies at the cutoff with the cell face at x = 0
@@ -504,41 +509,82 @@ class TestPairsWithin:
         i, j, d = pairs_within(a, b, cutoff)
         assert i.tolist() == j.tolist() == list(range(300)) and (d == cutoff).all()
         assert self.assert_matches_oracle(a, b, cutoff) == 300
-        assert grid_calls == [True, True]
+        assert grid_calls == [(300, 300)] * 2
 
     def test_grid_all_atoms_at_one_point(self, grid_calls):
         pts = np.full((300, 3), -1.25)
         assert self.assert_matches_oracle(pts, pts[:260], 4.0) == 300 * 260
-        assert grid_calls == [True]
+        assert grid_calls == [(300, 260)]
 
     @pytest.mark.parametrize("far", [1e17, -1e17])
     def test_grid_far_outlier(self, grid_calls, far):
-        # the cells do not scale with the bounding box: one atom 1e17 A away
+        # one atom 1e17 A away, beyond 2**50 cells, is compared densely and
+        # the grid takes the other rows
         rng = np.random.default_rng(33)
         a = rng.uniform(0.0, 20.0, size=(600, 3))
         a[123] = [far, 0.0, 0.0]
         b = np.concatenate([a[100:500], [[far, 1.0, 0.0]]])
         assert self.assert_matches_oracle(a, b, 3.12) > 1000
-        assert grid_calls == [True]
+        assert grid_calls == [(599, 399)]
 
-    def test_far_outlier_on_every_axis_still_exact(self, grid_calls):
-        # cell keys that would overflow int64 send the search to the dense path
+    def test_grid_keys_do_not_scale_with_the_bounding_box(self, grid_calls):
+        # atoms 1e13 A apart on every axis stay inside the grid's limit but
+        # span ~1e38 cells, far more than an int64 key can number
         rng = np.random.default_rng(34)
         a = rng.uniform(0.0, 20.0, size=(400, 3))
-        a[7] = [1e17, -1e17, 1e17]
+        a[:6] = [[1e13, -1e13, 1e13], [1e13, -1e13, 1e13 + 2.0], [-1e13, 1e13, -1e13],
+                 [1e13, 1e13, 1e13], [-1e13, -1e13, -1e13], [3e12, -7e12, 5e12]]
         assert self.assert_matches_oracle(a, a, 3.12) > 1000
-        assert grid_calls == [False]
+        assert grid_calls == [(400, 400)]
+
+    def test_rows_beyond_the_grid_limit_are_compared_densely(self, grid_calls):
+        # 300 rows 1e16 A apart along x lie beyond 2**50 cells of the origin;
+        # clamped into one outermost cell they would make 300 x 300 candidates
+        rng = np.random.default_rng(37)
+        far = np.zeros((300, 3))
+        far[:, 0] = (np.arange(300.0) + 1.0) * 1e16
+        near = rng.uniform(0.0, 20.0, size=(300, 3))
+        a = np.concatenate([far[:150], near, far[150:]])
+        b = np.concatenate([near[::-1], -far, far])
+        assert self.assert_matches_oracle(a, b, 3.12) > 300
+        assert grid_calls == [(300, 300)]
+
+    def test_rows_beyond_the_grid_limit_take_block_memory(self):
+        # 3,000 such rows: the dense comparison holds one 256-row block of
+        # distances (6 MB); 3,000 x 3,000 candidates would take ~300 MB
+        a = np.zeros((3000, 3))
+        a[:, 0] = np.arange(3000.0) * 1e16
+        tracemalloc.start()
+        try:
+            i, j, d = pairs_within(a, a, 3.12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(i, np.arange(3000)) and np.array_equal(j, i) and not d.any()
+        assert peak < 30e6
 
     def test_contact_and_prune_shapes_take_the_dense_path(self, grid_calls):
         rng = np.random.default_rng(35)
         ligand = rng.uniform(0.0, 8.0, size=(30, 3))
         pocket = rng.uniform(-10.0, 18.0, size=(600, 3))
         protein = rng.uniform(-20.0, 28.0, size=(5000, 3))
-        pairs_within(ligand, pocket, 5.0)  # the contact search
-        pairs_within(protein, ligand, 8.0)  # pruning
+        assert self.assert_matches_oracle(ligand, pocket, 5.0) > 100  # the contact search
+        assert self.assert_matches_oracle(protein, ligand, 8.0) > 1000  # pruning
         assert grid_calls == []
-        pairs_within(protein[:1000], protein[:1000], 3.12)  # bond inference
-        assert grid_calls == [True]
+        assert self.assert_matches_oracle(protein[:1000], protein[:1000], 3.12) > 1000  # bonds
+        assert grid_calls == [(1000, 1000)]
+
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-200, -1.0])
+    def test_degenerate_cutoffs(self, grid_calls, cutoff):
+        # cells are never narrower than 1e-150, so a tiny or negative cutoff
+        # finds exactly the coincident rows (or none); rows off the origin
+        # then lie beyond the grid's limit and are compared densely
+        rng = np.random.default_rng(38)
+        a = rng.uniform(-5.0, 5.0, size=(600, 3))
+        a[300:] = 0.0
+        n = self.assert_matches_oracle(a, a[100:], cutoff)
+        assert n == (0 if cutoff < 0 else 200 + 300 * 300)
+        assert grid_calls == [(300, 300)]
 
     @pytest.mark.parametrize("n", [10, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
