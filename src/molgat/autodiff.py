@@ -10,11 +10,16 @@ every reachable leaf. A tape is built fresh for each forward pass
 Scalars are represented as 1x1 matrices so the whole engine has one shape
 discipline. Graph operations take a sorted symmetric edge list
 (``graphs.Edges``: ``src``/``dst`` sorted by ``(src, dst)``, each row's first
-edge in ``starts``, each edge's reverse in ``rev``) and hold per-edge values
-as E x 1 columns. Sums over a row's edges run through ``np.add.reduceat`` on
-the sorted segments; sums over the edges into a node go through ``rev``,
-which turns them into row sums. Small graphs take their edge products from
-one dense N x N product instead (see ``_DENSE_ENTRIES_PER_EDGE``).
+edge in ``starts``, each edge's reverse in ``rev``, the node count of each
+graph in ``sizes``) and hold per-edge values as E x 1 columns. A batch of
+graphs is one block-diagonal edge list (``Edges.merge``), so every operation
+runs once per batch. Sums over a row's edges run through ``np.add.reduceat``
+on the sorted segments; sums over the edges into a node go through ``rev``,
+which turns them into row sums. The edge products and sums of small graphs
+go through one dense n x n product per graph instead. The kernel is chosen
+once per edge list: dense when the blocks hold at most
+``_DENSE_ENTRIES_PER_EDGE`` entries per edge in all (sum of n_g^2 <= 32 E),
+gather otherwise, so a one-graph edge list is judged by its own n^2.
 """
 
 from __future__ import annotations
@@ -26,35 +31,42 @@ from .errors import NumericError, ShapeError
 _LOG_FLOOR = 1e-12
 
 
-# A graph whose N x N array holds at most this many entries per edge gets its
-# edge products from one dense N x N product instead of gathering E x F rows:
-# at N ~ 40 and E ~ 330 the dense product is several times faster, while the
-# N x N temporaries stay within a constant factor of the edge list's size.
+# An edge list whose graphs' n x n blocks hold at most this many entries per
+# edge in all gets its edge products from one dense n x n product per graph
+# instead of gathering E x F rows: at n ~ 40 and E ~ 330 per graph the dense
+# products are several times faster, while the n x n temporaries stay within
+# a constant factor of the edge list's size.
 _DENSE_ENTRIES_PER_EDGE = 32
 
 
-def _small(edges) -> bool:
-    n = len(edges.starts)
-    return n * n <= _DENSE_ENTRIES_PER_EDGE * len(edges.src)
+def _dense(edges) -> bool:
+    return int(edges.sizes @ edges.sizes) <= _DENSE_ENTRIES_PER_EDGE * len(edges.src)
 
 
 def _edge_dots(a: np.ndarray, b: np.ndarray, edges) -> np.ndarray:
     """E x 1 column of a[src_e] . b[dst_e]."""
-    if _small(edges):
-        return (a @ b.T)[edges.src, edges.dst][:, None]
-    return np.einsum("ij,ij->i", a[edges.src], b[edges.dst])[:, None]
+    if not _dense(edges):
+        return np.einsum("ij,ij->i", a[edges.src], b[edges.dst])[:, None]
+    bounds, index, total = edges.blocks
+    flat = np.empty(total)
+    for lo, n, at in bounds:
+        np.matmul(a[lo:lo + n], b[lo:lo + n].T, out=flat[at:at + n * n].reshape(n, n))
+    return flat[index][:, None]
 
 
 def _edge_sums(w: np.ndarray, x: np.ndarray, edges) -> np.ndarray:
     """N x F rows out_i = sum over node i's edges e of w_e * x[dst_e]."""
-    if _small(edges):
-        n = len(edges.starts)
-        weights = np.zeros((n, n))
-        weights[edges.src, edges.dst] = w[:, 0]
-        return weights @ x
-    rows = x[edges.dst]
-    rows *= w
-    return np.add.reduceat(rows, edges.starts, axis=0)
+    if not _dense(edges):
+        rows = x[edges.dst]
+        rows *= w
+        return np.add.reduceat(rows, edges.starts, axis=0)
+    bounds, index, total = edges.blocks
+    flat = np.zeros(total)
+    flat[index] = w[:, 0]
+    out = np.empty((len(edges.starts), x.shape[1]))
+    for lo, n, at in bounds:
+        np.matmul(flat[at:at + n * n].reshape(n, n), x[lo:lo + n], out=out[lo:lo + n])
+    return out
 
 
 def _check_edges(op: str, edges, *per_edge) -> None:
@@ -110,15 +122,26 @@ class Value:
         return float(self.data[0, 0])
 
     def accumulate(self, g: np.ndarray) -> None:
+        # The first gradient is copied, never kept: a backward rule may hand
+        # the same array to several parents (``add``) or pass a view.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self):
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask drawn from ``rng``: 0 where a unit drops (with
+    probability ``rate``), 1 / (1 - rate) where it is kept."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def parameter(data) -> Value:
@@ -293,14 +316,17 @@ class Tape:
         return self._record(col.data * m.data, (col, m), backward)
 
     def broadcast(self, s: Value, rows: int, cols: int) -> Value:
-        """Spread a 1x1 value to a rows x cols matrix."""
-        if s.shape != (1, 1):
-            raise ShapeError(f"broadcast: expected a 1x1 value, got {s.shape}")
+        """Spread a 1x1 value, or a 1 x cols row, to a rows x cols matrix."""
+        if s.shape not in ((1, 1), (1, cols)):
+            raise ShapeError(f"broadcast: expected a 1x1 or 1x{cols} value, got {s.shape}")
 
         def backward(g):
-            s.accumulate(np.array([[g.sum()]]))
+            if s.cols == 1:
+                s.accumulate(np.array([[g.sum()]]))
+            else:
+                s.accumulate(g.sum(axis=0, keepdims=True))
 
-        return self._record(np.full((rows, cols), s.data[0, 0]), (s,), backward)
+        return self._record(np.broadcast_to(s.data, (rows, cols)).copy(), (s,), backward)
 
     def sum_all(self, a: Value) -> Value:
         def backward(g):
@@ -308,13 +334,18 @@ class Tape:
 
         return self._record(np.array([[a.data.sum()]]), (a,), backward)
 
-    def sum_rows(self, a: Value) -> Value:
-        """Sum over the row index: out is 1 x cols."""
+    def sum_rows(self, a: Value, sizes=None) -> Value:
+        """Sum over the row index: out is 1 x cols. With ``sizes`` (G
+        positive counts adding up to a's rows), sum each run of rows
+        separately: out is G x cols, row g the sum of run g."""
+        sizes = np.array([a.rows] if sizes is None else sizes)
+        if (sizes < 1).any() or sizes.sum() != a.rows:
+            raise ShapeError(f"sum_rows: runs of {sizes.tolist()} rows do not split {a.rows} rows")
 
         def backward(g):
-            a.accumulate(np.broadcast_to(g, a.data.shape).copy())
+            a.accumulate(np.repeat(g, sizes, axis=0))
 
-        return self._record(a.data.sum(axis=0, keepdims=True), (a,), backward)
+        return self._record(np.add.reduceat(a.data, np.cumsum(sizes) - sizes, axis=0), (a,), backward)
 
     def masked_softmax(self, scores: Value, mask: np.ndarray) -> Value:
         """Row-wise softmax over masked-in entries; zeros elsewhere.
@@ -347,9 +378,7 @@ class Tape:
 
     def dropout(self, a: Value, rate: float, rng: np.random.Generator) -> Value:
         """Inverted dropout; the kept mask is a constant drawn from ``rng``."""
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-        keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+        keep = dropout_mask(a.data.shape, rate, rng)
 
         def backward(g):
             a.accumulate(g * keep)
@@ -427,8 +456,9 @@ class Tape:
     def backward(self, loss: Value) -> None:
         """Populate gradients of ``loss`` w.r.t. every reachable leaf.
 
-        ``loss`` must be a 1x1 value recorded on this tape. Node gradients are
-        local to the tape; leaf gradients accumulate until ``zero_grad``.
+        ``loss`` must be a 1x1 value recorded on this tape. A node's gradient
+        is dropped once passed on to its parents, so only leaf gradients
+        remain; they accumulate until ``zero_grad``.
         """
         if loss.data.shape != (1, 1):
             raise ShapeError(f"backward: loss must be 1x1, got {loss.data.shape}")
@@ -441,6 +471,7 @@ class Tape:
             if node.grad is None or node._backward is None:
                 continue
             node._backward(node.grad)
+            node.grad = None
 
     def _require_same_shape(self, op: str, a: Value, b: Value) -> None:
         if a.shape != b.shape:

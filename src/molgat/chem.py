@@ -504,6 +504,8 @@ def parse_sdf_ligand(path, stats: dict | None = None):
             symbol = line[31:34].strip()
         except (ValueError, IndexError) as exc:
             raise ParseError("bad atom line", path=path, line=lineno) from exc
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ParseError("non-finite coordinates", path=path, line=lineno)
         raw_atoms.append((symbol, (x, y, z)))
 
     raw_bonds = []

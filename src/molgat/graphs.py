@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,14 +37,17 @@ CACHE_VERSION = 2
 
 @dataclass(frozen=True)
 class Edges:
-    """Directed edge list of one graph, sorted by ``(src, dst)``.
+    """Directed edge list of one graph, or of a batch of graphs laid out
+    block-diagonally, sorted by ``(src, dst)``.
 
     The edge set is symmetric (every ``(i, j)`` has its ``(j, i)``), holds
     each pair once and a self-loop for every node, so every row is a
     non-empty segment. ``starts[i]`` is the index of row i's first edge,
     ``rev[e]`` the index of the edge reversing ``e``, ``contact`` flags the
     intermolecular contact edges, and ``dist`` holds each contact edge's
-    distance (0 on self-loops and bonds).
+    distance (0 on self-loops and bonds). ``sizes`` holds the node count of
+    each graph: graph g owns the ``sizes[g]`` nodes after those of graphs
+    0..g-1, and no edge joins two graphs.
     """
 
     src: np.ndarray  # E int
@@ -52,6 +56,7 @@ class Edges:
     rev: np.ndarray  # E int
     contact: np.ndarray  # E bool
     dist: np.ndarray  # E float
+    sizes: np.ndarray  # G int
 
     @classmethod
     def build(cls, n: int, pairs: np.ndarray, contacts: np.ndarray | None = None,
@@ -78,7 +83,41 @@ class Edges:
             rev=np.searchsorted(keys, dst * n + src),
             contact=is_contact[first],
             dist=dist[first],
+            sizes=np.array([n]),
         )
+
+    @classmethod
+    def merge(cls, parts: list["Edges"]) -> "Edges":
+        """One block-diagonal edge list of ``parts``, in order: the nodes and
+        edges of each part follow those of the parts before it. A single
+        part is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
+        nodes = np.cumsum([0] + [len(p.starts) for p in parts[:-1]])
+        edges = np.cumsum([0] + [len(p.src) for p in parts[:-1]])
+        return cls(
+            src=np.concatenate([p.src + k for p, k in zip(parts, nodes)]),
+            dst=np.concatenate([p.dst + k for p, k in zip(parts, nodes)]),
+            starts=np.concatenate([p.starts + k for p, k in zip(parts, edges)]),
+            rev=np.concatenate([p.rev + k for p, k in zip(parts, edges)]),
+            contact=np.concatenate([p.contact for p in parts]),
+            dist=np.concatenate([p.dist for p in parts]),
+            sizes=np.concatenate([p.sizes for p in parts]),
+        )
+
+    @cached_property
+    def blocks(self) -> tuple[list[tuple[int, int, int]], np.ndarray, int]:
+        """Each graph's dense n x n adjacency block, the blocks laid end to end
+        in one flat buffer: ``(first node, n, first entry)`` per graph, the
+        flat position of every edge (row-major within its block) and the
+        buffer length, the sum of n^2."""
+        n = self.sizes
+        first_node = np.cumsum(n) - n
+        first_entry = np.cumsum(n * n) - n * n
+        g = np.repeat(np.arange(len(n)), n)[self.src]
+        index = first_entry[g] + (self.src - first_node[g]) * n[g] + self.dst - first_node[g]
+        bounds = list(zip(first_node.tolist(), n.tolist(), first_entry.tolist()))
+        return bounds, index, int(n @ n)
 
 
 @dataclass

@@ -19,6 +19,12 @@ memory (``autodiff`` takes the edge products of small graphs through a dense
 product bounded by a constant per edge). Node features are summed into one
 graph vector, and a small MLP with ReLU hidden activations and a final sigmoid
 produces the activity probability.
+
+``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``):
+every tape operation runs once per batch, pooling sums each graph's rows, and
+the output is a G x 1 column. In training, all dropout masks are drawn before
+the forward pass, sample by sample: each attention layer's N_s x F mask in
+layer order, then each hidden fully connected layer's 1 x d mask.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value, constant, parameter
+from .autodiff import Tape, Value, constant, dropout_mask, parameter
 from .errors import CheckpointError, NumericError, ShapeError
 from .fileio import read_checked, write_checked
 from .gat import GatParams, gat_forward, glorot, init_gat_params
@@ -137,45 +143,71 @@ def materialize_a2(tape: Tape, edges: Edges, mu: Value, sigma: Value) -> Value:
     return tape.add(constant(1.0 - contact), tape.mul(gauss, constant(contact)))
 
 
+def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Every dropout mask of a batch, drawn in the order ``predict`` states;
+    one mask per dropout site, the samples' rows stacked in batch order."""
+    rate = config.dropout_rate
+    per_sample = [
+        [dropout_mask((s.num_atoms, config.gat_dim), rate, rng) for _ in range(config.num_gat_layers)]
+        + [dropout_mask((1, d), rate, rng) for d in config.fc_dims[:-1]]
+        for s in samples
+    ]
+    return [np.concatenate(site) for site in zip(*per_sample)]
+
+
 def predict(
     tape: Tape,
-    sample: GraphSample,
+    samples: list[GraphSample],
     params: ModelParams,
     config: ModelConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
     internals: dict | None = None,
-    edges: Edges | None = None,
+    edges: list[Edges] | None = None,
 ) -> Value:
-    """Forward pass for one sample; returns the 1x1 probability on the tape.
+    """Forward pass for a batch; returns the G x 1 probabilities on the tape,
+    one row per sample in order.
 
-    ``edges`` is ``sample.edges`` when a caller already holds it."""
-    if sample.features.shape[1] != config.input_dim:
-        raise ShapeError(
-            f"sample feature width {sample.features.shape[1]} != input_dim {config.input_dim}"
-        )
+    The batch runs as one block-diagonal graph (``Edges.merge``), so each
+    tape operation runs once per batch and each sample's row equals its
+    score alone. ``edges`` lists each sample's ``sample.edges`` when a caller
+    already holds them. In training, every dropout mask is drawn from ``rng``
+    before the forward pass, sample by sample: the attention layers' N_s x F
+    masks in layer order, then the hidden fully connected layers' 1 x d
+    masks, the order in which one-sample forward passes would draw them."""
+    if not samples:
+        raise ValueError("predict needs at least one sample")
+    for s in samples:
+        if s.features.shape[1] != config.input_dim:
+            raise ShapeError(
+                f"sample feature width {s.features.shape[1]} != input_dim {config.input_dim}"
+            )
     if training and rng is None:
         raise ValueError("training mode needs an rng for dropout")
 
-    if edges is None:
-        edges = sample.edges
-    a2 = materialize_a2(tape, edges, params.mu, params.sigma_on(tape))
+    masks = None
+    if training and config.dropout_rate > 0:
+        masks = iter(_dropout_masks(samples, config, rng))
+    graph = Edges.merge([s.edges for s in samples] if edges is None else edges)
+    a2 = materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
 
-    h = tape.matmul(constant(sample.features), params.embed)
+    # A one-sample batch (every score call) copies no feature matrix.
+    features = samples[0].features if len(samples) == 1 else np.concatenate([s.features for s in samples])
+    h = tape.matmul(constant(features), params.embed)
     for layer in params.layers:
-        h = gat_forward(tape, h, edges, a2, layer)
-        if training and config.dropout_rate > 0:
-            h = tape.dropout(h, config.dropout_rate, rng)
+        h = gat_forward(tape, h, graph, a2, layer)
+        if masks is not None:
+            h = tape.mul(h, constant(next(masks)))
 
-    pooled = tape.sum_rows(h)
+    pooled = tape.sum_rows(h, graph.sizes)
     y = pooled
     last = len(params.fc) - 1
     for k, (w, b) in enumerate(params.fc):
-        y = tape.add(tape.matmul(y, w), b)
+        y = tape.add(tape.matmul(y, w), tape.broadcast(b, len(samples), b.cols))
         if k < last:
             y = tape.relu(y)
-            if training and config.dropout_rate > 0:
-                y = tape.dropout(y, config.dropout_rate, rng)
+            if masks is not None:
+                y = tape.mul(y, constant(next(masks)))
     out = tape.sigmoid(y)
     if internals is not None:
         internals.update(a2=a2, pooled=pooled)
@@ -185,7 +217,7 @@ def predict(
 def score(sample: GraphSample, params: ModelParams, config: ModelConfig,
           edges: Edges | None = None) -> float:
     """Deterministic inference probability (dropout off)."""
-    return predict(Tape(), sample, params, config, training=False, edges=edges).item()
+    return predict(Tape(), [sample], params, config, edges=None if edges is None else [edges]).item()
 
 
 # ---------------------------------------------------------------------------

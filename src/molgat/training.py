@@ -3,8 +3,12 @@
 Batches draw an equal number of samples from each category pool (with
 replacement; the pools are wildly unequal in practice), every parameter is
 updated by Adam, and checkpoints plus a CSV progress log are written
-periodically. All randomness flows from one seeded generator, so a fixed
-seed reproduces the run bit-for-bit on one machine.
+periodically. Each step is one batched forward pass (``model.predict`` on
+the whole batch) and one backward pass. All randomness flows from one seeded
+generator, in a fixed order per step: the batch draw, then each sample's
+dropout masks, sample by sample (its attention layers' masks in layer order,
+then its hidden fully connected layers' masks). A fixed seed reproduces the
+run bit-for-bit on one machine.
 """
 
 from __future__ import annotations
@@ -60,12 +64,17 @@ def bce_loss(tape: Tape, pred: Value, label: int) -> Value:
     return tape.scale(tape.log(p), -1.0)
 
 
-def mean_bce(tape: Tape, preds: list[Value], labels: list[int]) -> Value:
-    total = None
-    for pred, label in zip(preds, labels):
-        term = bce_loss(tape, pred, label)
-        total = term if total is None else tape.add(total, term)
-    return tape.scale(total, 1.0 / len(preds))
+def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:
+    """Mean binary cross entropy of a G x 1 column of probabilities, recording
+    only each row's labelled branch: ``p`` is kept for label 1 and ``1 - p``
+    taken for label 0 before one log over the column."""
+    if probs.shape != (len(labels), 1):
+        raise DataError(f"{len(labels)} labels for probabilities of shape {probs.shape}")
+    if any(label not in (0, 1) for label in labels):
+        raise DataError(f"labels must be 0 or 1, got {labels!r}")
+    positive = np.array(labels, dtype=np.float64)[:, None]
+    picked = tape.add(tape.mul(probs, constant(2.0 * positive - 1.0)), constant(1.0 - positive))
+    return tape.scale(tape.sum_all(tape.log(picked)), -1.0 / len(labels))
 
 
 def balanced_batches(pools: dict[str, list], cfg: TrainConfig, rng: np.random.Generator):
@@ -203,11 +212,9 @@ def train(
         for iteration in range(1, train_cfg.iterations + 1):
             batch = next(batches)
             tape = Tape()
-            preds = [
-                predict(tape, s, params, model_cfg, training=True, rng=rng, edges=edges_of[id(s)])
-                for s in batch
-            ]
-            loss = mean_bce(tape, preds, [s.label for s in batch])
+            probs = predict(tape, batch, params, model_cfg, training=True, rng=rng,
+                            edges=[edges_of[id(s)] for s in batch])
+            loss = mean_bce(tape, probs, [s.label for s in batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise NumericError(

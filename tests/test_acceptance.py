@@ -142,11 +142,11 @@ class TestA1GradientSuite:
 
         def forward():
             t = Tape()
-            return bce_loss(t, predict(t, sample, params, config), 1).item()
+            return bce_loss(t, predict(t, [sample], params, config), 1).item()
 
         params.zero_grad()
         t = Tape()
-        t.backward(bce_loss(t, predict(t, sample, params, config), 1))
+        t.backward(bce_loss(t, predict(t, [sample], params, config), 1))
         numeric = finite_difference_grads(forward, leaves, h=FD_H)
         for (name, leaf), num in zip(params.named_values(), numeric):
             err = max_relative_error(leaf.grad if leaf.grad is not None else 0.0, num)
@@ -201,8 +201,7 @@ class TestA3OverfitSanity:
             params = ModelParams.initialize(model_cfg, np.random.default_rng(3))
             train(pools, [], model_cfg, train_cfg, tmp_path / "a3", params=params)
             t = Tape()
-            preds = [predict(t, s, params, model_cfg) for s in samples]
-            final = mean_bce(t, preds, [s.label for s in samples]).item()
+            final = mean_bce(t, predict(t, samples, params, model_cfg), [s.label for s in samples]).item()
             print(f"  mean BCE over the 32 fixed samples: {final:.5f}", flush=True)
             assert final < 0.05  # within 400 of the allowed 2000 iterations
 
@@ -295,7 +294,7 @@ class TestA4InvarianceSuite:
         s = build_sample(ComplexRecord("nc", "p", atoms, [Bond(0, 1)]))
         assert s.inter_mask.sum() == 0
         internals = {}
-        p = predict(Tape(), s, params, config, internals=internals).item()
+        p = predict(Tape(), [s], params, config, internals=internals).item()
         assert np.array_equal(internals["pooled"].data, np.zeros((1, config.gat_dim)))
         np.testing.assert_array_equal(dense_of(s.edges, internals["a2"].data), s.a1)
         # constant: any other no-contact complex scores identically
@@ -306,7 +305,7 @@ class TestA4InvarianceSuite:
             Atom("N", (7.9, 0.5, 0), False, 1, 1, 1, False),
         ]
         s2 = build_sample(ComplexRecord("nc2", "p", atoms2, [Bond(0, 1), Bond(2, 3)]))
-        assert predict(Tape(), s2, params, config).item() == p
+        assert predict(Tape(), [s2], params, config).item() == p
 
 
 class TestA5MetricOracles:

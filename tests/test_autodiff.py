@@ -212,6 +212,16 @@ class TestBackwardExamples:
         ga2, gb2 = run()
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
 
+    def test_first_gradient_is_copied_not_aliased(self):
+        # add's backward hands one array to both parents; a kept reference
+        # would let a's later accumulation leak into s and from there into b
+        a, b = parameter([[1.0, 2.0]]), parameter([[3.0, 4.0]])
+        t = Tape()
+        s = t.add(a, b)
+        t.backward(t.sum_all(t.add(s, a)))
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
+
 
 class TestGradientChecks:
     """Every operation against the central finite-difference oracle."""
@@ -329,6 +339,41 @@ class TestGradientChecks:
         t = Tape()
         t.backward(t.sum_all(t.mul(t.broadcast(s, 3, 5), constant(weights))))
         check_gradients(forward, [s], tol=OP_TOL)
+
+    def test_broadcast_row(self):
+        rng = np.random.default_rng(15)
+        s = rand(rng, 1, 5)
+        weights = rng.uniform(-1, 1, size=(3, 5))
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(t.broadcast(s, 3, 5), constant(weights))).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.broadcast(s, 3, 5), constant(weights))))
+        check_gradients(forward, [s], tol=OP_TOL)
+        with pytest.raises(ShapeError):
+            Tape().broadcast(s, 3, 4)
+
+    def test_sum_rows_per_run(self):
+        rng = np.random.default_rng(16)
+        x = rand(rng, 9, 3)
+        sizes = np.array([2, 4, 3])
+        weights = rng.uniform(-1, 1, size=(3, 3))
+        out = Tape().sum_rows(x, sizes)
+        np.testing.assert_allclose(out.data, [x.data[:2].sum(0), x.data[2:6].sum(0), x.data[6:].sum(0)],
+                                   atol=1e-15)
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(t.sum_rows(x, sizes), constant(weights))).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.sum_rows(x, sizes), constant(weights))))
+        check_gradients(forward, [x], tol=OP_TOL)
+        for bad in ([2, 4, 2], [0, 6, 3]):
+            with pytest.raises(ShapeError):
+                Tape().sum_rows(x, bad)
 
     def test_masked_softmax_gradient(self):
         rng = np.random.default_rng(10)
@@ -461,3 +506,62 @@ class TestValueBasics:
     def test_ndim_3_rejected(self):
         with pytest.raises(ShapeError):
             Value(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.usefixtures("edge_kernel")
+class TestBatchedEdgeOps:
+    """Edge operations on three graphs merged into one block-diagonal edge
+    list (``Edges.merge``), as a training batch runs them."""
+
+    SIZES = (4, 6, 5)
+
+    def batch(self, rng):
+        parts = [random_edges(rng, n) for n in self.SIZES]
+        return parts, Edges.merge(parts)
+
+    def test_each_graph_gets_its_own_result(self):
+        rng = np.random.default_rng(40)
+        parts, edges = self.batch(rng)
+        n = sum(self.SIZES)
+        a, b = rng.uniform(-1, 1, size=(n, 3)), rng.uniform(-1, 1, size=(n, 3))
+        w = rng.uniform(-1, 1, size=(len(edges.src), 1))
+        mask = (rng.random(len(edges.src)) < 0.7) | (edges.src == edges.dst)
+        t = Tape()
+        batched = {
+            "dot": t.edge_dot(constant(a), constant(b), edges).data,
+            "sum": t.segment_sum(constant(w), constant(a), edges).data,
+            "softmax": t.segment_softmax(constant(w), edges, mask).data,
+            "reverse": t.permute_rows(constant(w), edges.rev).data,
+        }
+        node, edge = 0, 0
+        for p in parts:
+            rows, span = slice(node, node + len(p.starts)), slice(edge, edge + len(p.src))
+            t = Tape()
+            alone = {
+                "dot": t.edge_dot(constant(a[rows]), constant(b[rows]), p).data,
+                "sum": t.segment_sum(constant(w[span]), constant(a[rows]), p).data,
+                "softmax": t.segment_softmax(constant(w[span]), p, mask[span]).data,
+                "reverse": t.permute_rows(constant(w[span]), p.rev).data,
+            }
+            for key, value in alone.items():
+                part = batched[key][rows if key == "sum" else span]
+                np.testing.assert_allclose(part, value, rtol=0, atol=1e-15, err_msg=key)
+            node, edge = rows.stop, span.stop
+
+    def test_gradients(self):
+        rng = np.random.default_rng(41)
+        _, edges = self.batch(rng)
+        n = sum(self.SIZES)
+        a, b = rand(rng, n, 3), rand(rng, n, 3)
+        mask = (rng.random(len(edges.src)) < 0.7) | (edges.src == edges.dst)
+        weights = rng.uniform(-1, 1, size=(n, 3))
+
+        def loss(t):
+            half = t.edge_dot(a, b, edges)
+            scores = t.add(half, t.permute_rows(half, edges.rev))
+            attention = t.segment_softmax(scores, edges, mask)
+            return t.sum_all(t.mul(t.segment_sum(attention, b, edges), constant(weights)))
+
+        t = Tape()
+        t.backward(loss(t))
+        check_gradients(lambda: loss(Tape()).item(), [a, b], tol=OP_TOL)

@@ -273,6 +273,16 @@ class TestSdf:
             parse_sdf_ligand(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_coordinate_rejected_at_its_line(self, tmp_path, field):
+        lines = sdf_text(METHANE_ATOMS, METHANE_BONDS).splitlines()
+        lines[6] = lines[6][:20] + f"{field:>10}" + lines[6][30:]  # the z field of atom 3
+        path = tmp_path / "nan.sdf"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite coordinates") as err:
+            parse_sdf_ligand(path)
+        assert err.value.line == 7 and err.value.path == path
+
 
 # ---------------------------------------------------------------------------
 # PDB

@@ -36,7 +36,7 @@ def assert_parity(samples, config, seed, grad_every):
         assert abs(score(s, params, config) - dense_score(s, params, config)) <= 1e-10
         if k % grad_every:
             continue
-        sparse = gradients(predict, s, params, config)
+        sparse = gradients(lambda t, s, p, c: predict(t, [s], p, c), s, params, config)
         dense = gradients(dense_predict, s, params, config)
         for name in sparse:
             scale = np.abs(dense[name]).max()
@@ -63,7 +63,7 @@ def test_no_tape_node_is_n_squared():
     s = pocket_sample(600, seed=11)
     params = ModelParams.initialize(PAPER, np.random.default_rng(8))
     t = Tape()
-    loss = bce_loss(t, predict(t, s, params, PAPER, training=True, rng=np.random.default_rng(9)), 1)
+    loss = bce_loss(t, predict(t, [s], params, PAPER, training=True, rng=np.random.default_rng(9)), 1)
     t.backward(loss)
     n2 = s.num_atoms**2
     assert len(t) > 0

@@ -23,7 +23,7 @@ from molgat.graphs import (
 )
 from molgat.synthetic import generate_corpus
 
-from helpers import pocket_sample
+from helpers import dense_of, pocket_sample
 
 
 def atom(element, pos, is_ligand, degree=1):
@@ -258,6 +258,36 @@ class TestEdges:
             (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)
         ]
         np.testing.assert_array_equal(edges.starts, [0, 2, 5])
+
+
+    def test_merge_equals_the_edges_of_the_disjoint_union(self):
+        parts = [s.edges for s in self.samples()[:6]]
+        merged = Edges.merge(parts)
+        offsets = np.cumsum([0] + [len(p.starts) for p in parts])
+        bonds, contacts, dists = [], [], []
+        for p, k in zip(parts, offsets):
+            upper = p.src < p.dst
+            pairs = np.stack([p.src, p.dst], axis=1) + k
+            bonds.append(pairs[upper & ~p.contact])
+            contacts.append(pairs[upper & p.contact])
+            dists.append(p.dist[upper & p.contact])
+        union = Edges.build(offsets[-1], np.concatenate(bonds), np.concatenate(contacts), np.concatenate(dists))
+        for field in ("src", "dst", "starts", "rev", "contact", "dist"):
+            np.testing.assert_array_equal(getattr(merged, field), getattr(union, field), err_msg=field)
+        np.testing.assert_array_equal(merged.sizes, np.diff(offsets))
+        assert Edges.merge(parts[:1]) is parts[0]
+
+    def test_blocks_put_each_edge_in_its_graphs_dense_block(self):
+        parts = [s.edges for s in self.samples()[:4]]
+        bounds, index, total = Edges.merge(parts).blocks
+        flat = np.zeros(total)
+        flat[index] = np.arange(1, len(index) + 1)  # edge number, 1-based
+        first_edge = 0
+        for (lo, n, at), p in zip(bounds, parts):
+            block = flat[at:at + n * n].reshape(n, n)
+            np.testing.assert_array_equal(block, dense_of(p, first_edge + np.arange(1, len(p.src) + 1)))
+            first_edge += len(p.src)
+        assert total == sum(len(p.starts) ** 2 for p in parts) == bounds[-1][2] + bounds[-1][1] ** 2
 
 
 class TestRmsd:

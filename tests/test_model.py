@@ -4,7 +4,7 @@ import pytest
 from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, NumericError
-from molgat.graphs import GraphSample, build_sample
+from molgat.graphs import GraphSample, build_sample, prune_protein
 from molgat.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
@@ -15,9 +15,10 @@ from molgat.model import (
     save_params,
     score,
 )
-from molgat.training import bce_loss
+from molgat.synthetic import generate_corpus
+from molgat.training import bce_loss, mean_bce
 
-from helpers import check_gradients, dense_of
+from helpers import check_gradients, dense_of, pocket_sample
 
 SMALL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
 
@@ -116,8 +117,8 @@ class TestPredict:
         for _, b in params.fc:
             b.data[:] = np.random.default_rng(4).uniform(-0.5, 0.5, size=b.data.shape)
         internals = {}
-        p1 = predict(Tape(), no_contact_sample(0), params, SMALL, internals=internals).item()
-        p2 = predict(Tape(), no_contact_sample(99), params, SMALL).item()
+        p1 = predict(Tape(), [no_contact_sample(0)], params, SMALL, internals=internals).item()
+        p2 = predict(Tape(), [no_contact_sample(99)], params, SMALL).item()
         assert p1 == p2  # independent of the complex
         assert np.array_equal(internals["pooled"].data, np.zeros((1, SMALL.gat_dim)))
         # hand-computed sigmoid(MLP(0))
@@ -177,13 +178,13 @@ class TestPredict:
     def test_training_dropout_reproducible_with_seed(self):
         s = sample_with_contact(2.8)
         params = fresh_params()
-        p1 = predict(Tape(), s, params, SMALL, training=True, rng=np.random.default_rng(7)).item()
-        p2 = predict(Tape(), s, params, SMALL, training=True, rng=np.random.default_rng(7)).item()
+        p1 = predict(Tape(), [s], params, SMALL, training=True, rng=np.random.default_rng(7)).item()
+        p2 = predict(Tape(), [s], params, SMALL, training=True, rng=np.random.default_rng(7)).item()
         assert p1 == p2
 
     def test_training_requires_rng(self):
         with pytest.raises(ValueError):
-            predict(Tape(), sample_with_contact(3.0), fresh_params(), SMALL, training=True)
+            predict(Tape(), [sample_with_contact(3.0)], fresh_params(), SMALL, training=True)
 
     def test_parameter_count_layer_sharing(self):
         cfg = SMALL
@@ -204,6 +205,73 @@ class TestPredict:
         assert sum(1 for n in names if n.startswith("gat")) == 4 * SMALL.num_gat_layers
 
 
+def mixed_batch():
+    """Graphs of 5 to 60 atoms; the third has no contacts."""
+    batch = [sample_with_contact(3.0, extra_protein=[(0, 3.0, 3.0), (1.5, 0, 4.0)])]
+    batch += [build_sample(prune_protein(r)) for r in generate_corpus(3, seed=500)]
+    batch.insert(2, no_contact_sample(4))
+    batch.append(pocket_sample(60, seed=5, n_ligand=20))
+    assert min(s.num_atoms for s in batch) == 5 and max(s.num_atoms for s in batch) == 60
+    return batch
+
+
+@pytest.mark.usefixtures("edge_kernel")
+class TestBatch:
+    def test_each_row_is_the_samples_score_alone(self):
+        batch = mixed_batch()
+        params = fresh_params(seed=11)
+        out = predict(Tape(), batch, params, SMALL)
+        assert out.shape == (len(batch), 1)
+        for s, p in zip(batch, out.data[:, 0]):
+            assert abs(p - score(s, params, SMALL)) <= 1e-10
+
+    def test_permuting_the_batch_permutes_the_rows(self):
+        batch = mixed_batch()
+        params = fresh_params(seed=12)
+        base = predict(Tape(), batch, params, SMALL).data[:, 0]
+        perm = np.random.default_rng(12).permutation(len(batch))
+        out = predict(Tape(), [batch[k] for k in perm], params, SMALL).data[:, 0]
+        np.testing.assert_allclose(out, base[perm], rtol=0, atol=1e-12)
+
+    def test_dropout_masks_drawn_sample_by_sample(self):
+        config = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 5, 1), dropout_rate=0.3)
+        batch = mixed_batch()
+        params = fresh_params(config, seed=13)
+        out = predict(Tape(), batch, params, config, training=True, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        alone = [predict(Tape(), [s], params, config, training=True, rng=rng).item() for s in batch]
+        np.testing.assert_allclose(out.data[:, 0], alone, rtol=0, atol=1e-12)
+
+    def test_paper_batch_loss_and_gradients_equal_the_per_sample_sum(self):
+        config = ModelConfig()
+        batch = [build_sample(prune_protein(r)) for r in generate_corpus(32, seed=501)]
+        labels = [s.label for s in batch]
+        params = fresh_params(config, seed=14)
+
+        params.zero_grad()
+        t = Tape()
+        loss = mean_bce(t, predict(t, batch, params, config), labels)
+        t.backward(loss)
+        assert len(t) < 120  # one op per stage for the whole batch, not per sample
+        batched = {name: v.grad.copy() for name, v in params.named_values()}
+
+        params.zero_grad()
+        total = 0.0
+        for s in batch:
+            t = Tape()
+            term = t.scale(bce_loss(t, predict(t, [s], params, config), s.label), 1.0 / len(batch))
+            t.backward(term)
+            total += term.item()
+        assert abs(loss.item() - total) <= 1e-12 * total
+        for name, v in params.named_values():
+            err = np.abs(batched[name] - v.grad).max()
+            assert err <= 1e-12 * np.abs(v.grad).max(), f"{name}: {err:g}"
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            predict(Tape(), [], fresh_params(), SMALL)
+
+
 class TestGradientsThroughModel:
     def test_mu_sigma_end_to_end(self):
         s = sample_with_contact(3.4, extra_protein=[(0, 2.8, 2.8)])
@@ -212,10 +280,10 @@ class TestGradientsThroughModel:
 
         def forward():
             t = Tape()
-            return bce_loss(t, predict(t, s, params, cfg), 1).item()
+            return bce_loss(t, predict(t, [s], params, cfg), 1).item()
 
         t = Tape()
-        loss = bce_loss(t, predict(t, s, params, cfg), 1)
+        loss = bce_loss(t, predict(t, [s], params, cfg), 1)
         params.zero_grad()
         t.backward(loss)
         check_gradients(forward, [params.mu, params.sigma_raw], tol=1e-4)
@@ -225,7 +293,7 @@ class TestGradientsThroughModel:
         s = no_contact_sample()
         params = fresh_params()
         t = Tape()
-        loss = bce_loss(t, predict(t, s, params, SMALL), 0)
+        loss = bce_loss(t, predict(t, [s], params, SMALL), 0)
         params.zero_grad()
         t.backward(loss)
         assert params.mu.grad is None or np.all(params.mu.grad == 0.0)

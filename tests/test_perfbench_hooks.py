@@ -1,0 +1,38 @@
+"""The benchmark under ``perfbench/`` wraps molgat functions by module
+attribute name (``training.predict``, ``cli.score``, ``model.gat_forward``
+and more). Installing and removing its span tracer and its hooks here turns a
+refactor that drops or renames one of them into a test failure instead of a
+benchmark crash."""
+
+from pathlib import Path
+
+import pytest
+
+from molgat import autodiff, cli, gat, graphs, model, training
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+OWNERS = (autodiff.Tape, gat, model, training, training.Adam, graphs, cli)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import phases
+    import spans
+
+    return spans, phases
+
+
+def attributes():
+    return {(owner, name): value for owner in OWNERS for name, value in vars(owner).items()}
+
+
+def test_span_tracer_and_hooks_install_and_undo(perfbench):
+    spans, phases = perfbench
+    before = attributes()
+    traced = spans.instrument(spans.Tracer())
+    hooks = phases.Hooks().install()
+    assert attributes() != before
+    hooks.undo()
+    traced.undo()
+    assert attributes() == before

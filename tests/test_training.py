@@ -46,11 +46,37 @@ class TestBceLoss:
         preds = [0.9, 0.2, 0.6, 0.35]
         labels = [1, 0, 0, 1]
         t = Tape()
-        loss = mean_bce(t, [constant([[p]]) for p in preds], labels)
+        loss = mean_bce(t, constant(np.array(preds)[:, None]), labels)
         expected = -np.mean(
             [y * np.log(p) + (1 - y) * np.log(1 - p) for p, y in zip(preds, labels)]
         )
         assert loss.item() == pytest.approx(expected, abs=1e-12)
+
+    def test_column_mean_equals_the_mean_of_per_row_losses(self):
+        probs = np.array([[0.9], [0.2], [0.6], [0.35], [1e-13]])  # the last is clamped
+        labels = [1, 0, 0, 1, 1]
+        column = constant(probs)
+        column.requires_grad = True
+        t = Tape()
+        loss = mean_bce(t, column, labels)
+        t.backward(loss)
+        rows, grads = [], []
+        for p, y in zip(probs[:, 0], labels):
+            leaf = constant([[p]])
+            leaf.requires_grad = True
+            t = Tape()
+            row = bce_loss(t, leaf, y)
+            t.backward(row)
+            rows.append(row.item())
+            grads.append(leaf.grad[0, 0] / len(labels))
+        assert loss.item() == pytest.approx(sum(rows) / len(rows), rel=1e-15)
+        np.testing.assert_allclose(column.grad[:, 0], grads, rtol=1e-15, atol=0)
+
+    def test_column_and_labels_must_agree(self):
+        with pytest.raises(DataError):
+            mean_bce(Tape(), constant(np.full((3, 1), 0.5)), [1, 0])
+        with pytest.raises(DataError):
+            mean_bce(Tape(), constant(np.full((2, 1), 0.5)), [1, 2])
 
     @pytest.mark.parametrize("label, nodes", [(1, 2), (0, 3)])
     def test_records_only_the_labelled_branch(self, label, nodes):
@@ -123,11 +149,11 @@ class TestAdamAndSteps:
 
         def loss_value():
             t = Tape()
-            return bce_loss(t, predict(t, sample, params, TINY_MODEL), sample.label)
+            return bce_loss(t, predict(t, [sample], params, TINY_MODEL), sample.label)
 
         before = loss_value().item()
         t = Tape()
-        loss = bce_loss(t, predict(t, sample, params, TINY_MODEL), sample.label)
+        loss = bce_loss(t, predict(t, [sample], params, TINY_MODEL), sample.label)
         params.zero_grad()
         t.backward(loss)
         adam.step(params.values())
@@ -139,7 +165,7 @@ class TestAdamAndSteps:
         sample = pools["dude_inactive"][0]
         for _ in range(25):
             t = Tape()
-            loss = bce_loss(t, predict(t, sample, params, TINY_MODEL), sample.label)
+            loss = bce_loss(t, predict(t, [sample], params, TINY_MODEL), sample.label)
             params.zero_grad()
             t.backward(loss)
             adam.step(params.values())
@@ -213,6 +239,16 @@ class TestTrainLoop:
         ck1 = (tmp_path / "a" / "latest.ckpt").read_bytes()
         ck2 = (tmp_path / "b" / "latest.ckpt").read_bytes()
         assert ck1 == ck2
+
+    def test_losses_match_values_recorded_before_batching(self, pools, tmp_path):
+        # Recorded from the same run when each step scored its samples with one
+        # forward pass per sample, drawing their dropout masks as they went.
+        model = ModelConfig(num_gat_layers=4, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
+        cfg = TrainConfig(batch_size=8, iterations=3, learning_rate=1e-3, seed=13, checkpoint_every=1)
+        result = train(pools, [], model, cfg, tmp_path / "run")
+        losses = [float(row["train_loss"]) for row in result.log_rows]
+        expected = [0.708748586046627, 0.6746310450356722, 0.6994955194162986]
+        np.testing.assert_allclose(losses, expected, rtol=1e-9, atol=0)
 
     def test_edges_built_once_per_sample_with_identical_trajectory(self, pools, tmp_path, monkeypatch):
         import molgat.model
