@@ -376,9 +376,10 @@ class Tape:
 
         return self._record(out_data, (scores,), backward)
 
-    def dropout(self, a: Value, rate: float, rng: np.random.Generator) -> Value:
-        """Inverted dropout; the kept mask is a constant drawn from ``rng``."""
-        keep = dropout_mask(a.data.shape, rate, rng)
+    def dropout(self, a: Value, keep: np.ndarray) -> Value:
+        """Inverted dropout by a constant mask drawn with ``dropout_mask``."""
+        if keep.shape != a.shape:
+            raise ShapeError(f"dropout: mask {keep.shape} must match {a.shape}")
 
         def backward(g):
             a.accumulate(g * keep)

@@ -197,7 +197,7 @@ def predict(
     for layer in params.layers:
         h = gat_forward(tape, h, graph, a2, layer)
         if masks is not None:
-            h = tape.mul(h, constant(next(masks)))
+            h = tape.dropout(h, next(masks))
 
     pooled = tape.sum_rows(h, graph.sizes)
     y = pooled
@@ -207,7 +207,7 @@ def predict(
         if k < last:
             y = tape.relu(y)
             if masks is not None:
-                y = tape.mul(y, constant(next(masks)))
+                y = tape.dropout(y, next(masks))
     out = tape.sigmoid(y)
     if internals is not None:
         internals.update(a2=a2, pooled=pooled)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, constant, parameter
+from molgat.autodiff import Tape, constant, dropout_mask, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.gat import gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, label_pose, prune_protein
@@ -83,7 +83,7 @@ class TestA1GradientSuite:
         n_edges = len(edges.src)
         edge_mask = edges.dst != 3  # row 3 keeps only its self-loop
         edge_mask |= edges.src == edges.dst
-        drop_rng_seed = 17
+        drop_keep = dropout_mask((4, 4), 0.3, np.random.default_rng(17))
         cases = {
             "matmul": (lambda t, a, b: t.matmul(a, b), [leaf(3, 4), leaf(4, 2)]),
             "add": (lambda t, a, b: t.add(a, b), [leaf(3, 3), leaf(3, 3)]),
@@ -102,10 +102,7 @@ class TestA1GradientSuite:
             "broadcast": (lambda t, s: t.broadcast(s, 3, 4), [leaf(1, 1)]),
             "sum_rows": (lambda t, a: t.sum_rows(a), [leaf(4, 3)]),
             "masked_softmax": (lambda t, a: t.masked_softmax(a, mask), [leaf(4, 4)]),
-            "dropout": (
-                lambda t, a: t.dropout(a, 0.3, np.random.default_rng(drop_rng_seed)),
-                [leaf(4, 4)],
-            ),
+            "dropout": (lambda t, a: t.dropout(a, drop_keep), [leaf(4, 4)]),
             "edge_dot": (lambda t, a, b: t.edge_dot(a, b, edges), [leaf(4, 3), leaf(4, 3)]),
             "permute_rows": (lambda t, a: t.permute_rows(a, edges.rev), [leaf(n_edges, 2)]),
             "segment_softmax": (

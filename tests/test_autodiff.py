@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, Value, constant, parameter
+from molgat.autodiff import Tape, Value, constant, dropout_mask, parameter
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
 
@@ -456,13 +456,14 @@ class TestGradientChecks:
     def test_dropout_gradient(self):
         rng = np.random.default_rng(12)
         x = rand(rng, 4, 4)
+        keep = dropout_mask((4, 4), 0.4, np.random.default_rng(99))
 
         def forward():
             t = Tape()
-            return t.sum_all(t.dropout(x, 0.4, np.random.default_rng(99))).item()
+            return t.sum_all(t.dropout(x, keep)).item()
 
         t = Tape()
-        t.backward(t.sum_all(t.dropout(x, 0.4, np.random.default_rng(99))))
+        t.backward(t.sum_all(t.dropout(x, keep)))
         check_gradients(forward, [x], tol=OP_TOL)
 
     def test_composite_expression(self):

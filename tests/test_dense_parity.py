@@ -5,7 +5,7 @@ tape node."""
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape
+from molgat.autodiff import Tape, Value
 from molgat.graphs import build_sample, prune_protein
 from molgat.model import ModelConfig, ModelParams, predict, score
 from molgat.synthetic import generate_corpus
@@ -59,14 +59,25 @@ class TestDenseParity:
         assert_parity([pocket_sample(n_atoms, seed=n_atoms)], PAPER, seed=7, grad_every=1)
 
 
-def test_no_tape_node_is_n_squared():
+def test_no_tape_node_is_n_squared(monkeypatch):
+    # backward drops each node's gradient once passed on, so every gradient
+    # a backward rule hands over is recorded as it passes.
+    passed = []
+    accumulate = Value.accumulate
+
+    def record(self, g):
+        passed.append(np.shape(g))
+        accumulate(self, g)
+
+    monkeypatch.setattr(Value, "accumulate", record)
     s = pocket_sample(600, seed=11)
     params = ModelParams.initialize(PAPER, np.random.default_rng(8))
     t = Tape()
     loss = bce_loss(t, predict(t, [s], params, PAPER, training=True, rng=np.random.default_rng(9)), 1)
     t.backward(loss)
     n2 = s.num_atoms**2
-    assert len(t) > 0
+    assert len(t) > 0 and len(passed) >= len(t)
     for node in t._nodes:
         assert node.data.size < n2, f"tape node of shape {node.data.shape}"
-        assert node.grad is None or node.grad.size < n2
+    for shape in passed:
+        assert np.prod(shape) < n2, f"gradient of shape {shape}"
