@@ -75,9 +75,9 @@ _PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs
 # Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
 # 1e-12, far above the few ulps of rounding in a distance, and at least 1e-150
 # wide, where a distance that passes the test cannot come from underflowed
-# squares (``featurize --cutoff`` passes any float). Floor division into cells
-# is exact below 2**50 cells from the origin; rows farther out are compared
-# densely.
+# squares (``featurize --cutoff`` passes any positive float). Floor division
+# into cells is exact below 2**50 cells from the origin; rows farther out are
+# compared densely.
 _GRID_MARGIN = 1.0 + 1e-12
 _GRID_MIN_WIDTH = 1e-150
 _GRID_CLIP = 2.0**50
@@ -405,7 +405,26 @@ def record_to_json_line(rec: ComplexRecord) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+_JSON_NUMBER = (int, float)
+
+
+def _typed(value, kind, name: str):
+    """``value`` when it has the JSON type ``kind`` (a JSON boolean is neither
+    an integer nor a number); ``TypeError`` otherwise."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} has the wrong JSON type ({value!r})")
+    return value
+
+
+def _position(value) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise TypeError(f"position must be a list of three numbers, got {value!r}")
+    return tuple(float(_typed(c, _JSON_NUMBER, "position")) for c in value)
+
+
 def record_from_json_line(line: str, path=None, lineno: int | None = None) -> ComplexRecord:
+    """Parse one canonical line. Nothing is coerced: a field of the wrong JSON type
+    (docs/formats.md) raises ``ParseError`` naming ``path`` and ``lineno``."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -414,33 +433,35 @@ def record_from_json_line(line: str, path=None, lineno: int | None = None) -> Co
         raise ParseError("malformed record (not a JSON object)", path=path, line=lineno)
     try:
         version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {version!r}", path=path, line=lineno)
         atoms = [
             Atom(
-                element=str(a["element"]),
-                position=tuple(float(c) for c in a["position"]),
-                is_ligand=bool(a["is_ligand"]),
-                degree=int(a["degree"]),
-                num_hydrogens=int(a["num_hydrogens"]),
-                implicit_valence=int(a["implicit_valence"]),
-                aromatic=bool(a["aromatic"]),
+                element=_typed(a["element"], str, "element"),
+                position=_position(a["position"]),
+                is_ligand=_typed(a["is_ligand"], bool, "is_ligand"),
+                degree=_typed(a["degree"], int, "degree"),
+                num_hydrogens=_typed(a["num_hydrogens"], int, "num_hydrogens"),
+                implicit_valence=_typed(a["implicit_valence"], int, "implicit_valence"),
+                aromatic=_typed(a["aromatic"], bool, "aromatic"),
             )
             for a in doc["atoms"]
         ]
-        bonds = [Bond(int(b["i"]), int(b["j"]), str(b["order"])) for b in doc["bonds"]]
+        bonds = [Bond(_typed(b["i"], int, "bond i"), _typed(b["j"], int, "bond j"),
+                      _typed(b["order"], str, "bond order")) for b in doc["bonds"]]
+        label, rmsd = doc.get("label"), doc.get("rmsd")
         return ComplexRecord(
-            complex_id=str(doc["complex_id"]),
-            protein_id=str(doc["protein_id"]),
+            complex_id=_typed(doc["complex_id"], str, "complex_id"),
+            protein_id=_typed(doc["protein_id"], str, "protein_id"),
             atoms=atoms,
             bonds=bonds,
-            category=str(doc.get("category", "unlabeled")),
-            label=None if doc.get("label") is None else int(doc["label"]),
-            rmsd=None if doc.get("rmsd") is None else float(doc["rmsd"]),
+            category=_typed(doc.get("category", "unlabeled"), str, "category"),
+            label=None if label is None else _typed(label, int, "label"),
+            rmsd=None if rmsd is None else float(_typed(rmsd, _JSON_NUMBER, "rmsd")),
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed record ({exc})", path=path, line=lineno) from exc
 
 
@@ -640,47 +661,26 @@ def _annotate(kept, bonds, is_ligand: bool):
 # ---------------------------------------------------------------------------
 
 def parse_complex(
-    path,
-    fmt: str = "jsonl",
-    protein_path=None,
-    complex_id: str | None = None,
-    protein_id: str | None = None,
-    category: str = "unlabeled",
-    label: int | None = None,
-    rmsd: float | None = None,
-    stats: dict | None = None,
+    ligand_path, protein_path, category: str = "unlabeled", stats: dict | None = None
 ) -> ComplexRecord:
-    """Parse a single complex.
+    """One complex from an SDF V2000 ligand file and a PDB protein file.
 
-    ``fmt='jsonl'`` reads the first record of a canonical JSON-lines file.
-    ``fmt='sdf+pdb'`` reads the ligand from ``path`` (SDF V2000) and the
-    protein from ``protein_path``; identifiers default to the file stems.
+    The complex and protein ids are the two file stems; the record carries
+    ``category`` and no explicit label or rmsd, so its label is the
+    category's. Dropped atoms are counted in ``stats`` when given.
     """
-    if fmt == "jsonl":
-        records = read_jsonl(path)
-        if not records:
-            raise ParseError("no records in file", path=path, line=1)
-        return records[0]
-    if fmt == "sdf+pdb":
-        if protein_path is None:
-            raise ValueError("sdf+pdb format requires protein_path")
-        lig_atoms, lig_bonds = parse_sdf_ligand(path, stats=stats)
-        prot_atoms, prot_bonds = parse_pdb_protein(protein_path, stats=stats)
-        if not lig_atoms:
-            raise DataError(f"{path}: no supported ligand atoms after filtering")
-        if not prot_atoms:
-            raise DataError(f"{protein_path}: no supported protein atoms after filtering")
-        offset = len(lig_atoms)
-        bonds = list(lig_bonds) + [Bond(b.i + offset, b.j + offset, b.order) for b in prot_bonds]
-        cid = complex_id or os.path.splitext(os.path.basename(str(path)))[0]
-        pid = protein_id or os.path.splitext(os.path.basename(str(protein_path)))[0]
-        return ComplexRecord(
-            complex_id=cid,
-            protein_id=pid,
-            atoms=lig_atoms + prot_atoms,
-            bonds=bonds,
-            category=category,
-            label=label,
-            rmsd=rmsd,
-        )
-    raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'sdf+pdb')")
+    lig_atoms, lig_bonds = parse_sdf_ligand(ligand_path, stats=stats)
+    prot_atoms, prot_bonds = parse_pdb_protein(protein_path, stats=stats)
+    if not lig_atoms:
+        raise DataError(f"{ligand_path}: no supported ligand atoms after filtering")
+    if not prot_atoms:
+        raise DataError(f"{protein_path}: no supported protein atoms after filtering")
+    offset = len(lig_atoms)
+    bonds = list(lig_bonds) + [Bond(b.i + offset, b.j + offset, b.order) for b in prot_bonds]
+    return ComplexRecord(
+        complex_id=os.path.splitext(os.path.basename(str(ligand_path)))[0],
+        protein_id=os.path.splitext(os.path.basename(str(protein_path)))[0],
+        atoms=lig_atoms + prot_atoms,
+        bonds=bonds,
+        category=category,
+    )

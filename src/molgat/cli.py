@@ -27,11 +27,13 @@ from .training import (
     SCREEN_CATEGORIES,
     TRAIN_CATEGORIES,
     TrainConfig,
+    draws_per_pool,
     split_by_protein,
     train,
 )
 
 HISTOGRAM_BINS = 50
+METRICS = ("auroc", "adjusted_logauc", "prauc", "re")
 
 
 class _UsageError(Exception):
@@ -75,7 +77,7 @@ _SETTINGS = {
 }
 
 
-def _resolved(section: str, args, file_cfg: dict, **fixed):
+def _resolved(section: str, args, file_cfg: dict):
     """The section's config from flags, then the INI file, then the defaults."""
     cls, parsers = _SETTINGS[section]
     values = {}
@@ -84,7 +86,7 @@ def _resolved(section: str, args, file_cfg: dict, **fixed):
             values[key] = flag
         elif key in file_cfg.get(section, {}):
             values[key] = parse(file_cfg[section][key])
-    return cls(**values, **fixed)
+    return cls(**values)
 
 
 def _write_ini(path, sections: dict) -> None:
@@ -93,14 +95,6 @@ def _write_ini(path, sections: dict) -> None:
         cfg[name] = {k: str(v) for k, v in mapping.items()}
     with atomic_open(path) as fh:
         cfg.write(fh)
-
-
-def _echo_config(out_dir, sections: dict) -> None:
-    _write_ini(os.path.join(out_dir, "config.resolved.ini"), sections)
-
-
-def _ensure_out_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)
 
 
 def _load_samples(paths) -> list:
@@ -120,7 +114,9 @@ def _is_cache_file(path) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_featurize(args) -> int:
-    _ensure_out_dir(os.path.dirname(os.path.abspath(args.out)) or ".")
+    if not args.cutoff > 0:
+        raise _UsageError(f"--cutoff must be positive, got {args.cutoff}")
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     stats = {"dropped_atoms": 0, "clamped_annotations": 0}
     samples = []
     failures = []
@@ -150,13 +146,7 @@ def cmd_featurize(args) -> int:
                         f"sdf+pdb input must look like LIGAND.sdf:PROTEIN.pdb, got {spec!r}"
                     )
                 lig_path, prot_path = spec.split(":", 1)
-                rec = chem.parse_complex(
-                    lig_path,
-                    fmt="sdf+pdb",
-                    protein_path=prot_path,
-                    category=args.category,
-                    stats=stats,
-                )
+                rec = chem.parse_complex(lig_path, prot_path, category=args.category, stats=stats)
                 ingest_record(rec)
         except (DataError, ParseError, OSError) as exc:
             failures.append(f"{spec}: {exc}")
@@ -182,12 +172,15 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0 <= args.val_fraction < 1:
+        raise _UsageError(f"--val-fraction must be in [0, 1), got {args.val_fraction}")
     file_cfg = _load_config_file(args.config) if args.config else {}
     categories = SCREEN_CATEGORIES if args.screening_only else TRAIN_CATEGORIES
     try:
         model_cfg = _resolved("model", args, file_cfg)
-        train_cfg = _resolved("train", args, file_cfg, ratio=(1,) * len(categories))
-    except ValueError as exc:
+        train_cfg = _resolved("train", args, file_cfg)
+        draws_per_pool(train_cfg.batch_size, len(categories))
+    except (ValueError, DataError) as exc:
         raise _UsageError(exc) from exc
 
     samples = [s for s in _load_samples(args.cache) if s.label is not None]
@@ -204,9 +197,9 @@ def cmd_train(args) -> int:
                 f"category pool '{name}' is empty; provide samples or use --screening-only"
             )
 
-    _ensure_out_dir(args.out)
-    _echo_config(
-        args.out,
+    os.makedirs(args.out, exist_ok=True)
+    _write_ini(
+        os.path.join(args.out, "config.resolved.ini"),
         {
             "model": vars(model_cfg) | {"fc_dims": ",".join(map(str, model_cfg.fc_dims))},
             "train": {key: getattr(train_cfg, key) for key in _SETTINGS["train"][1]},
@@ -239,12 +232,14 @@ def _scored_items(samples, params, config) -> list[metrics.ScoredItem]:
 
 
 def cmd_evaluate(args) -> int:
+    if args.metrics is not None and not set(args.metrics.split(",")) <= set(METRICS):
+        raise _UsageError(f"--metrics takes a comma list among {','.join(METRICS)}, got {args.metrics!r}")
     params, config, _ = load_params(args.checkpoint)
     samples = _load_samples(args.cache)
     labeled = [s for s in samples if s.label is not None]
     if not labeled:
         raise DataError("no labeled samples to evaluate")
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     items = _scored_items(labeled, params, config)
     report = metrics.evaluate_scored(items)
     if args.metrics:
@@ -270,10 +265,8 @@ def cmd_evaluate(args) -> int:
     labels = [i.label for i in items]
     metrics.write_curve_csv(os.path.join(args.out, "roc_curve.csv"), scores, labels, "roc")
     metrics.write_curve_csv(os.path.join(args.out, "pr_curve.csv"), scores, labels, "pr")
-    _echo_config(
-        args.out,
-        {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache)}},
-    )
+    _write_ini(os.path.join(args.out, "config.resolved.ini"),
+               {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache)}})
     for key, value in sorted(report.aggregate.items()):
         print(f"{key}: {value}")
     print(f"wrote report to {args.out}")
@@ -290,7 +283,7 @@ def cmd_predict(args) -> int:
             samples.append(graphs.build_sample(graphs.prune_protein(rec)))
     if not samples:
         raise DataError("no samples to score")
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     rows = [
         (s.complex_id, s.protein_id, repr(score(s, params, config))) for s in samples
     ]
@@ -302,17 +295,20 @@ def cmd_predict(args) -> int:
         ("bin_low", "bin_high", "count"),
         [(repr(float(edges[i])), repr(float(edges[i + 1])), int(counts[i])) for i in range(HISTOGRAM_BINS)],
     )
-    _echo_config(args.out, {"run": {"checkpoint": args.checkpoint, "input": args.input}})
+    _write_ini(os.path.join(args.out, "config.resolved.ini"),
+               {"run": {"checkpoint": args.checkpoint, "input": args.input}})
     print(f"scored {len(rows)} complex(es); outputs in {args.out}")
     return 0
 
 
 def cmd_poses(args) -> int:
+    if min(args.top) < 1:
+        raise _UsageError(f"--top values must be positive, got {','.join(map(str, args.top))}")
     params, config, _ = load_params(args.checkpoint)
     samples = _load_samples(args.cache)
     if any(s.rmsd is None for s in samples):
         raise DataError("pose evaluation requires rmsd annotations on every sample")
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     items = _scored_items(samples, params, config)
     rows = []
     for n in args.top:
@@ -320,16 +316,14 @@ def cmd_poses(args) -> int:
         rows.append((n, repr(100.0 * success)))
         print(f"top-{n}: {100.0 * success:.2f}% of complexes have a <2 A pose")
     _write_csv(os.path.join(args.out, "topn_success.csv"), ("n", "success_pct"), rows)
-    _echo_config(
-        args.out,
-        {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache),
-                 "top": ",".join(map(str, args.top))}},
-    )
+    _write_ini(os.path.join(args.out, "config.resolved.ini"),
+               {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache),
+                        "top": ",".join(map(str, args.top))}})
     return 0
 
 
 def cmd_synth(args) -> int:
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     train_records = synthetic.generate_corpus(args.train, seed=args.seed, id_prefix="train")
     test_records = synthetic.generate_corpus(args.test, seed=args.seed + 1, id_prefix="test")
     chem.write_jsonl(train_records, os.path.join(args.out, "train.jsonl"))
@@ -341,8 +335,8 @@ def cmd_synth(args) -> int:
         )
         chem.write_jsonl(poses, os.path.join(args.out, "poses.jsonl"))
         written.append("poses.jsonl")
-    _echo_config(
-        args.out,
+    _write_ini(
+        os.path.join(args.out, "config.resolved.ini"),
         {
             "run": {
                 "train": args.train,
@@ -396,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--metrics", help="comma list among auroc,adjusted_logauc,prauc,re")
+    p.add_argument("--metrics", help=f"comma list among {','.join(METRICS)}")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="write per-complex scores and a histogram")

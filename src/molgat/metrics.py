@@ -24,6 +24,7 @@ from .errors import DataError
 from .fileio import atomic_open
 
 RE_LEVELS = (0.005, 0.01, 0.02, 0.05)
+_RE_KEYS = {level: f"re_{level * 100:g}pct" for level in RE_LEVELS}
 LOGAUC_LAMBDA = 0.001
 
 
@@ -90,23 +91,22 @@ def roc_points(scores, labels):
     return fpr, np.concatenate([[0.0], tp / n_pos])
 
 
-def adjusted_logauc(scores, labels, lam: float = LOGAUC_LAMBDA) -> float:
+def adjusted_logauc(scores, labels) -> float:
     """Early-enrichment AUC on a log10 FPR axis, minus the random-classifier area.
 
-    The empirical ROC is integrated by trapezoid from lam to 1 with FPR
-    clamped below at lam, normalized by log10(1/lam). A random classifier
-    scores 0; a perfect one scores 1 minus the random area (~0.85538 at
-    lam=0.001); all-positives-last scores minus the random area.
+    The empirical ROC is integrated by trapezoid from lambda =
+    ``LOGAUC_LAMBDA`` (0.001, the paper's value) to 1 with FPR clamped below
+    at lambda, normalized by log10(1/lambda). A random classifier scores 0; a
+    perfect one scores 1 minus the random area (~0.85538); all-positives-last
+    scores minus the random area.
     """
-    if not 0.0 < lam < 1.0:
-        raise DataError(f"lambda must be in (0,1), got {lam}")
     fpr, tpr = roc_points(scores, labels)
-    log_fpr = np.log10(np.maximum(fpr, lam))
+    log_fpr = np.log10(np.maximum(fpr, LOGAUC_LAMBDA))
     widths = np.diff(log_fpr)
     heights = (tpr[1:] + tpr[:-1]) / 2.0
-    span = math.log10(1.0 / lam)
+    span = math.log10(1.0 / LOGAUC_LAMBDA)
     logauc = float((widths * heights).sum() / span)
-    random_area = (1.0 - lam) / (math.log(10.0) * span)
+    random_area = (1.0 - LOGAUC_LAMBDA) / (math.log(10.0) * span)
     return logauc - random_area
 
 
@@ -226,11 +226,12 @@ def _csv_cell(value):
     return value
 
 
-def evaluate_scored(items: list[ScoredItem], re_levels=RE_LEVELS) -> EvalReport:
+def evaluate_scored(items: list[ScoredItem]) -> EvalReport:
     """Compute screening metrics per protein and their unweighted means.
 
     Proteins whose score set contains a single class are skipped for the
-    threshold metrics and listed in the report. RE levels that are not
+    threshold metrics and listed in the report. RE is reported at each FPR
+    level of ``RE_LEVELS`` (0.5, 1, 2 and 5 %). RE levels that are not
     realizable for a protein (too few negatives) are left blank for that
     protein and excluded from that level's aggregate.
     """
@@ -258,8 +259,7 @@ def evaluate_scored(items: list[ScoredItem], re_levels=RE_LEVELS) -> EvalReport:
         row["auroc"] = auroc(scores, labels)
         row["adjusted_logauc"] = adjusted_logauc(scores, labels)
         row["prauc"] = prauc(scores, labels)
-        for level in re_levels:
-            key = f"re_{level * 100:g}pct"
+        for level, key in _RE_KEYS.items():
             try:
                 row[key] = re_score(scores, labels, level)
             except DataError:
@@ -269,9 +269,7 @@ def evaluate_scored(items: list[ScoredItem], re_levels=RE_LEVELS) -> EvalReport:
     if not per_protein:
         raise DataError("no protein had both classes; nothing to evaluate")
 
-    metric_keys = ["auroc", "adjusted_logauc", "prauc"] + [
-        f"re_{level * 100:g}pct" for level in re_levels
-    ]
+    metric_keys = ["auroc", "adjusted_logauc", "prauc", *_RE_KEYS.values()]
     aggregate = {"n_proteins": len(per_protein), "n_skipped": len(skipped)}
     for key in metric_keys:
         values = [row[key] for row in per_protein if row.get(key) is not None]

@@ -25,6 +25,8 @@ from .graphs import label_pose, ligand_rmsd
 POSITIVE_PAIR_RANGE = (2.5, 3.3)
 NEAR_MISS_RANGE = (3.8, 4.9)
 LABEL_CUTOFF = 3.5
+POSITIVE_FRACTION = 0.5  # chance that a corpus record is active
+NEAR_MISS_FRACTION = 0.5  # chance that an inactive corpus record gets a near-miss pair
 
 _LIGAND_ELEMENTS = ("C", "N", "O", "S", "F", "P", "Cl", "Br", "B", "H")
 _LIGAND_WEIGHTS = (0.50, 0.13, 0.13, 0.05, 0.04, 0.03, 0.03, 0.02, 0.02, 0.05)
@@ -137,16 +139,16 @@ def generate_corpus(
     n: int,
     seed: int,
     n_proteins: int = 40,
-    positive_fraction: float = 0.5,
-    near_miss_fraction: float = 0.5,
     id_prefix: str = "synth",
 ) -> list[ComplexRecord]:
-    """A labeled corpus with a planted, distance-sensitive activity rule."""
+    """A labeled corpus with a planted, distance-sensitive activity rule: a record
+    is active with probability ``POSITIVE_FRACTION``, an inactive one gets a near-miss
+    pair with probability ``NEAR_MISS_FRACTION``, and every id starts with ``id_prefix``."""
     rng = np.random.default_rng(seed)
     records = []
     for k in range(n):
-        label = 1 if rng.random() < positive_fraction else 0
-        near_miss = label == 0 and rng.random() < near_miss_fraction
+        label = 1 if rng.random() < POSITIVE_FRACTION else 0
+        near_miss = label == 0 and rng.random() < NEAR_MISS_FRACTION
         records.append(
             generate_record(
                 rng,
@@ -159,24 +161,20 @@ def generate_corpus(
     return records
 
 
-def generate_pose_set(
-    n_complexes: int,
-    poses_per_complex: int,
-    seed: int,
-    id_prefix: str = "pose",
-) -> list[ComplexRecord]:
+def generate_pose_set(n_complexes: int, poses_per_complex: int, seed: int) -> list[ComplexRecord]:
     """Docked-pose stand-ins: rigid perturbations of a reference ligand.
 
     Each pose carries its heavy-atom RMSD to the reference; poses in the
     2-4 A dead zone are omitted, the rest are labeled near-native/decoy.
+    Complex ids are ``pose0000``, ``pose0001``, ...
     """
     rng = np.random.default_rng(seed)
     records = []
     for c in range(n_complexes):
         reference = generate_record(
             rng,
-            complex_id=f"{id_prefix}{c:04d}-ref",
-            protein_id=f"{id_prefix}-prot{c % max(1, n_complexes // 3):03d}",
+            complex_id=f"pose{c:04d}-ref",
+            protein_id=f"pose-prot{c % max(1, n_complexes // 3):03d}",
             label=int(rng.random() < 0.5),
         )
         for p in range(poses_per_complex):
@@ -190,7 +188,7 @@ def generate_pose_set(
                 else:
                     atoms.append(atom)
             pose = ComplexRecord(
-                complex_id=f"{id_prefix}{c:04d}",
+                complex_id=f"pose{c:04d}",
                 protein_id=reference.protein_id,
                 atoms=atoms,
                 bonds=list(reference.bonds),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,28 +32,28 @@ SCREEN_CATEGORIES = ("dude_active", "dude_inactive")
 
 LOG_COLUMNS = ("iteration", "train_loss", "val_auroc", "mu", "sigma", "wall_time")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
+    """Optimization settings; ``batch_size`` must divide evenly among the
+    category pools, as ``balanced_batches`` draws equally from each."""
+
     batch_size: int = 32
     iterations: int = 150_000
     learning_rate: float = 1e-4
     seed: int = 0
-    ratio: tuple[int, ...] = (1, 1, 1, 1)
     checkpoint_every: int = 100
 
     def __post_init__(self):
-        self.ratio = tuple(int(r) for r in self.ratio)
         if self.batch_size < 1 or self.iterations < 1 or self.checkpoint_every < 1:
             raise ValueError("batch_size, iterations, and checkpoint_every must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if any(r < 1 for r in self.ratio):
-            raise ValueError("ratio entries must be positive")
-        if self.batch_size % sum(self.ratio) != 0:
-            raise ValueError(
-                f"batch_size {self.batch_size} is not divisible by the ratio total {sum(self.ratio)}"
-            )
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 def bce_loss(tape: Tape, pred: Value, label: int) -> Value:
@@ -77,55 +78,57 @@ def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:
     return tape.scale(tape.sum_all(tape.log(picked)), -1.0 / len(labels))
 
 
+def draws_per_pool(batch_size: int, n_pools: int) -> int:
+    """Samples per pool in a batch; ``DataError`` unless ``batch_size`` divides evenly among the pools."""
+    if n_pools == 0 or batch_size % n_pools != 0:
+        raise DataError(f"batch_size {batch_size} does not divide evenly among {n_pools} category pools")
+    return batch_size // n_pools
+
+
 def balanced_batches(pools: dict[str, list], cfg: TrainConfig, rng: np.random.Generator):
-    """Endless stream of batches with a fixed per-category mix.
+    """Endless stream of batches drawing ``cfg.batch_size // len(pools)``
+    samples from every category pool.
 
     Draws are uniform with replacement within each category. Deterministic
     given the generator state; categories are visited in sorted-key order.
+    A batch size that does not divide evenly among the pools, or an empty
+    pool, raises ``DataError``.
     """
     names = sorted(pools)
-    if len(names) != len(cfg.ratio):
-        raise DataError(
-            f"ratio has {len(cfg.ratio)} entries but {len(names)} category pools were given"
-        )
+    per_pool = draws_per_pool(cfg.batch_size, len(names))
     for name in names:
         if not pools[name]:
             raise DataError(f"category pool '{name}' is empty")
-    unit = cfg.batch_size // sum(cfg.ratio)
-    counts = {name: unit * r for name, r in zip(names, cfg.ratio)}
     while True:
         batch = []
         for name in names:
             pool = pools[name]
-            idx = rng.integers(0, len(pool), size=counts[name])
+            idx = rng.integers(0, len(pool), size=per_pool)
             batch.extend(pool[int(i)] for i in idx)
         yield batch
 
 
 class Adam:
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
 
     def step(self, values: list[Value]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for val in values:
             g = val.grad if val.grad is not None else np.zeros_like(val.data)
             key = id(val)
             m = self._m.setdefault(key, np.zeros_like(val.data))
             v = self._v.setdefault(key, np.zeros_like(val.data))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            val.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            val.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def split_by_protein(samples, val_fraction: float = 0.1, seed: int = 0):
@@ -184,7 +187,6 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
     if params is None:
         params = ModelParams.initialize(model_cfg, rng)
-    n_params = params.num_parameters()
 
     for name, pool in train_pools.items():
         for s in pool:
@@ -229,8 +231,6 @@ def train(
                         "last checkpoint retained"
                     )
             adam.step(params.values())
-            if params.num_parameters() != n_params:
-                raise NumericError("parameter count changed during training")
 
             if iteration % train_cfg.checkpoint_every == 0 or iteration == train_cfg.iterations:
                 val_auroc = _validation_auroc(val_samples, params, model_cfg, edges_of)

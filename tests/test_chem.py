@@ -79,6 +79,53 @@ class TestCanonicalJson:
         with pytest.raises(ParseError, match="malformed record"):
             record_from_json_line(line)
 
+    @pytest.mark.parametrize(
+        "field, wrong",
+        [
+            ('"is_ligand":true', '"is_ligand":"yes"'),
+            ('"is_ligand":true', '"is_ligand":1'),
+            ('"aromatic":false', '"aromatic":null'),
+            ('"degree":1', '"degree":2.7'),
+            ('"degree":1', '"degree":true'),
+            ('"num_hydrogens":0', '"num_hydrogens":"0"'),
+            ('"implicit_valence":0', '"implicit_valence":0.0'),
+            ('"i":0', '"i":0.9'),
+            ('"j":1', '"j":"1"'),
+            ('"position":[0.0,0.0,0.0]', '"position":["1.5",2,3]'),
+            ('"position":[0.0,0.0,0.0]', '"position":[true,0,0]'),
+            ('"position":[0.0,0.0,0.0]', '"position":[0.0,0.0]'),
+            ('"position":[0.0,0.0,0.0]', '"position":[1' + "0" * 400 + ',0,0]'),
+            ('"element":"C"', '"element":6'),
+            ('"order":"single"', '"order":1'),
+            ('"complex_id":"c1"', '"complex_id":12'),
+            ('"protein_id":"p1"', '"protein_id":null'),
+            ('"category":"dude_active"', '"category":["dude_active"]'),
+            ('"label":1', '"label":true'),
+            ('"label":1', '"label":1.0'),
+            ('"rmsd":0.5', '"rmsd":"0.5"'),
+            ('"rmsd":0.5', '"rmsd":false'),
+            ('"rmsd":0.5', '"rmsd":1' + "0" * 400),
+            ('"schema_version":1', '"schema_version":true'),
+            ('"schema_version":1', '"schema_version":1.0'),
+        ],
+    )
+    def test_wrongly_typed_field_rejected_at_its_line(self, tmp_path, field, wrong):
+        line = record_to_json_line(tiny_record(category="dude_active", label=1, rmsd=0.5))
+        assert field in line
+        path = tmp_path / "typed.jsonl"
+        path.write_text(line + "\n" + line.replace(field, wrong, 1) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_jsonl(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_integer_positions_and_rmsd_load_as_floats(self):
+        line = record_to_json_line(tiny_record(label=None, rmsd=2.0))
+        loaded = record_from_json_line(
+            line.replace('"position":[0.0,0.0,0.0]', '"position":[0,0,0]', 1).replace('"rmsd":2.0', '"rmsd":2')
+        )
+        assert all(type(c) is float for c in loaded.atoms[0].position) and type(loaded.rmsd) is float
+        assert record_to_json_line(loaded) == line
+
     def test_parse_is_deterministic(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_jsonl([tiny_record()], path)
@@ -414,22 +461,12 @@ class TestParseComplex:
         sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
         pdb = tmp_path / "prot.pdb"
         pdb.write_text("\n".join(triglycine_lines()) + "\n")
-        rec = parse_complex(sdf, fmt="sdf+pdb", protein_path=pdb, category="dude_inactive")
+        rec = parse_complex(sdf, pdb, category="dude_inactive")
         assert rec.complex_id == "lig" and rec.protein_id == "prot"
         assert rec.num_ligand_atoms == 5 and rec.num_protein_atoms == 12
         assert rec.effective_label() == 0
         # ligand bonds first, protein bonds offset
         assert all(rec.atoms[b.i].is_ligand == rec.atoms[b.j].is_ligand for b in rec.bonds)
-
-    def test_jsonl_single(self, tmp_path):
-        path = tmp_path / "one.jsonl"
-        write_jsonl([tiny_record()], path)
-        rec = parse_complex(path, fmt="jsonl")
-        assert rec.complex_id == "c1"
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            parse_complex("x", fmt="mol2")
 
 
 @pytest.fixture

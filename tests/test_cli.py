@@ -171,7 +171,7 @@ class TestTrain:
         echoed.read(out / "config.resolved.ini")
         model = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
         model["fc_dims"] = ",".join(map(str, model["fc_dims"]))
-        train = {f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "ratio"}
+        train = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
         assert dict(echoed["model"]) == {k: str(v) for k, v in model.items()}
         assert dict(echoed["train"]) == {k: str(v) for k, v in train.items()}
 
@@ -331,7 +331,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--fc-dims", "3,2"], ["--fc-dims", "0,1"], ["--fc-dims", "a,1"],
-         ["--gat-dim", "0"], ["--num-gat-layers", "-1"], ["--batch-size", "0"]],
+         ["--gat-dim", "0"], ["--num-gat-layers", "-1"], ["--batch-size", "0"],
+         ["--batch-size", "30"], ["--val-fraction", "nan"], ["--val-fraction", "inf"],
+         ["--val-fraction", "2"], ["--val-fraction", "1"], ["--val-fraction", "-0.1"],
+         ["--learning-rate", "nan"], ["--learning-rate", "inf"], ["--learning-rate", "0"]],
     )
     def test_invalid_train_values_are_one(self, workspace, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as err:
@@ -342,6 +345,50 @@ class TestExitCodes:
         assert err.value.code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_in_config_file_is_one(self, workspace, tmp_path, capsys, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[train]\nlearning_rate = {value}\n")
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+                  "--config", str(ini)])
+        assert err.value.code == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cutoff", ["nan", "-1", "0"])
+    def test_invalid_cutoff_is_one(self, workspace, tmp_path, capsys, cutoff):
+        with pytest.raises(SystemExit) as err:
+            main(["featurize", str(workspace / "test.jsonl"), "--out", str(tmp_path / "out.cache"),
+                  "--cutoff", cutoff])
+        assert err.value.code == 1
+        assert "--cutoff" in capsys.readouterr().err
+        assert not (tmp_path / "out.cache").exists()
+
+    @pytest.mark.parametrize("top", ["0", "-1", "1,0"])
+    def test_non_positive_top_is_one(self, workspace, tmp_path, capsys, top):
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["poses", "--cache", str(workspace / "poses.cache"),
+                 "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                 "--out", str(tmp_path / "poses"), "--top", top]
+            )
+        assert err.value.code == 1
+        assert "--top" in capsys.readouterr().err
+        assert not (tmp_path / "poses").exists()
+
+    @pytest.mark.parametrize("names", ["bogus", "auroc,bogus", "re_1pct", ""])
+    def test_unknown_metric_is_one(self, workspace, tmp_path, capsys, names):
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["evaluate", "--cache", str(workspace / "test.cache"),
+                 "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                 "--out", str(tmp_path / "eval"), "--metrics", names]
+            )
+        assert err.value.code == 1
+        assert "--metrics" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_non_integer_top_is_one(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

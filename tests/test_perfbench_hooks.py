@@ -1,8 +1,9 @@
 """The benchmark under ``perfbench/`` wraps molgat functions by module
 attribute name (``training.predict``, ``cli.score``, ``model.gat_forward``
-and more). Installing and removing its span tracer and its hooks here turns a
-refactor that drops or renames one of them into a test failure instead of a
-benchmark crash."""
+and more), and builds its inputs through molgat's library calls. Installing
+and removing its span tracer and its hooks, and building every workload's
+tiny inputs, here turns a refactor that drops or renames one of them into a
+test failure instead of a benchmark crash."""
 
 from pathlib import Path
 
@@ -36,3 +37,14 @@ def test_span_tracer_and_hooks_install_and_undo(perfbench):
     hooks.undo()
     traced.undo()
     assert attributes() == before
+
+
+@pytest.mark.parametrize("workload", ["train_small", "screen_pocket", "ingest_pdb"])
+def test_tiny_workload_and_check_inputs_build(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+
+    size = inputs.SIZES["tiny"]
+    manifest = inputs.SETUP[workload](1, size, str(tmp_path))
+    checks = inputs.prepare_checks(workload, 1, size, str(tmp_path), manifest)
+    assert checks["shape"]["samples"] > 0

@@ -136,9 +136,10 @@ class TestBalancedBatches:
         with pytest.raises(DataError, match="pdbbind_positive"):
             next(balanced_batches(broken, cfg, np.random.default_rng(0)))
 
-    def test_batch_size_ratio_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=30, iterations=1, checkpoint_every=1)
+    def test_batch_size_not_divisible_by_pool_count_rejected(self, pools):
+        cfg = TrainConfig(batch_size=30, iterations=1, checkpoint_every=1)
+        with pytest.raises(DataError, match="batch_size 30 .* 4 category pools"):
+            next(balanced_batches(pools, cfg, np.random.default_rng(0)))
 
 
 class TestAdamAndSteps:
