@@ -424,7 +424,12 @@ def _position(value) -> tuple[float, float, float]:
 
 def record_from_json_line(line: str, path=None, lineno: int | None = None) -> ComplexRecord:
     """Parse one canonical line. Nothing is coerced: a field of the wrong JSON type
-    (docs/formats.md) raises ``ParseError`` naming ``path`` and ``lineno``."""
+    (docs/formats.md), or a line holding bytes that are not UTF-8 (``jsonl_lines``),
+    raises ``ParseError`` naming ``path`` and ``lineno``."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError("line is not valid UTF-8", path=path, line=lineno) from None
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -465,14 +470,18 @@ def record_from_json_line(line: str, path=None, lineno: int | None = None) -> Co
         raise ParseError(f"malformed record ({exc})", path=path, line=lineno) from exc
 
 
-def read_jsonl(path) -> list[ComplexRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
+def jsonl_lines(path):
+    """``(line number, text)`` of each non-blank line of a JSON-lines file, read
+    as UTF-8. Bytes that are not UTF-8 come through as lone surrogates, so
+    ``record_from_json_line`` rejects just their line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(record_from_json_line(line, path=path, lineno=lineno))
-    return records
+            if line.strip():
+                yield lineno, line
+
+
+def read_jsonl(path) -> list[ComplexRecord]:
+    return [record_from_json_line(line, path=path, lineno=lineno) for lineno, line in jsonl_lines(path)]
 
 
 def write_jsonl(records, path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import os
 import sys
 
@@ -48,19 +49,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_config_file(path) -> dict:
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
-        raise DataError(f"config file not found: {path}")
-    return {section: dict(cfg.items(section)) for section in cfg.sections()}
+    try:
+        read = cfg.read(path, encoding="utf-8")
+        if not read:
+            raise DataError(f"config file not found: {path}")
+        return {section: dict(cfg.items(section)) for section in cfg.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"malformed config file {path}: {exc}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -131,15 +134,11 @@ def cmd_featurize(args) -> int:
     for spec in args.inputs:
         try:
             if args.format == "jsonl":
-                with open(spec, "r", encoding="utf-8") as fh:
-                    for lineno, line in enumerate(fh, start=1):
-                        if not line.strip():
-                            continue
-                        try:
-                            rec = chem.record_from_json_line(line, path=spec, lineno=lineno)
-                            ingest_record(rec)
-                        except (DataError, ParseError) as exc:
-                            failures.append(f"{spec}:{lineno}: {exc}")
+                for lineno, line in chem.jsonl_lines(spec):
+                    try:
+                        ingest_record(chem.record_from_json_line(line, path=spec, lineno=lineno))
+                    except (DataError, ParseError) as exc:
+                        failures.append(f"{spec}:{lineno}: {exc}")
             else:
                 if ":" not in spec:
                     raise DataError(

@@ -5,9 +5,9 @@ features, coordinates (ligand rows first), the ligand/protein flag of each
 atom and the covalent bond list. The network consumes its ``edges``: the
 self-loops, both directions of every bond and both directions of every
 intermolecular contact (ligand-protein pairs closer than the contact cutoff),
-derived on every access and never kept. Pruning and the contact search go
-through ``chem.pairs_within``; the contact search compares ligand atoms with
-protein atoms only, so no N x N array is built. The dense views
+built on first access and kept with the sample. Pruning and the contact
+search go through ``chem.pairs_within``; the contact search compares ligand
+atoms with protein atoms only, so no N x N array is built. The dense views
 ``a1`` (covalent adjacency with self-loops), ``dist`` (interatomic distances)
 and ``inter_mask`` (contact mask) are derived on access for inspection and
 tests. Gaussian contact weights are deliberately NOT materialized here; the
@@ -136,10 +136,11 @@ class GraphSample:
     def num_atoms(self) -> int:
         return self.features.shape[0]
 
-    @property
+    @cached_property
     def edges(self) -> Edges:
         """Self-loops, bonds and intermolecular contacts (d < 5 A) as a
-        sorted symmetric edge list; the contact search is ligand x protein."""
+        sorted symmetric edge list; the contact search is ligand x protein.
+        Kept after the first access: a sample's arrays must not change in place."""
         lig = np.flatnonzero(self.is_ligand)
         prot = np.flatnonzero(~self.is_ligand)
         li, pj, d = pairs_within(self.coords[lig], self.coords[prot], CONTACT_CUTOFF)

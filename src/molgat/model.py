@@ -22,9 +22,9 @@ produces the activity probability.
 
 ``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``):
 every tape operation runs once per batch, pooling sums each graph's rows, and
-the output is a G x 1 column. In training, all dropout masks are drawn before
-the forward pass, sample by sample: each attention layer's N_s x F mask in
-layer order, then each hidden fully connected layer's 1 x d mask.
+the output is a G x 1 column. Given an ``rng`` (training), it draws all dropout
+masks before the forward pass, sample by sample: each attention layer's N_s x F
+mask in layer order, then each hidden fully connected layer's 1 x d mask.
 """
 
 from __future__ import annotations
@@ -160,21 +160,19 @@ def predict(
     samples: list[GraphSample],
     params: ModelParams,
     config: ModelConfig,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     internals: dict | None = None,
-    edges: list[Edges] | None = None,
 ) -> Value:
     """Forward pass for a batch; returns the G x 1 probabilities on the tape,
     one row per sample in order.
 
-    The batch runs as one block-diagonal graph (``Edges.merge``), so each
-    tape operation runs once per batch and each sample's row equals its
-    score alone. ``edges`` lists each sample's ``sample.edges`` when a caller
-    already holds them. In training, every dropout mask is drawn from ``rng``
-    before the forward pass, sample by sample: the attention layers' N_s x F
-    masks in layer order, then the hidden fully connected layers' 1 x d
-    masks, the order in which one-sample forward passes would draw them."""
+    The batch runs as one block-diagonal graph of the samples' own
+    ``edges`` (``Edges.merge``), so each tape operation runs once per batch
+    and each sample's row equals its score alone. Dropout runs exactly when
+    ``rng`` is given (training): every mask is drawn from it before the
+    forward pass, sample by sample: the attention layers' N_s x F masks in
+    layer order, then the hidden fully connected layers' 1 x d masks, the
+    order in which one-sample forward passes would draw them."""
     if not samples:
         raise ValueError("predict needs at least one sample")
     for s in samples:
@@ -182,13 +180,11 @@ def predict(
             raise ShapeError(
                 f"sample feature width {s.features.shape[1]} != input_dim {config.input_dim}"
             )
-    if training and rng is None:
-        raise ValueError("training mode needs an rng for dropout")
 
     masks = None
-    if training and config.dropout_rate > 0:
+    if rng is not None and config.dropout_rate > 0:
         masks = iter(_dropout_masks(samples, config, rng))
-    graph = Edges.merge([s.edges for s in samples] if edges is None else edges)
+    graph = Edges.merge([s.edges for s in samples])
     a2 = materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
 
     # A one-sample batch (every score call) copies no feature matrix.
@@ -214,10 +210,9 @@ def predict(
     return out
 
 
-def score(sample: GraphSample, params: ModelParams, config: ModelConfig,
-          edges: Edges | None = None) -> float:
+def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> float:
     """Deterministic inference probability (dropout off)."""
-    return predict(Tape(), [sample], params, config, edges=None if edges is None else [edges]).item()
+    return predict(Tape(), [sample], params, config).item()
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +268,12 @@ def save_params(path, params: ModelParams, config: ModelConfig, iteration: int =
     write_checked(path, CHECKPOINT_MAGIC, body)
 
 
-def load_params(path, expected_config: ModelConfig | None = None):
+def load_params(path):
     """Load a checkpoint; returns ``(params, config, iteration)``.
 
     Verifies magic, version, checksum, every tensor shape against the stored
     config, and that every value is finite; nothing is returned on failure
-    (no partial loads). When ``expected_config`` is given it must match the
-    stored config exactly.
+    (no partial loads).
     """
     r = read_checked(path, CHECKPOINT_MAGIC, "checkpoint")
     (version,) = r.unpack("<I")
@@ -293,10 +287,6 @@ def load_params(path, expected_config: ModelConfig | None = None):
         config = ModelConfig(num_layers, gat_dim, fc_dims, dropout_rate, input_dim)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid stored config ({exc})") from None
-    if expected_config is not None and expected_config != config:
-        raise CheckpointError(
-            f"{path}: checkpoint config {config} does not match expected {expected_config}"
-        )
     (iteration,) = r.unpack("<Q")
     (n_tensors,) = r.unpack("<I")
     count = 4 * num_layers + 3 + 2 * n_fc  # the length of _expected_shapes(config)

@@ -14,7 +14,6 @@ run bit-for-bit on one machine.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import time
@@ -132,9 +131,12 @@ class Adam:
 
 
 def split_by_protein(samples, val_fraction: float = 0.1, seed: int = 0):
-    """Hold out a fraction of proteins (never individual samples) for validation."""
+    """Hold out a fraction of proteins (never individual samples) for validation;
+    ``ValueError`` unless ``0 <= val_fraction < 1``."""
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
     proteins = sorted({s.protein_id for s in samples})
-    if len(proteins) < 2 or val_fraction <= 0:
+    if len(proteins) < 2 or val_fraction == 0:
         return list(samples), []
     rng = np.random.default_rng(seed)
     shuffled = list(proteins)
@@ -158,12 +160,12 @@ class TrainResult:
     final_loss: float | None = None
 
 
-def _validation_auroc(val_samples, params, model_cfg, edges_of) -> float:
+def _validation_auroc(val_samples, params, model_cfg) -> float:
     labeled = [s for s in val_samples if s.label is not None]
     labels = [s.label for s in labeled]
     if not labeled or len(set(labels)) < 2:
         return float("nan")
-    scores = [score(s, params, model_cfg, edges=edges_of[id(s)]) for s in labeled]
+    scores = [score(s, params, model_cfg) for s in labeled]
     return auroc(scores, labels)
 
 
@@ -178,8 +180,8 @@ def train(
     """Run the optimization loop and write checkpoints plus a CSV log.
 
     ``train_pools`` maps category name to a list of labeled GraphSamples.
-    Each sample's edge list (pools and ``val_samples``) is built once, at the
-    start, and kept in memory for the run rather than rebuilt on every draw.
+    Each sample builds its edge list on its first draw or validation score
+    and keeps it (``GraphSample.edges``), so no draw rebuilds one.
     A non-finite loss or parameter gradient aborts before the Adam step; the
     last written checkpoint stays on disk untouched.
     """
@@ -193,11 +195,6 @@ def train(
             if s.label is None:
                 raise DataError(f"sample {s.complex_id} in pool '{name}' has no label")
 
-    # Each edge list is smaller than its sample's feature matrix.
-    edges_of = {}
-    for s in itertools.chain(val_samples, *train_pools.values()):
-        if id(s) not in edges_of:
-            edges_of[id(s)] = s.edges
     batches = balanced_batches(train_pools, train_cfg, rng)
     adam = Adam(train_cfg.learning_rate)
 
@@ -214,8 +211,7 @@ def train(
         for iteration in range(1, train_cfg.iterations + 1):
             batch = next(batches)
             tape = Tape()
-            probs = predict(tape, batch, params, model_cfg, training=True, rng=rng,
-                            edges=[edges_of[id(s)] for s in batch])
+            probs = predict(tape, batch, params, model_cfg, rng=rng)
             loss = mean_bce(tape, probs, [s.label for s in batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -233,7 +229,7 @@ def train(
             adam.step(params.values())
 
             if iteration % train_cfg.checkpoint_every == 0 or iteration == train_cfg.iterations:
-                val_auroc = _validation_auroc(val_samples, params, model_cfg, edges_of)
+                val_auroc = _validation_auroc(val_samples, params, model_cfg)
                 row = {
                     "iteration": iteration,
                     "train_loss": repr(loss_value),

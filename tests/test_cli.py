@@ -88,6 +88,25 @@ class TestFeaturize:
         assert "parsed 2 sample(s); 1 rejected" in out
         assert f"{path}:2:" in out and "malformed record" in out
 
+    def test_non_utf8_line_listed_and_run_continues(self, tmp_path, capsys):
+        lines = [chem.record_to_json_line(r).encode() for r in generate_corpus(2, seed=60)]
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b"\n".join([lines[0], b'\xff\xfe{"a":1}', lines[1]]) + b"\n")
+        rc = main(["featurize", str(path), "--out", str(tmp_path / "latin.cache")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "parsed 2 sample(s); 1 rejected" in out
+        assert f"{path}:2:" in out and "not valid UTF-8" in out
+
+    def test_only_non_utf8_lines_is_two(self, tmp_path, capsys):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b'\xff\xfe{"a":1}\n')
+        rc = main(["featurize", str(path), "--out", str(tmp_path / "none.cache")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "parsed 0 sample(s); 1 rejected" in out and f"{path}:1:" in out
+        assert not (tmp_path / "none.cache").exists()
+
     def test_all_failures_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -262,6 +281,32 @@ class TestPredict:
         assert rc == 2
         assert "malformed record" in capsys.readouterr().err
 
+    def test_non_utf8_jsonl_line_is_two(self, workspace, tmp_path, capsys):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b'\xff\xfe{"a":1}\n')
+        rc = main(
+            ["predict", "--input", str(path),
+             "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(tmp_path / "pred")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1:" in err and "not valid UTF-8" in err
+
+    def test_csv_fields_are_quoted(self, workspace, tmp_path):
+        import csv
+
+        rec = dataclasses.replace(generate_corpus(1, seed=53)[0], complex_id='a,b"c')
+        path = tmp_path / "odd.jsonl"
+        chem.write_jsonl([rec], path)
+        out = tmp_path / "pred"
+        rc = main(["predict", "--input", str(path),
+                   "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(out)])
+        assert rc == 0
+        with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["complex_id", "protein_id", "probability"]
+        assert len(rows) == 2 and rows[1][:2] == ['a,b"c', rec.protein_id] and len(rows[1]) == 3
+
     def test_jsonl_input_accepted(self, workspace, tmp_path):
         rc = main(
             ["predict", "--input", str(workspace / "test.jsonl"),
@@ -355,6 +400,20 @@ class TestExitCodes:
                   "--config", str(ini)])
         assert err.value.code == 1
         assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"learning_rate = 1e-3\n", b"[model]\ngat_dim = 8\ngat_dim = 9\n",
+         b"[train]\nseed = 1\n[train]\n", b"[train]\nseed = 1%\n", b"[train]\nseed = \xff\n"],
+    )
+    def test_malformed_config_file_is_two(self, workspace, tmp_path, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        rc = main(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+                   "--config", str(ini)])
+        assert rc == 2
+        assert str(ini) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("cutoff", ["nan", "-1", "0"])

@@ -73,7 +73,7 @@ def test_no_tape_node_is_n_squared(monkeypatch):
     s = pocket_sample(600, seed=11)
     params = ModelParams.initialize(PAPER, np.random.default_rng(8))
     t = Tape()
-    loss = bce_loss(t, predict(t, [s], params, PAPER, training=True, rng=np.random.default_rng(9)), 1)
+    loss = bce_loss(t, predict(t, [s], params, PAPER, rng=np.random.default_rng(9)), 1)
     t.backward(loss)
     n2 = s.num_atoms**2
     assert len(t) > 0 and len(passed) >= len(t)

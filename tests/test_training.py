@@ -212,6 +212,12 @@ class TestSplitByProtein:
         train_part, val_part = split_by_protein(samples, 0.0, seed=0)
         assert train_part == samples and val_part == []
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.1, 1.0])
+    def test_fraction_outside_unit_interval_rejected(self, pools, fraction):
+        samples = [s for pool in pools.values() for s in pool]
+        with pytest.raises(ValueError, match="val_fraction"):
+            split_by_protein(samples, fraction, seed=0)
+
 
 class TestTrainLoop:
     def test_smoke_run_writes_artifacts(self, pools, tmp_path):
@@ -252,37 +258,36 @@ class TestTrainLoop:
         np.testing.assert_allclose(losses, expected, rtol=1e-9, atol=0)
 
     def test_edges_built_once_per_sample_with_identical_trajectory(self, pools, tmp_path, monkeypatch):
-        import molgat.model
-        import molgat.training
+        import dataclasses
+
         from molgat.graphs import GraphSample
 
+        # fresh samples: the module's pools may already hold edges built by other tests
+        pools = {name: [dataclasses.replace(s) for s in pool] for name, pool in pools.items()}
         cfg = TrainConfig(batch_size=8, iterations=12, learning_rate=1e-3, seed=11, checkpoint_every=3)
-        samples = [s for pool in pools.values() for s in pool]
-        _, val = split_by_protein(samples, 0.2, seed=11)
+        _, val = split_by_protein([s for pool in pools.values() for s in pool], 0.2, seed=11)
         builds = []
-        real_edges = GraphSample.edges.fget
+        build = GraphSample.edges.func
 
         def counted_edges(sample):
             builds.append(id(sample))
-            return real_edges(sample)
+            return build(sample)
 
-        monkeypatch.setattr(GraphSample, "edges", property(counted_edges))
-        memo = train(pools, val, TINY_MODEL, cfg, tmp_path / "memo")
-        assert sorted(builds) == sorted({id(s) for s in samples})  # each sample once, val included
+        monkeypatch.setattr(GraphSample.edges, "func", counted_edges)
+        kept = train(pools, val, TINY_MODEL, cfg, tmp_path / "kept")
+        assert len(builds) == len(set(builds))  # each sample at most once
+        assert {id(s) for s in val} <= set(builds)
+        built_once = set(builds)
 
         # the same run with every draw and every validation score rebuilding its edges
-        def fresh(fn):
-            return lambda *args, edges=None, **kwargs: fn(*args, **kwargs)
-
-        monkeypatch.setattr(molgat.training, "predict", fresh(molgat.model.predict))
-        monkeypatch.setattr(molgat.training, "score", fresh(molgat.model.score))
+        monkeypatch.setattr(GraphSample, "edges", property(counted_edges))
         builds.clear()
         rebuilt = train(pools, val, TINY_MODEL, cfg, tmp_path / "rebuilt")
-        assert len(builds) > 12 * 8
+        assert set(builds) == built_once and len(builds) > 12 * 8
         for key in ("train_loss", "val_auroc", "mu", "sigma"):
-            assert [r[key] for r in memo.log_rows] == [r[key] for r in rebuilt.log_rows]
-        ck_memo = (tmp_path / "memo" / "latest.ckpt").read_bytes()
-        assert ck_memo == (tmp_path / "rebuilt" / "latest.ckpt").read_bytes()
+            assert [r[key] for r in kept.log_rows] == [r[key] for r in rebuilt.log_rows]
+        ck_kept = (tmp_path / "kept" / "latest.ckpt").read_bytes()
+        assert ck_kept == (tmp_path / "rebuilt" / "latest.ckpt").read_bytes()
 
     def test_unlabeled_sample_rejected(self, pools, tmp_path):
         import dataclasses
