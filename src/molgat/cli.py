@@ -100,6 +100,12 @@ def _write_ini(path, sections: dict) -> None:
         cfg.write(fh)
 
 
+def _escaped(text: str) -> str:
+    """``text`` with each character UTF-8 cannot encode written as a backslash
+    escape: a path byte that is not UTF-8 reaches Python as a lone surrogate."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _load_samples(paths) -> list:
     samples = []
     for path in paths:
@@ -138,7 +144,7 @@ def cmd_featurize(args) -> int:
                     try:
                         ingest_record(chem.record_from_json_line(line, path=spec, lineno=lineno))
                     except (DataError, ParseError) as exc:
-                        failures.append(f"{spec}:{lineno}: {exc}")
+                        failures.append(_escaped(f"{spec}:{lineno}: {exc}"))
             else:
                 if ":" not in spec:
                     raise DataError(
@@ -148,7 +154,7 @@ def cmd_featurize(args) -> int:
                 rec = chem.parse_complex(lig_path, prot_path, category=args.category, stats=stats)
                 ingest_record(rec)
         except (DataError, ParseError, OSError) as exc:
-            failures.append(f"{spec}: {exc}")
+            failures.append(_escaped(f"{spec}: {exc}"))
 
     print(f"parsed {len(samples)} sample(s); {len(failures)} rejected")
     for name in sorted(category_counts):
@@ -163,7 +169,7 @@ def cmd_featurize(args) -> int:
     graphs.write_cache(samples, args.out)
     _write_ini(
         f"{args.out}.config.ini",
-        {"run": {"inputs": ",".join(args.inputs), "format": args.format,
+        {"run": {"inputs": _escaped(",".join(args.inputs)), "format": args.format,
                  "cutoff": args.cutoff, "category": args.category}},
     )
     print(f"wrote {args.out}")

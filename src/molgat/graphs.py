@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .chem import CATEGORIES, N_FEATURES, ComplexRecord, featurize, ligand_first, select_atoms
-from .chem import pairs_within, pairwise_distances
+from .chem import pairs_within, pairwise_distances, repeats
 from .errors import CheckpointError, DataError
 from .fileio import Reader, read_checked, write_checked
 
@@ -176,7 +176,7 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
     as-is (they describe the unpruned molecule). Idempotent.
     """
     coords = rec.coordinates()
-    is_lig = np.array([a.is_ligand for a in rec.atoms])
+    is_lig = np.array([a.is_ligand for a in rec.atoms], dtype=bool)
     keep = is_lig.copy()
     keep[pairs_within(coords, coords[is_lig], cutoff)[0]] = True
     if keep.all():
@@ -269,7 +269,7 @@ def label_pose(rmsd: float) -> int | None:
 #     is_ligand         n bytes (uint8, 0 or 1)
 #     coords            n*3 f64
 #     n_bonds           u32
-#     bonds             n_bonds*2 u32, each pair i < j < n
+#     bonds             n_bonds*2 u32, each pair i < j < n, no pair twice
 #   crc32               u32 over everything after the magic
 # ---------------------------------------------------------------------------
 
@@ -322,6 +322,10 @@ def _decode_sample(r: Reader) -> GraphSample:
     is_ligand = flags.astype(bool)
     if (is_ligand[bonds[:, 0]] != is_ligand[bonds[:, 1]]).any():
         raise CheckpointError(f"{where}: covalent bond crosses the ligand/protein boundary")
+    repeated = repeats(bonds[:, 0] * n + bonds[:, 1])
+    if repeated.any():
+        i, j = bonds[np.argmax(repeated)].tolist()
+        raise CheckpointError(f"{where}: bond ({i},{j}) is repeated")
     return GraphSample(
         features=feats.astype(np.float64),
         coords=coords,

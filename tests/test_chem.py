@@ -1,4 +1,6 @@
 import ast
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,6 +160,64 @@ class TestRecordValidation:
         atoms = [make_atom("C", (float("nan"), 0, 0)), make_atom("O", (3, 0, 0), False)]
         with pytest.raises(DataError, match="non-finite"):
             ComplexRecord("c", "p", atoms, [])
+
+    @pytest.mark.parametrize("repeat", [Bond(0, 1), Bond(1, 0), Bond(0, 1, "double")])
+    def test_repeated_bond_rejected(self, repeat):
+        atoms = [make_atom("C", (0, 0, 0)), make_atom("O", (1.2, 0, 0)), make_atom("N", (4, 0, 0), False)]
+        with pytest.raises(DataError, match=re.escape(f"bond ({repeat.i},{repeat.j}) repeats an earlier bond")):
+            ComplexRecord("c", "p", atoms, [Bond(0, 1), repeat])
+
+    def test_repeated_bond_in_json_line_rejected(self):
+        doc = json.loads(record_to_json_line(tiny_record()))
+        doc["bonds"].append({"i": 1, "j": 0, "order": "single"})
+        with pytest.raises(DataError, match=re.escape("c1: bond (1,0) repeats an earlier bond")):
+            record_from_json_line(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["complex_id", "protein_id"])
+    def test_identifier_utf8_cannot_encode_rejected(self, field):
+        doc = json.loads(record_to_json_line(tiny_record()))
+        doc[field] = "lig\udcff"
+        line = json.dumps(doc)
+        assert line.isascii()  # valid JSON: the lone surrogate is an escape
+        with pytest.raises(DataError, match=f"{field} 'lig\\\\udcff' cannot be encoded as UTF-8"):
+            record_from_json_line(line)
+
+    def test_first_faulty_atom_named(self):
+        atoms = [make_atom("C"), make_atom("O", (1.2, 0, 0), degree=-1),
+                 make_atom("Si", (3, 0, 0), False), make_atom("N", (4, 0, 0), False)]
+        with pytest.raises(DataError, match="c: atom 1 has a negative annotation"):
+            ComplexRecord("c", "p", atoms, [])
+
+    @pytest.mark.parametrize(
+        "element, position, degree, expected",
+        [
+            ("Si", (float("nan"), 0, 0), -1, "atom 1 has unsupported element 'Si'"),
+            ("O", (float("inf"), 0, 0), -1, "atom 1 has a non-finite position"),
+            ("O", (0.0, 0.0), -1, "atom 1 has a non-finite position"),
+            ("O", (1.2, 0, 0), -1, "atom 1 has a negative annotation"),
+        ],
+    )
+    def test_atom_faults_in_order(self, element, position, degree, expected):
+        # element before position before annotations, and every atom before any bond
+        bad = Atom(element, position, True, degree, 0, 0, False)
+        atoms = [make_atom("C"), bad, make_atom("N", (4, 0, 0), False)]
+        with pytest.raises(DataError, match=re.escape(expected)):
+            ComplexRecord("c", "p", atoms, [Bond(0, 0), Bond(0, 7)])
+
+    @pytest.mark.parametrize(
+        "bonds, expected",
+        [
+            ([Bond(0, 1), Bond(5, 5), Bond(0, 9)], "bond joins atom 5 to itself"),
+            ([Bond(0, 1), Bond(2, 9, "bogus"), Bond(1, 1)], "bond (2,9) out of range"),
+            ([Bond(0, 1), Bond(1, 2, "bogus"), Bond(2, 2)], "covalent bond (1,2) crosses"),
+            ([Bond(0, 1), Bond(1, 0, "bogus"), Bond(0, 9)], "unknown bond order 'bogus'"),
+            ([Bond(0, 1), Bond(1, 0), Bond(0, 9)], "bond (1,0) repeats an earlier bond"),
+        ],
+    )
+    def test_bond_faults_in_order(self, bonds, expected):
+        # the first faulty bond wins; for one bond: itself, range, side, order, repeat
+        with pytest.raises(DataError, match=re.escape(f"c1: {expected}")):
+            tiny_record(bonds=bonds)
 
     def test_label_category_contradiction_rejected(self):
         with pytest.raises(DataError, match="contradicts"):
@@ -416,6 +476,31 @@ class TestPdb:
             parse_pdb_protein(path)
         assert err.value.line == 5 and err.value.path == path
 
+    @pytest.mark.parametrize(
+        "first, later, message",
+        [
+            ("nan", "truncated", "non-finite coordinates"),
+            ("nan", "bad", "non-finite coordinates"),
+            ("truncated", "nan", "truncated coordinate record"),
+            ("bad", "nan", "bad coordinates"),
+        ],
+    )
+    def test_first_faulty_line_named(self, tmp_path, first, later, message):
+        # the reader checks finiteness on arrays after its line loop; a fault
+        # on an earlier line still wins over one on a later line
+        lines = triglycine_lines()
+        for index, fault in ((4, first), (8, later)):
+            if fault == "truncated":
+                lines[index] = lines[index][:50]
+            else:
+                field = "nan" if fault == "nan" else "1.2.3"
+                lines[index] = lines[index][:38] + f"{field:>8}" + lines[index][46:]
+        path = tmp_path / "faults.pdb"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as err:
+            parse_pdb_protein(path)
+        assert err.value.line == 5
+
     def test_annotations_from_inferred_bonds(self, tmp_path):
         path = tmp_path / "tri.pdb"
         path.write_text("\n".join(triglycine_lines()) + "\n")
@@ -456,6 +541,14 @@ class TestPdb:
 
 
 class TestParseComplex:
+    def test_repeated_sdf_bond_rejected(self, tmp_path):
+        sdf = tmp_path / "co.sdf"
+        sdf.write_text(sdf_text([(0, 0, 0, "C"), (1.2, 0, 0, "O")], [(1, 2, 1), (1, 2, 1)]))
+        pdb = tmp_path / "prot.pdb"
+        pdb.write_text("\n".join(triglycine_lines()) + "\n")
+        with pytest.raises(DataError, match=re.escape("co: bond (0,1) repeats an earlier bond")):
+            parse_complex(sdf, pdb)
+
     def test_sdf_plus_pdb(self, tmp_path):
         sdf = tmp_path / "lig.sdf"
         sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
@@ -609,6 +702,39 @@ class TestPairsWithin:
             tracemalloc.stop()
         assert np.array_equal(i, np.arange(3000)) and np.array_equal(j, i) and not d.any()
         assert peak < 30e6
+
+    def test_bond_search_memory_stays_linear(self, grid_calls):
+        # 20,000 uniform atoms at protein heavy-atom density (0.054 atoms/A^3):
+        # the cell list holds O(N + pairs) arrays and peaks near 26 MB. The
+        # cell list that looked up 27 cells per row peaked at 63.4 MB in this
+        # test; the bound keeps later versions below that.
+        n = 20000
+        x = np.random.default_rng(5).uniform(0.0, (n / 0.054) ** (1 / 3), size=(n, 3))
+        tracemalloc.start()
+        try:
+            i, j, d = pairs_within(x, x, 3.12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(i) == 149972 and grid_calls == [(n, n)]
+        assert peak <= 63.4e6
+
+    def test_dense_path_skips_rows_outside_the_box_exactly(self, grid_calls):
+        # 600 rows of a against 40 of b: the dense path first drops the rows
+        # of a outside b's box widened by a cell. Row 0 of a lies on that
+        # face: its exact distance to row 0 of b exceeds the cutoff by 1e-20,
+        # its rounded distance equals it, so the pair is kept.
+        cutoff = 3.12
+        rng = np.random.default_rng(39)
+        b = rng.uniform(-1.0, 1.0, size=(40, 3))
+        b[:, 0] = -rng.uniform(0.5, 5.0, size=40)
+        b[0, 0] = -1e-20
+        a = rng.uniform(-30.0, 30.0, size=(600, 3))
+        a[0] = [cutoff, b[0, 1], b[0, 2]]
+        assert self.assert_matches_oracle(a, b, cutoff) > 20
+        i, j, d = pairs_within(a, b, cutoff)
+        assert (i[0], j[0], d[0]) == (0, 0, cutoff)
+        assert grid_calls == []
 
     def test_contact_and_prune_shapes_take_the_dense_path(self, grid_calls):
         rng = np.random.default_rng(35)

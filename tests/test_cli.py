@@ -107,6 +107,54 @@ class TestFeaturize:
         assert "parsed 0 sample(s); 1 rejected" in out and f"{path}:1:" in out
         assert not (tmp_path / "none.cache").exists()
 
+    @pytest.mark.parametrize("field", ["complex_id", "protein_id"])
+    def test_unencodable_identifier_listed_and_run_continues(self, tmp_path, capsys, field):
+        lines = [chem.record_to_json_line(r) for r in generate_corpus(2, seed=60)]
+        bad = json.loads(lines[0])
+        bad[field] = "\udcff"
+        path = tmp_path / "ids.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(bad), lines[1]]) + "\n")
+        rc = main(["featurize", str(path), "--out", str(tmp_path / "ids.cache")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "parsed 2 sample(s); 1 rejected" in out
+        assert f"{path}:2:" in out and "cannot be encoded as UTF-8" in out
+        assert len(read_cache(tmp_path / "ids.cache")) == 2
+
+    def test_only_unencodable_identifiers_is_two(self, tmp_path, capsys):
+        doc = json.loads(chem.record_to_json_line(generate_corpus(1, seed=60)[0]))
+        doc["complex_id"] = "\udcff"
+        path = tmp_path / "ids.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        rc = main(["featurize", str(path), "--out", str(tmp_path / "none.cache")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "parsed 0 sample(s); 1 rejected" in out and f"{path}:1:" in out
+        assert not (tmp_path / "none.cache").exists()
+
+    def test_ligand_stem_utf8_cannot_encode_is_rejected(self, tmp_path, capsys):
+        # the file name holds byte 0xff, which reaches Python as the lone surrogate U+DCFF
+        sdf = tmp_path / "lig\udcff.sdf"
+        sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+        assert os.fsencode(sdf).endswith(b"lig\xff.sdf")
+        pdb = tmp_path / "prot.pdb"
+        pdb.write_text("\n".join(triglycine_lines()) + "\n")
+        rc = main(["featurize", f"{sdf}:{pdb}", "--format", "sdf+pdb", "--out", str(tmp_path / "pair.cache")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "parsed 0 sample(s); 1 rejected" in out and "cannot be encoded as UTF-8" in out
+        assert "lig\\udcff.sdf" in out
+        assert not (tmp_path / "pair.cache").exists()
+
+        # next to a pair that loads, the run goes on and writes that sample
+        good = tmp_path / "lig.sdf"
+        good.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+        rc = main(["featurize", f"{sdf}:{pdb}", f"{good}:{pdb}", "--format", "sdf+pdb",
+                   "--out", str(tmp_path / "pair.cache")])
+        assert rc == 0
+        assert "parsed 1 sample(s); 1 rejected" in capsys.readouterr().out
+        assert [s.complex_id for s in read_cache(tmp_path / "pair.cache")] == ["lig"]
+
     def test_all_failures_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -291,6 +339,19 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}:1:" in err and "not valid UTF-8" in err
+
+    def test_unencodable_identifier_is_two(self, workspace, tmp_path, capsys):
+        doc = json.loads(chem.record_to_json_line(generate_corpus(1, seed=53)[0]))
+        doc["protein_id"] = "\udcff"
+        path = tmp_path / "ids.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        rc = main(
+            ["predict", "--input", str(path),
+             "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(tmp_path / "pred")]
+        )
+        assert rc == 2
+        assert "cannot be encoded as UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "pred" / "scores.csv").exists()
 
     def test_csv_fields_are_quoted(self, workspace, tmp_path):
         import csv

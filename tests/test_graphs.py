@@ -407,6 +407,7 @@ class TestCache:
             ([[1, 1]], 1, "bond index"),
             ([[0, 1]], 2, "is_ligand byte"),
             ([[1, 2]], 1, "crosses the ligand/protein boundary"),
+            ([[0, 1], [2, 3], [0, 1]], 1, re.escape("bond (0,1) is repeated")),
         ],
     )
     def test_invalid_sample_rejected(self, tmp_path, bonds, flag, message):
