@@ -13,13 +13,16 @@ discipline. Graph operations take a sorted symmetric edge list
 edge in ``starts``, each edge's reverse in ``rev``, the node count of each
 graph in ``sizes``) and hold per-edge values as E x 1 columns. A batch of
 graphs is one block-diagonal edge list (``Edges.merge``), so every operation
-runs once per batch. Sums over a row's edges run through ``np.add.reduceat``
-on the sorted segments; sums over the edges into a node go through ``rev``,
-which turns them into row sums. The edge products and sums of small graphs
-go through one dense n x n product per graph instead. The kernel is chosen
-once per edge list: dense when the blocks hold at most
-``_DENSE_ENTRIES_PER_EDGE`` entries per edge in all (sum of n_g^2 <= 32 E),
-gather otherwise, so a one-graph edge list is judged by its own n^2.
+runs once per batch. Sums over the edges into a node go through ``rev``,
+which turns them into sums over a row's edges. The edge products and sums
+run one of two ways, chosen once per edge list. Small graphs take one dense
+n x n product per graph (``Edges.blocks``). Larger ones take the rows grouped
+by degree (``Edges.buckets``): the edges of the n_d rows of degree d are
+n_d runs of length d, so their sums are one batched (n_d,1,d) @ (n_d,d,F)
+product and their dots one (n_d,d,F) @ (n_d,F,1) product. The dense kernel
+runs when the blocks hold at most ``_DENSE_ENTRIES_PER_EDGE`` entries per
+edge in all (sum of n_g^2 <= 40 E), so a one-graph edge list is judged by
+its own n^2.
 """
 
 from __future__ import annotations
@@ -33,10 +36,14 @@ _LOG_FLOOR = 1e-12
 
 # An edge list whose graphs' n x n blocks hold at most this many entries per
 # edge in all gets its edge products from one dense n x n product per graph
-# instead of gathering E x F rows: at n ~ 40 and E ~ 330 per graph the dense
-# products are several times faster, while the n x n temporaries stay within
-# a constant factor of the edge list's size.
-_DENSE_ENTRIES_PER_EDGE = 32
+# instead of the degree buckets. Per call of one edge sum and one edge dot at
+# F = 140 (2-core VM, one BLAS thread), dense takes 0.7x the buckets' time at
+# 30-35 entries per edge, 0.86x at 35-40, about 1.0x at 40-50, 1.25x at 50-55
+# and 1.5x past 60. A 32-graph training batch (about 4.5 entries per edge)
+# takes 1.3 ms dense against 2.4 ms bucketed; a 600-atom pocket (about 145)
+# 4.9 ms dense against 1.3 ms bucketed. The n x n temporaries stay within a
+# constant factor of the edge list's size.
+_DENSE_ENTRIES_PER_EDGE = 40
 
 
 def _dense(edges) -> bool:
@@ -46,7 +53,10 @@ def _dense(edges) -> bool:
 def _edge_dots(a: np.ndarray, b: np.ndarray, edges) -> np.ndarray:
     """E x 1 column of a[src_e] . b[dst_e]."""
     if not _dense(edges):
-        return np.einsum("ij,ij->i", a[edges.src], b[edges.dst])[:, None]
+        out = np.empty((len(edges.src), 1))
+        for rows, index in edges.buckets:
+            out[index] = b[edges.dst[index]] @ a[rows][:, :, None]
+        return out
     bounds, index, total = edges.blocks
     flat = np.empty(total)
     for lo, n, at in bounds:
@@ -56,14 +66,14 @@ def _edge_dots(a: np.ndarray, b: np.ndarray, edges) -> np.ndarray:
 
 def _edge_sums(w: np.ndarray, x: np.ndarray, edges) -> np.ndarray:
     """N x F rows out_i = sum over node i's edges e of w_e * x[dst_e]."""
+    out = np.empty((len(edges.starts), x.shape[1]))
     if not _dense(edges):
-        rows = x[edges.dst]
-        rows *= w
-        return np.add.reduceat(rows, edges.starts, axis=0)
+        for rows, index in edges.buckets:
+            out[rows] = (w[index].transpose(0, 2, 1) @ x[edges.dst[index]])[:, 0]
+        return out
     bounds, index, total = edges.blocks
     flat = np.zeros(total)
     flat[index] = w[:, 0]
-    out = np.empty((len(edges.starts), x.shape[1]))
     for lo, n, at in bounds:
         np.matmul(flat[at:at + n * n].reshape(n, n), x[lo:lo + n], out=out[lo:lo + n])
     return out
@@ -377,7 +387,8 @@ class Tape:
         return self._record(out_data, (scores,), backward)
 
     def dropout(self, a: Value, keep: np.ndarray) -> Value:
-        """Inverted dropout by a constant mask drawn with ``dropout_mask``."""
+        """Inverted dropout by a constant mask of 0 and 1 / (1 - rate), as
+        ``dropout_mask`` draws it."""
         if keep.shape != a.shape:
             raise ShapeError(f"dropout: mask {keep.shape} must match {a.shape}")
 

@@ -95,11 +95,15 @@ _STEPS = np.array([-1, 0, 1])
 # The 13 cell offsets after (0, 0, 0) in lexicographic order (the other 13
 # neighbours are their reverses), the 5 (dx, dy) columns they lie in, and
 # the column of each.
-_HALF_SHELL = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-               if (dx, dy, dz) > (0, 0, 0)]
-_HALF_COLUMNS = sorted({offset[:2] for offset in _HALF_SHELL})
-_COLUMN_OF = [_HALF_COLUMNS.index(offset[:2]) for offset in _HALF_SHELL]
-_HALF_SHELL, _HALF_COLUMNS = np.array(_HALF_SHELL), np.array(_HALF_COLUMNS)
+_HALF_SHELL = np.array([
+    (0, 0, 1),
+    (0, 1, -1), (0, 1, 0), (0, 1, 1),
+    (1, -1, -1), (1, -1, 0), (1, -1, 1),
+    (1, 0, -1), (1, 0, 0), (1, 0, 1),
+    (1, 1, -1), (1, 1, 0), (1, 1, 1),
+])
+_HALF_COLUMNS = np.array([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
+_COLUMN_OF = [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -703,7 +707,11 @@ def parse_pdb_protein(path, stats: dict | None = None):
     atom name is used. Alternate locations other than '' or 'A' are skipped.
 
     A coordinate that parses as NaN or infinity raises ``ParseError`` at its
-    line. Covalent bonds are inferred between atom pairs closer than
+    line. The file holds one structure: a second ``MODEL`` record (an NMR
+    ensemble, say) raises ``ParseError`` at its line, since merged models
+    would bond every atom to its own copy; a single ``MODEL``/``ENDMDL``
+    block is read like a file without one. Covalent bonds are inferred
+    between atom pairs closer than
     ``1.3 x (sum of single-bond covalent radii)``, through the cell list of
     ``pairs_within`` on proteins of more than ``_PAIR_BLOCK`` atoms; all
     inferred bonds are single order and aromatic flags stay false.
@@ -715,9 +723,17 @@ def parse_pdb_protein(path, stats: dict | None = None):
     bond search take about equal shares of the time.
     """
     elements, positions, linenos = [], [], []
+    models = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line[0:6].strip() not in ("ATOM", "HETATM"):
+            record = line[0:6].strip()
+            if record not in ("ATOM", "HETATM"):
+                if record == "MODEL":
+                    models += 1
+                    if models > 1:
+                        _finite_coordinates(positions, linenos, path)
+                        raise ParseError("more than one MODEL (a multi-model file such as an NMR ensemble)",
+                                         path=path, line=lineno)
                 continue
             if len(line) < 54:
                 _finite_coordinates(positions, linenos, path)

@@ -48,6 +48,10 @@ class Edges:
     distance (0 on self-loops and bonds). ``sizes`` holds the node count of
     each graph: graph g owns the ``sizes[g]`` nodes after those of graphs
     0..g-1, and no edge joins two graphs.
+
+    Two layouts for the edge kernels of ``autodiff`` are derived on first
+    access and kept with the edge list: ``blocks`` places every edge in its
+    graph's dense n x n block, ``buckets`` groups the rows by degree.
     """
 
     src: np.ndarray  # E int
@@ -118,6 +122,18 @@ class Edges:
         index = first_entry[g] + (self.src - first_node[g]) * n[g] + self.dst - first_node[g]
         bounds = list(zip(first_node.tolist(), n.tolist(), first_entry.tolist()))
         return bounds, index, int(n @ n)
+
+    @cached_property
+    def buckets(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The rows grouped by degree (the sliced-ELLPACK layout): for each
+        degree d present, in increasing order, the n_d rows of degree d and
+        the n_d x d matrix of their edges, row r's edges being the run
+        ``starts[r]`` .. ``starts[r] + d - 1``."""
+        degree = np.diff(self.starts, append=len(self.src))
+        order = np.argsort(degree, kind="stable")
+        d, first = np.unique(degree[order], return_index=True)
+        return [(rows, self.starts[rows][:, None] + np.arange(k))
+                for k, rows in zip(d.tolist(), np.split(order, first[1:]))]
 
 
 @dataclass

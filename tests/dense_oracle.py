@@ -2,14 +2,28 @@
 
 The model runs on edge lists. This module keeps the dense form on the tape,
 with N x N adjacencies, N x N scores and one masked softmax per adjacency,
-so tests can compare scores and gradients against it. Nothing under ``src/``
-uses it.
+so tests can compare scores and gradients against it. It also keeps the
+edge kernels' first form, one E x F gather per call, as the reference for
+``autodiff``'s degree-bucketed kernel. Nothing under ``src/`` uses it.
 """
 
 import numpy as np
 
 from molgat.autodiff import Tape, constant
 from molgat.errors import ShapeError
+
+
+def gather_edge_dots(a, b, edges):
+    """E x 1 column of a[src_e] . b[dst_e], from the two gathered E x F arrays."""
+    return np.einsum("ij,ij->i", a[edges.src], b[edges.dst])[:, None]
+
+
+def gather_edge_sums(w, x, edges):
+    """N x F rows out_i = sum over node i's edges e of w_e * x[dst_e], summed
+    over each row's run of E x F gathered rows."""
+    rows = x[edges.dst]
+    rows *= w
+    return np.add.reduceat(rows, edges.starts, axis=0)
 
 
 def dense_a2(tape, dist, inter_mask, a1, mu, sigma):

@@ -1,5 +1,5 @@
 """Shared test utilities: the finite-difference gradient oracle, pocket-size
-graph samples and the dense view of per-edge values.
+graph samples, random edge lists and the dense view of per-edge values.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
@@ -7,7 +7,7 @@ analytic backward rules it is used to check.
 
 import numpy as np
 
-from molgat.graphs import GraphSample, pairwise_distances
+from molgat.graphs import Edges, GraphSample, pairwise_distances
 
 
 def finite_difference_grads(fn, leaves, h=1e-5):
@@ -79,6 +79,15 @@ def pocket_sample(n_atoms, seed, n_ligand=30):
         complex_id=f"pocket{n_atoms}-{seed}",
         protein_id="pocket",
     )
+
+
+def random_edges(rng, n, density=0.4):
+    """A random symmetric edge list on n nodes (self-loops always present),
+    with about a third of the non-loop pairs flagged as contacts."""
+    i, j = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    pairs = np.stack([i, j], axis=1)
+    is_contact = rng.random(len(pairs)) < 0.3
+    return Edges.build(n, pairs[~is_contact], pairs[is_contact])
 
 
 def dense_of(edges, values):

@@ -7,22 +7,13 @@ from molgat.autodiff import Tape, Value, constant, dropout_mask, parameter
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
 
-from helpers import check_gradients, dense_of, finite_difference_grads, max_relative_error
+from helpers import check_gradients, dense_of, finite_difference_grads, max_relative_error, random_edges
 
 OP_TOL = 1e-5  # op-level gradient agreement with central differences at h=1e-5
 
 
 def rand(rng, rows, cols, low=-1.0, high=1.0):
     return parameter(rng.uniform(low, high, size=(rows, cols)))
-
-
-def random_edges(rng, n, density=0.4):
-    """A random symmetric edge list on n nodes (self-loops always present),
-    with about a third of the non-loop pairs flagged as contacts."""
-    i, j = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
-    pairs = np.stack([i, j], axis=1)
-    is_contact = rng.random(len(pairs)) < 0.3
-    return Edges.build(n, pairs[~is_contact], pairs[is_contact])
 
 
 class TestForwardExamples:

@@ -501,6 +501,37 @@ class TestPdb:
             parse_pdb_protein(path)
         assert err.value.line == 5
 
+    def test_second_model_rejected_at_its_line(self, tmp_path):
+        # an NMR-style ensemble: merged, each atom would bond to its own
+        # coincident copy in the other model (6 atoms, 11 bonds)
+        model = triglycine_lines()[:3]
+        lines = ["MODEL        1", *model, "ENDMDL", "MODEL        2", *model, "ENDMDL", "END"]
+        path = tmp_path / "ensemble.pdb"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="more than one MODEL") as err:
+            parse_pdb_protein(path)
+        assert err.value.line == 6 and err.value.path == path
+
+    def test_earlier_faulty_line_named_before_second_model(self, tmp_path):
+        model = triglycine_lines()[:3]
+        lines = ["MODEL        1", *model, "ENDMDL", "MODEL        2", *model, "ENDMDL"]
+        lines[2] = lines[2][:38] + f"{'nan':>8}" + lines[2][46:]
+        path = tmp_path / "ensemble.pdb"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite coordinates") as err:
+            parse_pdb_protein(path)
+        assert err.value.line == 3
+
+    def test_single_model_accepted(self, tmp_path):
+        model = triglycine_lines()[:3]
+        bare = tmp_path / "bare.pdb"
+        bare.write_text("\n".join(model) + "\n")
+        path = tmp_path / "one_model.pdb"
+        path.write_text("\n".join(["MODEL        1", *model, "ENDMDL", "END"]) + "\n")
+        atoms, bonds = parse_pdb_protein(path)
+        assert len(atoms) == 3 and len(bonds) == 2
+        assert (atoms, bonds) == parse_pdb_protein(bare)
+
     def test_annotations_from_inferred_bonds(self, tmp_path):
         path = tmp_path / "tri.pdb"
         path.write_text("\n".join(triglycine_lines()) + "\n")
@@ -579,6 +610,17 @@ def grid_calls(monkeypatch):
 
 
 class TestPairsWithin:
+    def test_half_shell_tables_equal_their_derivation(self):
+        # the 13 offsets after (0, 0, 0) in lexicographic order, their columns
+        # sorted, and the column of each
+        shell = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                 if (dx, dy, dz) > (0, 0, 0)]
+        columns = sorted({offset[:2] for offset in shell})
+        assert chem._HALF_SHELL.tolist() == [list(o) for o in shell]
+        assert chem._HALF_COLUMNS.tolist() == [list(c) for c in columns]
+        assert chem._COLUMN_OF == [columns.index(o[:2]) for o in shell]
+        assert chem._HALF_SHELL.dtype == chem._HALF_COLUMNS.dtype == np.int64
+
     def test_matches_brute_force_oracle(self, grid_calls):
         # the first two shapes take the cell list; on the dense path 700 and
         # 257 rows of ``a`` span three and two row blocks

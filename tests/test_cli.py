@@ -155,6 +155,18 @@ class TestFeaturize:
         assert "parsed 1 sample(s); 1 rejected" in capsys.readouterr().out
         assert [s.complex_id for s in read_cache(tmp_path / "pair.cache")] == ["lig"]
 
+    def test_multi_model_pdb_is_two(self, tmp_path, capsys):
+        sdf = tmp_path / "lig.sdf"
+        sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+        model = triglycine_lines()
+        pdb = tmp_path / "nmr.pdb"
+        pdb.write_text("\n".join(["MODEL        1", *model, "ENDMDL", "MODEL        2", *model, "ENDMDL"]) + "\n")
+        rc = main(["featurize", f"{sdf}:{pdb}", "--format", "sdf+pdb", "--out", str(tmp_path / "pair.cache")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "parsed 0 sample(s); 1 rejected" in out and f"{pdb}:15:" in out and "MODEL" in out
+        assert not (tmp_path / "pair.cache").exists()
+
     def test_all_failures_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

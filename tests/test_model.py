@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, constant, parameter
+from molgat.autodiff import Tape, constant, dropout_mask, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, NumericError
 from molgat.graphs import GraphSample, build_sample, prune_protein
@@ -9,6 +9,7 @@ from molgat.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
     ModelParams,
+    _dropout_masks,
     load_params,
     materialize_a2,
     predict,
@@ -266,6 +267,25 @@ class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             predict(Tape(), [], fresh_params(), SMALL)
+
+
+def test_dropout_masks_equal_per_site_draws():
+    config = ModelConfig(num_gat_layers=3, gat_dim=8, fc_dims=(6, 5, 1), dropout_rate=0.3)
+    batch = mixed_batch()
+    # reference: one draw per site, sample by sample, in predict's order
+    rng = np.random.default_rng(15)
+    per_sample = [
+        [dropout_mask((s.num_atoms, 8), 0.3, rng) for _ in range(3)]
+        + [dropout_mask((1, d), 0.3, rng) for d in (6, 5)]
+        for s in batch
+    ]
+    expected = [np.concatenate(site) for site in zip(*per_sample)]
+    rng = np.random.default_rng(15)
+    masks = _dropout_masks(batch, config, rng)
+    assert [m.shape for m in masks] == [(sum(s.num_atoms for s in batch), 8)] * 3 + [(len(batch), 6), (len(batch), 5)]
+    for got, want in zip(masks, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert rng.random() == np.random.default_rng(15).random(sum(m.size for m in masks) + 1)[-1]
 
 
 class TestGradientsThroughModel:
