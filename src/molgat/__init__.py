@@ -10,7 +10,7 @@ from .chem import Atom, Bond, ComplexRecord, featurize, parse_complex
 from .gat import GatParams, gat_forward
 from .graphs import GraphSample, build_sample, compute_rmsd, label_pose, prune_protein
 from .model import ModelConfig, ModelParams, load_params, materialize_a2, predict, save_params, score
-from .training import TrainConfig, balanced_batches, bce_loss, train
+from .training import TrainConfig, balanced_batches, train
 
 __all__ = [
     "Tape",
@@ -38,6 +38,5 @@ __all__ = [
     "score",
     "TrainConfig",
     "balanced_batches",
-    "bce_loss",
     "train",
 ]

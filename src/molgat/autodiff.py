@@ -146,14 +146,6 @@ class Value:
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask drawn from ``rng``: 0 where a unit drops (with
-    probability ``rate``), 1 / (1 - rate) where it is kept."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
 def parameter(data) -> Value:
     """A trainable leaf: accumulates gradient across backward passes."""
     return Value(data, requires_grad=True)
@@ -387,8 +379,7 @@ class Tape:
         return self._record(out_data, (scores,), backward)
 
     def dropout(self, a: Value, keep: np.ndarray) -> Value:
-        """Inverted dropout by a constant mask of 0 and 1 / (1 - rate), as
-        ``dropout_mask`` draws it."""
+        """Inverted dropout by a constant mask of 0 and 1 / (1 - rate)."""
         if keep.shape != a.shape:
             raise ShapeError(f"dropout: mask {keep.shape} must match {a.shape}")
 

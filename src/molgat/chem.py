@@ -166,10 +166,6 @@ class ComplexRecord:
     def num_ligand_atoms(self) -> int:
         return sum(1 for a in self.atoms if a.is_ligand)
 
-    @property
-    def num_protein_atoms(self) -> int:
-        return len(self.atoms) - self.num_ligand_atoms
-
     def coordinates(self) -> np.ndarray:
         return _coordinates([a.position for a in self.atoms])
 

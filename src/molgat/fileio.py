@@ -29,7 +29,9 @@ def atomic_open(path, mode: str = "w"):
 
 def write_checked(path, magic: bytes, body: bytes) -> None:
     with atomic_open(path, "wb") as fh:
-        fh.write(magic + body + struct.pack("<I", zlib.crc32(body)))
+        fh.write(magic)
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def read_checked(path, magic: bytes, kind: str) -> "Reader":

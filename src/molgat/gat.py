@@ -15,13 +15,17 @@ Both branches share the weights, the scores and the gate; for every edge
     out_i = (1 - z_i) * sum_j (a_2 - a_1)_ij x'_j
 
 This is the contact branch minus the covalent branch of the gated layer
-``z * x' + (1 - z) * a_k x'``: the ``z * x'`` terms cancel. Each layer costs
-O(N F^2 + E F). When a2 is 1 on every edge and no edge is a contact, both
-softmaxes run over the same edges, ``a_2 - a_1`` is exactly zero and so is
-the output. ``e_ij`` is computed once per edge as ``half + half[rev]``, so it
-is bit-for-bit symmetric. The ``internals`` keys are scores (e), gate (z),
-softmax1/softmax2 (before the weighting) and attention1/attention2 (a_1,
-a_2), each E x 1 in edge order except the N x 1 gate.
+``z * x' + (1 - z) * a_k x'``: the ``z * x'`` terms cancel. The gate logit
+is computed as ``x ([I | W] u) + b``, which equals ``[x | x'] u + b`` because
+x' = x W: the F x 1 vector ``[I | W] u`` costs O(F^2) per layer, and no
+N x 2F concatenation, nor its N x 2F gradient, is built. ``u`` keeps its
+2F x 1 shape. Each layer costs O(N F^2 + E F). When a2 is 1 on every edge
+and no edge is a contact, both softmaxes run over the same edges,
+``a_2 - a_1`` is exactly zero and so is the output. ``e_ij`` is computed
+once per edge as ``half + half[rev]``, so it is bit-for-bit symmetric. The
+``internals`` keys are scores (e), gate (z), softmax1/softmax2 (before the
+weighting) and attention1/attention2 (a_1, a_2), each E x 1 in edge order
+except the N x 1 gate.
 
 Everything runs on the differentiation tape, so gradients reach W, E, u, b
 and the A2 edge weights (which is how the learnable distance profile behind
@@ -98,10 +102,9 @@ def gat_forward(
     attention2 = tape.mul(softmax2, a2)
     xpp = tape.segment_sum(tape.sub(attention2, attention1), xp, edges)
 
-    gate_logit = tape.add(
-        tape.matmul(tape.concat_cols(x, xp), params.u),
-        tape.broadcast(params.b, n, 1),
-    )
+    # x ([I | W] u) = [x | x'] u, without the N x 2F concatenation.
+    v = tape.matmul(tape.concat_cols(constant(np.eye(f)), params.w), params.u)
+    gate_logit = tape.add(tape.matmul(x, v), tape.broadcast(params.b, n, 1))
     z = tape.sigmoid(gate_logit)
     out = tape.rowscale(tape.sub(constant(np.ones((n, 1))), z), xpp)
 

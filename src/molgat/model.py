@@ -107,9 +107,6 @@ class ModelParams:
     def values(self) -> list[Value]:
         return [v for _, v in self.named_values()]
 
-    def num_parameters(self) -> int:
-        return sum(v.data.size for v in self.values())
-
     def zero_grad(self) -> None:
         for v in self.values():
             v.zero_grad()
@@ -147,13 +144,15 @@ def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> li
     """Every dropout mask of a batch, drawn in the order ``predict`` states;
     one mask per dropout site, the samples' rows stacked in batch order.
 
-    The masks equal those of ``dropout_mask`` drawn site by site, with fewer
-    calls and passes: ``rng.random(a)`` followed by ``rng.random(b)`` yields
-    the same numbers as ``rng.random(a + b)``, so each sample's sites come
-    from one draw, and each site's kept flags are stacked before they are
-    scaled. One draw per sample, not per batch, keeps each draw below the
-    size of a site's mask: freeing one batch-wide draw (about 6 MB at the
-    paper defaults) raises glibc's mmap threshold, and with it peak RSS."""
+    A site's mask is 0 where a unit drops (``rng.random() < rate``) and
+    1 / (1 - rate) where it is kept. The masks equal those drawn with one
+    ``rng.random`` call per site, with fewer calls and passes:
+    ``rng.random(a)`` followed by ``rng.random(b)`` yields the same numbers
+    as ``rng.random(a + b)``, so each sample's sites come from one draw, and
+    each site's kept flags are stacked before they are scaled. One draw per
+    sample, not per batch, keeps each draw below the size of a site's mask:
+    freeing one batch-wide draw (about 6 MB at the paper defaults) raises
+    glibc's mmap threshold, and with it peak RSS."""
     rate = config.dropout_rate
     hidden = [(1, d) for d in config.fc_dims[:-1]]
     per_sample = []
@@ -263,19 +262,18 @@ def save_params(path, params: ModelParams, config: ModelConfig, iteration: int =
     for name, v in params.named_values():
         if not np.isfinite(v.data).all():
             raise NumericError(f"{path}: refusing to save non-finite tensor {name}")
-    body = struct.pack(
-        "<IIII", CHECKPOINT_VERSION, config.num_gat_layers, config.gat_dim, config.input_dim
-    )
-    body += struct.pack("<d", config.dropout_rate)
-    body += struct.pack("<I", len(config.fc_dims))
-    body += struct.pack(f"<{len(config.fc_dims)}I", *config.fc_dims)
-    body += struct.pack("<Q", iteration)
     tensors = params.values()
-    body += struct.pack("<I", len(tensors))
+    parts = [
+        struct.pack("<IIII", CHECKPOINT_VERSION, config.num_gat_layers, config.gat_dim, config.input_dim),
+        struct.pack("<d", config.dropout_rate),
+        struct.pack("<I", len(config.fc_dims)),
+        struct.pack(f"<{len(config.fc_dims)}I", *config.fc_dims),
+        struct.pack("<Q", iteration),
+        struct.pack("<I", len(tensors)),
+    ]
     for v in tensors:
-        body += struct.pack("<II", v.rows, v.cols)
-        body += v.data.astype("<f8").tobytes()
-    write_checked(path, CHECKPOINT_MAGIC, body)
+        parts += [struct.pack("<II", v.rows, v.cols), v.data.astype("<f8").tobytes()]
+    write_checked(path, CHECKPOINT_MAGIC, b"".join(parts))
 
 
 def load_params(path):

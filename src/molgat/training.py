@@ -55,15 +55,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
-def bce_loss(tape: Tape, pred: Value, label: int) -> Value:
-    """Binary cross entropy of one prediction, recording only the labelled branch:
-    ``-log(p)`` for label 1, ``-log(1 - p)`` for label 0; logs clamped at 1e-12."""
-    if label not in (0, 1):
-        raise DataError(f"label must be 0 or 1, got {label!r}")
-    p = pred if label == 1 else tape.sub(constant([[1.0]]), pred)
-    return tape.scale(tape.log(p), -1.0)
-
-
 def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:
     """Mean binary cross entropy of a G x 1 column of probabilities, recording
     only each row's labelled branch: ``p`` is kept for label 1 and ``1 - p``

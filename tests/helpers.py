@@ -1,5 +1,7 @@
 """Shared test utilities: the finite-difference gradient oracle, pocket-size
-graph samples, random edge lists and the dense view of per-edge values.
+graph samples, random edge lists, the dense view of per-edge values, a
+recorder of gradient shapes, and the one-sample loss, one-site dropout mask
+and parameter count the tests check the model against.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
@@ -7,6 +9,8 @@ analytic backward rules it is used to check.
 
 import numpy as np
 
+from molgat.autodiff import Value, constant
+from molgat.errors import DataError
 from molgat.graphs import Edges, GraphSample, pairwise_distances
 
 
@@ -81,6 +85,21 @@ def pocket_sample(n_atoms, seed, n_ligand=30):
     )
 
 
+def record_gradient_shapes(monkeypatch):
+    """A list that collects the shape of every gradient a backward rule hands
+    to ``Value.accumulate`` from now on. ``Tape.backward`` drops each node's
+    gradient once passed on, so this is the only place to see them all."""
+    passed = []
+    accumulate = Value.accumulate
+
+    def record(self, g):
+        passed.append(np.shape(g))
+        accumulate(self, g)
+
+    monkeypatch.setattr(Value, "accumulate", record)
+    return passed
+
+
 def random_edges(rng, n, density=0.4):
     """A random symmetric edge list on n nodes (self-loops always present),
     with about a third of the non-loop pairs flagged as contacts."""
@@ -96,3 +115,25 @@ def dense_of(edges, values):
     m = np.zeros((n, n))
     m[edges.src, edges.dst] = np.asarray(values).reshape(-1)
     return m
+
+
+def bce_loss(tape, pred, label):
+    """Binary cross entropy of one prediction, recording only the labelled branch:
+    ``-log(p)`` for label 1, ``-log(1 - p)`` for label 0; logs clamped at 1e-12."""
+    if label not in (0, 1):
+        raise DataError(f"label must be 0 or 1, got {label!r}")
+    p = pred if label == 1 else tape.sub(constant([[1.0]]), pred)
+    return tape.scale(tape.log(p), -1.0)
+
+
+def dropout_mask(shape, rate, rng):
+    """Inverted-dropout mask drawn from ``rng``: 0 where a unit drops (with
+    probability ``rate``), 1 / (1 - rate) where it is kept."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def num_parameters(params):
+    """Number of learnable scalars in a ``ModelParams``."""
+    return sum(v.data.size for v in params.values())

@@ -12,17 +12,24 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, constant, dropout_mask, parameter
+from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.gat import gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, label_pose, prune_protein
 from molgat.metrics import adjusted_logauc, auroc, re_score, topn_success, ScoredItem
 from molgat.model import ModelConfig, ModelParams, load_params, materialize_a2, predict, score
 from molgat.synthetic import generate_corpus
-from molgat.training import TrainConfig, bce_loss, mean_bce, split_by_protein, train
+from molgat.training import TrainConfig, mean_bce, split_by_protein, train
 from molgat.cli import main as cli_main
 
-from helpers import check_gradients, dense_of, finite_difference_grads, max_relative_error
+from helpers import (
+    bce_loss,
+    check_gradients,
+    dense_of,
+    dropout_mask,
+    finite_difference_grads,
+    max_relative_error,
+)
 
 GRAD_TOL = 1e-4
 FD_H = 1e-5

@@ -3,11 +3,18 @@ import zlib
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, Value, constant, dropout_mask, parameter
+from molgat.autodiff import Tape, Value, constant, parameter
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
 
-from helpers import check_gradients, dense_of, finite_difference_grads, max_relative_error, random_edges
+from helpers import (
+    check_gradients,
+    dense_of,
+    dropout_mask,
+    finite_difference_grads,
+    max_relative_error,
+    random_edges,
+)
 
 OP_TOL = 1e-5  # op-level gradient agreement with central differences at h=1e-5
 

@@ -587,7 +587,7 @@ class TestParseComplex:
         pdb.write_text("\n".join(triglycine_lines()) + "\n")
         rec = parse_complex(sdf, pdb, category="dude_inactive")
         assert rec.complex_id == "lig" and rec.protein_id == "prot"
-        assert rec.num_ligand_atoms == 5 and rec.num_protein_atoms == 12
+        assert rec.num_ligand_atoms == 5 and len(rec.atoms) - rec.num_ligand_atoms == 12
         assert rec.effective_label() == 0
         # ligand bonds first, protein bonds offset
         assert all(rec.atoms[b.i].is_ligand == rec.atoms[b.j].is_ligand for b in rec.bonds)

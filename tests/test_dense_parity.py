@@ -1,18 +1,19 @@
 """The edge-list model against the dense N x N reference in ``dense_oracle``:
-scores, parameter gradients (mu and sigma_raw included) and the size of every
-tape node."""
+scores, parameter gradients (mu and sigma_raw included), one pocket layer
+against the reference's concatenated gate input, and the size of every tape
+node."""
 
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, Value
+from molgat.autodiff import Tape, constant, parameter
+from molgat.gat import gat_forward, init_gat_params
 from molgat.graphs import build_sample, prune_protein
 from molgat.model import ModelConfig, ModelParams, predict, score
 from molgat.synthetic import generate_corpus
-from molgat.training import bce_loss
 
-from dense_oracle import dense_predict, dense_score
-from helpers import pocket_sample
+from dense_oracle import dense_gat_forward, dense_predict, dense_score
+from helpers import bce_loss, dense_of, pocket_sample, record_gradient_shapes
 
 PAPER = ModelConfig()
 A4_SMALL = ModelConfig(num_gat_layers=2, gat_dim=12, fc_dims=(8, 1), dropout_rate=0.3)
@@ -59,17 +60,38 @@ class TestDenseParity:
         assert_parity([pocket_sample(n_atoms, seed=n_atoms)], PAPER, seed=7, grad_every=1)
 
 
+@pytest.mark.usefixtures("edge_kernel")
+def test_pocket_layer_matches_the_concat_gate():
+    # The layer computes the gate logit as x ([I | W] u); the oracle builds
+    # [x | x W] and multiplies it by u. Output, gate and the gradients of u,
+    # W and x agree on a 600-atom pocket.
+    s = pocket_sample(600, seed=600)
+    edges = s.edges
+    rng = np.random.default_rng(13)
+    gauss = np.exp(-((edges.dist - 3.0) ** 2) / 2.0)
+    a2 = np.where(edges.contact, gauss, 1.0)[:, None]
+    x0 = s.features @ rng.uniform(-0.3, 0.3, size=(s.features.shape[1], PAPER.gat_dim))
+    weights = constant(rng.uniform(-1, 1, size=x0.shape))
+    layer = init_gat_params(PAPER.gat_dim, rng)
+    dense_a1, dense_a2 = constant(dense_of(edges, ~edges.contact)), constant(dense_of(edges, a2))
+    runs = {}
+    for name, forward in (
+        ("edges", lambda t, x, internals: gat_forward(t, x, edges, constant(a2), layer, internals)),
+        ("dense", lambda t, x, internals: dense_gat_forward(t, x, dense_a1, dense_a2, layer, internals)),
+    ):
+        for v in (layer.u, layer.w):
+            v.zero_grad()
+        x, internals, t = parameter(x0), {}, Tape()
+        out = forward(t, x, internals)
+        t.backward(t.sum_all(t.mul(out, weights)))
+        runs[name] = [out.data, internals["gate"].data, layer.u.grad, layer.w.grad, x.grad]
+    assert np.abs(runs["edges"][0]).max() > 0.1
+    for sparse, dense, what in zip(runs["edges"], runs["dense"], ("output", "gate", "u", "W", "x")):
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12, err_msg=what)
+
+
 def test_no_tape_node_is_n_squared(monkeypatch):
-    # backward drops each node's gradient once passed on, so every gradient
-    # a backward rule hands over is recorded as it passes.
-    passed = []
-    accumulate = Value.accumulate
-
-    def record(self, g):
-        passed.append(np.shape(g))
-        accumulate(self, g)
-
-    monkeypatch.setattr(Value, "accumulate", record)
+    passed = record_gradient_shapes(monkeypatch)
     s = pocket_sample(600, seed=11)
     params = ModelParams.initialize(PAPER, np.random.default_rng(8))
     t = Tape()

@@ -6,9 +6,10 @@ import pytest
 from molgat.autodiff import Tape, constant, parameter
 from molgat.errors import ShapeError
 from molgat.gat import GatParams, gat_forward, init_gat_params
-from molgat.graphs import Edges
+from molgat.graphs import Edges, build_sample, prune_protein
+from molgat.synthetic import generate_corpus
 
-from helpers import check_gradients, dense_of
+from helpers import check_gradients, dense_of, record_gradient_shapes
 
 
 def gat_oracle(x, adj, w, e, u, b):
@@ -250,3 +251,24 @@ class TestGradients:
         t = Tape()
         t.backward(t.sum_all(t.mul(gat_forward(t, x, edges, a2, params), weights)))
         check_gradients(forward, leaves, tol=1e-4)
+
+
+def test_gate_holds_no_value_wider_than_the_layer(monkeypatch):
+    # The gate logit [x | x W] u is computed as x ([I | W] u): on a merged
+    # 32-sample batch, neither the forward pass nor the backward pass holds
+    # an array with the batch's N rows and more than F columns.
+    passed = record_gradient_shapes(monkeypatch)
+    batch = [build_sample(prune_protein(r)) for r in generate_corpus(32, seed=53)]
+    graph = Edges.merge([s.edges for s in batch])
+    n, f = len(graph.starts), 140
+    rng = np.random.default_rng(54)
+    x = parameter(rng.uniform(-1, 1, size=(n, f)))
+    a2 = parameter(np.where(graph.contact, rng.uniform(0.2, 1.0, size=len(graph.src)), 1.0)[:, None])
+    params = init_gat_params(f, rng)
+    t = Tape()
+    t.backward(t.sum_all(gat_forward(t, x, graph, a2, params)))
+    assert graph.contact.any() and x.grad is not None and params.u.grad is not None
+    for node in t._nodes:
+        assert not (node.rows == n and node.cols > f), f"tape value of shape {node.shape}"
+    for shape in passed:
+        assert not (shape[0] == n and shape[1] > f), f"gradient of shape {shape}"

@@ -48,7 +48,8 @@ class TestPrune:
     def test_exactly_eight_kept(self):
         # the rule removes atoms strictly farther than the cutoff
         rec = complex_with_protein_at([8.0 + 1.4])
-        assert prune_protein(rec).num_protein_atoms == 1
+        pruned = prune_protein(rec)
+        assert len(pruned.atoms) - pruned.num_ligand_atoms == 1
 
     def test_ligand_never_pruned(self):
         rec = complex_with_protein_at([3.0])
@@ -93,7 +94,7 @@ class TestPrune:
         rec = ComplexRecord("c", "p", atoms, [Bond(1, 2)])
         pruned = prune_protein(rec)
         assert pruned.bonds == []
-        assert pruned.num_protein_atoms == 1
+        assert len(pruned.atoms) - pruned.num_ligand_atoms == 1
 
     def test_all_protein_pruned_rejected(self):
         rec = complex_with_protein_at([20.0])

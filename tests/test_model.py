@@ -1,7 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from molgat.autodiff import Tape, constant, dropout_mask, parameter
+from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, NumericError
 from molgat.graphs import GraphSample, build_sample, prune_protein
@@ -17,9 +20,9 @@ from molgat.model import (
     score,
 )
 from molgat.synthetic import generate_corpus
-from molgat.training import bce_loss, mean_bce
+from molgat.training import mean_bce
 
-from helpers import check_gradients, dense_of, pocket_sample
+from helpers import bce_loss, check_gradients, dense_of, dropout_mask, num_parameters, pocket_sample
 
 SMALL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
 
@@ -194,7 +197,7 @@ class TestPredict:
             fc += prev * d + d
             prev = d
         expected = cfg.input_dim * f + cfg.num_gat_layers * per_layer + 2 + fc
-        assert params.num_parameters() == expected
+        assert num_parameters(params) == expected
 
     def test_branches_read_identical_parameter_objects(self):
         params = fresh_params()
@@ -337,6 +340,23 @@ class TestCheckpoint:
         save_params(p1, params, SMALL, 7)
         save_params(p2, params, SMALL, 7)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_equal_the_layout_built_field_by_field(self, tmp_path):
+        config = ModelConfig()
+        params = fresh_params(config, seed=3)
+        path = tmp_path / "paper.ckpt"
+        save_params(path, params, config, iteration=150_000)
+        body = struct.pack("<IIII", 1, config.num_gat_layers, config.gat_dim, config.input_dim)
+        body += struct.pack("<d", config.dropout_rate)
+        body += struct.pack("<I", len(config.fc_dims))
+        body += struct.pack(f"<{len(config.fc_dims)}I", *config.fc_dims)
+        body += struct.pack("<Q", 150_000)
+        tensors = params.values()
+        body += struct.pack("<I", len(tensors))
+        for v in tensors:
+            body += struct.pack("<II", v.rows, v.cols)
+            body += v.data.astype("<f8").tobytes()
+        assert path.read_bytes() == CHECKPOINT_MAGIC + body + struct.pack("<I", zlib.crc32(body))
 
     def test_corruption_detected(self, tmp_path):
         _, path = self.roundtrip(tmp_path)

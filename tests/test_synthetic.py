@@ -27,7 +27,7 @@ class TestCorpus:
     def test_atom_counts_in_range(self):
         for rec in generate_corpus(60, seed=2):
             assert 5 <= rec.num_ligand_atoms <= 15
-            assert 20 <= rec.num_protein_atoms <= 40
+            assert 20 <= len(rec.atoms) - rec.num_ligand_atoms <= 40
 
     def test_all_categories_present_and_consistent(self):
         records = generate_corpus(200, seed=3)
