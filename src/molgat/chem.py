@@ -18,8 +18,10 @@ a cell list, O(N + pairs) in time and memory, when both point sets have more
 than ``_PAIR_BLOCK`` rows (bond inference over a whole PDB entry), and
 blocked dense distances otherwise (pruning against the ligand's rows, the
 ligand x protein contact search, small graphs), where the grid is the slower
-one; both paths return the same bits. Its inputs must be finite: the PDB
-reader rejects a non-finite coordinate at its line before any search runs.
+one; both paths return the same bits. The grid serves rows less than 2**17
+cells from the origin, beyond any PDB coordinate; farther rows are compared
+densely. Inputs must be finite: the PDB reader rejects a non-finite
+coordinate at its line before any search runs.
 
 Reading a whole PDB entry costs one Python pass over its lines; the rest is
 array work over all atoms and bonds at once. Annotations are counts over
@@ -85,16 +87,15 @@ _PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs
 # Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
 # 1e-12, far above the few ulps of rounding in a distance, and at least 1e-150
 # wide, where a distance that passes the test cannot come from underflowed
-# squares (``featurize --cutoff`` passes any positive float). Floor division
-# into cells is exact below 2**50 cells from the origin; rows farther out are
-# compared densely.
+# squares (``featurize --cutoff`` passes any positive float). Rows less than
+# 2**17 cells from the origin on every axis (about 4.1e5 A at the bond cutoff;
+# a PDB coordinate field holds at most 9999.999) are numbered by one exact
+# int64 key below 2**55; rows farther out are compared densely.
 _GRID_MARGIN = 1.0 + 1e-12
 _GRID_MIN_WIDTH = 1e-150
-_GRID_CLIP = 2.0**50
-_STEPS = np.array([-1, 0, 1])
-# The 13 cell offsets after (0, 0, 0) in lexicographic order (the other 13
-# neighbours are their reverses), the 5 (dx, dy) columns they lie in, and
-# the column of each.
+_GRID_CLIP = 2**17
+# The 13 cell offsets after (0, 0, 0) in lexicographic order; the other 13
+# neighbours are their reverses.
 _HALF_SHELL = np.array([
     (0, 0, 1),
     (0, 1, -1), (0, 1, 0), (0, 1, 1),
@@ -102,8 +103,6 @@ _HALF_SHELL = np.array([
     (1, 0, -1), (1, 0, 0), (1, 0, 1),
     (1, 1, -1), (1, 1, 0), (1, 1, 1),
 ])
-_HALF_COLUMNS = np.array([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
-_COLUMN_OF = [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -303,13 +302,15 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The squared coordinate differences are summed one coordinate at a time,
     in place. That gives the same bits as ``sqrt((d * d).sum(axis=2))`` with
     ``d = a[:, None, :] - b[None, :, :]``, without the MxKx3 intermediate.
+    A difference or square beyond the float range is silently infinite.
     """
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
-    sq *= sq
-    for k in (1, 2):
-        d = np.subtract.outer(a[:, k], b[:, k])
-        d *= d
-        sq += d
+    with np.errstate(over="ignore"):
+        sq = np.subtract.outer(a[:, 0], b[:, 0])
+        sq *= sq
+        for k in (1, 2):
+            d = np.subtract.outer(a[:, k], b[:, k])
+            d *= d
+            sq += d
     return np.sqrt(sq, out=sq)
 
 
@@ -325,9 +326,9 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     - a cell list (``_grid_pairs``) when both sides have more than
       ``_PAIR_BLOCK`` rows: O(M + K + pairs) time and memory; a search of
       one array against itself (``a is b``, as in bond inference) computes
-      each distance between two cells once. Rows more than 2**50 cells from
-      the origin (about 3.5e15 A at the bond cutoff) are compared densely
-      with the other side instead;
+      each distance between two cells once. Rows 2**17 cells or more from
+      the origin on some axis (about 4.1e5 A at the bond cutoff, beyond any
+      PDB coordinate field) are compared densely with the other side instead;
     - otherwise blocked dense distances (``_dense_pairs``): O(M K) time,
       memory linear in K. This serves the short side of pruning (ligand rows)
       and of the contact search, where the dense path is the faster one.
@@ -350,7 +351,7 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
         i, j, d = search(a[rows_a], b[rows_b], cutoff)
         parts.append((rows_a[i], rows_b[j], d))
     i, j, d = (np.concatenate(p) for p in zip(*parts))
-    s = np.lexsort((j, i))
+    s = np.argsort(i * len(b) + j)
     return i[s], j[s], d[s]
 
 
@@ -365,7 +366,8 @@ def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     rows = np.arange(len(a))
     if len(a) > _PAIR_BLOCK and len(b):
         reach = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
-        rows = np.flatnonzero(((a - b.max(axis=0) <= reach) & (b.min(axis=0) - a <= reach)).all(axis=1))
+        with np.errstate(over="ignore"):  # a gap beyond the float range is infinite, and beyond reach
+            rows = np.flatnonzero(((a - b.max(axis=0) <= reach) & (b.min(axis=0) - a <= reach)).all(axis=1))
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for s in range(0, len(rows), _PAIR_BLOCK):
         block = rows[s:s + _PAIR_BLOCK]
@@ -382,17 +384,24 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float, width: float):
 
     Space is cut into cubes ``width`` wide, slightly wider than ``cutoff``, so
     every pair the distance test accepts lies in the same or an adjacent cell,
-    even after the rounding of its distance. The occupied cells of the rows of
-    both sides are numbered, and each one's neighbours at the 13 offsets of
-    ``_HALF_SHELL`` looked up once (``_cells``); every other neighbour is the
-    reverse of one of these. The candidates are the rows of ``a`` in a cell
-    against the rows of ``b`` in the same cell, in each half-shell neighbour
-    and, unless ``a is b``, in each reverse neighbour. When ``a is b`` the
-    pairs across two cells are found once and mirrored: ``(a_i - a_j)**2``
-    and ``(a_j - a_i)**2`` have the same bits.
+    even after the rounding of its distance. Cell coordinates shifted by
+    ``_GRID_CLIP + 1`` lie in 1..span-2, so ``(qx * span + qy) * span + qz``
+    numbers a row's cell and its 26 neighbours exactly, each by its own key.
+    The occupied cells are the distinct keys of the rows of both sides, and
+    each one's neighbours at the 13 offsets of ``_HALF_SHELL`` are looked up
+    once among them; every other neighbour is the reverse of one of these. The
+    candidates are the rows of ``a`` in a cell against the rows of ``b`` in
+    the same cell, in each half-shell neighbour and, unless ``a is b``, in
+    each reverse neighbour. When ``a is b`` the pairs across two cells are
+    found once and mirrored: ``(a_i - a_j)**2`` and ``(a_j - a_i)**2`` have
+    the same bits.
     """
     same = a is b
-    cell, neighbours = _cells(np.floor_divide(a if same else np.concatenate([a, b]), width))
+    span = 2 * _GRID_CLIP + 2
+    place = np.array([span * span, span, 1])
+    q = np.floor_divide(a if same else np.concatenate([a, b]), width).astype(np.int64) + (_GRID_CLIP + 1)
+    cells, cell = np.unique(q @ place, return_inverse=True)
+    neighbours = _rank(cells, cells[:, None] + _HALF_SHELL @ place)
     own = np.arange(len(neighbours))
     near = neighbours >= 0
     src, dst = np.broadcast_to(own[:, None], near.shape)[near], neighbours[near]
@@ -422,34 +431,6 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float, width: float):
         i, j, d = np.concatenate([i, j[mirror]]), np.concatenate([j, i[mirror]]), np.concatenate([d, d[mirror]])
     s = np.argsort(i * len(b) + j)
     return i[s], j[s], d[s]
-
-
-def _cells(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied cell of each row of integral cell coordinates ``q``
-    (numbered 0..C-1), and the C x 13 table of each cell's neighbours at the
-    ``_HALF_SHELL`` offsets, -1 where no row lies.
-
-    Cells are numbered axis by axis: a row's rank among the distinct values
-    of the first axes, times the count of distinct values on the next axis,
-    plus its rank there, is ranked again among the occupied values, so every
-    key stays below len(q)**2 whatever the bounding box. A neighbour's rank on
-    one axis is the next or previous distinct value's rank when that value is
-    one cell away; its column and cell are then looked up once per cell.
-    """
-    index, ranks = zip(*(np.unique(q[:, k], return_inverse=True) for k in range(3)))
-    columns, column = np.unique(ranks[0] * len(index[1]) + ranks[1], return_inverse=True)
-    cells, cell = np.unique(column * len(index[2]) + ranks[2], return_inverse=True)
-    first = np.empty(len(cells), np.intp)
-    first[cell] = np.arange(len(cell))  # any row of a cell stands for it
-    step = []
-    for values, rank in zip(index, ranks):
-        r = rank[first]
-        moved = np.clip(r[:, None] + _STEPS, 0, len(values) - 1)
-        step.append(np.where(values[moved] == values[r][:, None] + _STEPS, moved, -1))
-    x, y = step[0][:, 1 + _HALF_COLUMNS[:, 0]], step[1][:, 1 + _HALF_COLUMNS[:, 1]]
-    col = _rank(columns, np.where((x >= 0) & (y >= 0), x * len(index[1]) + y, -1))[:, _COLUMN_OF]
-    z = step[2][:, 1 + _HALF_SHELL[:, 2]]
-    return cell, _rank(cells, np.where((col >= 0) & (z >= 0), col * len(index[2]) + z, -1))
 
 
 def _members(cell: np.ndarray, n_cells: int) -> tuple[np.ndarray, ...]:
@@ -712,14 +693,14 @@ def parse_pdb_protein(path, stats: dict | None = None):
     ``pairs_within`` on proteins of more than ``_PAIR_BLOCK`` atoms; all
     inferred bonds are single order and aromatic flags stay false.
 
-    The line loop is the only per-line Python: finiteness is checked on the
-    coordinate array after it (a fault that ends the loop early is reported
-    after any non-finite coordinate on an earlier line), and the bond search
-    and annotations are array work. On a 4,000-atom entry the loop and the
-    bond search take about equal shares of the time.
+    The line loop is the only per-line Python: a faulty line ends it, and
+    finiteness is checked once on the coordinate array after it, so a
+    non-finite coordinate on an earlier line is reported first. The bond
+    search and annotations are array work. On a 4,000-atom entry the loop
+    and the bond search take about equal shares of the time.
     """
     elements, positions, linenos = [], [], []
-    models = 0
+    models, fault = 0, None
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             record = line[0:6].strip()
@@ -727,20 +708,19 @@ def parse_pdb_protein(path, stats: dict | None = None):
                 if record == "MODEL":
                     models += 1
                     if models > 1:
-                        _finite_coordinates(positions, linenos, path)
-                        raise ParseError("more than one MODEL (a multi-model file such as an NMR ensemble)",
-                                         path=path, line=lineno)
+                        fault = "more than one MODEL (a multi-model file such as an NMR ensemble)", lineno
+                        break
                 continue
             if len(line) < 54:
-                _finite_coordinates(positions, linenos, path)
-                raise ParseError("truncated coordinate record", path=path, line=lineno)
+                fault = "truncated coordinate record", lineno
+                break
             if line[16:17] not in (" ", "", "A"):
                 continue
             try:
                 positions.append((float(line[30:38]), float(line[38:46]), float(line[46:54])))
-            except ValueError as exc:
-                _finite_coordinates(positions, linenos, path)
-                raise ParseError("bad coordinates", path=path, line=lineno) from exc
+            except ValueError:
+                fault = "bad coordinates", lineno
+                break
             linenos.append(lineno)
             element = line[76:78].strip() if len(line) >= 78 else ""
             if not element:
@@ -748,23 +728,18 @@ def parse_pdb_protein(path, stats: dict | None = None):
                 element = letters[0] if letters else ""
             elements.append(element.capitalize())
 
-    coords = _finite_coordinates(positions, linenos, path)
+    coords = _coordinates(positions)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite coordinates", path=path, line=linenos[int(np.argmin(finite))])
+    if fault:
+        raise ParseError(fault[0], path=path, line=fault[1])
     rows = np.flatnonzero(_supported(elements, stats))
     if len(rows) < len(elements):
         elements, positions = [elements[k] for k in rows.tolist()], [positions[k] for k in rows.tolist()]
         coords = coords[rows]
     ends = _infer_bonds(elements, coords)
     return _annotate(elements, positions, ends, ["single"] * len(ends), is_ligand=False)
-
-
-def _finite_coordinates(positions, linenos, path) -> np.ndarray:
-    """The N x 3 array of the positions read so far; ``ParseError`` at the
-    line of the first one holding NaN or infinity."""
-    coords = _coordinates(positions)
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        raise ParseError("non-finite coordinates", path=path, line=linenos[int(np.argmin(finite))])
-    return coords
 
 
 def _infer_bonds(elements, coords: np.ndarray) -> np.ndarray:

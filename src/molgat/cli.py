@@ -328,6 +328,9 @@ def cmd_poses(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    for name in ("train", "test", "pose_complexes", "poses_per_complex", "seed"):
+        if getattr(args, name) < 0:
+            raise _UsageError(f"--{name.replace('_', '-')} must be non-negative, got {getattr(args, name)}")
     os.makedirs(args.out, exist_ok=True)
     train_records = synthetic.generate_corpus(args.train, seed=args.seed, id_prefix="train")
     test_records = synthetic.generate_corpus(args.test, seed=args.seed + 1, id_prefix="test")

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("batch_size, iterations, and checkpoint_every must be positive")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:

@@ -2,6 +2,7 @@ import ast
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -611,15 +612,11 @@ def grid_calls(monkeypatch):
 
 class TestPairsWithin:
     def test_half_shell_tables_equal_their_derivation(self):
-        # the 13 offsets after (0, 0, 0) in lexicographic order, their columns
-        # sorted, and the column of each
+        # the 13 offsets after (0, 0, 0) in lexicographic order
         shell = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
                  if (dx, dy, dz) > (0, 0, 0)]
-        columns = sorted({offset[:2] for offset in shell})
         assert chem._HALF_SHELL.tolist() == [list(o) for o in shell]
-        assert chem._HALF_COLUMNS.tolist() == [list(c) for c in columns]
-        assert chem._COLUMN_OF == [columns.index(o[:2]) for o in shell]
-        assert chem._HALF_SHELL.dtype == chem._HALF_COLUMNS.dtype == np.int64
+        assert chem._HALF_SHELL.dtype == np.int64
 
     def test_matches_brute_force_oracle(self, grid_calls):
         # the first two shapes take the cell list; on the dense path 700 and
@@ -710,14 +707,15 @@ class TestPairsWithin:
         assert grid_calls == [(599, 399)]
 
     def test_grid_keys_do_not_scale_with_the_bounding_box(self, grid_calls):
-        # atoms 1e13 A apart on every axis stay inside the grid's limit but
-        # span ~1e38 cells, far more than an int64 key can number
+        # atoms 1e13 A apart on every axis span ~1e38 cells, far more than an
+        # int64 key can number; they lie beyond the grid's limit of 2**17
+        # cells, so they are compared densely and the grid takes the other 394
         rng = np.random.default_rng(34)
         a = rng.uniform(0.0, 20.0, size=(400, 3))
         a[:6] = [[1e13, -1e13, 1e13], [1e13, -1e13, 1e13 + 2.0], [-1e13, 1e13, -1e13],
                  [1e13, 1e13, 1e13], [-1e13, -1e13, -1e13], [3e12, -7e12, 5e12]]
         assert self.assert_matches_oracle(a, a, 3.12) > 1000
-        assert grid_calls == [(400, 400)]
+        assert grid_calls == [(394, 394)]
 
     def test_rows_beyond_the_grid_limit_are_compared_densely(self, grid_calls):
         # 300 rows 1e16 A apart along x lie beyond 2**50 cells of the origin;
@@ -744,6 +742,58 @@ class TestPairsWithin:
             tracemalloc.stop()
         assert np.array_equal(i, np.arange(3000)) and np.array_equal(j, i) and not d.any()
         assert peak < 30e6
+
+    def test_rows_at_the_grid_limit(self, grid_calls):
+        # on either sign of each axis, three rows just inside 2**17 cells of
+        # the origin take the grid and three at or past it are compared
+        # densely; rows on both sides of the limit lie within the cutoff
+        cutoff = 3.12
+        limit = chem._GRID_CLIP * (cutoff * chem._GRID_MARGIN)
+        inside, outside = [], []
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                edge = sign * limit
+                for rows, xs in [(inside, [np.nextafter(edge, 0.0), edge - sign, edge - 2.0 * sign]),
+                                 (outside, [edge, np.nextafter(edge, 2.0 * edge), edge + sign])]:
+                    for x in xs:
+                        rows.append(np.zeros(3))
+                        rows[-1][axis] = x
+        rng = np.random.default_rng(41)
+        a = np.concatenate([rng.uniform(0.0, 20.0, size=(300, 3)), inside, outside])
+        n_in = 300 + len(inside)
+        assert self.assert_matches_oracle(a, a, cutoff) > 1000
+        i, j, _ = pairs_within(a, a, cutoff)
+        assert ((i < n_in) & (j >= n_in)).sum() == 6 * 3 * 3  # every inside row meets every outside row
+        assert grid_calls == [(n_in, n_in)] * 2
+
+    def test_pdb_coordinate_extremes_take_one_grid_call(self, grid_calls):
+        # an 8.3f PDB field holds -999.999 to 9999.999: every corner of that
+        # box lies inside the grid's limit at the bond cutoff
+        corners = np.array([[x, y, z] for x in (-999.999, 9999.999) for y in (-999.999, 9999.999)
+                            for z in (-999.999, 9999.999)])
+        rng = np.random.default_rng(42)
+        a = np.concatenate([corners, rng.uniform(-10.0, 10.0, size=(300, 3)),
+                            corners + rng.uniform(-1.0, 1.0, size=(8, 3))])
+        a = np.round(a, 3)
+        assert self.assert_matches_oracle(a, a, 3.12) > 1000
+        assert grid_calls == [(316, 316)]
+
+    def test_far_coordinates_raise_no_warning(self):
+        # an 8-column PDB field can read 1e300 or -1.7e308: a difference or
+        # square then overflows to inf, which fails the cutoff, silently
+        rng = np.random.default_rng(43)
+        a = rng.uniform(0.0, 20.0, size=(300, 3))
+        a[:4] = [[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [1.7e308, 1.0, 0.0], [-1.7e308, 0.0, 1.0]]
+        b = a[:40].copy()
+        shapes = [(a, a), (a, b), (b, a), (b, b)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in shapes:
+                pairs_within(x, y, 3.12)
+            pairwise_distances(b, b)
+        with np.errstate(over="ignore"):  # the oracle's own squares overflow
+            for x, y in shapes:
+                assert self.assert_matches_oracle(x, y, 3.12) > 20
 
     def test_bond_search_memory_stays_linear(self, grid_calls):
         # 20,000 uniform atoms at protein heavy-atom density (0.054 atoms/A^3):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,21 @@ class TestFeaturize:
         assert rc == 2
         assert "parsed 0 sample(s); 1 rejected" in out and f"{pdb}:15:" in out and "MODEL" in out
         assert not (tmp_path / "pair.cache").exists()
+
+    def test_far_pdb_coordinate_gives_no_warning(self, tmp_path, capsys):
+        # an x field reading 1e300: its distances overflow to inf and fail
+        # every cutoff, without a numpy warning on stderr
+        sdf = tmp_path / "lig.sdf"
+        sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+        lines = triglycine_lines()
+        lines[5] = lines[5][:30] + f"{'1e300':>8}" + lines[5][38:]
+        pdb = tmp_path / "far.pdb"
+        pdb.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["featurize", f"{sdf}:{pdb}", "--format", "sdf+pdb", "--out", str(tmp_path / "pair.cache")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert chem.parse_pdb_protein(pdb)[0][5].degree == 0
 
     def test_all_failures_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -463,6 +479,33 @@ class TestExitCodes:
         assert err.value.code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_one(self, workspace, tmp_path, capsys, source):
+        # with --val-fraction 0 the run would get as far as writing its config
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\nseed = -1\n")
+        extra = ["--seed", "-1"] if source == "flag" else ["--config", str(ini)]
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+                  "--val-fraction", "0"] + extra)
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage:") and "seed must be non-negative, got -1" in err_text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-5"], ["--train", "-3"], ["--test", "-1"], ["--pose-complexes", "-2"],
+         ["--pose-complexes", "1", "--poses-per-complex", "-1"]],
+    )
+    def test_negative_synth_values_are_one(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--train", "2", "--test", "2", "--out", str(tmp_path / "corpus")] + flags)
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage:") and f"{flags[-2]} must be non-negative" in err_text
+        assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_learning_rate_in_config_file_is_one(self, workspace, tmp_path, capsys, value):
