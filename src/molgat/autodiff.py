@@ -2,10 +2,15 @@
 
 Every differentiable quantity is a ``Value``: a 2-D float64 numpy array plus
 an accumulated gradient. Operations are methods on a ``Tape``; each call
-computes the result eagerly, appends a node with its local gradient rule,
-and ``Tape.backward`` replays the nodes in reverse to populate gradients for
-every reachable leaf. A tape is built fresh for each forward pass
-(define-by-run) and is single-threaded.
+computes the result eagerly. When some input requires a gradient, the result
+is a node that keeps its parents and its local gradient rule, and the tape
+appends it; ``Tape.backward`` replays the nodes in reverse to populate
+gradients for every reachable leaf. A result computed from constants only is
+a plain ``Value``: no parents, no rule, not on the tape, so it is freed as
+soon as nothing references it. A forward pass on constant weights
+(``ModelParams.constants``) therefore holds about one layer's values at a
+time. A tape is built fresh for each forward pass (define-by-run) and is
+single-threaded.
 
 Scalars are represented as 1x1 matrices so the whole engine has one shape
 discipline. Graph operations take a sorted symmetric edge list
@@ -100,9 +105,10 @@ class Value:
     """A matrix on (or feeding) a tape.
 
     Leaves are created directly (``Value(data, requires_grad=True)`` for
-    trainable parameters, ``requires_grad=False`` for constants). Interior
-    nodes are created by tape operations and carry a closure that routes the
-    incoming gradient to their parents.
+    trainable parameters, ``requires_grad=False`` for constants). A tape
+    operation with an input that requires a gradient creates an interior
+    node, which carries a closure that routes the incoming gradient to its
+    parents; one on constants only returns a constant.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
@@ -157,7 +163,8 @@ def constant(data) -> Value:
 
 
 class Tape:
-    """Ordered record of operations for one forward pass."""
+    """Ordered record of the operations of one forward pass that can carry
+    a gradient: those with an input that requires one."""
 
     def __init__(self):
         self._nodes: list[Value] = []
@@ -171,11 +178,11 @@ class Tape:
         if not np.all(np.isfinite(data)):
             raise NumericError("operation produced non-finite values")
         out = Value(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out._parents = parents
-        if out.requires_grad:
+        if any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = parents
             out._backward = backward
-        self._nodes.append(out)
+            self._nodes.append(out)
         return out
 
     # -- core operations ----------------------------------------------------
@@ -459,14 +466,17 @@ class Tape:
     def backward(self, loss: Value) -> None:
         """Populate gradients of ``loss`` w.r.t. every reachable leaf.
 
-        ``loss`` must be a 1x1 value recorded on this tape. A node's gradient
-        is dropped once passed on to its parents, so only leaf gradients
-        remain; they accumulate until ``zero_grad``.
+        ``loss`` must be a 1x1 value recorded on this tape, or a value with
+        no parents: a leaf, or a value made from constants only, which the
+        tape never records. Such a bare value gets gradient 1 w.r.t. itself
+        and no other value changes, so every parameter's ``grad`` stays as
+        it was. A node's gradient is dropped once passed on to its parents,
+        so only leaf gradients remain; they accumulate until ``zero_grad``.
         """
         if loss.data.shape != (1, 1):
             raise ShapeError(f"backward: loss must be 1x1, got {loss.data.shape}")
-        if loss._parents == () and loss._backward is None:
-            # A bare leaf: its gradient w.r.t. itself is 1.
+        if loss._backward is None:
+            # A bare value: its gradient w.r.t. itself is 1.
             loss.accumulate(np.ones((1, 1)))
             return
         loss.grad = np.ones((1, 1))

@@ -423,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
+    for p in sub.choices.values():  # a usage error prints its subcommand's usage line
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -432,7 +434,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,10 @@ weights over A1 and A2 and returns the contact branch minus the covalent
 branch, ``(1 - z) * ((att2 - att1) x W)``, so a complex with no contacts pools
 to an exactly-zero vector. A layer costs O(N F^2 + E F) time and O(N F + E)
 memory (``autodiff`` takes the edge products of small graphs through a dense
-product bounded by a constant per edge). Node features are summed into one
+product bounded by a constant per edge). A training pass keeps every layer's
+values on the tape for the backward pass; ``score`` runs on constant views of
+the weights (``ModelParams.constants``), records nothing, and so holds about
+one layer's values at a time. Node features are summed into one
 graph vector, and a small MLP with ReLU hidden activations and a final sigmoid
 produces the activity probability.
 
@@ -90,6 +93,16 @@ class ModelParams:
             prev = dim
         return cls(embed, layers, mu, sigma_raw, fc)
 
+    @classmethod
+    def from_values(cls, values: list[Value], num_layers: int, num_fc: int) -> "ModelParams":
+        """The parameters from their values in checkpoint order."""
+        it = iter(values)
+        embed = next(it)
+        layers = [GatParams(w=next(it), e=next(it), u=next(it), b=next(it)) for _ in range(num_layers)]
+        mu, sigma_raw = next(it), next(it)
+        fc = [(next(it), next(it)) for _ in range(num_fc)]
+        return cls(embed, layers, mu, sigma_raw, fc)
+
     def named_values(self) -> list[tuple[str, Value]]:
         named = [("embed", self.embed)]
         for k, layer in enumerate(self.layers):
@@ -110,6 +123,12 @@ class ModelParams:
     def zero_grad(self) -> None:
         for v in self.values():
             v.zero_grad()
+
+    def constants(self) -> "ModelParams":
+        """The same weights as constants. Each shares its parameter's array,
+        and a forward pass on them records nothing on its tape."""
+        values = [constant(v.data) for v in self.values()]
+        return ModelParams.from_values(values, len(self.layers), len(self.fc))
 
     def sigma_on(self, tape: Tape) -> Value:
         """Positive sigma on the tape: softplus(raw) + floor."""
@@ -220,8 +239,13 @@ def predict(
 
 
 def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> float:
-    """Deterministic inference probability (dropout off)."""
-    return predict(Tape(), [sample], params, config).item()
+    """Deterministic inference probability (dropout off).
+
+    The forward pass runs on ``params.constants()``, so its tape records no
+    node and each value is freed once the pass has moved past it: a score
+    holds about one layer's values at a time. The result equals
+    ``predict(Tape(), [sample], params, config).item()`` bit for bit."""
+    return predict(Tape(), [sample], params.constants(), config).item()
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +339,4 @@ def load_params(path):
             raise CheckpointError(f"{path}: tensor {len(tensors)} has non-finite values")
         tensors.append(parameter(data.copy()))
     r.finish()
-
-    it = iter(tensors)
-    embed = next(it)
-    layers = [GatParams(w=next(it), e=next(it), u=next(it), b=next(it)) for _ in range(num_layers)]
-    mu, sigma_raw = next(it), next(it)
-    fc = [(next(it), next(it)) for _ in range(n_fc)]
-    params = ModelParams(embed, layers, mu, sigma_raw, fc)
-    return params, config, int(iteration)
+    return ModelParams.from_values(tensors, num_layers, n_fc), config, int(iteration)

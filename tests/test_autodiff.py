@@ -221,6 +221,103 @@ class TestBackwardExamples:
         np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
 
 
+def _op_cases():
+    """Every tape operation, as (call, inputs): ``call(tape, *values)`` runs
+    the operation on values holding ``inputs``."""
+    rng = np.random.default_rng(60)
+    edges = random_edges(rng, 5)
+    a, b = rng.uniform(0.5, 1.5, size=(5, 3)), rng.uniform(0.5, 1.5, size=(5, 3))
+    w, col = rng.uniform(-1, 1, size=(len(edges.src), 1)), rng.uniform(-1, 1, size=(5, 1))
+    keep, mask = dropout_mask((5, 3), 0.3, rng), edges.src == edges.dst
+    return {
+        "matmul": (lambda t, x, y: t.matmul(x, y), (a, b.T)),
+        "add": (lambda t, x, y: t.add(x, y), (a, b)),
+        "sub": (lambda t, x, y: t.sub(x, y), (a, b)),
+        "mul": (lambda t, x, y: t.mul(x, y), (a, b)),
+        "scale": (lambda t, x: t.scale(x, -2.0), (a,)),
+        "exp": (lambda t, x: t.exp(x), (a,)),
+        "log": (lambda t, x: t.log(x), (a,)),
+        "sigmoid": (lambda t, x: t.sigmoid(x), (a,)),
+        "relu": (lambda t, x: t.relu(x), (a - 1.0,)),
+        "softplus": (lambda t, x: t.softplus(x), (a,)),
+        "reciprocal": (lambda t, x: t.reciprocal(x), (a,)),
+        "transpose": (lambda t, x: t.transpose(x), (a,)),
+        "concat_cols": (lambda t, x, y: t.concat_cols(x, y), (a, b)),
+        "rowscale": (lambda t, c, x: t.rowscale(c, x), (col, a)),
+        "broadcast": (lambda t, x: t.broadcast(x, 5, 3), (np.array([[0.7]]),)),
+        "sum_all": (lambda t, x: t.sum_all(x), (a,)),
+        "sum_rows": (lambda t, x: t.sum_rows(x, [2, 3]), (a,)),
+        "masked_softmax": (lambda t, x: t.masked_softmax(x, np.eye(5)), (a @ b.T,)),
+        "dropout": (lambda t, x: t.dropout(x, keep), (a,)),
+        "edge_dot": (lambda t, x, y: t.edge_dot(x, y, edges), (a, b)),
+        "permute_rows": (lambda t, x: t.permute_rows(x, edges.rev), (w,)),
+        "segment_softmax": (lambda t, x: t.segment_softmax(x, edges, mask), (w,)),
+        "segment_sum": (lambda t, x, y: t.segment_sum(x, y, edges), (w, a)),
+    }
+
+
+OP_CASES = _op_cases()
+
+
+class TestRecording:
+    """The tape records a node, with its parents and backward rule, exactly
+    when some input requires a gradient."""
+
+    def test_every_operation_is_covered(self):
+        public = {name for name in vars(Tape) if not name.startswith("_")}
+        assert set(OP_CASES) == public - {"backward"}
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_operation_on_constants_records_nothing(self, op):
+        call, inputs = OP_CASES[op]
+        t = Tape()
+        out = call(t, *map(constant, inputs))
+        assert len(t) == 0
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_operation_on_a_parameter_records_one_node(self, op):
+        call, inputs = OP_CASES[op]
+        values = [parameter(inputs[0])] + [constant(x) for x in inputs[1:]]
+        t = Tape()
+        out = call(t, *values)
+        assert t._nodes == [out] and out.requires_grad
+        assert out._parents == tuple(values) and out._backward is not None
+        with_constants = call(Tape(), *map(constant, inputs))
+        np.testing.assert_array_equal(out.data, with_constants.data)
+
+    def test_mixed_graph_records_exactly_the_nodes_downstream_of_a_parameter(self):
+        rng = np.random.default_rng(61)
+        c1, c2 = constant(rng.uniform(-1, 1, size=(3, 3))), constant(rng.uniform(-1, 1, size=(3, 3)))
+        p = parameter(rng.uniform(-1, 1, size=(3, 3)))
+        t = Tape()
+        a = t.mul(c1, c2)
+        b = t.add(a, p)
+        c = t.exp(a)
+        d = t.matmul(b, c)
+        e = t.sigmoid(c)
+        de = t.mul(d, e)
+        loss = t.sum_all(de)
+        assert t._nodes == [b, d, de, loss]
+        for v in (a, c, e):
+            assert not v.requires_grad and v._parents == () and v._backward is None
+        assert b._parents == (a, p) and d._parents == (b, c) and de._parents == (d, e)
+        t.backward(loss)
+        assert p.grad is not None and c1.grad is None and a.grad is None
+
+    def test_backward_of_a_constant_loss_leaves_parameters_without_gradient(self):
+        rng = np.random.default_rng(62)
+        c = constant(rng.uniform(-1, 1, size=(2, 2)))
+        p = parameter(rng.uniform(-1, 1, size=(2, 2)))
+        t = Tape()
+        t.add(p, c)  # on the tape, but not part of the loss
+        loss = t.sum_all(t.exp(t.mul(c, c)))
+        assert len(t) == 1 and loss._parents == ()
+        t.backward(loss)
+        assert p.grad is None and c.grad is None
+        np.testing.assert_array_equal(loss.grad, [[1.0]])
+
+
 class TestGradientChecks:
     """Every operation against the central finite-difference oracle."""
 

@@ -494,6 +494,15 @@ class TestExitCodes:
         assert err_text.startswith("usage:") and "seed must be non-negative, got -1" in err_text
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_usage_error_prints_the_subcommand_usage(self, workspace, tmp_path, capsys, command):
+        flags = {"synth": ["--seed", "-5"],
+                 "train": ["--cache", str(workspace / "train.cache"), "--seed", "-1"]}[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, "--out", str(tmp_path / "out")] + flags)
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith(f"usage: molgat {command} ")
+
     @pytest.mark.parametrize(
         "flags",
         [["--seed", "-5"], ["--train", "-3"], ["--test", "-1"], ["--pose-complexes", "-2"],

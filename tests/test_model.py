@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -270,6 +271,45 @@ class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             predict(Tape(), [], fresh_params(), SMALL)
+
+
+class TestScore:
+    """``score`` runs ``predict`` on constant views of the weights, so its
+    tape records nothing and it holds about one layer's values at a time."""
+
+    @pytest.mark.parametrize("make", [lambda: pocket_sample(300, seed=31), lambda: pocket_sample(600, seed=32),
+                                      lambda: build_sample(prune_protein(generate_corpus(1, seed=33)[0]))],
+                             ids=["pocket300", "pocket600", "train_size"])
+    def test_equals_predict_on_the_parameters_bit_for_bit(self, make):
+        s = make()
+        params = fresh_params(ModelConfig(), seed=34)
+        assert score(s, params, ModelConfig()) == predict(Tape(), [s], params, ModelConfig()).item()
+
+    def test_pocket_peak_memory_is_about_one_layer(self):
+        s = pocket_sample(600, seed=35)
+        params = fresh_params(ModelConfig(), seed=36)
+        score(s, params, ModelConfig())  # builds and caches the sample's edge list
+        tracemalloc.start()
+        try:
+            score(s, params, ModelConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MB"  # a full backward graph holds about 14 MB
+
+    def test_constants_share_the_parameters_arrays(self):
+        params = fresh_params(ModelConfig(), seed=37)
+        views = params.constants()
+        assert [n for n, _ in views.named_values()] == [n for n, _ in params.named_values()]
+        for (name, p), (_, c) in zip(params.named_values(), views.named_values()):
+            assert c is not p and np.shares_memory(c.data, p.data), name
+            assert p.requires_grad and not c.requires_grad, name
+
+    def test_records_no_tape_node(self):
+        s = sample_with_contact(2.8)
+        t = Tape()
+        out = predict(t, [s], fresh_params().constants(), SMALL)
+        assert len(t) == 0 and not out.requires_grad and out._parents == ()
 
 
 def test_dropout_masks_equal_per_site_draws():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from molgat.autodiff import Tape, constant
+from molgat.autodiff import Tape, constant, parameter
 from molgat.errors import DataError, NumericError
 from molgat.graphs import build_sample, prune_protein
 from molgat.model import ModelConfig, ModelParams, load_params, predict
@@ -82,7 +82,7 @@ class TestBceLoss:
     @pytest.mark.parametrize("label, nodes", [(1, 2), (0, 3)])
     def test_records_only_the_labelled_branch(self, label, nodes):
         t = Tape()
-        loss = bce_loss(t, constant([[0.3]]), label)
+        loss = bce_loss(t, parameter([[0.3]]), label)
         assert len(t) == nodes  # log, scale; for label 0 also 1 - p
         assert loss.item() == -np.log(0.3 if label else 1.0 - 0.3)
 
