@@ -410,17 +410,18 @@ class Tape:
 
         return self._record(_edge_dots(a.data, b.data, edges), (a, b), backward)
 
-    def permute_rows(self, a: Value, perm: np.ndarray) -> Value:
-        """out = a[perm], where ``perm`` is a permutation of a's rows."""
-        if len(perm) != a.rows:
-            raise ShapeError(f"permute_rows: {len(perm)} indices for {a.rows} rows")
+    def take_rows(self, a: Value, index: np.ndarray) -> Value:
+        """out = a[index], where ``index`` holds distinct row indices of a:
+        a permutation of its rows (an edge list's ``rev``) or some of them."""
+        if len(index) > a.rows:
+            raise ShapeError(f"take_rows: {len(index)} indices for {a.rows} rows")
 
         def backward(g):
-            grad = np.empty_like(g)
-            grad[perm] = g
+            grad = np.zeros_like(a.data)
+            grad[index] = g
             a.accumulate(grad)
 
-        return self._record(a.data[perm], (a,), backward)
+        return self._record(a.data[index], (a,), backward)
 
     def segment_softmax(self, scores: Value, edges, mask: np.ndarray) -> Value:
         """Softmax of E x 1 ``scores`` over each source node's edges.

@@ -196,6 +196,8 @@ def cmd_train(args) -> int:
     for s in train_samples:
         if s.category in pools:
             pools[s.category].append(s)
+    # Validation picks best.ckpt, so it scores only the categories the run trains on.
+    val_samples = [s for s in val_samples if s.category in pools]
     for name, pool in pools.items():
         if not pool:
             raise DataError(
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="INI config file; flags override its values")
     p.add_argument("--screening-only", action="store_true",
-                   help="train on the two screening categories only")
+                   help="train and validate on the two screening categories only")
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--num-gat-layers", dest="num_gat_layers", type=int)
     p.add_argument("--gat-dim", dest="gat_dim", type=int)

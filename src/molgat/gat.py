@@ -15,11 +15,12 @@ Both branches share the weights, the scores and the gate; for every edge
     out_i = (1 - z_i) * sum_j (a_2 - a_1)_ij x'_j
 
 This is the contact branch minus the covalent branch of the gated layer
-``z * x' + (1 - z) * a_k x'``: the ``z * x'`` terms cancel. The gate logit
-is computed as ``x ([I | W] u) + b``, which equals ``[x | x'] u + b`` because
-x' = x W: the F x 1 vector ``[I | W] u`` costs O(F^2) per layer, and no
-N x 2F concatenation, nor its N x 2F gradient, is built. ``u`` keeps its
-2F x 1 shape. Each layer costs O(N F^2 + E F). When a2 is 1 on every edge
+``z * x' + (1 - z) * a_k x'``: the ``z * x'`` terms cancel. With ``u``
+split into its top and bottom F rows, the gate logit is computed as
+``x (u_top + W u_bottom) + b``, which equals ``[x | x'] u + b`` because
+x' = x W: the F x 1 vector costs O(F^2) per layer, and no N x 2F (or
+F x 2F) concatenation, nor its gradient, is built. ``u`` keeps its 2F x 1
+shape. Each layer costs O(N F^2 + E F). When a2 is 1 on every edge
 and no edge is a contact, both softmaxes run over the same edges,
 ``a_2 - a_1`` is exactly zero and so is the output. ``e_ij`` is computed
 once per edge as ``half + half[rev]``, so it is bit-for-bit symmetric. The
@@ -94,7 +95,7 @@ def gat_forward(
 
     xp = tape.matmul(x, params.w)
     half = tape.edge_dot(tape.matmul(xp, params.e), xp, edges)
-    scores = tape.add(half, tape.permute_rows(half, edges.rev))
+    scores = tape.add(half, tape.take_rows(half, edges.rev))
 
     # A1 is 1 on every covalent edge, so its weighting leaves softmax1 as is.
     attention1 = softmax1 = tape.segment_softmax(scores, edges, covalent)
@@ -102,8 +103,10 @@ def gat_forward(
     attention2 = tape.mul(softmax2, a2)
     xpp = tape.segment_sum(tape.sub(attention2, attention1), xp, edges)
 
-    # x ([I | W] u) = [x | x'] u, without the N x 2F concatenation.
-    v = tape.matmul(tape.concat_cols(constant(np.eye(f)), params.w), params.u)
+    # x (u_top + W u_bottom) = [x | x'] u, without an N x 2F concatenation.
+    u_top = tape.take_rows(params.u, np.arange(f))
+    u_bottom = tape.take_rows(params.u, np.arange(f, 2 * f))
+    v = tape.add(u_top, tape.matmul(params.w, u_bottom))
     gate_logit = tape.add(tape.matmul(x, v), tape.broadcast(params.b, n, 1))
     z = tape.sigmoid(gate_logit)
     out = tape.rowscale(tape.sub(constant(np.ones((n, 1))), z), xpp)

@@ -4,11 +4,14 @@ Batches draw an equal number of samples from each category pool (with
 replacement; the pools are wildly unequal in practice), every parameter is
 updated by Adam, and checkpoints plus a CSV progress log are written
 periodically. Each step is one batched forward pass (``model.predict`` on
-the whole batch) and one backward pass. All randomness flows from one seeded
-generator, in a fixed order per step: the batch draw, then each sample's
-dropout masks, sample by sample (its attention layers' masks in layer order,
-then its hidden fully connected layers' masks). A fixed seed reproduces the
-run bit-for-bit on one machine.
+the whole batch) and one backward pass. Each checkpoint scores the labelled
+validation samples without dropout, in chunks of the batch size, each chunk
+one ``predict`` on the constant weights (``ModelParams.constants``), which
+records no tape node. All randomness flows from one seeded generator, in a
+fixed order per step: the batch draw, then each sample's dropout masks,
+sample by sample (its attention layers' masks in layer order, then its
+hidden fully connected layers' masks). A fixed seed reproduces the run
+bit-for-bit on one machine.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .autodiff import Tape, Value, constant
 from .errors import DataError, NumericError
 from .metrics import auroc
-from .model import ModelConfig, ModelParams, predict, save_params, score
+from .model import ModelConfig, ModelParams, predict, save_params
+from .model import score  # noqa: F401 - unused here, but perfbench/spans.py wraps training.score
 
 TRAIN_CATEGORIES = ("dude_active", "dude_inactive", "pdbbind_positive", "pdbbind_negative")
 SCREEN_CATEGORIES = ("dude_active", "dude_inactive")
@@ -153,12 +157,21 @@ class TrainResult:
     final_loss: float | None = None
 
 
-def _validation_auroc(val_samples, params, model_cfg) -> float:
+def _validation_auroc(val_samples, params, model_cfg, chunk: int) -> float:
+    """AUROC of the labelled validation samples, ``nan`` unless both labels
+    occur. They are scored without dropout in chunks of ``chunk`` samples,
+    each one ``predict`` on ``params.constants()``: a chunk records no tape
+    node and holds about one layer's values, no more than a training step of
+    ``chunk`` samples."""
     labeled = [s for s in val_samples if s.label is not None]
     labels = [s.label for s in labeled]
     if not labeled or len(set(labels)) < 2:
         return float("nan")
-    scores = [score(s, params, model_cfg) for s in labeled]
+    weights = params.constants()
+    scores = np.concatenate([
+        predict(Tape(), labeled[i:i + chunk], weights, model_cfg).data[:, 0]
+        for i in range(0, len(labeled), chunk)
+    ])
     return auroc(scores, labels)
 
 
@@ -173,8 +186,11 @@ def train(
     """Run the optimization loop and write checkpoints plus a CSV log.
 
     ``train_pools`` maps category name to a list of labeled GraphSamples.
-    Each sample builds its edge list on its first draw or validation score
-    and keeps it (``GraphSample.edges``), so no draw rebuilds one.
+    Each sample builds its edge list on its first draw or on the first
+    validation pass that scores it, and keeps it (``GraphSample.edges``), so
+    neither a later draw nor a later validation pass rebuilds one.
+    ``val_samples`` are scored at each checkpoint in chunks of
+    ``train_cfg.batch_size``; their AUROC picks ``best.ckpt``.
     A non-finite loss or parameter gradient aborts before the Adam step; the
     last written checkpoint stays on disk untouched.
     """
@@ -222,7 +238,7 @@ def train(
             adam.step(params.values())
 
             if iteration % train_cfg.checkpoint_every == 0 or iteration == train_cfg.iterations:
-                val_auroc = _validation_auroc(val_samples, params, model_cfg)
+                val_auroc = _validation_auroc(val_samples, params, model_cfg, train_cfg.batch_size)
                 row = {
                     "iteration": iteration,
                     "train_loss": repr(loss_value),

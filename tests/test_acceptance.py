@@ -111,7 +111,8 @@ class TestA1GradientSuite:
             "masked_softmax": (lambda t, a: t.masked_softmax(a, mask), [leaf(4, 4)]),
             "dropout": (lambda t, a: t.dropout(a, drop_keep), [leaf(4, 4)]),
             "edge_dot": (lambda t, a, b: t.edge_dot(a, b, edges), [leaf(4, 3), leaf(4, 3)]),
-            "permute_rows": (lambda t, a: t.permute_rows(a, edges.rev), [leaf(n_edges, 2)]),
+            "take_rows": (lambda t, a: t.take_rows(a, edges.rev), [leaf(n_edges, 2)]),
+            "take_rows (some rows)": (lambda t, a: t.take_rows(a, np.array([4, 0, 2])), [leaf(6, 2)]),
             "segment_softmax": (
                 lambda t, a: t.segment_softmax(a, edges, edge_mask), [leaf(n_edges, 1)]
             ),

@@ -123,7 +123,7 @@ class TestEdgeOps:
         rng = np.random.default_rng(21)
         edges = random_edges(rng, 6)
         a = rng.uniform(-1, 1, size=(len(edges.src), 1))
-        out = Tape().permute_rows(constant(a), edges.rev)
+        out = Tape().take_rows(constant(a), edges.rev)
         np.testing.assert_array_equal(dense_of(edges, out.data[:, 0]), dense_of(edges, a[:, 0]).T)
 
     def test_segment_softmax_matches_masked_softmax(self):
@@ -172,7 +172,7 @@ class TestEdgeOps:
         with pytest.raises(ShapeError):
             t.segment_sum(constant(np.ones((e, 2))), constant(np.ones((5, 2))), edges)
         with pytest.raises(ShapeError):
-            t.permute_rows(constant(np.ones((e, 1))), edges.rev[:-1])
+            t.take_rows(constant(np.ones((e, 1))), np.append(edges.rev, 0))
 
 
 class TestBackwardExamples:
@@ -250,7 +250,7 @@ def _op_cases():
         "masked_softmax": (lambda t, x: t.masked_softmax(x, np.eye(5)), (a @ b.T,)),
         "dropout": (lambda t, x: t.dropout(x, keep), (a,)),
         "edge_dot": (lambda t, x, y: t.edge_dot(x, y, edges), (a, b)),
-        "permute_rows": (lambda t, x: t.permute_rows(x, edges.rev), (w,)),
+        "take_rows": (lambda t, x: t.take_rows(x, edges.rev), (w,)),
         "segment_softmax": (lambda t, x: t.segment_softmax(x, edges, mask), (w,)),
         "segment_sum": (lambda t, x, y: t.segment_sum(x, y, edges), (w, a)),
     }
@@ -510,12 +510,30 @@ class TestGradientChecks:
 
             def forward():
                 t = Tape()
-                return t.sum_all(t.mul(t.permute_rows(a, perm), constant(weights))).item()
+                return t.sum_all(t.mul(t.take_rows(a, perm), constant(weights))).item()
 
             a.zero_grad()
             t = Tape()
-            t.backward(t.sum_all(t.mul(t.permute_rows(a, perm), constant(weights))))
+            t.backward(t.sum_all(t.mul(t.take_rows(a, perm), constant(weights))))
             check_gradients(forward, [a], tol=OP_TOL)
+
+    def test_take_rows_of_some_rows(self):
+        # Rows left out get zero gradient; two takes of one value accumulate,
+        # as the gate's top and bottom halves of u do.
+        rng = np.random.default_rng(35)
+        a = rand(rng, 6, 2)
+        top, bottom = np.array([0, 1, 2]), np.array([5, 3])
+        w_top, w_bottom = rng.uniform(-1, 1, size=(3, 2)), rng.uniform(-1, 1, size=(2, 2))
+
+        def loss(t):
+            picked = t.sum_all(t.mul(t.take_rows(a, top), constant(w_top)))
+            return t.add(picked, t.sum_all(t.mul(t.take_rows(a, bottom), constant(w_bottom))))
+
+        np.testing.assert_array_equal(Tape().take_rows(a, bottom).data, a.data[[5, 3]])
+        t = Tape()
+        t.backward(loss(t))
+        assert np.all(a.grad[4] == 0.0)
+        check_gradients(lambda: loss(Tape()).item(), [a], tol=OP_TOL)
 
     @pytest.mark.usefixtures("edge_kernel")
     def test_segment_softmax_gradient(self):
@@ -627,7 +645,7 @@ class TestBatchedEdgeOps:
             "dot": t.edge_dot(constant(a), constant(b), edges).data,
             "sum": t.segment_sum(constant(w), constant(a), edges).data,
             "softmax": t.segment_softmax(constant(w), edges, mask).data,
-            "reverse": t.permute_rows(constant(w), edges.rev).data,
+            "reverse": t.take_rows(constant(w), edges.rev).data,
         }
         node, edge = 0, 0
         for p in parts:
@@ -637,7 +655,7 @@ class TestBatchedEdgeOps:
                 "dot": t.edge_dot(constant(a[rows]), constant(b[rows]), p).data,
                 "sum": t.segment_sum(constant(w[span]), constant(a[rows]), p).data,
                 "softmax": t.segment_softmax(constant(w[span]), p, mask[span]).data,
-                "reverse": t.permute_rows(constant(w[span]), p.rev).data,
+                "reverse": t.take_rows(constant(w[span]), p.rev).data,
             }
             for key, value in alone.items():
                 part = batched[key][rows if key == "sum" else span]
@@ -654,7 +672,7 @@ class TestBatchedEdgeOps:
 
         def loss(t):
             half = t.edge_dot(a, b, edges)
-            scores = t.add(half, t.permute_rows(half, edges.rev))
+            scores = t.add(half, t.take_rows(half, edges.rev))
             attention = t.segment_softmax(scores, edges, mask)
             return t.sum_all(t.mul(t.segment_sum(attention, b, edges), constant(weights)))
 

@@ -14,7 +14,7 @@ from molgat.fileio import write_checked
 from molgat.graphs import CACHE_MAGIC, read_cache
 from molgat.model import CHECKPOINT_MAGIC, ModelConfig, load_params
 from molgat.synthetic import generate_corpus, generate_pose_set
-from molgat.training import TrainConfig, TrainResult
+from molgat.training import TrainConfig, TrainResult, train
 
 from test_chem import METHANE_ATOMS, METHANE_BONDS, sdf_text, triglycine_lines
 
@@ -236,6 +236,25 @@ class TestTrain:
              "--val-fraction", "0"] + TINY_MODEL_FLAGS
         )
         assert rc == 0
+
+    def test_screening_only_validates_only_the_screening_categories(self, workspace, tmp_path, monkeypatch):
+        # The cache mixes all four categories; a --screening-only run trains on
+        # the dude_* pools only, so it must not pick best.ckpt by pdbbind_* samples.
+        seen = {}
+
+        def recording_train(pools, val, model_cfg, train_cfg, out_dir):
+            seen.update(pools=set(pools), val={s.category for s in val})
+            return train(pools, val, model_cfg, train_cfg, out_dir)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        rc = main(
+            ["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+             "--iterations", "2", "--batch-size", "8", "--screening-only",
+             "--val-fraction", "0.3", "--checkpoint-every", "2"] + TINY_MODEL_FLAGS
+        )
+        assert rc == 0
+        assert seen["pools"] == {"dude_active", "dude_inactive"}
+        assert seen["val"] == {"dude_active", "dude_inactive"}
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         ini = tmp_path / "run.ini"

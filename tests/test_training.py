@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from molgat import training
 from molgat.autodiff import Tape, constant, parameter
 from molgat.errors import DataError, NumericError
 from molgat.graphs import build_sample, prune_protein
-from molgat.model import ModelConfig, ModelParams, load_params, predict
+from molgat.metrics import auroc
+from molgat.model import ModelConfig, ModelParams, load_params, predict, score
 from molgat.synthetic import generate_corpus
 from molgat.training import (
     Adam,
@@ -16,7 +20,7 @@ from molgat.training import (
     train,
 )
 
-from helpers import bce_loss, num_parameters
+from helpers import bce_loss, num_parameters, pocket_sample
 
 TINY_MODEL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(8, 1), dropout_rate=0.2)
 
@@ -357,3 +361,88 @@ class TestTrainLoop:
         assert result.best_path is not None
         assert (tmp_path / "run" / "best.ckpt").exists()
         assert result.best_val_auroc is not None
+
+
+class TestValidation:
+    """``_validation_auroc`` scores the labelled samples in chunks of the
+    training batch size, one forward pass on the constant weights per chunk."""
+
+    @staticmethod
+    def scores_seen(monkeypatch):
+        seen = []
+
+        def recording_auroc(scores, labels):
+            seen.append(np.asarray(scores))
+            return auroc(scores, labels)
+
+        monkeypatch.setattr(training, "auroc", recording_auroc)
+        return seen
+
+    def test_train_size_scores_equal_per_sample_scores(self, pools, monkeypatch):
+        samples = [s for pool in pools.values() for s in pool][:23]
+        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(3))
+        seen = self.scores_seen(monkeypatch)
+        training._validation_auroc(samples, params, TINY_MODEL, 8)
+        alone = [score(s, params, TINY_MODEL) for s in samples]
+        np.testing.assert_allclose(seen[0], alone, rtol=0, atol=1e-12)
+
+    def test_pocket_scores_equal_per_sample_scores(self, monkeypatch):
+        config = ModelConfig()
+        pockets = [pocket_sample(300, seed=71), pocket_sample(600, seed=72), pocket_sample(300, seed=73)]
+        samples = [dataclasses.replace(s, label=k % 2) for k, s in enumerate(pockets)]
+        params = ModelParams.initialize(config, np.random.default_rng(4))
+        seen = self.scores_seen(monkeypatch)
+        training._validation_auroc(samples, params, config, 2)
+        alone = [score(s, params, config) for s in samples]
+        np.testing.assert_allclose(seen[0], alone, rtol=0, atol=1e-12)
+
+    def test_chunks_never_exceed_the_batch_size(self, pools, tmp_path, monkeypatch):
+        samples = [s for pool in pools.values() for s in pool]
+        val = samples[:70]
+        assert len({s.label for s in val}) == 2
+        chunks = []
+
+        def recording_predict(tape, batch, params, config, rng=None, internals=None):
+            if rng is None:
+                chunks.append(len(batch))
+            return predict(tape, batch, params, config, rng=rng, internals=internals)
+
+        monkeypatch.setattr(training, "predict", recording_predict)
+        cfg = TrainConfig(batch_size=8, iterations=1, learning_rate=1e-3, seed=0, checkpoint_every=1)
+        train(pools, val, TINY_MODEL, cfg, tmp_path / "run")
+        assert chunks == [8] * 8 + [6]
+
+    def test_leaves_gradients_and_adam_state_untouched(self, pools):
+        samples = [s for pool in pools.values() for s in pool]
+        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(5))
+        adam = Adam(1e-3)
+        t = Tape()
+        batch = samples[:8]
+        t.backward(mean_bce(t, predict(t, batch, params, TINY_MODEL), [s.label for s in batch]))
+        adam.step(params.values())
+
+        def state():
+            return (
+                [(v.data.copy(), v.grad.copy()) for v in params.values()],
+                adam.t,
+                {k: m.copy() for k, m in adam._m.items()},
+                {k: v.copy() for k, v in adam._v.items()},
+            )
+
+        before = state()
+        assert np.isfinite(training._validation_auroc(samples[8:40], params, TINY_MODEL, 8))
+        after = state()
+        for (data0, grad0), (data1, grad1) in zip(before[0], after[0]):
+            np.testing.assert_array_equal(data0, data1)
+            np.testing.assert_array_equal(grad0, grad1)
+        assert before[1] == after[1]
+        for moments0, moments1 in zip(before[2:], after[2:]):
+            assert moments0.keys() == moments1.keys()
+            for key in moments0:
+                np.testing.assert_array_equal(moments0[key], moments1[key])
+
+    def test_one_class_or_empty_set_is_nan(self, pools):
+        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(6))
+        unlabeled = [dataclasses.replace(s, label=None) for s in pools["dude_inactive"][:3]]
+        for val in ([], pools["dude_active"][:5], pools["dude_inactive"][:5] + unlabeled, unlabeled):
+            assert np.isnan(training._validation_auroc(val, params, TINY_MODEL, 4))
