@@ -137,11 +137,14 @@ class Value:
             raise ShapeError(f"item() requires a 1x1 value, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def accumulate(self, g: np.ndarray) -> None:
-        # The first gradient is copied, never kept: a backward rule may hand
-        # the same array to several parents (``add``) or pass a view.
+    def accumulate(self, g: np.ndarray, copy: bool = False) -> None:
+        # The first gradient is kept as handed over: a backward rule hands
+        # over an array it has just built, which nothing else holds. A rule
+        # that passes on its incoming gradient, which may reach several
+        # parents (``add``, ``sub``), or a view of it (``transpose``,
+        # ``concat_cols``) asks for a copy.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.array(g, dtype=np.float64) if copy else g
         else:
             self.grad += g
 
@@ -204,9 +207,9 @@ class Tape:
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(g)
+                a.accumulate(g, copy=True)
             if b.requires_grad:
-                b.accumulate(g)
+                b.accumulate(g, copy=True)
 
         return self._record(a.data + b.data, (a, b), backward)
 
@@ -215,7 +218,7 @@ class Tape:
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(g)
+                a.accumulate(g, copy=True)
             if b.requires_grad:
                 b.accumulate(-g)
 
@@ -294,7 +297,7 @@ class Tape:
 
     def transpose(self, a: Value) -> Value:
         def backward(g):
-            a.accumulate(g.T)
+            a.accumulate(g.T, copy=True)
 
         return self._record(a.data.T.copy(), (a,), backward)
 
@@ -305,9 +308,9 @@ class Tape:
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(g[:, :split])
+                a.accumulate(g[:, :split], copy=True)
             if b.requires_grad:
-                b.accumulate(g[:, split:])
+                b.accumulate(g[:, split:], copy=True)
 
         return self._record(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
 

@@ -3,15 +3,19 @@
 Batches draw an equal number of samples from each category pool (with
 replacement; the pools are wildly unequal in practice), every parameter is
 updated by Adam, and checkpoints plus a CSV progress log are written
-periodically. Each step is one batched forward pass (``model.predict`` on
-the whole batch) and one backward pass. Each checkpoint scores the labelled
-validation samples without dropout, in chunks of the batch size, each chunk
-one ``predict`` on the constant weights (``ModelParams.constants``), which
-records no tape node. All randomness flows from one seeded generator, in a
-fixed order per step: the batch draw, then each sample's dropout masks,
-sample by sample (its attention layers' masks in layer order, then its
-hidden fully connected layers' masks). A fixed seed reproduces the run
-bit-for-bit on one machine.
+periodically. A step splits its batch, in order, into passes of at most
+``PASS_ATOMS`` atoms (a larger sample runs alone). Each pass is one batched
+forward pass (``model.predict``) and one backward pass of its mean BCE scaled
+by its share of the batch, so the parameters' gradients add up to those of
+the batch's mean BCE; Adam steps once per batch. A pass's graph is freed
+once its backward pass is done, so a step holds one pass's values at a time.
+Each checkpoint scores the labelled validation samples without dropout, in
+chunks of the same atom bound, each chunk one ``predict`` on the constant
+weights (``ModelParams.constants``), which records no tape node. All
+randomness flows from one seeded generator, in a fixed order per step: the
+batch draw, then each sample's dropout masks, sample by sample (its
+attention layers' masks in layer order, then its hidden fully connected
+layers' masks). A fixed seed reproduces the run bit-for-bit on one machine.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ LOG_COLUMNS = ("iteration", "train_loss", "val_auroc", "mu", "sigma", "wall_time
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Atoms per training pass and per validation chunk. A pass's tape keeps every
+# layer's N x F values, so the bound, or one larger sample, caps a step's
+# memory whatever the batch size. Paper defaults, 2-core VM, one BLAS thread: a step of 32
+# pockets (24 x 300 + 8 x 600 atoms) took 0.88-1.02 s at 78 MB peak RSS, against
+# 1.01-1.22 s at 757 MB as one whole-batch pass. At train size (32 x ~40 atoms)
+# peak RSS fell from 150 to 100 MB at about the same samples/s; 320 and 512
+# atoms cut it further but cost 5-14% of samples/s.
+PASS_ATOMS = 640
 
 
 @dataclass
@@ -72,6 +85,20 @@ def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:
     positive = np.array(labels, dtype=np.float64)[:, None]
     picked = tape.add(tape.mul(probs, constant(2.0 * positive - 1.0)), constant(1.0 - positive))
     return tape.scale(tape.sum_all(tape.log(picked)), -1.0 / len(labels))
+
+
+def atom_passes(samples: list) -> list[list]:
+    """The samples, in order, as consecutive runs of at most ``PASS_ATOMS``
+    atoms in all; a sample larger than the bound runs alone."""
+    passes = []
+    for s in samples:
+        if passes and atoms + s.num_atoms <= PASS_ATOMS:
+            passes[-1].append(s)
+            atoms += s.num_atoms
+        else:
+            passes.append([s])
+            atoms = s.num_atoms
+    return passes
 
 
 def draws_per_pool(batch_size: int, n_pools: int) -> int:
@@ -157,22 +184,35 @@ class TrainResult:
     final_loss: float | None = None
 
 
-def _validation_auroc(val_samples, params, model_cfg, chunk: int) -> float:
+def _validation_auroc(val_samples, params, model_cfg) -> float:
     """AUROC of the labelled validation samples, ``nan`` unless both labels
-    occur. They are scored without dropout in chunks of ``chunk`` samples,
+    occur. They are scored without dropout in chunks of ``atom_passes``,
     each one ``predict`` on ``params.constants()``: a chunk records no tape
-    node and holds about one layer's values, no more than a training step of
-    ``chunk`` samples."""
+    node and holds about one layer's values of at most ``PASS_ATOMS`` atoms
+    (or of one larger sample)."""
     labeled = [s for s in val_samples if s.label is not None]
     labels = [s.label for s in labeled]
     if not labeled or len(set(labels)) < 2:
         return float("nan")
     weights = params.constants()
     scores = np.concatenate([
-        predict(Tape(), labeled[i:i + chunk], weights, model_cfg).data[:, 0]
-        for i in range(0, len(labeled), chunk)
+        predict(Tape(), chunk, weights, model_cfg).data[:, 0] for chunk in atom_passes(labeled)
     ])
     return auroc(scores, labels)
+
+
+def _backward_pass(part, share: float, params, model_cfg, rng, iteration: int) -> float:
+    """Forward and backward pass over the samples ``part``: adds the gradient
+    of ``share`` times their mean BCE to every parameter's ``grad`` and
+    returns that scaled loss. The pass's tape and graph are freed on return."""
+    tape = Tape()
+    probs = predict(tape, part, params, model_cfg, rng=rng)
+    loss = tape.scale(mean_bce(tape, probs, [s.label for s in part]), share)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericError(f"non-finite loss at iteration {iteration}; last checkpoint retained")
+    tape.backward(loss)
+    return value
 
 
 def train(
@@ -189,8 +229,11 @@ def train(
     Each sample builds its edge list on its first draw or on the first
     validation pass that scores it, and keeps it (``GraphSample.edges``), so
     neither a later draw nor a later validation pass rebuilds one.
-    ``val_samples`` are scored at each checkpoint in chunks of
-    ``train_cfg.batch_size``; their AUROC picks ``best.ckpt``.
+    Each step runs its batch in passes of at most ``PASS_ATOMS`` atoms
+    (``atom_passes``) and accumulates their gradients before one Adam step;
+    the logged ``train_loss`` is the batch's mean BCE, the sum of the passes'
+    shares. ``val_samples`` are scored at each checkpoint in chunks of the
+    same atom bound; their AUROC picks ``best.ckpt``.
     A non-finite loss or parameter gradient aborts before the Adam step; the
     last written checkpoint stays on disk untouched.
     """
@@ -219,16 +262,11 @@ def train(
         writer.writeheader()
         for iteration in range(1, train_cfg.iterations + 1):
             batch = next(batches)
-            tape = Tape()
-            probs = predict(tape, batch, params, model_cfg, rng=rng)
-            loss = mean_bce(tape, probs, [s.label for s in batch])
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise NumericError(
-                    f"non-finite loss at iteration {iteration}; last checkpoint retained"
-                )
             params.zero_grad()
-            tape.backward(loss)
+            loss_value = sum(
+                _backward_pass(part, len(part) / len(batch), params, model_cfg, rng, iteration)
+                for part in atom_passes(batch)
+            )
             for name, value in params.named_values():
                 if value.grad is not None and not np.isfinite(value.grad).all():
                     raise NumericError(
@@ -238,7 +276,7 @@ def train(
             adam.step(params.values())
 
             if iteration % train_cfg.checkpoint_every == 0 or iteration == train_cfg.iterations:
-                val_auroc = _validation_auroc(val_samples, params, model_cfg, train_cfg.batch_size)
+                val_auroc = _validation_auroc(val_samples, params, model_cfg)
                 row = {
                     "iteration": iteration,
                     "train_loss": repr(loss_value),

@@ -6,6 +6,7 @@ import pytest
 from molgat.autodiff import Tape, Value, constant, parameter
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
+from molgat.model import ModelConfig, ModelParams, predict
 
 from helpers import (
     check_gradients,
@@ -13,6 +14,7 @@ from helpers import (
     dropout_mask,
     finite_difference_grads,
     max_relative_error,
+    pocket_sample,
     random_edges,
 )
 
@@ -316,6 +318,97 @@ class TestRecording:
         t.backward(loss)
         assert p.grad is None and c.grad is None
         np.testing.assert_array_equal(loss.grad, [[1.0]])
+
+
+def check_ownership(monkeypatch, watched):
+    """From now on, each ``Value.accumulate`` asserts that the receiver's
+    ``grad`` shares no memory with any other value's ``grad`` in the list
+    ``watched`` or with the data of any of them. Returns the receivers."""
+    receivers = []
+    accumulate = Value.accumulate
+
+    def checked(self, g, copy=False):
+        accumulate(self, g, copy=copy)
+        receivers.append(self)
+        for other in watched:
+            assert not np.shares_memory(self.grad, other.data)
+            if other is not self and other.grad is not None:
+                assert not np.shares_memory(self.grad, other.grad)
+
+    monkeypatch.setattr(Value, "accumulate", checked)
+    return receivers
+
+
+class TestGradientOwnership:
+    """``Value.accumulate`` keeps a first gradient as handed over, so a
+    backward rule hands over only an array it has just built. The incoming
+    gradient that ``add`` and ``sub`` pass on to a parent, and its views in
+    ``transpose`` and ``concat_cols``, are copied."""
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_no_gradient_shares_memory(self, op, monkeypatch):
+        call, inputs = OP_CASES[op]
+        values = [parameter(x) for x in inputs]
+        t = Tape()
+        out = call(t, *values)
+        weights = constant(np.random.default_rng(63).uniform(-1, 1, size=out.shape))
+        watched = values + [weights] + t._nodes
+        receivers = check_ownership(monkeypatch, watched)
+        t.backward(t.sum_all(t.mul(out, weights)))
+        assert {id(v) for v in values} <= {id(v) for v in receivers}
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_operation_on_one_value_twice(self, op, monkeypatch):
+        rng = np.random.default_rng(64)
+        x, weights = parameter(rng.uniform(-1, 1, size=(4, 3))), constant(rng.uniform(-1, 1, size=(4, 3)))
+        t = Tape()
+        y = getattr(t, op)(x, x)
+        loss = t.sum_all(t.mul(y, weights))
+        check_ownership(monkeypatch, [x, weights] + t._nodes)
+        t.backward(loss)
+        expected = {"add": 2.0 * weights.data, "sub": np.zeros((4, 3)), "mul": 2.0 * x.data * weights.data}[op]
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
+
+    def test_a_parameter_gathers_gradient_over_two_passes(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        p = parameter(rng.uniform(-1, 1, size=(3, 3)))
+        passes = [tuple(constant(rng.uniform(-1, 1, size=(3, 3))) for _ in range(2)) for _ in range(2)]
+        kept = [(c.data.copy(), w.data.copy()) for c, w in passes]
+        watched = [p] + [v for pair in passes for v in pair]
+
+        def run(c, w):
+            t = Tape()
+            y = t.add(t.matmul(c, p), t.transpose(p))
+            loss = t.sum_all(t.mul(y, w))
+            watched.extend(t._nodes)
+            t.backward(loss)
+
+        alone = []
+        for c, w in passes:
+            p.zero_grad()
+            run(c, w)
+            alone.append(p.grad)
+        np.testing.assert_allclose(alone[0], kept[0][0].T @ kept[0][1] + kept[0][1].T, rtol=1e-14)
+        p.zero_grad()
+        check_ownership(monkeypatch, watched)
+        for c, w in passes:
+            run(c, w)
+        np.testing.assert_allclose(p.grad, alone[0] + alone[1], rtol=1e-14)
+        for (c, w), (c0, w0) in zip(passes, kept):
+            np.testing.assert_array_equal(c.data, c0)
+            np.testing.assert_array_equal(w.data, w0)
+
+    def test_model_backward_shares_no_gradient(self, monkeypatch):
+        config = ModelConfig(num_gat_layers=2, gat_dim=6, fc_dims=(5, 1), dropout_rate=0.3)
+        rng = np.random.default_rng(66)
+        params = ModelParams.initialize(config, rng)
+        samples = [pocket_sample(45, seed=67, n_ligand=12), pocket_sample(130, seed=68, n_ligand=20)]
+        t = Tape()
+        out = predict(t, samples, params, config, rng=rng)
+        loss = t.sum_all(t.log(out))
+        receivers = check_ownership(monkeypatch, params.values() + t._nodes)
+        t.backward(loss)
+        assert {id(v) for v in params.values()} <= {id(v) for v in receivers}
 
 
 class TestGradientChecks:

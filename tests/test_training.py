@@ -1,4 +1,6 @@
 import dataclasses
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from molgat.autodiff import Tape, constant, parameter
 from molgat.errors import DataError, NumericError
 from molgat.graphs import build_sample, prune_protein
 from molgat.metrics import auroc
-from molgat.model import ModelConfig, ModelParams, load_params, predict, score
+from molgat.model import ModelConfig, ModelParams, load_params, predict, save_params, score
 from molgat.synthetic import generate_corpus
 from molgat.training import (
     Adam,
@@ -364,8 +366,8 @@ class TestTrainLoop:
 
 
 class TestValidation:
-    """``_validation_auroc`` scores the labelled samples in chunks of the
-    training batch size, one forward pass on the constant weights per chunk."""
+    """``_validation_auroc`` scores the labelled samples in chunks of at most
+    ``PASS_ATOMS`` atoms, one forward pass on the constant weights per chunk."""
 
     @staticmethod
     def scores_seen(monkeypatch):
@@ -382,21 +384,22 @@ class TestValidation:
         samples = [s for pool in pools.values() for s in pool][:23]
         params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(3))
         seen = self.scores_seen(monkeypatch)
-        training._validation_auroc(samples, params, TINY_MODEL, 8)
+        training._validation_auroc(samples, params, TINY_MODEL)
         alone = [score(s, params, TINY_MODEL) for s in samples]
         np.testing.assert_allclose(seen[0], alone, rtol=0, atol=1e-12)
 
     def test_pocket_scores_equal_per_sample_scores(self, monkeypatch):
         config = ModelConfig()
-        pockets = [pocket_sample(300, seed=71), pocket_sample(600, seed=72), pocket_sample(300, seed=73)]
+        # chunks [300, 300] and [600]: one merged pair and one pocket alone
+        pockets = [pocket_sample(300, seed=71), pocket_sample(300, seed=73), pocket_sample(600, seed=72)]
         samples = [dataclasses.replace(s, label=k % 2) for k, s in enumerate(pockets)]
         params = ModelParams.initialize(config, np.random.default_rng(4))
         seen = self.scores_seen(monkeypatch)
-        training._validation_auroc(samples, params, config, 2)
+        training._validation_auroc(samples, params, config)
         alone = [score(s, params, config) for s in samples]
         np.testing.assert_allclose(seen[0], alone, rtol=0, atol=1e-12)
 
-    def test_chunks_never_exceed_the_batch_size(self, pools, tmp_path, monkeypatch):
+    def test_chunks_follow_the_atom_rule(self, pools, tmp_path, monkeypatch):
         samples = [s for pool in pools.values() for s in pool]
         val = samples[:70]
         assert len({s.label for s in val}) == 2
@@ -404,13 +407,19 @@ class TestValidation:
 
         def recording_predict(tape, batch, params, config, rng=None, internals=None):
             if rng is None:
-                chunks.append(len(batch))
+                chunks.append(list(batch))
             return predict(tape, batch, params, config, rng=rng, internals=internals)
 
         monkeypatch.setattr(training, "predict", recording_predict)
         cfg = TrainConfig(batch_size=8, iterations=1, learning_rate=1e-3, seed=0, checkpoint_every=1)
         train(pools, val, TINY_MODEL, cfg, tmp_path / "run")
-        assert chunks == [8] * 8 + [6]
+        # the samples in order, each chunk within the bound and full: the next
+        # chunk's first sample would not have fitted
+        assert [s for chunk in chunks for s in chunk] == val
+        atoms = [sum(s.num_atoms for s in chunk) for chunk in chunks]
+        assert max(atoms) <= training.PASS_ATOMS
+        assert all(a + nxt[0].num_atoms > training.PASS_ATOMS for a, nxt in zip(atoms, chunks[1:]))
+        assert len(chunks) == 5  # 70 samples of 26-52 atoms; batch_size plays no part
 
     def test_leaves_gradients_and_adam_state_untouched(self, pools):
         samples = [s for pool in pools.values() for s in pool]
@@ -430,7 +439,7 @@ class TestValidation:
             )
 
         before = state()
-        assert np.isfinite(training._validation_auroc(samples[8:40], params, TINY_MODEL, 8))
+        assert np.isfinite(training._validation_auroc(samples[8:40], params, TINY_MODEL))
         after = state()
         for (data0, grad0), (data1, grad1) in zip(before[0], after[0]):
             np.testing.assert_array_equal(data0, data1)
@@ -445,4 +454,144 @@ class TestValidation:
         params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(6))
         unlabeled = [dataclasses.replace(s, label=None) for s in pools["dude_inactive"][:3]]
         for val in ([], pools["dude_active"][:5], pools["dude_inactive"][:5] + unlabeled, unlabeled):
-            assert np.isnan(training._validation_auroc(val, params, TINY_MODEL, 4))
+            assert np.isnan(training._validation_auroc(val, params, TINY_MODEL))
+
+
+class TestPasses:
+    """A step runs its batch in consecutive passes of at most ``PASS_ATOMS``
+    atoms, each pass's mean BCE scaled by its share of the batch, and Adam
+    steps once on the accumulated gradients."""
+
+    @staticmethod
+    def one_step(pools, tmp_path, monkeypatch, tag, model=TINY_MODEL, batch_size=32):
+        """One training step: its logged loss, the gradients Adam stepped on,
+        each dropout site's mask over the whole batch, the generator state
+        after the step, and the samples of each training pass."""
+        seen = {"grads": [], "keeps": [], "passes": [], "rng": []}
+        real_step, real_dropout, real_predict = Adam.step, Tape.dropout, training.predict
+
+        def step(adam, values):
+            seen["grads"] = [None if v.grad is None else v.grad.copy() for v in values]
+            seen["state"] = seen["rng"][0].bit_generator.state
+            real_step(adam, values)
+
+        def dropout(tape, a, keep):
+            seen["keeps"].append(keep)
+            return real_dropout(tape, a, keep)
+
+        def recording_predict(tape, batch, params, config, rng=None, internals=None):
+            if rng is not None:
+                seen["passes"].append(list(batch))
+                seen["rng"][:] = [rng]
+            return real_predict(tape, batch, params, config, rng=rng, internals=internals)
+
+        with monkeypatch.context() as m:
+            m.setattr(Adam, "step", step)
+            m.setattr(Tape, "dropout", dropout)
+            m.setattr(training, "predict", recording_predict)
+            cfg = TrainConfig(batch_size=batch_size, iterations=1, learning_rate=1e-3, seed=17)
+            result = train(pools, [], model, cfg, tmp_path / tag)
+        sites = model.num_gat_layers + len(model.fc_dims) - 1
+        keeps = [np.concatenate(seen["keeps"][k::sites]) for k in range(sites)]
+        return result.final_loss, seen["grads"], keeps, seen["state"], seen["passes"]
+
+    def test_multi_pass_step_matches_one_pass_step(self, pools, tmp_path, monkeypatch):
+        model = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
+        loss, grads, keeps, state, passes = self.one_step(pools, tmp_path, monkeypatch, "passes", model)
+        assert len(passes) > 1
+        assert all(sum(s.num_atoms for s in p) <= training.PASS_ATOMS for p in passes)
+        monkeypatch.setattr(training, "PASS_ATOMS", 10**9)
+        loss1, grads1, keeps1, state1, passes1 = self.one_step(pools, tmp_path, monkeypatch, "one", model)
+        assert len(passes1) == 1 and [id(s) for s in passes1[0]] == [id(s) for p in passes for s in p]
+        assert loss == pytest.approx(loss1, rel=1e-15, abs=0)
+        for g, g1 in zip(grads, grads1, strict=True):
+            np.testing.assert_allclose(g, g1, rtol=1e-12, atol=1e-12 * np.abs(g1).max())
+        for k, k1 in zip(keeps, keeps1, strict=True):
+            np.testing.assert_array_equal(k, k1)
+        assert state == state1
+
+    def test_one_pass_batch_checkpoint_equals_the_one_pass_step(self, pools, tmp_path):
+        # the step as it ran before passes: one forward and one backward pass
+        # of the whole batch's mean BCE
+        cfg = TrainConfig(batch_size=8, iterations=4, learning_rate=1e-3, seed=19, checkpoint_every=4)
+        rng = np.random.default_rng(cfg.seed)
+        params = ModelParams.initialize(TINY_MODEL, rng)
+        batches, adam = balanced_batches(pools, cfg, rng), Adam(cfg.learning_rate)
+        for _ in range(cfg.iterations):
+            batch = next(batches)
+            assert sum(s.num_atoms for s in batch) <= training.PASS_ATOMS
+            tape = Tape()
+            loss = mean_bce(tape, predict(tape, batch, params, TINY_MODEL, rng=rng), [s.label for s in batch])
+            params.zero_grad()
+            tape.backward(loss)
+            adam.step(params.values())
+        save_params(tmp_path / "reference.ckpt", params, TINY_MODEL, cfg.iterations)
+
+        result = train(pools, [], TINY_MODEL, cfg, tmp_path / "run")
+        assert result.final_loss == loss.item()
+        assert (tmp_path / "run" / "latest.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
+
+    def test_atom_passes(self):
+        samples = [SimpleNamespace(num_atoms=n) for n in (300, 300, 700, 40, 600, 41, 640, 1)]
+        passes = training.atom_passes(samples)
+        assert [[s.num_atoms for s in p] for p in passes] == [[300, 300], [700], [40, 600], [41], [640], [1]]
+        assert [s for p in passes for s in p] == samples
+        assert training.atom_passes([]) == []
+
+    def test_sample_larger_than_the_bound_gets_a_pass_of_its_own(self, pools, tmp_path, monkeypatch):
+        big = pocket_sample(training.PASS_ATOMS + 60, seed=81)
+        big = dataclasses.replace(big, label=1, category="dude_active")
+        mixed = {name: pool[:3] for name, pool in pools.items()}
+        mixed["dude_active"] = [big]
+        *_, passes = self.one_step(mixed, tmp_path, monkeypatch, "big", batch_size=8)
+        ids = [[id(s) for s in p] for p in passes]
+        assert sum(i.count(id(big)) for i in ids) == 2  # two draws from its pool of one
+        assert all(i == [id(big)] for i in ids if id(big) in i)
+
+    def test_no_tape_value_outgrows_the_bound(self, pools, tmp_path, monkeypatch):
+        # per-atom values (more than one column) of every pass of a 32-sample
+        # batch; E x 1 edge columns belong to the same bounded passes
+        rows = []
+        real_record = Tape._record
+
+        def record(tape, data, parents, backward):
+            out = real_record(tape, data, parents, backward)
+            if out.requires_grad and out.cols > 1:
+                rows.append(out.rows)
+            return out
+
+        monkeypatch.setattr(Tape, "_record", record)
+        *_, passes = self.one_step(pools, tmp_path, monkeypatch, "rows")
+        largest = max(s.num_atoms for p in passes for s in p)
+        assert sum(s.num_atoms for p in passes for s in p) > training.PASS_ATOMS
+        assert max(rows) <= max(training.PASS_ATOMS, largest)
+
+    def test_no_tape_node_outlives_its_step(self, pools, tmp_path, monkeypatch):
+        # every recorded node's data, weakly: once a pass's backward is done
+        # nothing holds its graph, not through Adam nor into the next step
+        refs, passes = [], []
+        real_record, real_step, real_predict = Tape._record, Adam.step, training.predict
+
+        def record(tape, data, parents, backward):
+            out = real_record(tape, data, parents, backward)
+            if out.requires_grad:
+                refs.append(weakref.ref(out.data))
+            return out
+
+        def step(adam, values):
+            assert refs and all(r() is None for r in refs)
+            real_step(adam, values)
+
+        def counting_predict(tape, batch, *args, rng=None, **kwargs):
+            passes.append(rng is not None)
+            return real_predict(tape, batch, *args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(Tape, "_record", record)
+        monkeypatch.setattr(Adam, "step", step)
+        monkeypatch.setattr(training, "predict", counting_predict)
+        samples = [s for pool in pools.values() for s in pool]
+        _, val = split_by_protein(samples, 0.2, seed=3)
+        cfg = TrainConfig(batch_size=32, iterations=3, learning_rate=1e-3, seed=3, checkpoint_every=1)
+        train(pools, val, TINY_MODEL, cfg, tmp_path / "run")
+        assert passes.count(True) > 3  # more than one pass per step
+        assert all(r() is None for r in refs)
