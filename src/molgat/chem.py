@@ -161,10 +161,6 @@ class ComplexRecord:
     def __post_init__(self):
         validate_record(self)
 
-    @property
-    def num_ligand_atoms(self) -> int:
-        return sum(1 for a in self.atoms if a.is_ligand)
-
     def coordinates(self) -> np.ndarray:
         return _coordinates([a.position for a in self.atoms])
 
@@ -268,12 +264,7 @@ def _first_fault(faults) -> tuple[int, int]:
 
 def select_atoms(atoms, bonds: list[Bond], keep):
     """The atoms whose ``keep`` flag is set, and the bonds among them renumbered."""
-    keep = np.asarray(keep, dtype=bool)
-    ends = np.array([b.i for b in bonds] + [b.j for b in bonds], dtype=np.intp).reshape(2, -1)
-    inside = np.flatnonzero(keep[ends].all(axis=0))
-    i, j = (np.cumsum(keep) - 1)[ends[:, inside]].tolist()
-    kept = [atoms[k] for k in np.flatnonzero(keep).tolist()]
-    return kept, list(map(Bond, i, j, [bonds[k].order for k in inside.tolist()]))
+    return _take(atoms, bonds, np.flatnonzero(keep))
 
 
 def ligand_first(rec: ComplexRecord) -> ComplexRecord:
@@ -282,14 +273,22 @@ def ligand_first(rec: ComplexRecord) -> ComplexRecord:
     Relative order within each side is preserved; bonds are remapped. Already
     ordered records are returned unchanged (idempotent).
     """
-    order = [i for i, a in enumerate(rec.atoms) if a.is_ligand]
-    order += [i for i, a in enumerate(rec.atoms) if not a.is_ligand]
-    if order == list(range(len(rec.atoms))):
+    is_protein = [not a.is_ligand for a in rec.atoms]
+    if False not in is_protein[is_protein.count(False):]:
         return rec
-    remap = {old: new for new, old in enumerate(order)}
-    atoms = [rec.atoms[i] for i in order]
-    bonds = [Bond(remap[b.i], remap[b.j], b.order) for b in rec.bonds]
+    atoms, bonds = _take(rec.atoms, rec.bonds, np.argsort(is_protein, kind="stable"))
     return replace(rec, atoms=atoms, bonds=bonds)
+
+
+def _take(atoms, bonds: list[Bond], order: np.ndarray):
+    """The atoms at the indices ``order``, and the bonds between two of them,
+    in their own order, with each end renumbered to its atom's place in ``order``."""
+    place = np.full(len(atoms), -1, dtype=np.intp)
+    place[order] = np.arange(len(order))
+    ends = place[np.array([b.i for b in bonds] + [b.j for b in bonds], dtype=np.intp).reshape(2, -1)]
+    inside = np.flatnonzero((ends >= 0).all(axis=0))
+    i, j = ends[:, inside].tolist()
+    return [atoms[k] for k in order.tolist()], list(map(Bond, i, j, [bonds[k].order for k in inside.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +454,6 @@ def _rank(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Featurization
 # ---------------------------------------------------------------------------
-
-def atom_feature_row(atom: Atom, stats: dict | None = None) -> np.ndarray:
-    """56-wide binary feature row for one atom (see ``featurize``)."""
-    return _feature_rows([atom], stats)[0]
-
 
 def featurize(rec: ComplexRecord, stats: dict | None = None) -> np.ndarray:
     """N x 56 feature matrix, ligand atoms first then protein atoms.

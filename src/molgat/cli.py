@@ -70,14 +70,16 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
 
 
-# The keys settable by flag or INI file, with their INI parsers, per config
-# section; a key set by neither keeps its dataclass default.
+# The keys settable by flag or INI file, with their parsers, per config
+# section; a key set by neither keeps its dataclass default. Each key is also
+# a ``train`` flag, ``--`` plus the key with dashes, in this order.
 _SETTINGS = {
     "model": (ModelConfig, {"num_gat_layers": int, "gat_dim": int, "fc_dims": _int_list,
                             "dropout_rate": float}),
     "train": (TrainConfig, {"batch_size": int, "iterations": int, "learning_rate": float,
                             "seed": int, "checkpoint_every": int}),
 }
+_SETTING_HELP = {"fc_dims": "comma-separated, last must be 1"}
 
 
 def _resolved(section: str, args, file_cfg: dict):
@@ -285,18 +287,14 @@ def cmd_predict(args) -> int:
     if _is_cache_file(args.input):
         samples = graphs.read_cache(args.input)
     else:
-        samples = []
-        for rec in chem.read_jsonl(args.input):
-            samples.append(graphs.build_sample(graphs.prune_protein(rec)))
+        samples = [graphs.build_sample(graphs.prune_protein(rec)) for rec in chem.read_jsonl(args.input)]
     if not samples:
         raise DataError("no samples to score")
     os.makedirs(args.out, exist_ok=True)
-    rows = [
-        (s.complex_id, s.protein_id, repr(score(s, params, config))) for s in samples
-    ]
-    _write_csv(os.path.join(args.out, "scores.csv"), ("complex_id", "protein_id", "probability"), rows)
-    values = np.array([float(r[2]) for r in rows])
-    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+    items = _scored_items(samples, params, config)
+    _write_csv(os.path.join(args.out, "scores.csv"), ("complex_id", "protein_id", "probability"),
+               [(i.complex_id, i.protein_id, repr(i.score)) for i in items])
+    counts, edges = np.histogram([i.score for i in items], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     _write_csv(
         os.path.join(args.out, "score_histogram.csv"),
         ("bin_low", "bin_high", "count"),
@@ -304,7 +302,7 @@ def cmd_predict(args) -> int:
     )
     _write_ini(os.path.join(args.out, "config.resolved.ini"),
                {"run": {"checkpoint": args.checkpoint, "input": args.input}})
-    print(f"scored {len(rows)} complex(es); outputs in {args.out}")
+    print(f"scored {len(items)} complex(es); outputs in {args.out}")
     return 0
 
 
@@ -385,15 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--screening-only", action="store_true",
                    help="train and validate on the two screening categories only")
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--num-gat-layers", dest="num_gat_layers", type=int)
-    p.add_argument("--gat-dim", dest="gat_dim", type=int)
-    p.add_argument("--fc-dims", dest="fc_dims", type=_int_list, help="comma-separated, last must be 1")
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    for _, parsers in _SETTINGS.values():
+        for key, parse in parsers.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, help=_SETTING_HELP.get(key))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a cache and compute screening metrics")

@@ -138,7 +138,7 @@ class ModelParams:
         return self.mu.item()
 
     def sigma_value(self) -> float:
-        return float(np.logaddexp(0.0, self.sigma_raw.data[0, 0]) + SIGMA_FLOOR)
+        return self.sigma_on(Tape()).item()
 
 
 def materialize_a2(tape: Tape, edges: Edges, mu: Value, sigma: Value) -> Value:

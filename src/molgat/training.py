@@ -24,7 +24,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,21 +132,25 @@ def balanced_batches(pools: dict[str, list], cfg: TrainConfig, rng: np.random.Ge
 
 
 class Adam:
+    """Adam over one list of values, passed to every ``step`` in the same
+    order (``ModelParams.values()``, the checkpoint order). The first and
+    second moments ``_m`` and ``_v`` are lists in that order."""
+
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._m: list[np.ndarray] = []
+        self._v: list[np.ndarray] = []
 
     def step(self, values: list[Value]) -> None:
+        if not self.t:
+            self._m = [np.zeros_like(val.data) for val in values]
+            self._v = [np.zeros_like(val.data) for val in values]
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for val in values:
+        for val, m, v in zip(values, self._m, self._v, strict=True):
             g = val.grad if val.grad is not None else np.zeros_like(val.data)
-            key = id(val)
-            m = self._m.setdefault(key, np.zeros_like(val.data))
-            v = self._v.setdefault(key, np.zeros_like(val.data))
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -179,7 +183,6 @@ class TrainResult:
     latest_path: str
     best_path: str | None
     log_path: str
-    log_rows: list[dict] = field(default_factory=list)
     best_val_auroc: float | None = None
     final_loss: float | None = None
 
@@ -201,18 +204,17 @@ def _validation_auroc(val_samples, params, model_cfg) -> float:
     return auroc(scores, labels)
 
 
-def _backward_pass(part, share: float, params, model_cfg, rng, iteration: int) -> float:
+def _backward_pass(part, share: float, params, model_cfg, rng) -> float:
     """Forward and backward pass over the samples ``part``: adds the gradient
     of ``share`` times their mean BCE to every parameter's ``grad`` and
-    returns that scaled loss. The pass's tape and graph are freed on return."""
+    returns that scaled loss. The pass's tape and graph are freed on return.
+    A non-finite value in the forward pass raises ``NumericError`` (``Tape``
+    checks each operation)."""
     tape = Tape()
     probs = predict(tape, part, params, model_cfg, rng=rng)
     loss = tape.scale(mean_bce(tape, probs, [s.label for s in part]), share)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss at iteration {iteration}; last checkpoint retained")
     tape.backward(loss)
-    return value
+    return loss.item()
 
 
 def train(
@@ -234,8 +236,9 @@ def train(
     the logged ``train_loss`` is the batch's mean BCE, the sum of the passes'
     shares. ``val_samples`` are scored at each checkpoint in chunks of the
     same atom bound; their AUROC picks ``best.ckpt``.
-    A non-finite loss or parameter gradient aborts before the Adam step; the
-    last written checkpoint stays on disk untouched.
+    A non-finite value in a pass's forward pass, or a non-finite parameter
+    gradient, aborts before the Adam step with a ``NumericError`` naming the
+    iteration; the last written checkpoint stays on disk untouched.
     """
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(train_cfg.seed)
@@ -263,10 +266,13 @@ def train(
         for iteration in range(1, train_cfg.iterations + 1):
             batch = next(batches)
             params.zero_grad()
-            loss_value = sum(
-                _backward_pass(part, len(part) / len(batch), params, model_cfg, rng, iteration)
-                for part in atom_passes(batch)
-            )
+            try:
+                loss_value = sum(
+                    _backward_pass(part, len(part) / len(batch), params, model_cfg, rng)
+                    for part in atom_passes(batch)
+                )
+            except NumericError as exc:
+                raise NumericError(f"{exc} at iteration {iteration}; last checkpoint retained") from exc
             for name, value in params.named_values():
                 if value.grad is not None and not np.isfinite(value.grad).all():
                     raise NumericError(
@@ -287,7 +293,6 @@ def train(
                 }
                 writer.writerow(row)
                 log_fh.flush()
-                result.log_rows.append(row)
                 save_params(latest_path, params, model_cfg, iteration)
                 if np.isfinite(val_auroc) and (
                     result.best_val_auroc is None or val_auroc > result.best_val_auroc

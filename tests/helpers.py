@@ -1,14 +1,18 @@
 """Shared test utilities: the finite-difference gradient oracle, pocket-size
 graph samples, random edge lists, the dense view of per-edge values, a
-recorder of gradient shapes, and the one-sample loss, one-site dropout mask
-and parameter count the tests check the model against.
+recorder of gradient shapes, the one-sample loss, one-site dropout mask
+and parameter count the tests check the model against, one atom's feature
+row, a record's ligand atom count, and the rows of a training log.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
 """
 
+import csv
+
 import numpy as np
 
+from molgat import chem
 from molgat.autodiff import Value, constant
 from molgat.errors import DataError
 from molgat.graphs import Edges, GraphSample, pairwise_distances
@@ -137,3 +141,19 @@ def dropout_mask(shape, rate, rng):
 def num_parameters(params):
     """Number of learnable scalars in a ``ModelParams``."""
     return sum(v.data.size for v in params.values())
+
+
+def atom_feature_row(atom, stats=None):
+    """56-wide binary feature row for one atom (see ``chem.featurize``)."""
+    return chem._feature_rows([atom], stats)[0]
+
+
+def num_ligand_atoms(rec):
+    """Number of ligand atoms in a ``ComplexRecord``."""
+    return sum(1 for a in rec.atoms if a.is_ligand)
+
+
+def log_rows(result):
+    """The rows of a training run's ``train_log.csv``, each a dict of strings."""
+    with open(result.log_path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))

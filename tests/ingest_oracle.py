@@ -1,12 +1,13 @@
 """Per-atom and per-bond reference for structure ingestion.
 
-``molgat.chem`` annotates atoms, selects atoms, validates records, builds
-feature rows and finds neighbour pairs with array operations. This module
-keeps the same steps written one atom and one bond at a time, and the cell
-list that ranks the 27 neighbour cells of every row, so tests can compare the
-two bit for bit. Nothing under ``src/`` uses it.
+``molgat.chem`` annotates atoms, selects and reorders atoms, validates
+records, builds feature rows and finds neighbour pairs with array operations.
+This module keeps the same steps written one atom and one bond at a time, and
+the cell list that ranks the 27 neighbour cells of every row, so tests can
+compare the two bit for bit. Nothing under ``src/`` uses it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from molgat.chem import (
     Bond,
     _ELEMENT_INDEX,
     _ORDER_VALENCE,
-    ligand_first,
 )
 from molgat.errors import DataError
 
@@ -83,6 +83,19 @@ def atom_feature_row(atom, stats=None):
 def featurize(rec, stats=None):
     """N x 56 feature matrix, one row at a time, ligand atoms first."""
     return np.stack([atom_feature_row(a, stats) for a in ligand_first(rec).atoms])
+
+
+def ligand_first(rec):
+    """``rec`` with every ligand atom before every protein atom, each side in
+    its own order and the bonds renumbered; ``rec`` itself when already so."""
+    order = [i for i, a in enumerate(rec.atoms) if a.is_ligand]
+    order += [i for i, a in enumerate(rec.atoms) if not a.is_ligand]
+    if order == list(range(len(rec.atoms))):
+        return rec
+    remap = {old: new for new, old in enumerate(order)}
+    atoms = [rec.atoms[i] for i in order]
+    bonds = [Bond(remap[b.i], remap[b.j], b.order) for b in rec.bonds]
+    return dataclasses.replace(rec, atoms=atoms, bonds=bonds)
 
 
 def select_atoms(atoms, bonds, keep):

@@ -14,7 +14,6 @@ from molgat.chem import (
     COVALENT_RADII,
     BOND_INFERENCE_FACTOR,
     ComplexRecord,
-    atom_feature_row,
     featurize,
     ligand_first,
     pairs_within,
@@ -28,6 +27,8 @@ from molgat.chem import (
     write_jsonl,
 )
 from molgat.errors import DataError, ParseError
+
+from helpers import atom_feature_row, num_ligand_atoms
 
 
 def make_atom(element="C", pos=(0.0, 0.0, 0.0), is_ligand=True, degree=1,
@@ -588,7 +589,7 @@ class TestParseComplex:
         pdb.write_text("\n".join(triglycine_lines()) + "\n")
         rec = parse_complex(sdf, pdb, category="dude_inactive")
         assert rec.complex_id == "lig" and rec.protein_id == "prot"
-        assert rec.num_ligand_atoms == 5 and len(rec.atoms) - rec.num_ligand_atoms == 12
+        assert num_ligand_atoms(rec) == 5 and len(rec.atoms) - num_ligand_atoms(rec) == 12
         assert rec.effective_label() == 0
         # ligand bonds first, protein bonds offset
         assert all(rec.atoms[b.i].is_ligand == rec.atoms[b.j].is_ligand for b in rec.bonds)

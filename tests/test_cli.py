@@ -4,21 +4,52 @@ import json
 import os
 import struct
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from molgat import chem, cli
+from molgat import chem, cli, training
 from molgat.cli import main
 from molgat.fileio import write_checked
 from molgat.graphs import CACHE_MAGIC, read_cache
-from molgat.model import CHECKPOINT_MAGIC, ModelConfig, load_params
+from molgat.model import CHECKPOINT_MAGIC, ModelConfig, load_params, save_params, score
 from molgat.synthetic import generate_corpus, generate_pose_set
 from molgat.training import TrainConfig, TrainResult, train
 
 from test_chem import METHANE_ATOMS, METHANE_BONDS, sdf_text, triglycine_lines
 
 TINY_MODEL_FLAGS = ["--num-gat-layers", "2", "--gat-dim", "8", "--fc-dims", "8,1"]
+
+# ``molgat train --help`` at 80 columns; the flags built from ``cli._SETTINGS`` print it unchanged
+TRAIN_HELP = """\
+usage: molgat train [-h] --cache CACHE [CACHE ...] --out OUT [--config CONFIG]
+                    [--screening-only] [--val-fraction VAL_FRACTION]
+                    [--num-gat-layers NUM_GAT_LAYERS] [--gat-dim GAT_DIM]
+                    [--fc-dims FC_DIMS] [--dropout-rate DROPOUT_RATE]
+                    [--batch-size BATCH_SIZE] [--iterations ITERATIONS]
+                    [--learning-rate LEARNING_RATE] [--seed SEED]
+                    [--checkpoint-every CHECKPOINT_EVERY]
+
+options:
+  -h, --help            show this help message and exit
+  --cache CACHE [CACHE ...]
+  --out OUT
+  --config CONFIG       INI config file; flags override its values
+  --screening-only      train and validate on the two screening categories
+                        only
+  --val-fraction VAL_FRACTION
+  --num-gat-layers NUM_GAT_LAYERS
+  --gat-dim GAT_DIM
+  --fc-dims FC_DIMS     comma-separated, last must be 1
+  --dropout-rate DROPOUT_RATE
+  --batch-size BATCH_SIZE
+  --iterations ITERATIONS
+  --learning-rate LEARNING_RATE
+  --seed SEED
+  --checkpoint-every CHECKPOINT_EVERY
+"""
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +287,47 @@ class TestTrain:
         assert seen["pools"] == {"dude_active", "dude_inactive"}
         assert seen["val"] == {"dude_active", "dude_inactive"}
 
+    def test_non_finite_forward_pass_names_its_iteration(self, workspace, tmp_path, monkeypatch, capsys):
+        saved = []
+
+        def save_then_poison(path, params, config, iteration):
+            save_params(path, params, config, iteration)
+            saved.append(Path(path).read_bytes())
+            params.embed.data[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "save_params", save_then_poison)
+        out = tmp_path / "run"
+        rc = main(["train", "--cache", str(workspace / "train.cache"), "--out", str(out), "--iterations", "5",
+                   "--batch-size", "8", "--checkpoint-every", "1", "--val-fraction", "0"] + TINY_MODEL_FLAGS)
+        assert rc == 3
+        assert capsys.readouterr().err == ("numeric failure: operation produced non-finite values at "
+                                           "iteration 2; last checkpoint retained\n")
+        assert len(saved) == 1 and (out / "latest.ckpt").read_bytes() == saved[0]
+        assert load_params(out / "latest.ckpt")[2] == 1
+
+    def test_help_text(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == TRAIN_HELP
+
+    def test_flags_are_the_settings_keys(self):
+        # one flag per setting, in table order, each parsing its text as the INI key does
+        values = {"num_gat_layers": "3", "gat_dim": "7", "fc_dims": "5,1", "dropout_rate": "0.25",
+                  "batch_size": "12", "iterations": "9", "learning_rate": "0.002", "seed": "4",
+                  "checkpoint_every": "3"}
+        argv = ["train", "--cache", "c", "--out", "o"]
+        for key, text in values.items():
+            argv += [f"--{key.replace('_', '-')}", text]
+        args = cli.build_parser().parse_args(argv)
+        keys = [key for _, parsers in cli._SETTINGS.values() for key in parsers]
+        assert [a.option_strings[0] for a in args.parser._actions][6:] == [
+            f"--{key.replace('_', '-')}" for key in keys]
+        unset = SimpleNamespace(**dict.fromkeys(keys))
+        for section in cli._SETTINGS:
+            assert cli._resolved(section, args, {}) == cli._resolved(section, unset, {section: values})
+
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -365,6 +437,25 @@ class TestPredict:
         assert sum(int(line.split(",")[2]) for line in hist_lines) == n_scored
         for line in score_lines[1:]:
             assert 0.0 < float(line.split(",")[2]) < 1.0
+
+    def test_files_equal_the_per_sample_loop(self, workspace):
+        # the files as written when predict scored each sample itself and
+        # binned the scores read back from the text it had written
+        out = workspace / "pred-loop"
+        checkpoint = workspace / "run" / "latest.ckpt"
+        rc = main(["predict", "--input", str(workspace / "test.cache"), "--checkpoint", str(checkpoint),
+                   "--out", str(out)])
+        assert rc == 0
+        params, config, _ = load_params(checkpoint)
+        rows = [(s.complex_id, s.protein_id, repr(score(s, params, config)))
+                for s in read_cache(workspace / "test.cache")]
+        counts, edges = np.histogram(np.array([float(r[2]) for r in rows]), bins=50, range=(0.0, 1.0))
+        bins = [(repr(float(edges[i])), repr(float(edges[i + 1])), int(counts[i])) for i in range(50)]
+        assert (out / "scores.csv").read_text() == "".join(
+            ",".join(map(str, row)) + "\n" for row in [("complex_id", "protein_id", "probability")] + rows)
+        assert (out / "score_histogram.csv").read_text() == "".join(
+            ",".join(map(str, row)) + "\n" for row in [("bin_low", "bin_high", "count")] + bins)
+        assert len(rows) == 24 and sum(counts) == 24
 
     def test_non_object_jsonl_line_is_two(self, workspace, tmp_path, capsys):
         path = tmp_path / "array.jsonl"

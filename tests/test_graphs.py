@@ -23,7 +23,7 @@ from molgat.graphs import (
 )
 from molgat.synthetic import generate_corpus
 
-from helpers import dense_of, pocket_sample
+from helpers import dense_of, num_ligand_atoms, pocket_sample
 
 
 def atom(element, pos, is_ligand, degree=1):
@@ -49,7 +49,7 @@ class TestPrune:
         # the rule removes atoms strictly farther than the cutoff
         rec = complex_with_protein_at([8.0 + 1.4])
         pruned = prune_protein(rec)
-        assert len(pruned.atoms) - pruned.num_ligand_atoms == 1
+        assert len(pruned.atoms) - num_ligand_atoms(pruned) == 1
 
     def test_ligand_never_pruned(self):
         rec = complex_with_protein_at([3.0])
@@ -60,7 +60,7 @@ class TestPrune:
             rec.bonds,
         )
         pruned = prune_protein(far_ligand)
-        assert pruned.num_ligand_atoms == 3
+        assert num_ligand_atoms(pruned) == 3
 
     def test_matches_brute_force_filter(self):
         rng = np.random.default_rng(0)
@@ -94,7 +94,7 @@ class TestPrune:
         rec = ComplexRecord("c", "p", atoms, [Bond(1, 2)])
         pruned = prune_protein(rec)
         assert pruned.bonds == []
-        assert len(pruned.atoms) - pruned.num_ligand_atoms == 1
+        assert len(pruned.atoms) - num_ligand_atoms(pruned) == 1
 
     def test_all_protein_pruned_rejected(self):
         rec = complex_with_protein_at([20.0])

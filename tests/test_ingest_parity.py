@@ -16,6 +16,7 @@ from molgat.graphs import build_sample, prune_protein, write_cache
 from molgat.synthetic import generate_corpus
 
 import ingest_oracle
+from helpers import atom_feature_row
 from test_chem import pdb_line, sdf_text
 
 PROTEIN_ELEMENTS = ["C", "N", "O", "S", "H", "Fe", "Zn"]
@@ -70,6 +71,7 @@ def reference(monkeypatch):
         monkeypatch.setattr(chem, "_grid_pairs", ingest_oracle.grid_pairs)
         monkeypatch.setattr(chem, "validate_record", ingest_oracle.validate_record)
         monkeypatch.setattr(graphs, "select_atoms", ingest_oracle.select_atoms)
+        monkeypatch.setattr(graphs, "ligand_first", ingest_oracle.ligand_first)
         monkeypatch.setattr(graphs, "featurize", ingest_oracle.featurize)
 
     return use
@@ -116,11 +118,28 @@ def test_feature_rows_match_the_per_atom_reference():
     assert np.array_equal(chem.featurize(rec, got), ingest_oracle.featurize(rec, want))
     assert got == want and got["clamped_annotations"] > 100
     for a in atoms[:20]:
-        assert np.array_equal(chem.atom_feature_row(a), ingest_oracle.atom_feature_row(a))
+        assert np.array_equal(atom_feature_row(a), ingest_oracle.atom_feature_row(a))
     untouched = {}
     chem.featurize(dataclasses.replace(rec, atoms=[a for a in atoms if max(a.degree, a.implicit_valence) <= 5
                                                    and a.num_hydrogens <= 4]), untouched)
     assert untouched == {}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ligand_first_matches_the_per_atom_reference(seed):
+    rng = np.random.default_rng(seed)
+    for rec in generate_corpus(4, seed=seed):
+        assert chem.ligand_first(rec) is rec and ingest_oracle.ligand_first(rec) is rec
+        n, n_lig = len(rec.atoms), sum(a.is_ligand for a in rec.atoms)
+        swapped = np.r_[:n_lig - 1, n_lig, n_lig - 1, n_lig + 1:n]  # the last ligand atom one place late
+        for order in (rng.permutation(n), np.arange(n)[::-1], swapped):
+            place = np.argsort(order).tolist()
+            bonds = [Bond(place[b.i], place[b.j], b.order) for b in rec.bonds]
+            bonds = [Bond(b.j, b.i, b.order) if rng.random() < 0.5 else b for b in bonds[::-1]]
+            shuffled = dataclasses.replace(rec, atoms=[rec.atoms[k] for k in order.tolist()], bonds=bonds)
+            got = chem.ligand_first(shuffled)
+            assert repr(got) == repr(ingest_oracle.ligand_first(shuffled))
+            assert chem.ligand_first(got) is got
 
 
 FAULTS = ["identifier", "side", "element", "position", "annotation", "self", "range", "cross", "order",

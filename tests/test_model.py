@@ -11,6 +11,7 @@ from molgat.errors import CheckpointError, NumericError
 from molgat.graphs import GraphSample, build_sample, prune_protein
 from molgat.model import (
     CHECKPOINT_MAGIC,
+    SIGMA_FLOOR,
     ModelConfig,
     ModelParams,
     _dropout_masks,
@@ -96,6 +97,14 @@ class TestMaterializeA2:
         s = sample_with_contact(3.0)
         with pytest.raises(NumericError):
             materialize_a2(Tape(), s.edges, parameter([[2.0]]), constant([[0.0]]))
+
+    def test_sigma_value_is_the_softplus_plus_floor_of_its_raw_value(self):
+        params = fresh_params()
+        for raw in (-40.0, -3.0, -1e-9, 0.0, 0.5, 2.0, 36.0, 800.0):
+            params.sigma_raw.data[0, 0] = raw
+            expected = float(np.logaddexp(0.0, raw) + SIGMA_FLOOR)
+            assert params.sigma_value().hex() == expected.hex()
+            assert params.sigma_value() == params.sigma_on(Tape()).item()
 
     def test_distance_at_mu_maximizes_weight(self):
         params = fresh_params()

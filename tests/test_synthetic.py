@@ -3,6 +3,8 @@ import numpy as np
 from molgat.graphs import build_sample, label_pose, ligand_rmsd, prune_protein
 from molgat.synthetic import LABEL_CUTOFF, generate_corpus, generate_pose_set
 
+from helpers import num_ligand_atoms
+
 
 def brute_force_label(rec):
     lig = [(a.element, np.asarray(a.position)) for a in rec.atoms if a.is_ligand]
@@ -26,8 +28,8 @@ class TestCorpus:
 
     def test_atom_counts_in_range(self):
         for rec in generate_corpus(60, seed=2):
-            assert 5 <= rec.num_ligand_atoms <= 15
-            assert 20 <= len(rec.atoms) - rec.num_ligand_atoms <= 40
+            assert 5 <= num_ligand_atoms(rec) <= 15
+            assert 20 <= len(rec.atoms) - num_ligand_atoms(rec) <= 40
 
     def test_all_categories_present_and_consistent(self):
         records = generate_corpus(200, seed=3)

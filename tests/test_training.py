@@ -22,7 +22,7 @@ from molgat.training import (
     train,
 )
 
-from helpers import bce_loss, num_parameters, pocket_sample
+from helpers import bce_loss, log_rows, num_parameters, pocket_sample
 
 TINY_MODEL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(8, 1), dropout_rate=0.2)
 
@@ -226,7 +226,47 @@ class TestSplitByProtein:
             split_by_protein(samples, fraction, seed=0)
 
 
+class _AdamById:
+    """Adam with its moments keyed by ``id()`` of each value: the reference
+    for ``Adam``, which keeps them as lists in the order of the values."""
+
+    def __init__(self, learning_rate):
+        self.lr = learning_rate
+        self.t = 0
+        self._m = {}
+        self._v = {}
+
+    def step(self, values):
+        self.t += 1
+        bc1 = 1.0 - training.ADAM_BETA1**self.t
+        bc2 = 1.0 - training.ADAM_BETA2**self.t
+        for val in values:
+            g = val.grad if val.grad is not None else np.zeros_like(val.data)
+            m = self._m.setdefault(id(val), np.zeros_like(val.data))
+            v = self._v.setdefault(id(val), np.zeros_like(val.data))
+            m *= training.ADAM_BETA1
+            m += (1.0 - training.ADAM_BETA1) * g
+            v *= training.ADAM_BETA2
+            v += (1.0 - training.ADAM_BETA2) * g * g
+            val.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)
+
+
 class TestTrainLoop:
+    def test_thirty_steps_equal_the_id_keyed_adam(self, pools, tmp_path, monkeypatch):
+        cfg = TrainConfig(batch_size=8, iterations=30, learning_rate=1e-3, seed=17, checkpoint_every=5)
+        _, val = split_by_protein([s for pool in pools.values() for s in pool], 0.2, seed=17)
+        train(pools, val, TINY_MODEL, cfg, tmp_path / "lists")
+        monkeypatch.setattr(training, "Adam", _AdamById)
+        train(pools, val, TINY_MODEL, cfg, tmp_path / "by_id")
+        for name in ("latest.ckpt", "best.ckpt"):
+            assert (tmp_path / "lists" / name).read_bytes() == (tmp_path / "by_id" / name).read_bytes()
+
+        def log(tag):
+            text = (tmp_path / tag / "train_log.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in text]  # wall_time is the last column
+
+        assert log("lists") == log("by_id") and len(log("lists")) == 7
+
     def test_smoke_run_writes_artifacts(self, pools, tmp_path):
         cfg = TrainConfig(batch_size=8, iterations=20, learning_rate=1e-3, seed=5, checkpoint_every=10)
         samples = [s for pool in pools.values() for s in pool]
@@ -236,7 +276,7 @@ class TestTrainLoop:
         assert (tmp_path / "run" / "train_log.csv").exists()
         params, config, iteration = load_params(result.latest_path)
         assert iteration == 20 and config == TINY_MODEL
-        assert len(result.log_rows) == 2
+        assert len(log_rows(result)) == 2
         header = (tmp_path / "run" / "train_log.csv").read_text().splitlines()[0]
         assert header == "iteration,train_loss,val_auroc,mu,sigma,wall_time"
 
@@ -247,8 +287,8 @@ class TestTrainLoop:
             return train(pools, [], TINY_MODEL, cfg, tmp_path / tag)
 
         r1, r2 = run("a"), run("b")
-        assert [row["train_loss"] for row in r1.log_rows] == [
-            row["train_loss"] for row in r2.log_rows
+        assert [row["train_loss"] for row in log_rows(r1)] == [
+            row["train_loss"] for row in log_rows(r2)
         ]
         ck1 = (tmp_path / "a" / "latest.ckpt").read_bytes()
         ck2 = (tmp_path / "b" / "latest.ckpt").read_bytes()
@@ -260,7 +300,7 @@ class TestTrainLoop:
         model = ModelConfig(num_gat_layers=4, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
         cfg = TrainConfig(batch_size=8, iterations=3, learning_rate=1e-3, seed=13, checkpoint_every=1)
         result = train(pools, [], model, cfg, tmp_path / "run")
-        losses = [float(row["train_loss"]) for row in result.log_rows]
+        losses = [float(row["train_loss"]) for row in log_rows(result)]
         expected = [0.708748586046627, 0.6746310450356722, 0.6994955194162986]
         np.testing.assert_allclose(losses, expected, rtol=1e-9, atol=0)
 
@@ -292,7 +332,7 @@ class TestTrainLoop:
         rebuilt = train(pools, val, TINY_MODEL, cfg, tmp_path / "rebuilt")
         assert set(builds) == built_once and len(builds) > 12 * 8
         for key in ("train_loss", "val_auroc", "mu", "sigma"):
-            assert [r[key] for r in kept.log_rows] == [r[key] for r in rebuilt.log_rows]
+            assert [r[key] for r in log_rows(kept)] == [r[key] for r in log_rows(rebuilt)]
         ck_kept = (tmp_path / "kept" / "latest.ckpt").read_bytes()
         assert ck_kept == (tmp_path / "rebuilt" / "latest.ckpt").read_bytes()
 
@@ -434,8 +474,8 @@ class TestValidation:
             return (
                 [(v.data.copy(), v.grad.copy()) for v in params.values()],
                 adam.t,
-                {k: m.copy() for k, m in adam._m.items()},
-                {k: v.copy() for k, v in adam._v.items()},
+                [m.copy() for m in adam._m],
+                [v.copy() for v in adam._v],
             )
 
         before = state()
@@ -446,9 +486,9 @@ class TestValidation:
             np.testing.assert_array_equal(grad0, grad1)
         assert before[1] == after[1]
         for moments0, moments1 in zip(before[2:], after[2:]):
-            assert moments0.keys() == moments1.keys()
-            for key in moments0:
-                np.testing.assert_array_equal(moments0[key], moments1[key])
+            assert len(moments0) == len(moments1) == len(params.values())
+            for m0, m1 in zip(moments0, moments1):
+                np.testing.assert_array_equal(m0, m1)
 
     def test_one_class_or_empty_set_is_nan(self, pools):
         params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(6))
