@@ -13,15 +13,16 @@ attached hydrogens 0-4 (5) | implicit valence 0-5 (6) | aromatic flag (1)].
 
 The distance helpers live here, below their users: ``pairs_within`` is the one
 neighbour search behind every distance cutoff (covalent-radius bonds here,
-pruning and contacts in ``graphs``, the label rule in ``synthetic``). It takes
-a cell list, O(N + pairs) in time and memory, when both point sets have more
-than ``_PAIR_BLOCK`` rows (bond inference over a whole PDB entry), and
-blocked dense distances otherwise (pruning against the ligand's rows, the
-ligand x protein contact search, small graphs), where the grid is the slower
-one; both paths return the same bits. The grid serves rows less than 2**17
-cells from the origin, beyond any PDB coordinate; farther rows are compared
-densely. Inputs must be finite: the PDB reader rejects a non-finite
-coordinate at its line before any search runs.
+pruning and contacts in ``graphs``, the label rule in ``synthetic``). Only
+bond inference searches one point set against itself, over a whole PDB
+entry; that search takes a cell list, O(N + pairs) in time and memory, when
+the entry has more than ``_PAIR_BLOCK`` atoms, all less than 2**17 cells from
+the origin. Every other search (pruning and contacts against the ligand's
+rows, small graphs) takes blocked dense distances, and so does an entry with
+an atom beyond that clip, such as a PDB x field reading ``1e300``: it is
+compared in blocks of ``_PAIR_BLOCK`` rows. Both paths return the same bits.
+Inputs must be finite: the PDB reader rejects a non-finite coordinate at its
+line before any search runs.
 
 Reading a whole PDB entry costs one Python pass over its lines; the rest is
 array work over all atoms and bonds at once. Annotations are counts over
@@ -82,15 +83,15 @@ COVALENT_RADII = {
     "Br": 1.20,
 }
 BOND_INFERENCE_FACTOR = 1.3
-_PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs both sides longer
+_PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs a longer set
 
 # Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
 # 1e-12, far above the few ulps of rounding in a distance, and at least 1e-150
 # wide, where a distance that passes the test cannot come from underflowed
 # squares (``featurize --cutoff`` passes any positive float). Rows less than
-# 2**17 cells from the origin on every axis (about 4.1e5 A at the bond cutoff;
-# a PDB coordinate field holds at most 9999.999) are numbered by one exact
-# int64 key below 2**55; rows farther out are compared densely.
+# 2**17 cells from the origin on every axis (about 4.1e5 A at the bond cutoff)
+# are numbered by one exact int64 key below 2**55; a set with a row farther
+# out, which an 8-column PDB field reading ``1e300`` gives, is compared densely.
 _GRID_MARGIN = 1.0 + 1e-12
 _GRID_MIN_WIDTH = 1e-150
 _GRID_CLIP = 2**17
@@ -322,36 +323,24 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     This is the one neighbour search behind bond inference, pruning, contacts
     and the synthetic label rule. It has two paths with the same output:
 
-    - a cell list (``_grid_pairs``) when both sides have more than
-      ``_PAIR_BLOCK`` rows: O(M + K + pairs) time and memory; a search of
-      one array against itself (``a is b``, as in bond inference) computes
-      each distance between two cells once. Rows 2**17 cells or more from
-      the origin on some axis (about 4.1e5 A at the bond cutoff, beyond any
-      PDB coordinate field) are compared densely with the other side instead;
+    - a cell list (``_grid_pairs``) for a search of one array against itself
+      (``a is b``, as in bond inference) of more than ``_PAIR_BLOCK`` rows,
+      all less than ``_GRID_CLIP`` cells from the origin on every axis (about
+      4.1e5 A at the bond cutoff): O(M + pairs) time and memory;
     - otherwise blocked dense distances (``_dense_pairs``): O(M K) time,
-      memory linear in K. This serves the short side of pruning (ligand rows)
-      and of the contact search, where the dense path is the faster one.
-      When ``a`` spans several blocks, as in pruning, its rows outside the
-      bounding box of ``b`` widened by a grid cell are skipped first.
+      memory linear in K. This serves pruning and the contact search, whose
+      ``b`` is a ligand, and small graphs. An entry with a row beyond the
+      clip (a PDB field can read ``1e300``) is compared this way too, one
+      block of ``_PAIR_BLOCK`` rows at a time. When ``a`` spans several
+      blocks, as in pruning, its rows outside the bounding box of ``b``
+      widened by a grid cell are skipped first.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("pairs_within: non-finite coordinates")
-    if min(len(a), len(b)) <= _PAIR_BLOCK:
-        return _dense_pairs(a, b, cutoff)
     width = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
-    near_a, near_b = ((np.abs(x) < _GRID_CLIP * width).all(axis=1) for x in (a, b))
-    if near_a.all() and near_b.all():
-        return _grid_pairs(a, b, cutoff, width)
-    ia, ib = np.flatnonzero(near_a), np.flatnonzero(near_b)
-    fa, fb = np.flatnonzero(~near_a), np.flatnonzero(~near_b)
-    parts = []
-    for rows_a, rows_b, search in [(ia, ib, pairs_within), (fa, np.arange(len(b)), _dense_pairs),
-                                   (ia, fb, _dense_pairs)]:
-        i, j, d = search(a[rows_a], b[rows_b], cutoff)
-        parts.append((rows_a[i], rows_b[j], d))
-    i, j, d = (np.concatenate(p) for p in zip(*parts))
-    s = np.argsort(i * len(b) + j)
-    return i[s], j[s], d[s]
+    if a is b and len(a) > _PAIR_BLOCK and (np.abs(a) < _GRID_CLIP * width).all():
+        return _grid_pairs(a, cutoff, width)
+    return _dense_pairs(a, b, cutoff)
 
 
 def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
@@ -377,65 +366,53 @@ def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _grid_pairs(a: np.ndarray, b: np.ndarray, cutoff: float, width: float):
-    """``pairs_within`` through a cell list (Allen & Tildesley 1987, 5.3.2),
-    for rows less than ``_GRID_CLIP`` cells of ``width`` from the origin.
+def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
+    """``pairs_within(a, a, cutoff)`` through a cell list (Allen & Tildesley
+    1987, 5.3.2), for rows less than ``_GRID_CLIP`` cells of ``width`` from
+    the origin.
 
     Space is cut into cubes ``width`` wide, slightly wider than ``cutoff``, so
     every pair the distance test accepts lies in the same or an adjacent cell,
     even after the rounding of its distance. Cell coordinates shifted by
     ``_GRID_CLIP + 1`` lie in 1..span-2, so ``(qx * span + qy) * span + qz``
     numbers a row's cell and its 26 neighbours exactly, each by its own key.
-    The occupied cells are the distinct keys of the rows of both sides, and
-    each one's neighbours at the 13 offsets of ``_HALF_SHELL`` are looked up
-    once among them; every other neighbour is the reverse of one of these. The
-    candidates are the rows of ``a`` in a cell against the rows of ``b`` in
-    the same cell, in each half-shell neighbour and, unless ``a is b``, in
-    each reverse neighbour. When ``a is b`` the pairs across two cells are
-    found once and mirrored: ``(a_i - a_j)**2`` and ``(a_j - a_i)**2`` have
-    the same bits.
+    The occupied cells are the distinct keys of the rows, and each one's
+    neighbours at the 13 offsets of ``_HALF_SHELL`` are looked up once among
+    them. The candidates are the rows of a cell against the rows of the same
+    cell and of each half-shell neighbour; the pairs across two cells are
+    found once and mirrored, since ``(a_i - a_j)**2`` and ``(a_j - a_i)**2``
+    have the same bits.
     """
-    same = a is b
     span = 2 * _GRID_CLIP + 2
     place = np.array([span * span, span, 1])
-    q = np.floor_divide(a if same else np.concatenate([a, b]), width).astype(np.int64) + (_GRID_CLIP + 1)
+    q = np.floor_divide(a, width).astype(np.int64) + (_GRID_CLIP + 1)
     cells, cell = np.unique(q @ place, return_inverse=True)
     neighbours = _rank(cells, cells[:, None] + _HALF_SHELL @ place)
     own = np.arange(len(neighbours))
     near = neighbours >= 0
-    src, dst = np.broadcast_to(own[:, None], near.shape)[near], neighbours[near]
-    if same:
-        cell_pairs = (np.concatenate([own, src]), np.concatenate([own, dst]))
-    else:
-        cell_pairs = (np.concatenate([own, src, dst]), np.concatenate([own, dst, src]))
-    members = [_members(cell[:len(a)], len(own))]
-    members.append(members[0] if same else _members(cell[len(a):], len(own)))
-    (order_a, start_a, count_a), (order_b, start_b, count_b) = members
-    # candidates as positions in the cell-sorted rows of each side
-    na, nb = count_a[cell_pairs[0]], count_b[cell_pairs[1]]
-    per_row = np.repeat(nb, na)
-    i = np.repeat(_ranges(start_a[cell_pairs[0]], na), per_row)
-    j = _ranges(np.repeat(start_b[cell_pairs[1]], na), per_row)
+    src = np.concatenate([own, np.broadcast_to(own[:, None], near.shape)[near]])
+    dst = np.concatenate([own, neighbours[near]])
+    count = np.bincount(cell, minlength=len(own))
+    order, start = np.argsort(cell, kind="stable"), np.cumsum(count) - count
+    # candidates as positions in the cell-sorted rows
+    rows = count[src]
+    per_row = np.repeat(count[dst], rows)
+    i = np.repeat(_ranges(start[src], rows), per_row)
+    j = _ranges(np.repeat(start[dst], rows), per_row)
     d = np.zeros(len(i))  # summed as in ``pairwise_distances``; 0.0 + x*x is x*x
     for k in range(3):
-        t = a[order_a, k][i]
-        t -= b[order_b, k][j]
+        x = a[order, k]
+        t = x[i]
+        t -= x[j]
         t *= t
         d += t
     np.sqrt(d, out=d)
     keep = np.flatnonzero(d <= cutoff)
-    i, j, d = order_a[i[keep]], order_b[j[keep]], d[keep]
-    if same:
-        mirror = keep >= count_a @ count_a  # past the same-cell candidates, which hold both orders
-        i, j, d = np.concatenate([i, j[mirror]]), np.concatenate([j, i[mirror]]), np.concatenate([d, d[mirror]])
-    s = np.argsort(i * len(b) + j)
+    i, j, d = order[i[keep]], order[j[keep]], d[keep]
+    mirror = keep >= count @ count  # past the same-cell candidates, which hold both orders
+    i, j, d = np.concatenate([i, j[mirror]]), np.concatenate([j, i[mirror]]), np.concatenate([d, d[mirror]])
+    s = np.argsort(i * len(a) + j)
     return i[s], j[s], d[s]
-
-
-def _members(cell: np.ndarray, n_cells: int) -> tuple[np.ndarray, ...]:
-    """Rows sorted by cell, and each cell's first position and row count in that order."""
-    count = np.bincount(cell, minlength=n_cells)
-    return np.argsort(cell, kind="stable"), np.cumsum(count) - count, count
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -684,8 +661,9 @@ def parse_pdb_protein(path, stats: dict | None = None):
     block is read like a file without one. Covalent bonds are inferred
     between atom pairs closer than
     ``1.3 x (sum of single-bond covalent radii)``, through the cell list of
-    ``pairs_within`` on proteins of more than ``_PAIR_BLOCK`` atoms; all
-    inferred bonds are single order and aromatic flags stay false.
+    ``pairs_within`` on proteins of more than ``_PAIR_BLOCK`` atoms (by dense
+    blocks when an atom lies beyond its clip); all inferred bonds are single
+    order and aromatic flags stay false.
 
     The line loop is the only per-line Python: a faulty line ends it, and
     finiteness is checked once on the coordinate array after it, so a

@@ -95,9 +95,10 @@ def _resolved(section: str, args, file_cfg: dict):
 
 
 def _write_ini(path, sections: dict) -> None:
+    """Write ``sections`` as an INI file, each value ``str``'d and ``_escaped``."""
     cfg = configparser.ConfigParser()
     for name, mapping in sections.items():
-        cfg[name] = {k: str(v) for k, v in mapping.items()}
+        cfg[name] = {k: _escaped(str(v)) for k, v in mapping.items()}
     with atomic_open(path) as fh:
         cfg.write(fh)
 
@@ -171,7 +172,7 @@ def cmd_featurize(args) -> int:
     graphs.write_cache(samples, args.out)
     _write_ini(
         f"{args.out}.config.ini",
-        {"run": {"inputs": _escaped(",".join(args.inputs)), "format": args.format,
+        {"run": {"inputs": ",".join(args.inputs), "format": args.format,
                  "cutoff": args.cutoff, "category": args.category}},
     )
     print(f"wrote {args.out}")
@@ -243,6 +244,7 @@ def _scored_items(samples, params, config) -> list[metrics.ScoredItem]:
 def cmd_evaluate(args) -> int:
     if args.metrics is not None and not set(args.metrics.split(",")) <= set(METRICS):
         raise _UsageError(f"--metrics takes a comma list among {','.join(METRICS)}, got {args.metrics!r}")
+    wanted = [m for m in METRICS if args.metrics is None or m in args.metrics.split(",")]
     params, config, _ = load_params(args.checkpoint)
     samples = _load_samples(args.cache)
     labeled = [s for s in samples if s.label is not None]
@@ -252,7 +254,6 @@ def cmd_evaluate(args) -> int:
     items = _scored_items(labeled, params, config)
     report = metrics.evaluate_scored(items)
     if args.metrics:
-        wanted = set(args.metrics.split(","))
         keep = {"n_proteins", "n_skipped", "protein_id", "n_samples", "n_positive", "n_negative"}
 
         def trim(row):
@@ -275,7 +276,8 @@ def cmd_evaluate(args) -> int:
     metrics.write_curve_csv(os.path.join(args.out, "roc_curve.csv"), scores, labels, "roc")
     metrics.write_curve_csv(os.path.join(args.out, "pr_curve.csv"), scores, labels, "pr")
     _write_ini(os.path.join(args.out, "config.resolved.ini"),
-               {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache)}})
+               {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache),
+                        "metrics": ",".join(wanted)}})
     for key, value in sorted(report.aggregate.items()):
         print(f"{key}: {value}")
     print(f"wrote report to {args.out}")

@@ -456,7 +456,7 @@ class TestPdb:
             grid_calls.clear()
             atoms, bonds = parse_pdb_protein(path)
             assert len(atoms) == n
-            assert grid_calls == ([] if n <= chem._PAIR_BLOCK else [(n, n)])
+            assert grid_calls == ([] if n <= chem._PAIR_BLOCK else [n])
 
             coords = np.array([a.position for a in atoms])
             radii = np.array([COVALENT_RADII[a.element] for a in atoms])
@@ -467,6 +467,33 @@ class TestPdb:
             del diff, dist, cutoff
             assert len(ii) > n // 2
             assert [(b.i, b.j) for b in bonds] == list(zip(ii.tolist(), jj.tolist()))
+
+    def test_far_x_field_in_a_large_entry_gives_the_oracle_bonds(self, tmp_path, grid_calls):
+        # 400 atoms, one x field reading 1e300: the entry lies beyond the
+        # grid's clip, so its bonds come from dense blocks, without a warning
+        rng = np.random.default_rng(19)
+        n = 400
+        elements = rng.choice(["C", "N", "O", "S", "H"], size=n)
+        xyz = np.round(rng.uniform(0.0, 20.0 * (n / 700) ** (1 / 3), size=(n, 3)), 3)
+        lines = [pdb_line(k + 1, el, "UNK", "A", k // 10 + 1, *pos, el)
+                 for k, (el, pos) in enumerate(zip(elements, xyz))]
+        lines[123] = lines[123][:30] + f"{'1e300':>8}" + lines[123][38:]
+        path = tmp_path / "far.pdb"
+        path.write_text("\n".join(lines) + "\nEND\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            atoms, bonds = parse_pdb_protein(path)
+        assert atoms[123].position[0] == 1e300 and atoms[123].degree == 0
+        assert grid_calls == []
+
+        coords = np.array([a.position for a in atoms])
+        radii = np.array([COVALENT_RADII[a.element] for a in atoms])
+        with np.errstate(over="ignore"):  # the oracle's own squares overflow
+            diff = coords[:, None, :] - coords[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+        ii, jj = np.nonzero(np.triu(dist < BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :]), k=1))
+        assert len(ii) > n // 2
+        assert [(b.i, b.j) for b in bonds] == list(zip(ii.tolist(), jj.tolist()))
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_coordinate_rejected_at_its_line(self, tmp_path, field):
@@ -597,14 +624,13 @@ class TestParseComplex:
 
 @pytest.fixture
 def grid_calls(monkeypatch):
-    """Records the row counts ``(len(a), len(b))`` of each call of the
-    cell-list search."""
+    """Records the row count ``len(a)`` of each call of the cell-list search."""
     calls = []
     real = chem._grid_pairs
 
-    def spy(a, b, *args):
-        i, j, d = real(a, b, *args)
-        calls.append((len(a), len(b)))
+    def spy(a, *args):
+        i, j, d = real(a, *args)
+        calls.append(len(a))
         return i, j, d
 
     monkeypatch.setattr(chem, "_grid_pairs", spy)
@@ -620,8 +646,8 @@ class TestPairsWithin:
         assert chem._HALF_SHELL.dtype == np.int64
 
     def test_matches_brute_force_oracle(self, grid_calls):
-        # the first two shapes take the cell list; on the dense path 700 and
-        # 257 rows of ``a`` span three and two row blocks
+        # searches across two sets take the dense path: 700 and 257 rows of
+        # ``a`` span three and two row blocks
         rng = np.random.default_rng(23)
         for m, k, cutoff, decimals in [(700, 300, 3.0, 3), (700, 700, 2.5, None),
                                        (700, 40, 8.0, 3), (257, 40, 8.0, 3)]:
@@ -636,7 +662,7 @@ class TestPairsWithin:
             i, j, d = pairs_within(a, b, cutoff)
             assert np.array_equal(i, ii) and np.array_equal(j, jj)
             assert np.array_equal(d, pairwise_distances(a, b)[ii, jj])
-        assert grid_calls == [(700, 300), (700, 700)]
+        assert grid_calls == []
 
     def test_empty_inputs(self):
         pts = np.ones((5, 3))
@@ -666,7 +692,9 @@ class TestPairsWithin:
         a = rng.uniform(-40.0, -15.0, size=(600, 3))
         b = rng.uniform(-40.0, -15.0, size=(400, 3))
         assert self.assert_matches_oracle(a, b, 3.0) > 100
-        assert grid_calls == [(600, 400)]
+        assert grid_calls == []
+        assert self.assert_matches_oracle(a, a, 3.0) > 600  # the self-search takes the grid
+        assert grid_calls == [600]
 
     def test_grid_atoms_on_cell_faces(self, grid_calls):
         # every coordinate a multiple of the cutoff: coincident atoms and pairs
@@ -675,7 +703,9 @@ class TestPairsWithin:
         a = rng.integers(-5, 5, size=(500, 3)) * 2.5
         b = rng.integers(-5, 5, size=(300, 3)) * 2.5
         assert self.assert_matches_oracle(a, b, 2.5) > 1000
-        assert grid_calls == [(500, 300)]
+        assert grid_calls == []
+        assert self.assert_matches_oracle(a, a, 2.5) > 1000  # the self-search takes the grid
+        assert grid_calls == [500]
 
     def test_grid_pairs_at_exactly_cutoff_straddle_a_face(self, grid_calls):
         # every (k, k) pair lies at the cutoff with the cell face at x = 0
@@ -689,34 +719,44 @@ class TestPairsWithin:
         i, j, d = pairs_within(a, b, cutoff)
         assert i.tolist() == j.tolist() == list(range(300)) and (d == cutoff).all()
         assert self.assert_matches_oracle(a, b, cutoff) == 300
-        assert grid_calls == [(300, 300)] * 2
+        assert grid_calls == []
+        # as one set, the grid takes it and finds each (k, 300 + k) pair at the cutoff
+        ab = np.concatenate([a, b])
+        i, j, d = pairs_within(ab, ab, cutoff)
+        straddle = np.flatnonzero(j - i == 300)
+        assert i[straddle].tolist() == list(range(300)) and (d[straddle] == cutoff).all()
+        assert self.assert_matches_oracle(ab, ab, cutoff) == 600 + 2 * 300
+        assert grid_calls == [600] * 2
 
     def test_grid_all_atoms_at_one_point(self, grid_calls):
         pts = np.full((300, 3), -1.25)
         assert self.assert_matches_oracle(pts, pts[:260], 4.0) == 300 * 260
-        assert grid_calls == [(300, 260)]
+        assert grid_calls == []
+        assert self.assert_matches_oracle(pts, pts, 4.0) == 300 * 300
+        assert grid_calls == [300]
 
     @pytest.mark.parametrize("far", [1e17, -1e17])
     def test_grid_far_outlier(self, grid_calls, far):
-        # one atom 1e17 A away, beyond 2**50 cells, is compared densely and
-        # the grid takes the other rows
+        # one atom 1e17 A away, beyond 2**50 cells: the search, across two
+        # sets or of one set against itself, is compared densely
         rng = np.random.default_rng(33)
         a = rng.uniform(0.0, 20.0, size=(600, 3))
         a[123] = [far, 0.0, 0.0]
         b = np.concatenate([a[100:500], [[far, 1.0, 0.0]]])
         assert self.assert_matches_oracle(a, b, 3.12) > 1000
-        assert grid_calls == [(599, 399)]
+        assert self.assert_matches_oracle(a, a, 3.12) > 1000
+        assert grid_calls == []
 
     def test_grid_keys_do_not_scale_with_the_bounding_box(self, grid_calls):
         # atoms 1e13 A apart on every axis span ~1e38 cells, far more than an
         # int64 key can number; they lie beyond the grid's limit of 2**17
-        # cells, so they are compared densely and the grid takes the other 394
+        # cells, so the whole set is compared densely
         rng = np.random.default_rng(34)
         a = rng.uniform(0.0, 20.0, size=(400, 3))
         a[:6] = [[1e13, -1e13, 1e13], [1e13, -1e13, 1e13 + 2.0], [-1e13, 1e13, -1e13],
                  [1e13, 1e13, 1e13], [-1e13, -1e13, -1e13], [3e12, -7e12, 5e12]]
         assert self.assert_matches_oracle(a, a, 3.12) > 1000
-        assert grid_calls == [(394, 394)]
+        assert grid_calls == []
 
     def test_rows_beyond_the_grid_limit_are_compared_densely(self, grid_calls):
         # 300 rows 1e16 A apart along x lie beyond 2**50 cells of the origin;
@@ -728,7 +768,7 @@ class TestPairsWithin:
         a = np.concatenate([far[:150], near, far[150:]])
         b = np.concatenate([near[::-1], -far, far])
         assert self.assert_matches_oracle(a, b, 3.12) > 300
-        assert grid_calls == [(300, 300)]
+        assert grid_calls == []
 
     def test_rows_beyond_the_grid_limit_take_block_memory(self):
         # 3,000 such rows: the dense comparison holds one 256-row block of
@@ -746,8 +786,9 @@ class TestPairsWithin:
 
     def test_rows_at_the_grid_limit(self, grid_calls):
         # on either sign of each axis, three rows just inside 2**17 cells of
-        # the origin take the grid and three at or past it are compared
-        # densely; rows on both sides of the limit lie within the cutoff
+        # the origin and three at or past it, all within the cutoff of each
+        # other: with the outside rows the set is compared densely, without
+        # them the grid takes it
         cutoff = 3.12
         limit = chem._GRID_CLIP * (cutoff * chem._GRID_MARGIN)
         inside, outside = [], []
@@ -765,7 +806,10 @@ class TestPairsWithin:
         assert self.assert_matches_oracle(a, a, cutoff) > 1000
         i, j, _ = pairs_within(a, a, cutoff)
         assert ((i < n_in) & (j >= n_in)).sum() == 6 * 3 * 3  # every inside row meets every outside row
-        assert grid_calls == [(n_in, n_in)] * 2
+        assert grid_calls == []
+        near = a[:n_in]
+        assert self.assert_matches_oracle(near, near, cutoff) > 1000
+        assert grid_calls == [n_in]
 
     def test_pdb_coordinate_extremes_take_one_grid_call(self, grid_calls):
         # an 8.3f PDB field holds -999.999 to 9999.999: every corner of that
@@ -777,7 +821,7 @@ class TestPairsWithin:
                             corners + rng.uniform(-1.0, 1.0, size=(8, 3))])
         a = np.round(a, 3)
         assert self.assert_matches_oracle(a, a, 3.12) > 1000
-        assert grid_calls == [(316, 316)]
+        assert grid_calls == [316]
 
     def test_far_coordinates_raise_no_warning(self):
         # an 8-column PDB field can read 1e300 or -1.7e308: a difference or
@@ -809,7 +853,7 @@ class TestPairsWithin:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(i) == 149972 and grid_calls == [(n, n)]
+        assert len(i) == 149972 and grid_calls == [n]
         assert peak <= 63.4e6
 
     def test_dense_path_skips_rows_outside_the_box_exactly(self, grid_calls):
@@ -837,20 +881,37 @@ class TestPairsWithin:
         assert self.assert_matches_oracle(ligand, pocket, 5.0) > 100  # the contact search
         assert self.assert_matches_oracle(protein, ligand, 8.0) > 1000  # pruning
         assert grid_calls == []
-        assert self.assert_matches_oracle(protein[:1000], protein[:1000], 3.12) > 1000  # bonds
-        assert grid_calls == [(1000, 1000)]
+        bonds = protein[:1000]
+        assert self.assert_matches_oracle(bonds, bonds, 3.12) > 1000
+        assert grid_calls == [1000]
+
+    def test_prune_and_contact_shapes_of_pocket_size_take_the_dense_path(self, grid_calls):
+        # both sides longer than a block: pruning a 5,000-atom entry against
+        # 300 rows at 8 A, and contacts of 300 rows against a 600-atom pocket
+        # at 5 A, are searches across two sets
+        rng = np.random.default_rng(44)
+        ligand = rng.uniform(0.0, 12.0, size=(300, 3))
+        pocket = rng.uniform(-8.0, 20.0, size=(600, 3))
+        protein = rng.uniform(-20.0, 32.0, size=(5000, 3))
+        assert self.assert_matches_oracle(protein, ligand, 8.0) > 10000
+        assert self.assert_matches_oracle(ligand, pocket, 5.0) > 1000
+        assert grid_calls == []
 
     @pytest.mark.parametrize("cutoff", [0.0, 1e-200, -1.0])
     def test_degenerate_cutoffs(self, grid_calls, cutoff):
         # cells are never narrower than 1e-150, so a tiny or negative cutoff
         # finds exactly the coincident rows (or none); rows off the origin
-        # then lie beyond the grid's limit and are compared densely
+        # then lie beyond the grid's limit, and the grid takes only the
+        # self-search of the rows at the origin
         rng = np.random.default_rng(38)
         a = rng.uniform(-5.0, 5.0, size=(600, 3))
         a[300:] = 0.0
         n = self.assert_matches_oracle(a, a[100:], cutoff)
         assert n == (0 if cutoff < 0 else 200 + 300 * 300)
-        assert grid_calls == [(300, 300)]
+        assert grid_calls == []
+        origin = a[300:]
+        assert self.assert_matches_oracle(origin, origin, cutoff) == (0 if cutoff < 0 else 300 * 300)
+        assert grid_calls == [300]
 
     @pytest.mark.parametrize("n", [10, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

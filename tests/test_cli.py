@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import warnings
 from pathlib import Path
@@ -362,6 +363,30 @@ class TestTrain:
         assert dict(echoed["train"]) == {k: str(v) for k, v in train.items()}
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict", "poses"])
+def test_config_echo_escapes_a_path_byte_that_is_not_utf8(workspace, tmp_path, command):
+    # the directory name holds byte 0xff, which reaches Python as the lone
+    # surrogate U+DCFF; the echo writes it as a backslash escape and keeps
+    # the UTF-8 character before it as it is
+    odd = tmp_path / "d\u00fc\udcff"
+    odd.mkdir()
+    for name in ("train.cache", "test.cache", "poses.cache"):
+        shutil.copy(workspace / name, odd / name)
+    shutil.copy(workspace / "run" / "latest.ckpt", odd / "latest.ckpt")
+    out = tmp_path / "out"
+    checkpoint = ["--checkpoint", str(odd / "latest.ckpt"), "--out", str(out)]
+    argv = {
+        "train": ["train", "--cache", str(odd / "train.cache"), "--out", str(out), "--iterations", "1",
+                  "--batch-size", "4", "--val-fraction", "0"] + TINY_MODEL_FLAGS,
+        "evaluate": ["evaluate", "--cache", str(odd / "test.cache")] + checkpoint,
+        "predict": ["predict", "--input", str(odd / "test.cache")] + checkpoint,
+        "poses": ["poses", "--cache", str(odd / "poses.cache")] + checkpoint,
+    }[command]
+    assert main(argv) == 0
+    echoed = (out / "config.resolved.ini").read_text(encoding="utf-8")
+    assert f"{tmp_path}/d\u00fc\\udcff/" in echoed
+
+
 class TestEvaluate:
     def test_report_files(self, workspace, capsys):
         out = workspace / "eval"
@@ -398,6 +423,17 @@ class TestEvaluate:
         report = json.loads((out / "report.json").read_text())
         assert "auroc" in report["aggregate"]
         assert "prauc" not in report["aggregate"]
+
+    @pytest.mark.parametrize("flag,echoed", [([], "auroc,adjusted_logauc,prauc,re"),
+                                             (["--metrics", "prauc,auroc"], "auroc,prauc")])
+    def test_metrics_in_effect_are_echoed(self, workspace, tmp_path, flag, echoed):
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--cache", str(workspace / "test.cache"),
+                   "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(out)] + flag)
+        assert rc == 0
+        resolved = configparser.ConfigParser()
+        resolved.read(out / "config.resolved.ini", encoding="utf-8")
+        assert resolved["run"]["metrics"] == echoed
 
     def test_checkpoint_config_mismatch(self, workspace, tmp_path, capsys):
         blob = bytearray((workspace / "run" / "latest.ckpt").read_bytes())

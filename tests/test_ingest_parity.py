@@ -68,7 +68,7 @@ def reference(monkeypatch):
 
     def use():
         monkeypatch.setattr(chem, "_annotate", annotate)
-        monkeypatch.setattr(chem, "_grid_pairs", ingest_oracle.grid_pairs)
+        monkeypatch.setattr(chem, "_grid_pairs", lambda a, *args: ingest_oracle.grid_pairs(a, a, *args))
         monkeypatch.setattr(chem, "validate_record", ingest_oracle.validate_record)
         monkeypatch.setattr(graphs, "select_atoms", ingest_oracle.select_atoms)
         monkeypatch.setattr(graphs, "ligand_first", ingest_oracle.ligand_first)
