@@ -34,7 +34,6 @@ from .training import (
 )
 
 HISTOGRAM_BINS = 50
-METRICS = ("auroc", "adjusted_logauc", "prauc", "re")
 
 
 class _UsageError(Exception):
@@ -95,10 +94,11 @@ def _resolved(section: str, args, file_cfg: dict):
 
 
 def _write_ini(path, sections: dict) -> None:
-    """Write ``sections`` as an INI file, each value ``str``'d and ``_escaped``."""
+    """Write ``sections`` as an INI file, each value ``str``'d and ``_escaped``,
+    with ``%`` written as ``%%`` so that a ``ConfigParser`` reads it back."""
     cfg = configparser.ConfigParser()
     for name, mapping in sections.items():
-        cfg[name] = {k: _escaped(str(v)) for k, v in mapping.items()}
+        cfg[name] = {k: _escaped(str(v)).replace("%", "%%") for k, v in mapping.items()}
     with atomic_open(path) as fh:
         cfg.write(fh)
 
@@ -242,9 +242,11 @@ def _scored_items(samples, params, config) -> list[metrics.ScoredItem]:
 
 
 def cmd_evaluate(args) -> int:
-    if args.metrics is not None and not set(args.metrics.split(",")) <= set(METRICS):
-        raise _UsageError(f"--metrics takes a comma list among {','.join(METRICS)}, got {args.metrics!r}")
-    wanted = [m for m in METRICS if args.metrics is None or m in args.metrics.split(",")]
+    if args.metrics is not None and not set(args.metrics.split(",")) <= set(metrics.METRICS):
+        raise _UsageError(
+            f"--metrics takes a comma list among {','.join(metrics.METRICS)}, got {args.metrics!r}"
+        )
+    wanted = [m for m in metrics.METRICS if args.metrics is None or m in args.metrics.split(",")]
     params, config, _ = load_params(args.checkpoint)
     samples = _load_samples(args.cache)
     labeled = [s for s in samples if s.label is not None]
@@ -252,22 +254,7 @@ def cmd_evaluate(args) -> int:
         raise DataError("no labeled samples to evaluate")
     os.makedirs(args.out, exist_ok=True)
     items = _scored_items(labeled, params, config)
-    report = metrics.evaluate_scored(items)
-    if args.metrics:
-        keep = {"n_proteins", "n_skipped", "protein_id", "n_samples", "n_positive", "n_negative"}
-
-        def trim(row):
-            return {
-                k: v
-                for k, v in row.items()
-                if k in keep or any(k == m or k.startswith(f"{m}_") for m in wanted)
-            }
-
-        report = metrics.EvalReport(
-            per_protein=[trim(r) for r in report.per_protein],
-            aggregate=trim(report.aggregate),
-            skipped_proteins=report.skipped_proteins,
-        )
+    report = metrics.evaluate_scored(items, wanted)
     with atomic_open(os.path.join(args.out, "report.json")) as fh:
         fh.write(report.to_json() + "\n")
     report.write_csv(os.path.join(args.out, "report.csv"))
@@ -394,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--metrics", help=f"comma list among {','.join(METRICS)}")
+    p.add_argument("--metrics", help=f"comma list among {','.join(metrics.METRICS)}")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="write per-complex scores and a histogram")
@@ -434,7 +421,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (MolgatError, FileNotFoundError) as exc:
+    except (MolgatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

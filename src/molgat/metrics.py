@@ -1,11 +1,14 @@
 """Virtual-screening and pose-ranking metrics.
 
-Ranking metrics treat higher scores as more likely active. Ties get
-Mann-Whitney half credit everywhere: AUROC uses average ranks, and the
-ROC/PR curves advance through tied-score blocks as a unit, so every reported
-operating point is realizable by an actual score threshold. Top-N pose
-success counts a tied block that straddles the top-N cutoff by its expected
-success under a uniformly random order inside the block.
+Ranking metrics treat higher scores as more likely active. Every one of them
+reads a single ranking: the tied-score blocks of ``_ranked_blocks``, highest
+score first. The ROC/PR curves advance through each block as a unit, so
+every reported operating point is realizable by an actual score threshold,
+and ties get Mann-Whitney half credit everywhere. AUROC is the trapezoid area
+under that ROC, summed in exact counts: the Mann-Whitney U statistic divided
+by the number of positive-negative pairs. Top-N pose success counts a tied
+block that straddles the top-N cutoff by its expected success under a
+uniformly random order inside the block.
 
 Per-target report values are unweighted means over proteins (each protein
 counts once regardless of how many compounds were screened against it).
@@ -23,6 +26,7 @@ import numpy as np
 from .errors import DataError
 from .fileio import atomic_open
 
+METRICS = ("auroc", "adjusted_logauc", "prauc", "re")  # "re" is every RE_LEVELS level
 RE_LEVELS = (0.005, 0.01, 0.02, 0.05)
 _RE_KEYS = {level: f"re_{level * 100:g}pct" for level in RE_LEVELS}
 LOGAUC_LAMBDA = 0.001
@@ -49,24 +53,6 @@ def _split_arrays(scores, labels):
     return scores, labels.astype(np.int64)
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    return cum[inverse] - (counts[inverse] - 1) / 2.0
-
-
-def auroc(scores, labels) -> float:
-    """Probability a random positive outranks a random negative (ties half)."""
-    scores, labels = _split_arrays(scores, labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("auroc needs at least one positive and one negative")
-    ranks = _average_ranks(scores)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
 def _ranked_blocks(scores, labels):
     """Positives and items ranked at or above each tied-score block (highest
     score first), plus the numbers of positives and negatives."""
@@ -76,6 +62,22 @@ def _ranked_blocks(scores, labels):
     block_ends = np.flatnonzero(np.diff(scores[order], append=np.inf))
     n_pos = int((labels == 1).sum())
     return tp[block_ends], block_ends + 1, n_pos, len(labels) - n_pos
+
+
+def auroc(scores, labels) -> float:
+    """Probability a random positive outranks a random negative (ties half).
+
+    A tied block holding ``dfp`` negatives, which takes the positives ranked
+    so far from ``tp_before`` to ``tp_after``, adds ``dfp * (tp_before +
+    tp_after) / 2`` to the Mann-Whitney U: each of its negatives is outranked
+    by every positive above the block and ties each positive inside it.
+    """
+    tp, ranked, n_pos, n_neg = _ranked_blocks(scores, labels)
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("auroc needs at least one positive and one negative")
+    tp_before = np.concatenate([[0], tp[:-1]])
+    twice_u = (np.diff(ranked - tp, prepend=0) * (tp_before + tp)).sum()
+    return float(twice_u / 2.0 / (n_pos * n_neg))
 
 
 def roc_points(scores, labels):
@@ -110,18 +112,18 @@ def adjusted_logauc(scores, labels) -> float:
     return logauc - random_area
 
 
-def pr_points(scores, labels, name: str = "pr curve"):
+def pr_points(scores, labels):
     """Vertices of the empirical precision-recall curve: (recall, precision)
-    arrays, one per tied-score block; ``name`` labels the no-positive error."""
+    arrays, one per tied-score block."""
     tp, ranked, n_pos, _ = _ranked_blocks(scores, labels)
     if n_pos == 0:
-        raise DataError(f"{name} needs at least one positive")
+        raise DataError("pr curve needs at least one positive")
     return tp / n_pos, tp / ranked
 
 
 def prauc(scores, labels) -> float:
     """Area under precision-recall in the average-precision (step) form."""
-    recall, precision = pr_points(scores, labels, "prauc")
+    recall, precision = pr_points(scores, labels)
     recall_prev = np.concatenate([[0.0], recall[:-1]])
     return float(((recall - recall_prev) * precision).sum())
 
@@ -226,15 +228,20 @@ def _csv_cell(value):
     return value
 
 
-def evaluate_scored(items: list[ScoredItem]) -> EvalReport:
-    """Compute screening metrics per protein and their unweighted means.
+def evaluate_scored(items: list[ScoredItem], wanted=METRICS) -> EvalReport:
+    """Compute the ``wanted`` screening metrics per protein and their
+    unweighted means; ``wanted`` names metrics of ``METRICS``.
 
     Proteins whose score set contains a single class are skipped for the
-    threshold metrics and listed in the report. RE is reported at each FPR
-    level of ``RE_LEVELS`` (0.5, 1, 2 and 5 %). RE levels that are not
-    realizable for a protein (too few negatives) are left blank for that
+    threshold metrics and listed in the report. RE (``"re"``) is reported at
+    each FPR level of ``RE_LEVELS`` (0.5, 1, 2 and 5 %). RE levels that are
+    not realizable for a protein (too few negatives) are left blank for that
     protein and excluded from that level's aggregate.
     """
+    ranking = {name: metric for name, metric in
+               {"auroc": auroc, "adjusted_logauc": adjusted_logauc, "prauc": prauc}.items()
+               if name in wanted}
+    re_keys = {level: key for level, key in _RE_KEYS.items() if "re" in wanted}
     by_protein: dict[str, list[ScoredItem]] = {}
     for item in items:
         by_protein.setdefault(item.protein_id, []).append(item)
@@ -256,23 +263,18 @@ def evaluate_scored(items: list[ScoredItem]) -> EvalReport:
         if n_pos == 0 or n_neg == 0:
             skipped.append(protein_id)
             continue
-        row["auroc"] = auroc(scores, labels)
-        row["adjusted_logauc"] = adjusted_logauc(scores, labels)
-        row["prauc"] = prauc(scores, labels)
-        for level, key in _RE_KEYS.items():
-            try:
-                row[key] = re_score(scores, labels, level)
-            except DataError:
-                row[key] = None
+        for name, metric in ranking.items():
+            row[name] = metric(scores, labels)
+        for level, key in re_keys.items():
+            row[key] = re_score(scores, labels, level) if n_neg >= 1.0 / level else None
         per_protein.append(row)
 
     if not per_protein:
         raise DataError("no protein had both classes; nothing to evaluate")
 
-    metric_keys = ["auroc", "adjusted_logauc", "prauc", *_RE_KEYS.values()]
     aggregate = {"n_proteins": len(per_protein), "n_skipped": len(skipped)}
-    for key in metric_keys:
-        values = [row[key] for row in per_protein if row.get(key) is not None]
+    for key in [*ranking, *re_keys.values()]:
+        values = [row[key] for row in per_protein if row[key] is not None]
         aggregate[key] = per_protein_average(values) if values else None
     return EvalReport(per_protein=per_protein, aggregate=aggregate, skipped_proteins=skipped)
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from molgat import chem, cli, training
+from molgat import chem, cli, metrics, training
 from molgat.cli import main
 from molgat.fileio import write_checked
 from molgat.graphs import CACHE_MAGIC, read_cache
@@ -387,6 +387,43 @@ def test_config_echo_escapes_a_path_byte_that_is_not_utf8(workspace, tmp_path, c
     assert f"{tmp_path}/d\u00fc\\udcff/" in echoed
 
 
+def test_featurize_and_train_with_percent_in_their_paths(workspace, tmp_path):
+    pct = tmp_path / "pct%d"
+    pct.mkdir()
+    shutil.copy(workspace / "train.jsonl", pct / "train.jsonl")
+    cache = pct / "train.cache"
+    assert main(["featurize", str(pct / "train.jsonl"), "--out", str(cache)]) == 0
+    echo = configparser.ConfigParser()
+    echo.read(f"{cache}.config.ini", encoding="utf-8")
+    assert echo["run"]["inputs"] == str(pct / "train.jsonl")
+    assert main(["train", "--cache", str(cache), "--out", str(pct / "run"), "--iterations", "1",
+                 "--batch-size", "4", "--val-fraction", "0"] + TINY_MODEL_FLAGS) == 0
+    echo.read(pct / "run" / "config.resolved.ini", encoding="utf-8")
+    assert echo["run"]["cache"] == str(cache)
+
+
+def test_train_echo_read_back_resolves_the_same_settings(workspace, tmp_path):
+    # the echoed cache path holds a percent sign, which the reader must take literally
+    pct = tmp_path / "pct%d"
+    pct.mkdir()
+    shutil.copy(workspace / "train.cache", pct / "train.cache")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["train", "--cache", str(pct / "train.cache"), "--out", str(first),
+                 "--iterations", "2", "--batch-size", "4", "--learning-rate", "0.002", "--seed", "5",
+                 "--checkpoint-every", "2", "--dropout-rate", "0.1", "--val-fraction", "0"]
+                + TINY_MODEL_FLAGS) == 0
+    assert main(["train", "--cache", str(pct / "train.cache"), "--out", str(second),
+                 "--config", str(first / "config.resolved.ini"), "--val-fraction", "0"]) == 0
+    echoes = []
+    for run in (first, second):
+        echo = configparser.ConfigParser()
+        echo.read(run / "config.resolved.ini", encoding="utf-8")
+        echoes.append({section: dict(echo[section]) for section in ("model", "train")})
+    assert echoes[0] == echoes[1]
+    assert echoes[0]["train"]["seed"] == "5" and echoes[0]["model"]["gat_dim"] == "8"
+    assert (first / "latest.ckpt").read_bytes() == (second / "latest.ckpt").read_bytes()
+
+
 class TestEvaluate:
     def test_report_files(self, workspace, capsys):
         out = workspace / "eval"
@@ -434,6 +471,26 @@ class TestEvaluate:
         resolved = configparser.ConfigParser()
         resolved.read(out / "config.resolved.ini", encoding="utf-8")
         assert resolved["run"]["metrics"] == echoed
+
+    def test_metrics_selection_through_a_positional_wrapper(self, workspace, tmp_path, monkeypatch):
+        # a wrapper that passes on only positional arguments, as a benchmark hook does
+        seen = []
+
+        def wrapped(fn):
+            def evaluate_scored(items, *args):
+                seen.append(args)
+                return fn(items, *args)
+            return evaluate_scored
+
+        monkeypatch.setattr(metrics, "evaluate_scored", wrapped(metrics.evaluate_scored))
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--cache", str(workspace / "test.cache"),
+                   "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(out),
+                   "--metrics", "auroc"])
+        assert rc == 0
+        assert seen == [(["auroc"],)]
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["aggregate"]) == {"n_proteins", "n_skipped", "auroc"}
 
     def test_checkpoint_config_mismatch(self, workspace, tmp_path, capsys):
         blob = bytearray((workspace / "run" / "latest.ckpt").read_bytes())
@@ -729,6 +786,31 @@ class TestExitCodes:
             )
         assert err.value.code == 1
         assert "--top" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["evaluate_cache_dir", "evaluate_checkpoint_dir", "train_cache_dir",
+                                      "predict_input_dir", "evaluate_out_file", "featurize_out_dir"])
+    def test_unreadable_or_unwritable_path_is_two(self, workspace, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        (tmp_path / "file").write_text("")
+        ckpt = str(workspace / "run" / "latest.ckpt")
+        test_cache = str(workspace / "test.cache")
+        argv = {
+            "evaluate_cache_dir": ["evaluate", "--cache", str(folder), "--checkpoint", ckpt,
+                                   "--out", str(tmp_path / "o")],
+            "evaluate_checkpoint_dir": ["evaluate", "--cache", test_cache, "--checkpoint", str(folder),
+                                        "--out", str(tmp_path / "o")],
+            "train_cache_dir": ["train", "--cache", str(folder), "--out", str(tmp_path / "o")],
+            "predict_input_dir": ["predict", "--input", str(folder), "--checkpoint", ckpt,
+                                  "--out", str(tmp_path / "o")],
+            "evaluate_out_file": ["evaluate", "--cache", test_cache, "--checkpoint", ckpt,
+                                  "--out", str(tmp_path / "file")],
+            "featurize_out_dir": ["featurize", str(workspace / "test.jsonl"), "--out", str(folder)],
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "folder"]
+        assert list(folder.iterdir()) == []
 
     def test_data_error_is_two(self, tmp_path, capsys):
         rc = main(

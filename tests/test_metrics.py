@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from molgat import fileio
 from molgat.errors import DataError
 from molgat.metrics import (
+    METRICS,
     EvalReport,
     ScoredItem,
     adjusted_logauc,
@@ -35,6 +37,20 @@ def auroc_pair_oracle(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def auroc_average_rank_oracle(scores, labels):
+    """The Mann-Whitney U from average ranks, the formula AUROC used before it
+    was summed over the tied-score blocks of the ROC."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    ranks = cum[inverse] - (counts[inverse] - 1) / 2.0
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def average_precision_oracle(scores, labels):
@@ -83,6 +99,18 @@ class TestAuroc:
             if labels.sum() in (0, n):
                 continue
             assert auroc(scores, labels) == auroc_pair_oracle(scores.tolist(), labels.tolist())
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_the_average_rank_formula_bit_for_bit(self, ties):
+        rng = np.random.default_rng(3 + ties)
+        for n in np.unique(np.geomspace(2, 4000, 120).astype(int)):
+            scores = rng.normal(size=n)
+            if ties:  # a few distinct values, so most items share a block
+                scores = np.round(scores * rng.integers(1, 5))
+            labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+            labels[:2] = (0, 1)
+            rng.shuffle(labels)
+            assert auroc(scores, labels) == auroc_average_rank_oracle(scores, labels), n
 
     def test_label_flip_complement(self):
         rng = np.random.default_rng(1)
@@ -347,6 +375,15 @@ class TestEvaluateScored:
         report = evaluate_scored(items)
         assert report.per_protein[0]["re_0.5pct"] is None
 
+    @pytest.mark.parametrize("n_neg, realized", [(19, False), (20, True)])
+    def test_re_level_realized_from_exactly_its_negative_count(self, n_neg, realized):
+        # 5 % FPR needs 20 negatives
+        items = [ScoredItem(1.0, 1, "p", "pos")]
+        items += [ScoredItem(0.1 * k, 0, "p", f"neg{k}") for k in range(n_neg)]
+        row = evaluate_scored(items).per_protein[0]
+        assert (row["re_5pct"] is not None) == realized
+        assert row["re_2pct"] is None
+
     def test_json_and_csv_outputs(self, tmp_path):
         rng = np.random.default_rng(14)
         report = evaluate_scored(self.make_items(rng, skew=1.0))
@@ -363,6 +400,38 @@ class TestEvaluateScored:
         items = [ScoredItem(0.5, 1, "p", "c1"), ScoredItem(0.4, 1, "p", "c2")]
         with pytest.raises(DataError):
             evaluate_scored(items)
+
+
+def trimmed_to(report, wanted):
+    """``report`` keeping, besides the count columns, each key that is a
+    wanted name or starts with one followed by ``_`` (``re`` keeps the four
+    ``re_*`` levels): the rule by which metrics were once dropped from a full
+    report after computing it."""
+    keep = {"n_proteins", "n_skipped", "protein_id", "n_samples", "n_positive", "n_negative"}
+
+    def trim(row):
+        return {k: v for k, v in row.items()
+                if k in keep or any(k == m or k.startswith(f"{m}_") for m in wanted)}
+
+    return EvalReport(per_protein=[trim(r) for r in report.per_protein],
+                      aggregate=trim(report.aggregate),
+                      skipped_proteins=report.skipped_proteins)
+
+
+@pytest.mark.parametrize("wanted", [subset for k in range(1, len(METRICS) + 1)
+                                    for subset in itertools.combinations(METRICS, k)])
+def test_selected_metrics_equal_the_trimmed_full_report(wanted):
+    # a protein with a single class, and proteins too small for some RE levels
+    rng = np.random.default_rng(16)
+    items = [ScoredItem(float(np.round(rng.normal() + label, 1)), int(label), protein, f"{protein}_{k}")
+             for protein, n in (("big", 400), ("mid", 120), ("small", 30))
+             for k, label in enumerate(rng.random(n) < 0.3)]
+    items += [ScoredItem(0.5, 0, "only_neg", f"x{k}") for k in range(4)]
+    expected = trimmed_to(evaluate_scored(items), wanted)
+    for order in (wanted, wanted[::-1]):
+        report = evaluate_scored(items, order)
+        assert report == expected
+        assert report.to_json() == expected.to_json()
 
 
 class TestCurveDumps:
