@@ -4,8 +4,8 @@ Subcommands cover the whole pipeline on files: ``synth`` emits toy corpora,
 ``featurize`` turns structure files into a binary graph cache, ``train`` fits
 a model from cache pools, ``evaluate``/``predict``/``poses`` score caches with
 a checkpoint. Every command echoes its fully resolved configuration into the
-output directory, writes files atomically (write-then-rename), and is
-bit-reproducible for a fixed ``--seed``.
+output directory, writes files atomically (write-then-rename; the training
+log is written row by row), and is bit-reproducible for a fixed ``--seed``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -55,18 +55,39 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _load_config_file(path) -> dict:
-    cfg = configparser.ConfigParser()
-    try:
-        read = cfg.read(path, encoding="utf-8")
-        if not read:
-            raise DataError(f"config file not found: {path}")
-        return {section: dict(cfg.items(section)) for section in cfg.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"malformed config file {path}: {exc}") from None
+    """Every section of an INI config file. ``[model]`` and ``[train]`` may
+    hold only their ``_SETTINGS`` keys; ``[run]``, an echo's record of its
+    run, is read but sets nothing. ``[DEFAULT]`` is no special section here."""
+    cfg = configparser.ConfigParser(default_section="")  # no header can name ""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            cfg.read_file(fh)
+            sections = {section: dict(cfg.items(section)) for section in cfg.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"malformed config file {path}: {exc}") from None
+    for section, values in sections.items():
+        if section == "run":
+            continue
+        if section not in _SETTINGS:
+            raise _UsageError(f"config file {path}: unknown section [{section}] (model, train or run)")
+        for key in values:
+            if key not in _SETTINGS[section][1]:
+                raise _UsageError(f"config file {path}: [{section}] has no setting {key!r}")
+    return sections
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(d) for d in text.split(","))
+
+
+def _metric_list(text: str) -> list[str]:
+    """The metrics a comma list names, in ``metrics.METRICS`` order."""
+    names = text.split(",")
+    if not set(names) <= set(metrics.METRICS):
+        raise argparse.ArgumentTypeError(
+            f"takes a comma list among {','.join(metrics.METRICS)}, got {text!r}"
+        )
+    return [m for m in metrics.METRICS if m in names]
 
 
 # The keys settable by flag or INI file, with their parsers, per config
@@ -93,14 +114,29 @@ def _resolved(section: str, args, file_cfg: dict):
     return cls(**values)
 
 
-def _write_ini(path, sections: dict) -> None:
-    """Write ``sections`` as an INI file, each value ``str``'d and ``_escaped``,
+# Parsed arguments that no echo records: argparse's own entries, the output
+# path, and train's config file, whose settings are echoed as resolved.
+_NOT_ECHOED = ("command", "func", "parser", "out", "config")
+
+
+def _write_echo(path, args, configs: dict) -> None:
+    """Write a run's config echo as an INI file: for each ``configs`` entry,
+    a ``[model]`` or ``[train]`` section holding the resolved config under its
+    ``_SETTINGS`` keys; then ``[run]``, every other parsed argument in flag
+    order. A list is comma-joined; each value is ``str``'d and ``_escaped``,
     with ``%`` written as ``%%`` so that a ``ConfigParser`` reads it back."""
-    cfg = configparser.ConfigParser()
-    for name, mapping in sections.items():
-        cfg[name] = {k: _escaped(str(v)).replace("%", "%%") for k, v in mapping.items()}
+    sections = {name: {key: getattr(cfg, key) for key in _SETTINGS[name][1]} for name, cfg in configs.items()}
+    settings = {key for values in sections.values() for key in values}
+    sections["run"] = {key: value for key, value in vars(args).items()
+                       if key not in _NOT_ECHOED and key not in settings}
+    ini = configparser.ConfigParser()
+    for name, values in sections.items():
+        ini[name] = {}
+        for key, value in values.items():
+            text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+            ini[name][key] = _escaped(text).replace("%", "%%")
     with atomic_open(path) as fh:
-        cfg.write(fh)
+        ini.write(fh)
 
 
 def _escaped(text: str) -> str:
@@ -170,11 +206,7 @@ def cmd_featurize(args) -> int:
         print("error: no samples survived featurization", file=sys.stderr)
         return 2
     graphs.write_cache(samples, args.out)
-    _write_ini(
-        f"{args.out}.config.ini",
-        {"run": {"inputs": ",".join(args.inputs), "format": args.format,
-                 "cutoff": args.cutoff, "category": args.category}},
-    )
+    _write_echo(f"{args.out}.config.ini", args, {})
     print(f"wrote {args.out}")
     return 0
 
@@ -208,18 +240,7 @@ def cmd_train(args) -> int:
             )
 
     os.makedirs(args.out, exist_ok=True)
-    _write_ini(
-        os.path.join(args.out, "config.resolved.ini"),
-        {
-            "model": vars(model_cfg) | {"fc_dims": ",".join(map(str, model_cfg.fc_dims))},
-            "train": {key: getattr(train_cfg, key) for key in _SETTINGS["train"][1]},
-            "run": {
-                "cache": ",".join(args.cache),
-                "val_fraction": args.val_fraction,
-                "screening_only": args.screening_only,
-            },
-        },
-    )
+    _write_echo(os.path.join(args.out, "config.resolved.ini"), args, {"model": model_cfg, "train": train_cfg})
     result = train(pools, val_samples, model_cfg, train_cfg, args.out)
     print(f"final loss {result.final_loss:.6f}; log at {result.log_path}")
     print(f"latest checkpoint: {result.latest_path}")
@@ -242,11 +263,6 @@ def _scored_items(samples, params, config) -> list[metrics.ScoredItem]:
 
 
 def cmd_evaluate(args) -> int:
-    if args.metrics is not None and not set(args.metrics.split(",")) <= set(metrics.METRICS):
-        raise _UsageError(
-            f"--metrics takes a comma list among {','.join(metrics.METRICS)}, got {args.metrics!r}"
-        )
-    wanted = [m for m in metrics.METRICS if args.metrics is None or m in args.metrics.split(",")]
     params, config, _ = load_params(args.checkpoint)
     samples = _load_samples(args.cache)
     labeled = [s for s in samples if s.label is not None]
@@ -254,7 +270,7 @@ def cmd_evaluate(args) -> int:
         raise DataError("no labeled samples to evaluate")
     os.makedirs(args.out, exist_ok=True)
     items = _scored_items(labeled, params, config)
-    report = metrics.evaluate_scored(items, wanted)
+    report = metrics.evaluate_scored(items, args.metrics)
     with atomic_open(os.path.join(args.out, "report.json")) as fh:
         fh.write(report.to_json() + "\n")
     report.write_csv(os.path.join(args.out, "report.csv"))
@@ -262,9 +278,7 @@ def cmd_evaluate(args) -> int:
     labels = [i.label for i in items]
     metrics.write_curve_csv(os.path.join(args.out, "roc_curve.csv"), scores, labels, "roc")
     metrics.write_curve_csv(os.path.join(args.out, "pr_curve.csv"), scores, labels, "pr")
-    _write_ini(os.path.join(args.out, "config.resolved.ini"),
-               {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache),
-                        "metrics": ",".join(wanted)}})
+    _write_echo(os.path.join(args.out, "config.resolved.ini"), args, {})
     for key, value in sorted(report.aggregate.items()):
         print(f"{key}: {value}")
     print(f"wrote report to {args.out}")
@@ -289,8 +303,7 @@ def cmd_predict(args) -> int:
         ("bin_low", "bin_high", "count"),
         [(repr(float(edges[i])), repr(float(edges[i + 1])), int(counts[i])) for i in range(HISTOGRAM_BINS)],
     )
-    _write_ini(os.path.join(args.out, "config.resolved.ini"),
-               {"run": {"checkpoint": args.checkpoint, "input": args.input}})
+    _write_echo(os.path.join(args.out, "config.resolved.ini"), args, {})
     print(f"scored {len(items)} complex(es); outputs in {args.out}")
     return 0
 
@@ -310,9 +323,7 @@ def cmd_poses(args) -> int:
         rows.append((n, repr(100.0 * success)))
         print(f"top-{n}: {100.0 * success:.2f}% of complexes have a <2 A pose")
     _write_csv(os.path.join(args.out, "topn_success.csv"), ("n", "success_pct"), rows)
-    _write_ini(os.path.join(args.out, "config.resolved.ini"),
-               {"run": {"checkpoint": args.checkpoint, "cache": ",".join(args.cache),
-                        "top": ",".join(map(str, args.top))}})
+    _write_echo(os.path.join(args.out, "config.resolved.ini"), args, {})
     return 0
 
 
@@ -332,18 +343,7 @@ def cmd_synth(args) -> int:
         )
         chem.write_jsonl(poses, os.path.join(args.out, "poses.jsonl"))
         written.append("poses.jsonl")
-    _write_ini(
-        os.path.join(args.out, "config.resolved.ini"),
-        {
-            "run": {
-                "train": args.train,
-                "test": args.test,
-                "pose_complexes": args.pose_complexes,
-                "poses_per_complex": args.poses_per_complex,
-                "seed": args.seed,
-            }
-        },
-    )
+    _write_echo(os.path.join(args.out, "config.resolved.ini"), args, {})
     print(f"wrote {', '.join(written)} to {args.out}")
     return 0
 
@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--metrics", help=f"comma list among {','.join(metrics.METRICS)}")
+    p.add_argument("--metrics", type=_metric_list, default=",".join(metrics.METRICS),
+                   help=f"comma list among {','.join(metrics.METRICS)}")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="write per-complex scores and a histogram")

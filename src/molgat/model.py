@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Value, constant, parameter
-from .errors import CheckpointError, NumericError, ShapeError
+from .chem import N_FEATURES
+from .errors import CheckpointError, NumericError
 from .fileio import read_checked, write_checked
 from .gat import GatParams, gat_forward, glorot, init_gat_params
 from .graphs import Edges, GraphSample
@@ -55,11 +56,10 @@ class ModelConfig:
     gat_dim: int = 140
     fc_dims: tuple[int, ...] = (128, 128, 1)
     dropout_rate: float = 0.3
-    input_dim: int = 56
 
     def __post_init__(self):
         self.fc_dims = tuple(int(d) for d in self.fc_dims)
-        if self.num_gat_layers < 1 or self.gat_dim < 1 or self.input_dim < 1:
+        if self.num_gat_layers < 1 or self.gat_dim < 1:
             raise ValueError("all model dimensions must be positive")
         if any(d < 1 for d in self.fc_dims):
             raise ValueError("all fully connected dimensions must be positive")
@@ -81,7 +81,7 @@ class ModelParams:
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        embed = glorot(config.input_dim, config.gat_dim, rng)
+        embed = glorot(N_FEATURES, config.gat_dim, rng)
         layers = [init_gat_params(config.gat_dim, rng) for _ in range(config.num_gat_layers)]
         mu = parameter(np.array([[3.0]]))
         # softplus(raw) + floor == 2.0 at initialization
@@ -203,11 +203,6 @@ def predict(
     order in which one-sample forward passes would draw them."""
     if not samples:
         raise ValueError("predict needs at least one sample")
-    for s in samples:
-        if s.features.shape[1] != config.input_dim:
-            raise ShapeError(
-                f"sample feature width {s.features.shape[1]} != input_dim {config.input_dim}"
-            )
 
     masks = None
     if rng is not None and config.dropout_rate > 0:
@@ -257,7 +252,7 @@ def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> floa
 #     version         u32
 #     num_gat_layers  u32
 #     gat_dim         u32
-#     input_dim       u32
+#     input_dim       u32 (always chem.N_FEATURES, 56)
 #     dropout_rate    f64
 #     n_fc            u32
 #     fc_dims         u32 * n_fc
@@ -268,7 +263,7 @@ def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> floa
 # ---------------------------------------------------------------------------
 
 def _expected_shapes(config: ModelConfig) -> list[tuple[int, int]]:
-    shapes = [(config.input_dim, config.gat_dim)]
+    shapes = [(N_FEATURES, config.gat_dim)]
     f = config.gat_dim
     for _ in range(config.num_gat_layers):
         shapes += [(f, f), (f, f), (2 * f, 1), (1, 1)]
@@ -288,7 +283,7 @@ def save_params(path, params: ModelParams, config: ModelConfig, iteration: int =
             raise NumericError(f"{path}: refusing to save non-finite tensor {name}")
     tensors = params.values()
     parts = [
-        struct.pack("<IIII", CHECKPOINT_VERSION, config.num_gat_layers, config.gat_dim, config.input_dim),
+        struct.pack("<IIII", CHECKPOINT_VERSION, config.num_gat_layers, config.gat_dim, N_FEATURES),
         struct.pack("<d", config.dropout_rate),
         struct.pack("<I", len(config.fc_dims)),
         struct.pack(f"<{len(config.fc_dims)}I", *config.fc_dims),
@@ -303,9 +298,9 @@ def save_params(path, params: ModelParams, config: ModelConfig, iteration: int =
 def load_params(path):
     """Load a checkpoint; returns ``(params, config, iteration)``.
 
-    Verifies magic, version, checksum, every tensor shape against the stored
-    config, and that every value is finite; nothing is returned on failure
-    (no partial loads).
+    Verifies magic, version, checksum, the stored input width (56), every
+    tensor shape against the stored config, and that every value is finite;
+    nothing is returned on failure (no partial loads).
     """
     r = read_checked(path, CHECKPOINT_MAGIC, "checkpoint")
     (version,) = r.unpack("<I")
@@ -316,7 +311,9 @@ def load_params(path):
     (n_fc,) = r.unpack("<I")
     fc_dims = r.unpack(f"<{n_fc}I")
     try:
-        config = ModelConfig(num_layers, gat_dim, fc_dims, dropout_rate, input_dim)
+        if input_dim != N_FEATURES:
+            raise ValueError(f"input_dim must be {N_FEATURES}, got {input_dim}")
+        config = ModelConfig(num_layers, gat_dim, fc_dims, dropout_rate)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid stored config ({exc})") from None
     (iteration,) = r.unpack("<Q")

@@ -221,6 +221,21 @@ class TestRecordValidation:
         with pytest.raises(DataError, match=re.escape(f"c1: {expected}")):
             tiny_record(bonds=bonds)
 
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            ({"category": "dude"}, "unknown category 'dude'"),
+            ({"label": 2}, "label must be 0 or 1, got 2"),
+            ({"label": -1}, "label must be 0 or 1, got -1"),
+            ({"rmsd": -0.5}, "rmsd must be a finite non-negative number"),
+            ({"rmsd": float("nan")}, "rmsd must be a finite non-negative number"),
+            ({"rmsd": float("inf")}, "rmsd must be a finite non-negative number"),
+        ],
+    )
+    def test_annotation_fault_rejected(self, fields, expected):
+        with pytest.raises(DataError, match=re.escape(f"c1: {expected}")):
+            tiny_record(**fields)
+
     def test_label_category_contradiction_rejected(self):
         with pytest.raises(DataError, match="contradicts"):
             tiny_record(category="dude_active", label=0)
@@ -331,6 +346,13 @@ METHANE_ATOMS = [
 METHANE_BONDS = [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1)]
 
 
+def methane_with_line(lineno, line):
+    """The methane molfile with its 1-based line ``lineno`` replaced."""
+    lines = sdf_text(METHANE_ATOMS, METHANE_BONDS).splitlines()
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
 class TestSdf:
     def test_methane_annotations(self, tmp_path):
         path = tmp_path / "methane.sdf"
@@ -381,6 +403,25 @@ class TestSdf:
         with pytest.raises(ParseError) as err:
             parse_sdf_ligand(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("mol\n  generated\n", 2, "molfile too short for a V2000 header"),
+            (methane_with_line(6, "    x.xxxx    0.6291    0.6291 H"), 6, "bad atom line"),
+            (methane_with_line(10, "  1  a  1  0"), 10, "bad bond line"),
+            (sdf_text(METHANE_ATOMS, [(1, 2, 1), (1, 6, 1)]), 11, "bond endpoints out of range (1,6)"),
+            (sdf_text(METHANE_ATOMS, [(2, 2, 1)]), 10, "bond endpoints out of range (2,2)"),
+            (sdf_text(METHANE_ATOMS, [(1, 2, 5)]), 10, "unsupported bond type 5"),
+            (sdf_text(METHANE_ATOMS, [(1, 2, 0)]), 10, "unsupported bond type 0"),
+        ],
+    )
+    def test_malformed_molfile_rejected_at_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.sdf"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: {message}")) as err:
+            parse_sdf_ligand(path)
+        assert err.value.line == line
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_coordinate_rejected_at_its_line(self, tmp_path, field):
@@ -607,6 +648,20 @@ class TestParseComplex:
         pdb = tmp_path / "prot.pdb"
         pdb.write_text("\n".join(triglycine_lines()) + "\n")
         with pytest.raises(DataError, match=re.escape("co: bond (0,1) repeats an earlier bond")):
+            parse_complex(sdf, pdb)
+
+    @pytest.mark.parametrize("side", ["ligand", "protein"])
+    def test_side_without_a_supported_atom_rejected(self, tmp_path, side):
+        sdf = tmp_path / "lig.sdf"
+        pdb = tmp_path / "prot.pdb"
+        if side == "ligand":
+            sdf.write_text(sdf_text([(0, 0, 0, "Si"), (2.3, 0, 0, "Si")], [(1, 2, 1)]))
+            pdb.write_text("\n".join(triglycine_lines()) + "\n")
+        else:
+            sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+            pdb.write_text(pdb_line(1, "FE", "HEM", "A", 1, 5, 0, 0, "Fe", record="HETATM") + "\n")
+        path = sdf if side == "ligand" else pdb
+        with pytest.raises(DataError, match=re.escape(f"{path}: no supported {side} atoms after filtering")):
             parse_complex(sdf, pdb)
 
     def test_sdf_plus_pdb(self, tmp_path):

@@ -14,8 +14,8 @@ import pytest
 from molgat import chem, cli, metrics, training
 from molgat.cli import main
 from molgat.fileio import write_checked
-from molgat.graphs import CACHE_MAGIC, read_cache
-from molgat.model import CHECKPOINT_MAGIC, ModelConfig, load_params, save_params, score
+from molgat.graphs import CACHE_MAGIC, read_cache, write_cache
+from molgat.model import CHECKPOINT_MAGIC, ModelConfig, _expected_shapes, load_params, save_params, score
 from molgat.synthetic import generate_corpus, generate_pose_set
 from molgat.training import TrainConfig, TrainResult, train
 
@@ -222,6 +222,15 @@ class TestFeaturize:
         assert rc == 2
         assert not (tmp_path / "none.cache").exists()
 
+    def test_sdf_pdb_input_without_a_colon_is_two(self, tmp_path, capsys):
+        sdf = tmp_path / "lig.sdf"
+        sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+        rc = main(["featurize", str(sdf), "--format", "sdf+pdb", "--out", str(tmp_path / "pair.cache")])
+        assert rc == 2
+        assert (f"rejected: {sdf}: sdf+pdb input must look like LIGAND.sdf:PROTEIN.pdb, got {str(sdf)!r}"
+                in capsys.readouterr().out)
+        assert not (tmp_path / "pair.cache").exists()
+
     def test_sdf_pdb_pair(self, tmp_path, capsys):
         sdf = tmp_path / "lig.sdf"
         sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
@@ -424,6 +433,35 @@ def test_train_echo_read_back_resolves_the_same_settings(workspace, tmp_path):
     assert (first / "latest.ckpt").read_bytes() == (second / "latest.ckpt").read_bytes()
 
 
+def test_every_echo_records_the_parsed_arguments(workspace, tmp_path):
+    # [run] holds each parsed argument in flag order, less --out and train's
+    # --config and settings; train's [model] and [train] hold the settings
+    out = tmp_path / "out"
+    checkpoint = ["--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(out)]
+    argv = {
+        "featurize": ["featurize", str(workspace / "test.jsonl"), "--out", str(tmp_path / "test.cache")],
+        "train": ["train", "--cache", str(workspace / "train.cache"), "--out", str(out), "--iterations", "1",
+                  "--batch-size", "4", "--val-fraction", "0"] + TINY_MODEL_FLAGS,
+        "evaluate": ["evaluate", "--cache", str(workspace / "test.cache")] + checkpoint,
+        "predict": ["predict", "--input", str(workspace / "test.cache")] + checkpoint,
+        "poses": ["poses", "--cache", str(workspace / "poses.cache")] + checkpoint,
+        "synth": ["synth", "--train", "2", "--test", "2", "--out", str(out)],
+    }
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(argv) == sorted(commands)
+    settings = {section: list(parsers) for section, (_, parsers) in cli._SETTINGS.items()}
+    for command, parser in commands.items():
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(argv[command]) == 0
+        echo = configparser.ConfigParser()
+        echo.read(f"{tmp_path / 'test.cache'}.config.ini" if command == "featurize"
+                  else out / "config.resolved.ini", encoding="utf-8")
+        configs = settings if command == "train" else {}
+        skipped = {"help", "out", "config"}.union(*configs.values())
+        assert list(echo["run"]) == [a.dest for a in parser._actions if a.dest not in skipped], command
+        assert {section: list(echo[section]) for section in echo.sections() if section != "run"} == configs
+
+
 class TestEvaluate:
     def test_report_files(self, workspace, capsys):
         out = workspace / "eval"
@@ -502,6 +540,22 @@ class TestEvaluate:
              "--checkpoint", str(bad), "--out", str(tmp_path / "eval")]
         )
         assert rc == 2
+
+    def test_checkpoint_of_another_input_width_is_two(self, workspace, tmp_path, capsys):
+        # CRC-valid and consistent in itself: the embedding takes 40 features
+        config = ModelConfig(num_gat_layers=1, gat_dim=8, fc_dims=(8, 1))
+        shapes = [(40, 8)] + _expected_shapes(config)[1:]
+        body = struct.pack("<IIIId", 1, 1, 8, 40, 0.3) + struct.pack("<III", 2, 8, 1)
+        body += struct.pack("<QI", 0, len(shapes))
+        for rows, cols in shapes:
+            body += struct.pack("<II", rows, cols) + np.zeros(rows * cols, "<f8").tobytes()
+        ckpt = tmp_path / "narrow.ckpt"
+        write_checked(ckpt, CHECKPOINT_MAGIC, body)
+        rc = main(["evaluate", "--cache", str(workspace / "test.cache"), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert f"{ckpt}: invalid stored config (input_dim must be 56, got 40)" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_v1_cache_is_two(self, workspace, tmp_path, capsys):
         v1 = tmp_path / "v1.cache"
@@ -743,6 +797,75 @@ class TestExitCodes:
         assert rc == 2
         assert str(ini) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[model]\ngat_dims = 8\n", "[model] has no setting 'gat_dims'"),
+            ("[train]\nlearning-rate = 5\n", "[train] has no setting 'learning-rate'"),
+            ("[trian]\nseed = 1\n", "unknown section [trian]"),
+            ("[DEFAULT]\ngat_dim = 8\n", "unknown section [DEFAULT]"),
+            # an echo written while the model config still held its input width
+            ("[model]\ngat_dim = 8\ninput_dim = 56\n", "[model] has no setting 'input_dim'"),
+        ],
+    )
+    def test_unknown_config_section_or_key_is_one(self, workspace, tmp_path, capsys, text, named):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+                  "--config", str(ini), "--iterations", "1", "--batch-size", "4", "--val-fraction", "0"]
+                 + TINY_MODEL_FLAGS)
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: molgat train ") and f"config file {ini}: {named}" in err_text
+        assert not (tmp_path / "run").exists()
+
+    def test_config_run_section_is_read_but_sets_nothing(self, workspace, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\ncache = elsewhere\nval_fraction = 0.5\nnot_a_flag = 1\n[train]\niterations = 1\n")
+        out = tmp_path / "run"
+        assert main(["train", "--cache", str(workspace / "train.cache"), "--out", str(out), "--config", str(ini),
+                     "--batch-size", "4", "--val-fraction", "0"] + TINY_MODEL_FLAGS) == 0
+        echo = configparser.ConfigParser()
+        echo.read(out / "config.resolved.ini", encoding="utf-8")
+        assert dict(echo["run"]) == {"cache": str(workspace / "train.cache"), "screening_only": "False",
+                                     "val_fraction": "0.0"}
+
+    @pytest.mark.parametrize("name, cause", [("folder", "Is a directory"), ("missing.ini", "No such file")])
+    def test_config_path_that_cannot_be_opened_is_two(self, workspace, tmp_path, capsys, name, cause):
+        (tmp_path / "folder").mkdir()
+        rc = main(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+                   "--config", str(tmp_path / name)])
+        assert rc == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: ") and cause in err_text and str(tmp_path / name) in err_text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_cache_without_a_labeled_sample_is_two(self, workspace, tmp_path, capsys, command):
+        cache = tmp_path / "unlabeled.cache"
+        write_cache([dataclasses.replace(s, category="unlabeled", label=None)
+                     for s in read_cache(workspace / "test.cache")], cache)
+        argv = ["--cache", str(cache), "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(workspace / "run" / "latest.ckpt")]
+        assert main([command] + argv) == 2
+        assert "no labeled samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["jsonl", "cache"])
+    def test_empty_predict_input_is_two(self, workspace, tmp_path, capsys, kind):
+        path = tmp_path / f"empty.{kind}"
+        if kind == "jsonl":
+            path.write_text("")
+        else:
+            write_cache([], path)
+        rc = main(["predict", "--input", str(path), "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no samples to score\n"
+        assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("cutoff", ["nan", "-1", "0"])
     def test_invalid_cutoff_is_one(self, workspace, tmp_path, capsys, cutoff):

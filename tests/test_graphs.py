@@ -432,6 +432,12 @@ class TestCache:
             return dataclasses.replace(sample, is_ligand=np.zeros(4, bool))
         if case == "no protein atom":
             return dataclasses.replace(sample, is_ligand=np.ones(4, bool))
+        if case == "label 2":
+            return dataclasses.replace(sample, label=2)
+        if case == "nan coordinate":
+            coords = sample.coords.copy()
+            coords[3, 1] = np.nan
+            return dataclasses.replace(sample, coords=coords)
         features = sample.features.copy()
         features[2, 30] = 7.0
         return dataclasses.replace(sample, features=features)
@@ -443,12 +449,56 @@ class TestCache:
             ("no ligand atom", "at least one ligand and one protein atom"),
             ("no protein atom", "at least one ligand and one protein atom"),
             ("feature byte 7", "feature byte other than 0/1"),
+            ("label 2", "category index 0 or label 2 out of range"),
+            ("nan coordinate", "non-finite coordinates"),
         ],
     )
     def test_degenerate_sample_rejected(self, tmp_path, case, message):
         path = tmp_path / "bad.cache"
         write_cache([self.samples()[1], self.degenerate(case)], path)
         with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
+            read_cache(path)
+
+    @staticmethod
+    def rewritten(path, edit) -> None:
+        """Rewrite the cache at ``path`` with ``edit`` applied to its body and a
+        matching checksum."""
+        body = path.read_bytes()[len(CACHE_MAGIC):-4]
+        write_checked(path, CACHE_MAGIC, edit(bytearray(body)))
+
+    @pytest.mark.parametrize(
+        "offset, byte, message",
+        [
+            # body: version u32, count u64, then "c0" and "p0" each after a u32
+            # length, the category index and the label
+            (16, 0xFF, ": identifier is not UTF-8"),
+            (22, 0xFF, ": identifier is not UTF-8"),
+            (24, 5, " sample 'c0': category index 5 or label 1 out of range"),
+            (25, 0xFE, " sample 'c0': category index 0 or label -2 out of range"),
+        ],
+    )
+    def test_header_field_out_of_range_rejected(self, tmp_path, offset, byte, message):
+        path = tmp_path / "bad.cache"
+        write_cache(self.samples()[:1], path)
+
+        def edit(body):
+            body[offset] = byte
+            return bytes(body)
+
+        self.rewritten(path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: graph cache{message}")):
+            read_cache(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda body: bytes(body[:-1]), "truncated"), (lambda body: bytes(body) + b"\0", "has trailing bytes")],
+    )
+    def test_body_of_the_wrong_length_rejected(self, tmp_path, edit, message):
+        # the checksum matches, so only the reader's bounds catch the fault
+        path = tmp_path / "bad.cache"
+        write_cache(self.samples(), path)
+        self.rewritten(path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: graph cache {message}")):
             read_cache(path)
 
 

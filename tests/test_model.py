@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import zlib
@@ -206,7 +207,7 @@ class TestPredict:
         for d in cfg.fc_dims:
             fc += prev * d + d
             prev = d
-        expected = cfg.input_dim * f + cfg.num_gat_layers * per_layer + 2 + fc
+        expected = 56 * f + cfg.num_gat_layers * per_layer + 2 + fc
         assert num_parameters(params) == expected
 
     def test_branches_read_identical_parameter_objects(self):
@@ -395,7 +396,7 @@ class TestCheckpoint:
         params = fresh_params(config, seed=3)
         path = tmp_path / "paper.ckpt"
         save_params(path, params, config, iteration=150_000)
-        body = struct.pack("<IIII", 1, config.num_gat_layers, config.gat_dim, config.input_dim)
+        body = struct.pack("<IIII", 1, config.num_gat_layers, config.gat_dim, 56)
         body += struct.pack("<d", config.dropout_rate)
         body += struct.pack("<I", len(config.fc_dims))
         body += struct.pack(f"<{len(config.fc_dims)}I", *config.fc_dims)
@@ -437,6 +438,27 @@ class TestCheckpoint:
         body[-8:] = struct.pack("<d", np.nan)  # last value of the last tensor
         path.write_bytes(CHECKPOINT_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
         with pytest.raises(CheckpointError, match="non-finite"):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda body: body[:-1], "checkpoint truncated"),
+            (lambda body: body + b"\0", "checkpoint has trailing bytes"),
+            # the input width field, after version, num_gat_layers and gat_dim
+            (lambda body: body[:12] + struct.pack("<I", 40) + body[16:],
+             "invalid stored config (input_dim must be 56, got 40)"),
+            # the embedding's stored shape (56, 8) written as (8, 56), after the
+            # 48-byte header of SMALL (two fc widths)
+            (lambda body: body[:48] + struct.pack("<II", 8, 56) + body[56:],
+             "tensor shape (8,56) does not match config shape (56, 8)"),
+        ],
+    )
+    def test_checksummed_body_fault_rejected(self, tmp_path, edit, message):
+        _, path = self.roundtrip(tmp_path)
+        body = path.read_bytes()[len(CHECKPOINT_MAGIC):-4]
+        path.write_bytes(CHECKPOINT_MAGIC + edit(body) + struct.pack("<I", zlib.crc32(edit(body))))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
             load_params(path)
 
     def test_non_finite_tensor_refused_on_save(self, tmp_path):
