@@ -454,8 +454,8 @@ def _feature_rows(atoms, stats: dict | None) -> np.ndarray:
     aromatic = np.where([a.aromatic for a in atoms], offset + 27, element)  # the element slot is set anyway
     columns = np.concatenate([[element], offset + _ONE_HOT_STARTS + np.where(clamped, _CLAMP_LIMITS, values),
                               [aromatic]]).astype(np.intp)
-    rows = np.zeros((n, N_FEATURES), dtype=np.float64)
-    rows[np.arange(n), columns] = 1.0
+    rows = np.zeros((n, N_FEATURES), dtype=np.uint8)
+    rows[np.arange(n), columns] = 1
     return rows
 
 

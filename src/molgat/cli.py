@@ -77,7 +77,10 @@ def _load_config_file(path) -> dict:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in text.split(","))
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"takes a comma list of integers, got {text!r}") from None
 
 
 def _metric_list(text: str) -> list[str]:
@@ -110,7 +113,10 @@ def _resolved(section: str, args, file_cfg: dict):
         if (flag := getattr(args, key)) is not None:
             values[key] = flag
         elif key in file_cfg.get(section, {}):
-            values[key] = parse(file_cfg[section][key])
+            try:
+                values[key] = parse(file_cfg[section][key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise _UsageError(f"config file {args.config}: [{section}] {key}: {exc}") from None
     return cls(**values)
 
 

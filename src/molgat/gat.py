@@ -20,10 +20,13 @@ split into its top and bottom F rows, the gate logit is computed as
 ``x (u_top + W u_bottom) + b``, which equals ``[x | x'] u + b`` because
 x' = x W: the F x 1 vector costs O(F^2) per layer, and no N x 2F (or
 F x 2F) concatenation, nor its gradient, is built. ``u`` keeps its 2F x 1
-shape. Each layer costs O(N F^2 + E F). When a2 is 1 on every edge
-and no edge is a contact, both softmaxes run over the same edges,
-``a_2 - a_1`` is exactly zero and so is the output. ``e_ij`` is computed
-once per edge as ``half + half[rev]``, so it is bit-for-bit symmetric. The
+shape. Each layer costs O(N F^2 + E F) for its N rows and E edges; the
+model runs it on the R rows a contact can reach and the E_R edges among
+them, O(R F^2 + E_R F). A row with no contact edge (a2 is 1 on its
+self-loop and bonds) has both softmaxes over the same edges, so its
+``a_2 - a_1`` is exactly zero and so is its output; with no contact edge
+at all, the whole output is zero. ``e_ij`` is computed once per edge as
+``half + half[rev]``, so it is bit-for-bit symmetric. The
 ``internals`` keys are scores (e), gate (z), softmax1/softmax2 (before the
 weighting) and attention1/attention2 (a_1, a_2), each E x 1 in edge order
 except the N x 1 gate.

@@ -49,9 +49,10 @@ class Edges:
     each graph: graph g owns the ``sizes[g]`` nodes after those of graphs
     0..g-1, and no edge joins two graphs.
 
-    Two layouts for the edge kernels of ``autodiff`` are derived on first
-    access and kept with the edge list: ``blocks`` places every edge in its
-    graph's dense n x n block, ``buckets`` groups the rows by degree.
+    Three views are derived on first access and kept with the edge list: for
+    the edge kernels of ``autodiff``, ``blocks`` places every edge in its
+    graph's dense n x n block and ``buckets`` groups the rows by degree; for
+    the model, ``reach`` is the subgraph of the rows a contact can reach.
     """
 
     src: np.ndarray  # E int
@@ -135,10 +136,40 @@ class Edges:
         return [(rows, self.starts[rows][:, None] + np.arange(k))
                 for k, rows in zip(d.tolist(), np.split(order, first[1:]))]
 
+    @cached_property
+    def reach(self) -> tuple[np.ndarray, "Edges", np.ndarray]:
+        """The rows a contact can reach, and the edges among them:
+        ``(rows, subgraph, kept)``. ``rows`` holds, in increasing order, every
+        end of a contact edge, their neighbours, and each graph's first row
+        (so every graph keeps a row); ``kept`` the indices of the edges with
+        both ends in ``rows``; ``subgraph`` those edges with each row renumbered
+        to its position in ``rows``. The renumbering keeps the order, so the
+        subgraph is sorted, symmetric and self-looped as it stands; a contact
+        end keeps all its edges."""
+        ends = np.zeros(len(self.starts), dtype=bool)
+        ends[self.src[self.contact]] = True
+        reached = np.zeros_like(ends)
+        reached[self.dst[ends[self.src]]] = True
+        first = np.cumsum(self.sizes) - self.sizes
+        reached[first] = True
+        rows = np.flatnonzero(reached)
+        kept = np.flatnonzero(reached[self.src] & reached[self.dst])
+        renumber = np.cumsum(reached) - 1
+        subgraph = Edges(
+            src=renumber[self.src[kept]],
+            dst=renumber[self.dst[kept]],
+            starts=np.searchsorted(kept, self.starts[rows]),
+            rev=np.searchsorted(kept, self.rev[kept]),
+            contact=self.contact[kept],
+            dist=self.dist[kept],
+            sizes=np.add.reduceat(reached, first, dtype=np.int64),
+        )
+        return rows, subgraph, kept
+
 
 @dataclass
 class GraphSample:
-    features: np.ndarray  # N x 56 binary
+    features: np.ndarray  # N x 56 binary, uint8 as featurized or read
     coords: np.ndarray  # N x 3 angstroms, ligand rows first
     is_ligand: np.ndarray  # N bool
     bonds: np.ndarray  # K x 2 int, i < j, covalent bonds within one side
@@ -306,14 +337,14 @@ def _encode_sample(s: GraphSample) -> bytes:
     return b"".join(parts)
 
 
-def _decode_sample(r: Reader) -> GraphSample:
+def _decode_sample(r: Reader, index: int) -> GraphSample:
     texts = []
-    for _ in range(2):
+    for field in ("complex_id", "protein_id"):
         (length,) = r.unpack("<I")
         try:
             texts.append(r.take(length).decode("utf-8"))
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{r.where}: identifier is not UTF-8") from None
+        except UnicodeDecodeError:  # the id may be the bad bytes, so the sample is named by index
+            raise CheckpointError(f"{r.where} sample {index}: {field} is not UTF-8") from None
     cat_idx, label = r.unpack("<Bb")
     (rmsd,) = r.unpack("<d")
     (n,) = r.unpack("<I")
@@ -343,7 +374,7 @@ def _decode_sample(r: Reader) -> GraphSample:
         i, j = bonds[np.argmax(repeated)].tolist()
         raise CheckpointError(f"{where}: bond ({i},{j}) is repeated")
     return GraphSample(
-        features=feats.astype(np.float64),
+        features=feats.copy(),  # not a view that would keep the whole file alive
         coords=coords,
         is_ligand=is_ligand,
         bonds=bonds,
@@ -367,6 +398,6 @@ def read_cache(path) -> list[GraphSample]:
     if version != CACHE_VERSION:
         raise CheckpointError(f"{path}: unsupported cache version {version}")
     (count,) = r.unpack("<Q")
-    samples = [_decode_sample(r) for _ in range(count)]
+    samples = [_decode_sample(r, k) for k in range(count)]
     r.finish()
     return samples

@@ -13,21 +13,27 @@ with a single global learnable (mu, sigma) pair; sigma is stored as an
 unconstrained scalar and passed through softplus plus a small floor so it
 stays positive. Each attention layer (``gat.gat_forward``) runs its shared
 weights over A1 and A2 and returns the contact branch minus the covalent
-branch, ``(1 - z) * ((att2 - att1) x W)``, so a complex with no contacts pools
-to an exactly-zero vector. A layer costs O(N F^2 + E F) time and O(N F + E)
-memory (``autodiff`` takes the edge products of small graphs through a dense
-product bounded by a constant per edge). A training pass keeps every layer's
-values on the tape for the backward pass; ``score`` runs on constant views of
-the weights (``ModelParams.constants``), records nothing, and so holds about
-one layer's values at a time. Node features are summed into one
-graph vector, and a small MLP with ReLU hidden activations and a final sigmoid
-produces the activity probability.
+branch, ``(1 - z) * ((att2 - att1) x W)``. An atom with no contact edge has
+att2 == att1, so its output is exactly zero at every layer; the layers run
+only on the rows a contact can reach (``Edges.reach``: the contact ends,
+their neighbours and each graph's first row), and a complex with no contacts
+keeps one row and pools to an exactly-zero vector. A layer costs
+O(R F^2 + E_R F) time and O(R F + E_R) memory for the R reached rows and
+the E_R edges among them (``autodiff`` takes the edge products of small
+graphs through a dense product bounded by a constant per edge). A training
+pass keeps every layer's values on the tape for the backward pass; ``score``
+runs on constant views of the weights (``ModelParams.constants``), records
+nothing, and so holds about one layer's values at a time. Node features are
+summed into one graph vector, and a small MLP with ReLU hidden activations
+and a final sigmoid produces the activity probability.
 
 ``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``):
-every tape operation runs once per batch, pooling sums each graph's rows, and
-the output is a G x 1 column. Given an ``rng`` (training), it draws all dropout
-masks before the forward pass, sample by sample: each attention layer's N_s x F
-mask in layer order, then each hidden fully connected layer's 1 x d mask.
+every tape operation runs once per batch, pooling sums each graph's reached
+rows, and the output is a G x 1 column. Given an ``rng`` (training), it draws
+all dropout masks before the forward pass, sample by sample: each attention
+layer's N_s x F mask in layer order, then each hidden fully connected layer's
+1 x d mask. A layer's mask is drawn for all N_s rows and applied to the
+reached ones, so the draws do not depend on the reach.
 """
 
 from __future__ import annotations
@@ -196,11 +202,14 @@ def predict(
 
     The batch runs as one block-diagonal graph of the samples' own
     ``edges`` (``Edges.merge``), so each tape operation runs once per batch
-    and each sample's row equals its score alone. Dropout runs exactly when
-    ``rng`` is given (training): every mask is drawn from it before the
-    forward pass, sample by sample: the attention layers' N_s x F masks in
-    layer order, then the hidden fully connected layers' 1 x d masks, the
-    order in which one-sample forward passes would draw them."""
+    and each sample's row equals its score alone. A2 is materialized on all
+    its edges; the layers run on the reached subgraph (``Edges.reach``).
+    Dropout runs exactly when ``rng`` is given (training): every mask is
+    drawn from it before the forward pass, sample by sample: the attention
+    layers' N_s x F masks in layer order, then the hidden fully connected
+    layers' 1 x d masks, the order in which one-sample forward passes would
+    draw them. An attention layer's mask is then restricted to the reached
+    rows."""
     if not samples:
         raise ValueError("predict needs at least one sample")
 
@@ -210,15 +219,18 @@ def predict(
     graph = Edges.merge([s.edges for s in samples])
     a2 = materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
 
-    # A one-sample batch (every score call) copies no feature matrix.
-    features = samples[0].features if len(samples) == 1 else np.concatenate([s.features for s in samples])
+    # The layers run on the rows a contact can reach; every other row's
+    # output is exactly zero, so it adds nothing to the pooled sum.
+    rows, reached, kept = graph.reach
+    features = np.concatenate([s.features for s in samples])[rows]  # widened to float64 by constant
     h = tape.matmul(constant(features), params.embed)
+    reached_a2 = tape.take_rows(a2, kept)
     for layer in params.layers:
-        h = gat_forward(tape, h, graph, a2, layer)
+        h = gat_forward(tape, h, reached, reached_a2, layer)
         if masks is not None:
-            h = tape.dropout(h, next(masks))
+            h = tape.dropout(h, next(masks)[rows])
 
-    pooled = tape.sum_rows(h, graph.sizes)
+    pooled = tape.sum_rows(h, reached.sizes)
     y = pooled
     last = len(params.fc) - 1
     for k, (w, b) in enumerate(params.fc):

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,14 +13,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import molgat
 from molgat import chem, cli, metrics, training
 from molgat.cli import main
 from molgat.fileio import write_checked
 from molgat.graphs import CACHE_MAGIC, read_cache, write_cache
-from molgat.model import CHECKPOINT_MAGIC, ModelConfig, _expected_shapes, load_params, save_params, score
+from molgat.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams, _expected_shapes, load_params,
+                          save_params, score)
 from molgat.synthetic import generate_corpus, generate_pose_set
 from molgat.training import TrainConfig, TrainResult, train
 
+from helpers import pocket_sample
 from test_chem import METHANE_ATOMS, METHANE_BONDS, sdf_text, triglycine_lines
 
 TINY_MODEL_FLAGS = ["--num-gat-layers", "2", "--gat-dim", "8", "--fc-dims", "8,1"]
@@ -821,6 +826,38 @@ class TestExitCodes:
         assert err_text.startswith("usage: molgat train ") and f"config file {ini}: {named}" in err_text
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[model]\ngat_dim = x\n", "[model] gat_dim: invalid literal for int() with base 10: 'x'"),
+            ("[train]\nlearning_rate = fast\n", "[train] learning_rate: could not convert string to float: 'fast'"),
+            ("[model]\nfc_dims = a,1\n", "[model] fc_dims: takes a comma list of integers, got 'a,1'"),
+        ],
+    )
+    def test_config_value_that_does_not_parse_is_one(self, workspace, tmp_path, capsys, text, named):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / "run"),
+                  "--config", str(ini), "--iterations", "1", "--batch-size", "4", "--val-fraction", "0"])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: molgat train ") and f"config file {ini}: {named}" in err_text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, flag, text", [("train", "--fc-dims", "a,1"), ("poses", "--top", "1,x")])
+    def test_list_flag_that_does_not_parse_is_one(self, workspace, tmp_path, capsys, command, flag, text):
+        argv = {"train": ["train", "--cache", str(workspace / "train.cache")],
+                "poses": ["poses", "--cache", str(workspace / "poses.cache"),
+                          "--checkpoint", str(workspace / "run" / "latest.ckpt")]}[command]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "out"), flag, text])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert f"argument {flag}: takes a comma list of integers, got {text!r}" in err_text
+        assert "_int_list" not in err_text
+        assert not (tmp_path / "out").exists()
+
     def test_config_run_section_is_read_but_sets_nothing(self, workspace, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\ncache = elsewhere\nval_fraction = 0.5\nnot_a_flag = 1\n[train]\niterations = 1\n")
@@ -958,3 +995,37 @@ class TestExitCodes:
         )
         assert rc == 2
         assert f"{ckpt}: invalid stored config" in capsys.readouterr().err
+
+
+def run_child(argv, threads):
+    """``molgat`` in a child process whose BLAS runs ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads), PYTHONPATH=os.path.dirname(os.path.dirname(molgat.__file__)))
+    done = subprocess.run([sys.executable, "-m", "molgat.cli"] + argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+class TestReproducibility:
+    """Runs are bit-reproducible for a fixed seed, numpy/BLAS build and BLAS
+    thread count; scoring does not depend on the thread count either."""
+
+    def test_evaluate_reports_equal_at_one_and_two_threads(self, tmp_path):
+        samples = [dataclasses.replace(pocket_sample(n, seed=60 + k), complex_id=f"c{k}", protein_id=f"p{k // 2}",
+                                       category=("dude_active", "dude_inactive")[k % 2], label=1 - k % 2)
+                   for k, n in enumerate([300, 600, 300, 600])]
+        write_cache(samples, tmp_path / "pockets.cache")
+        save_params(tmp_path / "paper.ckpt", ModelParams.initialize(ModelConfig(), np.random.default_rng(61)),
+                    ModelConfig())
+        for threads in (1, 2):
+            run_child(["evaluate", "--cache", str(tmp_path / "pockets.cache"), "--checkpoint",
+                       str(tmp_path / "paper.ckpt"), "--out", str(tmp_path / f"eval{threads}")], threads)
+        for name in ("report.json", "report.csv", "roc_curve.csv", "pr_curve.csv"):
+            assert (tmp_path / "eval1" / name).read_bytes() == (tmp_path / "eval2" / name).read_bytes(), name
+
+    def test_train_checkpoints_equal_in_two_runs_at_one_thread_count(self, workspace, tmp_path):
+        for run in ("a", "b"):
+            run_child(["train", "--cache", str(workspace / "train.cache"), "--out", str(tmp_path / run),
+                       "--iterations", "3", "--batch-size", "8", "--checkpoint-every", "3", "--seed", "5",
+                       "--val-fraction", "0.2"], threads=2)
+        for name in ("latest.ckpt", "best.ckpt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

@@ -9,7 +9,7 @@ from molgat.gat import GatParams, gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
-from helpers import check_gradients, dense_of, record_gradient_shapes
+from helpers import check_gradients, dense_of, pocket_sample, record_gradient_shapes
 
 
 def gat_oracle(x, adj, w, e, u, b):
@@ -272,3 +272,26 @@ def test_gate_holds_no_value_wider_than_the_layer(monkeypatch):
         assert not (node.rows == n and node.cols > f), f"tape value of shape {node.shape}"
     for shape in passed:
         assert not (shape[0] == n and shape[1] > f), f"gradient of shape {shape}"
+
+
+@pytest.mark.parametrize("n_atoms, seed", [(300, 1), (600, 2)])
+def test_row_without_a_contact_edge_outputs_exact_zero_at_every_layer(edge_kernel, n_atoms, seed):
+    # The premise of running the model on the reached rows only: a row whose
+    # edges are all covalent has att2 == att1, so its output is exactly 0.
+    s = pocket_sample(n_atoms, seed)
+    edges = s.edges
+    rng = np.random.default_rng(seed)
+    f = 16
+    a2 = np.ones((len(edges.src), 1))
+    a2[edges.contact, 0] = rng.uniform(0.05, 1.0, size=int(edges.contact.sum()))
+    ends = np.zeros(n_atoms, dtype=bool)
+    ends[edges.src[edges.contact]] = True
+    assert ends.any() and not ends.all()
+    t = Tape()
+    h = constant(s.features @ rng.uniform(-0.5, 0.5, size=(56, f)))
+    for _ in range(4):
+        layer = init_gat_params(f, rng)
+        layer.b.data[...] = rng.normal()
+        h = gat_forward(t, h, edges, constant(a2), layer)
+        assert np.all(h.data[~ends] == 0.0)
+        assert np.all(np.abs(h.data[ends]).max(axis=1) > 0)

@@ -290,6 +290,63 @@ class TestEdges:
             first_edge += len(p.src)
         assert total == sum(len(p.starts) ** 2 for p in parts) == bounds[-1][2] + bounds[-1][1] ** 2
 
+    @staticmethod
+    def assert_reach(edges):
+        """``edges.reach`` against its definition, row by row."""
+        rows, sub, kept = edges.reach
+        n = len(edges.starts)
+        ends = np.unique(edges.src[edges.contact])
+        expected = set(edges.dst[np.isin(edges.src, ends)].tolist())
+        expected |= set((np.cumsum(edges.sizes) - edges.sizes).tolist())
+        assert rows.tolist() == sorted(expected)
+        assert kept.tolist() == np.flatnonzero(np.isin(edges.src, rows) & np.isin(edges.dst, rows)).tolist()
+        r = len(rows)
+        keys = sub.src * r + sub.dst
+        assert np.all(np.diff(keys) > 0)  # sorted by (src, dst), each pair once
+        np.testing.assert_array_equal(rows[sub.src], edges.src[kept])
+        np.testing.assert_array_equal(rows[sub.dst], edges.dst[kept])
+        np.testing.assert_array_equal(sub.contact, edges.contact[kept])
+        np.testing.assert_array_equal(sub.dist, edges.dist[kept])
+        np.testing.assert_array_equal(sub.starts, np.searchsorted(sub.src, np.arange(r)))
+        assert np.array_equal(sub.rev[sub.rev], np.arange(len(sub.src)))
+        assert np.array_equal(sub.src[sub.rev], sub.dst) and np.array_equal(kept[sub.rev], edges.rev[kept])
+        assert np.array_equal(sub.src[sub.src == sub.dst], np.arange(r))  # a self-loop on every row
+        degree = np.bincount(edges.src, minlength=n)
+        sub_degree = np.bincount(sub.src, minlength=r)
+        np.testing.assert_array_equal(sub_degree[np.searchsorted(rows, ends)], degree[ends])
+        bounds = np.cumsum(edges.sizes)
+        np.testing.assert_array_equal(sub.sizes, np.diff(np.searchsorted(rows, np.concatenate([[0], bounds]))))
+        return rows, sub, kept
+
+    def test_reach_is_the_sorted_symmetric_subgraph_of_the_reached_rows(self):
+        samples = self.samples()
+        for s in samples:
+            self.assert_reach(s.edges)
+        assert all(len(s.edges.reach[0]) < s.num_atoms / 2 for s in samples[-2:])  # the pockets
+        self.assert_reach(Edges.merge([s.edges for s in samples]))
+
+    def test_reach_of_a_graph_without_contacts_keeps_its_first_row(self):
+        edges = build_sample(complex_with_protein_at([6.5, 7.7])).edges
+        assert not edges.contact.any()
+        rows, sub, kept = self.assert_reach(edges)
+        assert rows.tolist() == [0] and kept.tolist() == [0]
+        assert sub.src.tolist() == sub.dst.tolist() == [0] and sub.sizes.tolist() == [1]
+        samples = self.samples()
+        _, sub, _ = self.assert_reach(Edges.merge([samples[0].edges, edges, samples[-1].edges]))
+        assert sub.sizes[1] == 1
+
+    def test_merge_then_reach_equals_reach_then_merge(self):
+        parts = [s.edges for s in self.samples()]
+        rows, sub, kept = Edges.merge(parts).reach
+        node_offsets = np.cumsum([0] + [len(p.starts) for p in parts[:-1]])
+        edge_offsets = np.cumsum([0] + [len(p.src) for p in parts[:-1]])
+        each = [p.reach for p in parts]
+        np.testing.assert_array_equal(rows, np.concatenate([r + k for (r, _, _), k in zip(each, node_offsets)]))
+        np.testing.assert_array_equal(kept, np.concatenate([e + k for (_, _, e), k in zip(each, edge_offsets)]))
+        merged = Edges.merge([sub_p for _, sub_p, _ in each])
+        for field in ("src", "dst", "starts", "rev", "contact", "dist", "sizes"):
+            np.testing.assert_array_equal(getattr(sub, field), getattr(merged, field), err_msg=field)
+
 
 class TestRmsd:
     def test_identity_is_zero(self):
@@ -372,6 +429,13 @@ class TestCache:
             np.testing.assert_array_equal(a.coords, b.coords)
             np.testing.assert_array_equal(a.is_ligand, b.is_ligand)
             np.testing.assert_array_equal(a.bonds, b.bonds)
+
+    def test_features_stay_uint8_and_own_their_bytes(self, tmp_path):
+        samples = self.samples()
+        assert all(s.features.dtype == np.uint8 for s in samples)  # as featurized
+        write_cache(samples, tmp_path / "graphs.cache")
+        for s in read_cache(tmp_path / "graphs.cache"):
+            assert s.features.dtype == np.uint8 and s.features.flags.owndata  # no view of the file's bytes
 
     def test_write_is_deterministic(self, tmp_path):
         samples = self.samples()
@@ -471,8 +535,8 @@ class TestCache:
         [
             # body: version u32, count u64, then "c0" and "p0" each after a u32
             # length, the category index and the label
-            (16, 0xFF, ": identifier is not UTF-8"),
-            (22, 0xFF, ": identifier is not UTF-8"),
+            (16, 0xFF, " sample 0: complex_id is not UTF-8"),
+            (22, 0xFF, " sample 0: protein_id is not UTF-8"),
             (24, 5, " sample 'c0': category index 5 or label 1 out of range"),
             (25, 0xFE, " sample 'c0': category index 0 or label -2 out of range"),
         ],

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, NumericError
-from molgat.graphs import GraphSample, build_sample, prune_protein
+from molgat.graphs import GraphSample, build_sample, prune_protein, read_cache, write_cache
 from molgat.model import (
     CHECKPOINT_MAGIC,
     SIGMA_FLOOR,
@@ -306,6 +307,19 @@ class TestScore:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MB"  # a full backward graph holds about 14 MB
+
+    def test_uint8_features_score_bit_identical_to_float64(self, tmp_path):
+        samples = [pocket_sample(300, seed=38), pocket_sample(600, seed=39)]
+        samples += [build_sample(prune_protein(r)) for r in generate_corpus(4, seed=40)]
+        write_cache(samples, tmp_path / "graphs.cache")
+        narrow = read_cache(tmp_path / "graphs.cache")
+        wide = [dataclasses.replace(s, features=s.features.astype(np.float64)) for s in narrow]
+        params = fresh_params(ModelConfig(), seed=41)
+        for s, w in zip(narrow, wide):
+            assert s.features.dtype == np.uint8
+            assert score(s, params, ModelConfig()) == score(w, params, ModelConfig())
+        batch = predict(Tape(), narrow[2:], params, ModelConfig()).data
+        assert np.array_equal(batch, predict(Tape(), wide[2:], params, ModelConfig()).data)
 
     def test_constants_share_the_parameters_arrays(self):
         params = fresh_params(ModelConfig(), seed=37)

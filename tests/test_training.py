@@ -353,7 +353,7 @@ class TestTrainLoop:
         train(good, [], TINY_MODEL, cfg, tmp_path / "run")
 
         poisoned = {
-            name: [dataclasses.replace(pool[0], features=np.full_like(pool[0].features, np.nan))]
+            name: [dataclasses.replace(pool[0], features=np.full(pool[0].features.shape, np.nan))]
             for name, pool in pools.items()
         }
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
