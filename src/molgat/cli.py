@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import os
 import sys
 
@@ -151,11 +152,10 @@ def _escaped(text: str) -> str:
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
-def _load_samples(paths) -> list:
-    samples = []
-    for path in paths:
-        samples.extend(graphs.read_cache(path))
-    return samples
+def _cache_samples(paths):
+    """The samples of the caches at ``paths``, in order, decoded one at a
+    time; every cache's magic, checksum and version are checked first."""
+    return itertools.chain.from_iterable([graphs.iter_cache(path) for path in paths])
 
 
 def _is_cache_file(path) -> bool:
@@ -229,7 +229,7 @@ def cmd_train(args) -> int:
     except (ValueError, DataError) as exc:
         raise _UsageError(exc) from exc
 
-    samples = [s for s in _load_samples(args.cache) if s.label is not None]
+    samples = [s for path in args.cache for s in graphs.read_cache(path) if s.label is not None]
     if not samples:
         raise DataError("no labeled samples in the given cache(s)")
     train_samples, val_samples = split_by_protein(samples, args.val_fraction, train_cfg.seed)
@@ -256,6 +256,7 @@ def cmd_train(args) -> int:
 
 
 def _scored_items(samples, params, config) -> list[metrics.ScoredItem]:
+    """Score each sample of an iterable as it comes; only the items are kept."""
     return [
         metrics.ScoredItem(
             score=score(s, params, config),
@@ -270,12 +271,11 @@ def _scored_items(samples, params, config) -> list[metrics.ScoredItem]:
 
 def cmd_evaluate(args) -> int:
     params, config, _ = load_params(args.checkpoint)
-    samples = _load_samples(args.cache)
-    labeled = [s for s in samples if s.label is not None]
-    if not labeled:
+    labeled = (s for s in _cache_samples(args.cache) if s.label is not None)
+    items = _scored_items(labeled, params, config)
+    if not items:
         raise DataError("no labeled samples to evaluate")
     os.makedirs(args.out, exist_ok=True)
-    items = _scored_items(labeled, params, config)
     report = metrics.evaluate_scored(items, args.metrics)
     with atomic_open(os.path.join(args.out, "report.json")) as fh:
         fh.write(report.to_json() + "\n")
@@ -294,13 +294,15 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     params, config, _ = load_params(args.checkpoint)
     if _is_cache_file(args.input):
-        samples = graphs.read_cache(args.input)
+        samples = graphs.iter_cache(args.input)
     else:
-        samples = [graphs.build_sample(graphs.prune_protein(rec)) for rec in chem.read_jsonl(args.input)]
-    if not samples:
+        records = (chem.record_from_json_line(line, args.input, lineno)
+                   for lineno, line in chem.jsonl_lines(args.input))
+        samples = (graphs.build_sample(graphs.prune_protein(rec)) for rec in records)
+    items = _scored_items(samples, params, config)
+    if not items:
         raise DataError("no samples to score")
     os.makedirs(args.out, exist_ok=True)
-    items = _scored_items(samples, params, config)
     _write_csv(os.path.join(args.out, "scores.csv"), ("complex_id", "protein_id", "probability"),
                [(i.complex_id, i.protein_id, repr(i.score)) for i in items])
     counts, edges = np.histogram([i.score for i in items], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
@@ -314,15 +316,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _with_rmsd(sample):
+    if sample.rmsd is None:
+        raise DataError("pose evaluation requires rmsd annotations on every sample")
+    return sample
+
+
 def cmd_poses(args) -> int:
     if min(args.top) < 1:
         raise _UsageError(f"--top values must be positive, got {','.join(map(str, args.top))}")
     params, config, _ = load_params(args.checkpoint)
-    samples = _load_samples(args.cache)
-    if any(s.rmsd is None for s in samples):
-        raise DataError("pose evaluation requires rmsd annotations on every sample")
+    items = _scored_items(map(_with_rmsd, _cache_samples(args.cache)), params, config)
     os.makedirs(args.out, exist_ok=True)
-    items = _scored_items(samples, params, config)
     rows = []
     for n in args.top:
         success = metrics.topn_success(items, n)

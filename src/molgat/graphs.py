@@ -18,6 +18,7 @@ parameters.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -26,7 +27,7 @@ import numpy as np
 from .chem import CATEGORIES, N_FEATURES, ComplexRecord, featurize, ligand_first, select_atoms
 from .chem import pairs_within, pairwise_distances, repeats
 from .errors import CheckpointError, DataError
-from .fileio import Reader, read_checked, write_checked
+from .fileio import Reader, open_checked, write_checked
 
 PRUNE_CUTOFF = 8.0  # protein atoms farther than this from every ligand atom are removed
 CONTACT_CUTOFF = 5.0  # intermolecular pairs closer than this enter the contact mask
@@ -374,7 +375,7 @@ def _decode_sample(r: Reader, index: int) -> GraphSample:
         i, j = bonds[np.argmax(repeated)].tolist()
         raise CheckpointError(f"{where}: bond ({i},{j}) is repeated")
     return GraphSample(
-        features=feats.copy(),  # not a view that would keep the whole file alive
+        features=feats.copy(),  # writable, like the features of a built sample
         coords=coords,
         is_ligand=is_ligand,
         bonds=bonds,
@@ -392,12 +393,27 @@ def write_cache(samples, path) -> None:
     write_checked(path, CACHE_MAGIC, body)
 
 
-def read_cache(path) -> list[GraphSample]:
-    r = read_checked(path, CACHE_MAGIC, "graph cache")
-    (version,) = r.unpack("<I")
-    if version != CACHE_VERSION:
-        raise CheckpointError(f"{path}: unsupported cache version {version}")
-    (count,) = r.unpack("<Q")
-    samples = [_decode_sample(r, k) for k in range(count)]
-    r.finish()
+def iter_cache(path) -> Iterator[GraphSample]:
+    """The samples of the cache at ``path``, decoded and validated one at a
+    time from one open file. Its magic, checksum and version are checked
+    before this returns; its exact length after the last sample. The file is
+    closed when the iterator is exhausted, closed or collected."""
+    samples = _decode_cache(path)
+    next(samples)  # runs the checks up to the first sample
     return samples
+
+
+def _decode_cache(path):
+    with open_checked(path, CACHE_MAGIC, "graph cache") as r:
+        (version,) = r.unpack("<I")
+        if version != CACHE_VERSION:
+            raise CheckpointError(f"{path}: unsupported cache version {version}")
+        (count,) = r.unpack("<Q")
+        yield  # suspended inside the block, so dropping the iterator closes the file
+        for k in range(count):
+            yield _decode_sample(r, k)
+        r.finish()
+
+
+def read_cache(path) -> list[GraphSample]:
+    return list(iter_cache(path))

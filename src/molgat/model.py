@@ -46,7 +46,7 @@ import numpy as np
 from .autodiff import Tape, Value, constant, parameter
 from .chem import N_FEATURES
 from .errors import CheckpointError, NumericError
-from .fileio import read_checked, write_checked
+from .fileio import open_checked, write_checked
 from .gat import GatParams, gat_forward, glorot, init_gat_params
 from .graphs import Edges, GraphSample
 
@@ -314,38 +314,38 @@ def load_params(path):
     tensor shape against the stored config, and that every value is finite;
     nothing is returned on failure (no partial loads).
     """
-    r = read_checked(path, CHECKPOINT_MAGIC, "checkpoint")
-    (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    num_layers, gat_dim, input_dim = r.unpack("<III")
-    (dropout_rate,) = r.unpack("<d")
-    (n_fc,) = r.unpack("<I")
-    fc_dims = r.unpack(f"<{n_fc}I")
-    try:
-        if input_dim != N_FEATURES:
-            raise ValueError(f"input_dim must be {N_FEATURES}, got {input_dim}")
-        config = ModelConfig(num_layers, gat_dim, fc_dims, dropout_rate)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: invalid stored config ({exc})") from None
-    (iteration,) = r.unpack("<Q")
-    (n_tensors,) = r.unpack("<I")
-    count = 4 * num_layers + 3 + 2 * n_fc  # the length of _expected_shapes(config)
-    if n_tensors != count:
-        raise CheckpointError(f"{path}: expected {count} tensors, found {n_tensors}")
-    if 16 * count > r.remaining:  # each tensor holds a shape and at least one value
-        raise CheckpointError(f"{path}: checkpoint truncated")
-    shapes = _expected_shapes(config)
-    tensors = []
-    for expected in shapes:
-        rows, cols = r.unpack("<II")
-        if (rows, cols) != expected:
-            raise CheckpointError(
-                f"{path}: tensor shape ({rows},{cols}) does not match config shape {expected}"
-            )
-        data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: tensor {len(tensors)} has non-finite values")
-        tensors.append(parameter(data.copy()))
-    r.finish()
+    with open_checked(path, CHECKPOINT_MAGIC, "checkpoint") as r:
+        (version,) = r.unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        num_layers, gat_dim, input_dim = r.unpack("<III")
+        (dropout_rate,) = r.unpack("<d")
+        (n_fc,) = r.unpack("<I")
+        fc_dims = r.unpack(f"<{n_fc}I")
+        try:
+            if input_dim != N_FEATURES:
+                raise ValueError(f"input_dim must be {N_FEATURES}, got {input_dim}")
+            config = ModelConfig(num_layers, gat_dim, fc_dims, dropout_rate)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: invalid stored config ({exc})") from None
+        (iteration,) = r.unpack("<Q")
+        (n_tensors,) = r.unpack("<I")
+        count = 4 * num_layers + 3 + 2 * n_fc  # the length of _expected_shapes(config)
+        if n_tensors != count:
+            raise CheckpointError(f"{path}: expected {count} tensors, found {n_tensors}")
+        if 16 * count > r.remaining:  # each tensor holds a shape and at least one value
+            raise CheckpointError(f"{path}: checkpoint truncated")
+        shapes = _expected_shapes(config)
+        tensors = []
+        for expected in shapes:
+            rows, cols = r.unpack("<II")
+            if (rows, cols) != expected:
+                raise CheckpointError(
+                    f"{path}: tensor shape ({rows},{cols}) does not match config shape {expected}"
+                )
+            data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {len(tensors)} has non-finite values")
+            tensors.append(parameter(data.copy()))
+        r.finish()
     return ModelParams.from_values(tensors, num_layers, n_fc), config, int(iteration)

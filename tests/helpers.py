@@ -2,20 +2,23 @@
 graph samples, random edge lists, the dense view of per-edge values, a
 recorder of gradient shapes, the one-sample loss, one-site dropout mask
 and parameter count the tests check the model against, one atom's feature
-row, a record's ligand atom count, and the rows of a training log.
+row, a record's ligand atom count, the rows of a training log, and a
+whole-file decode of a graph cache.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
 """
 
 import csv
+import struct
+import zlib
 
 import numpy as np
 
 from molgat import chem
 from molgat.autodiff import Value, constant
 from molgat.errors import DataError
-from molgat.graphs import Edges, GraphSample, pairwise_distances
+from molgat.graphs import CACHE_MAGIC, Edges, GraphSample, pairwise_distances
 
 
 def finite_difference_grads(fn, leaves, h=1e-5):
@@ -157,3 +160,43 @@ def log_rows(result):
     """The rows of a training run's ``train_log.csv``, each a dict of strings."""
     with open(result.log_path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def whole_file_samples(path) -> list[dict]:
+    """The samples of a graph cache as dicts of their fields, decoded from the
+    whole file at once straight from the layout in docs/formats.md, with no
+    validation beyond the magic, checksum and length: the oracle the streamed
+    reader is compared with."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    body = blob[len(CACHE_MAGIC):-4]
+    assert blob[:len(CACHE_MAGIC)] == CACHE_MAGIC and struct.unpack("<I", blob[-4:]) == (zlib.crc32(body),)
+    _, count = struct.unpack_from("<IQ", body)
+    off = 12
+    samples = []
+
+    def array(dtype, count, shape):
+        nonlocal off
+        out = np.frombuffer(body, dtype, count, off).reshape(shape)
+        off += out.nbytes
+        return out
+
+    for _ in range(count):
+        fields = {}
+        for name in ("complex_id", "protein_id"):
+            (length,) = struct.unpack_from("<I", body, off)
+            fields[name] = body[off + 4:off + 4 + length].decode("utf-8")
+            off += 4 + length
+        category, label, rmsd, n = struct.unpack_from("<BbdI", body, off)
+        off += 14
+        fields.update(category=chem.CATEGORIES[category], label=None if label < 0 else label,
+                      rmsd=None if np.isnan(rmsd) else rmsd)
+        fields["features"] = array(np.uint8, n * chem.N_FEATURES, (n, chem.N_FEATURES))
+        fields["is_ligand"] = array(np.uint8, n, n).astype(bool)
+        fields["coords"] = array("<f8", 3 * n, (n, 3)).astype(np.float64)
+        (n_bonds,) = struct.unpack_from("<I", body, off)
+        off += 4
+        fields["bonds"] = array("<u4", 2 * n_bonds, (n_bonds, 2)).astype(np.int64)
+        samples.append(fields)
+    assert off == len(body)
+    return samples

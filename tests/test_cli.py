@@ -997,12 +997,22 @@ class TestExitCodes:
         assert f"{ckpt}: invalid stored config" in capsys.readouterr().err
 
 
-def run_child(argv, threads):
-    """``molgat`` in a child process whose BLAS runs ``threads`` threads."""
+# molgat's command line, then the process's peak resident set in KiB. Not
+# ru_maxrss: Linux carries that across fork and exec, so it would report the
+# test process's own peak whenever that is the larger.
+PEAK_RSS_CHILD = ("import sys; from molgat.cli import main; rc = main(sys.argv[1:]); "
+                  "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(rc)")
+
+
+def run_child(argv, threads, peak_rss=False) -> str:
+    """``molgat`` in a child process whose BLAS runs ``threads`` threads; its
+    standard output, which ends with its peak RSS if ``peak_rss``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                MKL_NUM_THREADS=str(threads), PYTHONPATH=os.path.dirname(os.path.dirname(molgat.__file__)))
-    done = subprocess.run([sys.executable, "-m", "molgat.cli"] + argv, env=env, capture_output=True, text=True)
+    command = ["-c", PEAK_RSS_CHILD] if peak_rss else ["-m", "molgat.cli"]
+    done = subprocess.run([sys.executable, *command, *argv], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class TestReproducibility:
@@ -1029,3 +1039,107 @@ class TestReproducibility:
                        "--val-fraction", "0.2"], threads=2)
         for name in ("latest.ckpt", "best.ckpt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def counted_scores(monkeypatch) -> list[str]:
+    """The complex ids ``cli.score`` is called on, in order, from now on."""
+    calls = []
+
+    def counted(sample, *args):
+        calls.append(sample.complex_id)
+        return score(sample, *args)
+
+    monkeypatch.setattr(cli, "score", counted)
+    return calls
+
+
+def with_bad_last_sample(path, out) -> int:
+    """Copy the cache at ``path`` to ``out`` with the first byte of its last
+    sample's complex_id made one that is not UTF-8 and the checksum recomputed;
+    return the sample count."""
+    samples = read_cache(path)
+    raw = samples[-1].complex_id.encode("utf-8")
+    body = bytearray(path.read_bytes()[len(CACHE_MAGIC):-4])
+    body[body.rindex(struct.pack("<I", len(raw)) + raw) + 4] = 0xFF
+    write_checked(out, CACHE_MAGIC, bytes(body))
+    return len(samples)
+
+
+SCORING_INPUTS = {"evaluate": ("--cache", "test.cache"), "predict": ("--input", "test.cache"),
+                  "poses": ("--cache", "poses.cache")}
+
+
+class TestStreaming:
+    """Scoring commands decode one sample at a time and keep only its score,
+    yet a fault anywhere in a cache still exits 2 before any output exists."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "poses"])
+    @pytest.mark.parametrize("fault, message", [("checksum", "graph cache checksum mismatch"),
+                                                ("magic", "not a graph cache file"),
+                                                ("version", "unsupported cache version 1")])
+    def test_bad_second_cache_is_two_before_any_score(self, workspace, tmp_path, capsys, monkeypatch,
+                                                      command, fault, message):
+        good = workspace / SCORING_INPUTS[command][1]
+        bad = tmp_path / "bad.cache"
+        if fault == "version":
+            write_checked(bad, CACHE_MAGIC, struct.pack("<IQ", 1, 0))
+        else:
+            blob = bytearray(good.read_bytes())
+            blob[0 if fault == "magic" else len(blob) // 2] ^= 0xFF
+            bad.write_bytes(bytes(blob))
+        calls = counted_scores(monkeypatch)
+        rc = main([command, "--cache", str(good), str(bad), "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "poses"])
+    def test_bad_last_sample_is_two_and_writes_nothing(self, workspace, tmp_path, capsys, command):
+        flag, name = SCORING_INPUTS[command]
+        bad = tmp_path / "bad.cache"
+        count = with_bad_last_sample(workspace / name, bad)
+        rc = main([command, flag, str(bad), "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: graph cache sample {count - 1}: complex_id is not UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "poses"])
+    def test_each_sample_is_scored_once_in_cache_order(self, workspace, tmp_path, monkeypatch, command):
+        flag, name = SCORING_INPUTS[command]
+        calls = counted_scores(monkeypatch)
+        assert main([command, flag, str(workspace / name), "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == [s.complex_id for s in read_cache(workspace / name)
+                         if command != "evaluate" or s.label is not None]
+
+    def test_predict_scores_each_jsonl_record_before_parsing_the_next(self, workspace, tmp_path, monkeypatch):
+        events = []
+        parse = chem.record_from_json_line
+
+        def parsed(*args, **kwargs):
+            events.append("parse")
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(chem, "record_from_json_line", parsed)
+        monkeypatch.setattr(cli, "score", lambda *args: events.append("score") or score(*args))
+        assert main(["predict", "--input", str(workspace / "test.jsonl"),
+                     "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(tmp_path / "pred")]) == 0
+        assert events == ["parse", "score"] * 24
+
+    def test_evaluate_peak_memory_does_not_grow_with_the_cache(self, tmp_path):
+        pockets = [dataclasses.replace(pocket_sample(n, seed=70 + k), complex_id=f"c{k}", protein_id=f"p{k // 4}",
+                                       category=("dude_active", "dude_inactive")[k % 2], label=1 - k % 2)
+                   for k, n in enumerate([300, 600] * 12)]
+        write_cache(pockets, tmp_path / "x1.cache")
+        write_cache(pockets * 16, tmp_path / "x16.cache")
+        config = ModelConfig(num_gat_layers=2, gat_dim=16, fc_dims=(16, 1))
+        save_params(tmp_path / "m.ckpt", ModelParams.initialize(config, np.random.default_rng(71)), config)
+        peak = {}
+        for name in ("x1", "x16"):
+            out = run_child(["evaluate", "--cache", str(tmp_path / f"{name}.cache"), "--checkpoint",
+                             str(tmp_path / "m.ckpt"), "--out", str(tmp_path / name)], threads=1, peak_rss=True)
+            peak[name] = int(out.split()[-1]) / 1024
+        assert peak["x16"] - peak["x1"] < 4.0, peak

@@ -1,19 +1,23 @@
 import dataclasses
+import gc
+import io
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, DataError
-from molgat.fileio import write_checked
+from molgat.fileio import Reader, write_checked
 from molgat.graphs import (
     CACHE_MAGIC,
     Edges,
     GraphSample,
     build_sample,
     compute_rmsd,
+    iter_cache,
     label_pose,
     ligand_rmsd,
     pairwise_distances,
@@ -21,9 +25,9 @@ from molgat.graphs import (
     read_cache,
     write_cache,
 )
-from molgat.synthetic import generate_corpus
+from molgat.synthetic import generate_corpus, generate_pose_set
 
-from helpers import dense_of, num_ligand_atoms, pocket_sample
+from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_samples
 
 
 def atom(element, pos, is_ligand, degree=1):
@@ -429,6 +433,56 @@ class TestCache:
             np.testing.assert_array_equal(a.coords, b.coords)
             np.testing.assert_array_equal(a.is_ligand, b.is_ligand)
             np.testing.assert_array_equal(a.bonds, b.bonds)
+
+    def fixture(self, name):
+        if name in ("small", "empty"):
+            return self.samples() if name == "small" else []
+        if name == "pockets":
+            return [dataclasses.replace(pocket_sample(n, seed=80 + k), category="dude_inactive", label=0, rmsd=6.5)
+                    for k, n in enumerate([300, 600])]
+        records = generate_corpus(12, seed=81) if name == "corpus" else generate_pose_set(2, 4, seed=82)
+        return [build_sample(prune_protein(rec)) for rec in records]
+
+    @pytest.mark.parametrize("name", ["small", "pockets", "corpus", "poses", "empty"])
+    def test_read_cache_equals_a_whole_file_decode(self, tmp_path, name):
+        path = tmp_path / "graphs.cache"
+        write_cache(self.fixture(name), path)
+        loaded, expected = read_cache(path), whole_file_samples(path)
+        assert len(loaded) == len(expected)
+        for sample, fields in zip(loaded, expected):
+            for field, value in fields.items():
+                got = getattr(sample, field)
+                if isinstance(value, np.ndarray):
+                    assert got.dtype == value.dtype and np.array_equal(got, value), field
+                else:
+                    assert type(got) is type(value) and got == value, field
+
+    def test_checks_run_before_the_first_sample_is_asked_for(self, tmp_path):
+        path = tmp_path / "graphs.cache"
+        write_cache(self.samples(), path)
+        blob = bytearray(path.read_bytes())
+        blob[-5] ^= 0xFF  # the last body byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            iter_cache(path)
+
+    @pytest.mark.parametrize("taken", [0, 1, 2])
+    def test_stopping_early_closes_the_file(self, tmp_path, taken):
+        path = tmp_path / "graphs.cache"
+        write_cache(self.samples(), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            samples = iter_cache(path)
+            for _ in range(taken):
+                next(samples)
+            del samples
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_file_that_shrinks_while_read_reads_as_truncated(self):
+        r = Reader(io.BytesIO(b"abc"), 8, "f: graph cache")  # 8 bytes when the checksum was read
+        with pytest.raises(CheckpointError, match="f: graph cache truncated"):
+            r.take(4)
 
     def test_features_stay_uint8_and_own_their_bytes(self, tmp_path):
         samples = self.samples()
