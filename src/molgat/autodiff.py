@@ -12,6 +12,16 @@ soon as nothing references it. A forward pass on constant weights
 time. A tape is built fresh for each forward pass (define-by-run) and is
 single-threaded.
 
+Every operation checks its result for non-finite values and pays for a
+``Value`` and a closure, whether or not it records. So a chain that runs
+every pass is one node with a hand-written backward rule: ``Tape.affine``
+for a dense layer, and ``Tape.record`` for a chain computed by its caller
+(an attention layer in ``gat``, the contact weights in ``model``), which
+checks each intermediate itself. The numpy kernels such chains share with
+the elementary operations (edge products and sums, segment softmax,
+sigmoid, the finiteness check) are module functions here, so each exists
+once.
+
 Scalars are represented as 1x1 matrices so the whole engine has one shape
 discipline. Graph operations take a sorted symmetric edge list
 (``graphs.Edges``: ``src``/``dst`` sorted by ``(src, dst)``, each row's first
@@ -82,6 +92,43 @@ def _edge_sums(w: np.ndarray, x: np.ndarray, edges) -> np.ndarray:
     for lo, n, at in bounds:
         np.matmul(flat[at:at + n * n].reshape(n, n), x[lo:lo + n], out=out[lo:lo + n])
     return out
+
+
+def _segment_softmax(s: np.ndarray, edges, keep: np.ndarray) -> np.ndarray:
+    """Softmax of the length-E vector ``s`` over each source node's edges
+    where ``keep`` is true, zero elsewhere; rows are stabilized by their max
+    over the kept edges."""
+    src = edges.src
+    row_max = np.maximum.reduceat(np.where(keep, s, -np.inf), edges.starts)
+    if np.isneginf(row_max).any():
+        raise ShapeError("segment_softmax: a row has no masked-in edge")
+    ex = np.exp(np.where(keep, s - row_max[src], -np.inf))
+    return ex / np.add.reduceat(ex, edges.starts)[src]
+
+
+def _segment_softmax_grad(g: np.ndarray, out: np.ndarray, edges) -> np.ndarray:
+    """Gradient of a segment softmax's scores, given ``out`` and the
+    gradient ``g`` of out (length-E vectors)."""
+    dot = np.add.reduceat(g * out, edges.starts)
+    return out * (g - dot[edges.src])
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), through exp(x) / (1 + exp(x)) for negative x, so
+    no exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _checked(data: np.ndarray) -> np.ndarray:
+    """``data`` itself, once every value is known to be finite."""
+    if not np.isfinite(data).all():
+        raise NumericError("operation produced non-finite values")
+    return data
 
 
 def _check_edges(op: str, edges, *per_edge) -> None:
@@ -177,10 +224,18 @@ class Tape:
 
     # -- recording ---------------------------------------------------------
 
-    def _record(self, data: np.ndarray, parents: tuple[Value, ...], backward) -> Value:
-        if not np.all(np.isfinite(data)):
-            raise NumericError("operation produced non-finite values")
-        out = Value(data)
+    def record(self, data: np.ndarray, parents: tuple[Value, ...], backward) -> Value:
+        """The result ``data`` of an operation on ``parents``, checked for
+        non-finite values; a node on the tape when some parent requires a
+        gradient, a constant otherwise.
+
+        ``backward(g)`` hands each parent that requires a gradient its share
+        of ``g`` through ``accumulate``, each share an array it has just
+        built (or a copy). Every operation below records through here; so do
+        the chains that run as one node with a hand-written rule (an
+        attention layer in ``gat``, the contact weights in ``model``), which
+        check their own intermediates."""
+        out = Value(_checked(data))
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -200,7 +255,24 @@ class Tape:
             if b.requires_grad:
                 b.accumulate(a.data.T @ g)
 
-        return self._record(a.data @ b.data, (a, b), backward)
+        return self.record(a.data @ b.data, (a, b), backward)
+
+    def affine(self, x: Value, w: Value, b: Value) -> Value:
+        """x @ w + b, where b is a 1 x cols row added to every row: one node
+        for a dense layer, the product and the bias each checked for
+        non-finite values, as a product, broadcast and sum would be."""
+        if x.cols != w.rows or b.shape != (1, w.cols):
+            raise ShapeError(f"affine: {x.shape} x {w.shape} + {b.shape}")
+
+        def backward(g):
+            if x.requires_grad:
+                x.accumulate(g @ w.data.T)
+            if w.requires_grad:
+                w.accumulate(x.data.T @ g)
+            if b.requires_grad:
+                b.accumulate(g.sum(axis=0, keepdims=True))
+
+        return self.record(_checked(x.data @ w.data) + _checked(b.data), (x, w, b), backward)
 
     def add(self, a: Value, b: Value) -> Value:
         self._require_same_shape("add", a, b)
@@ -211,7 +283,7 @@ class Tape:
             if b.requires_grad:
                 b.accumulate(g, copy=True)
 
-        return self._record(a.data + b.data, (a, b), backward)
+        return self.record(a.data + b.data, (a, b), backward)
 
     def sub(self, a: Value, b: Value) -> Value:
         self._require_same_shape("sub", a, b)
@@ -222,7 +294,7 @@ class Tape:
             if b.requires_grad:
                 b.accumulate(-g)
 
-        return self._record(a.data - b.data, (a, b), backward)
+        return self.record(a.data - b.data, (a, b), backward)
 
     def mul(self, a: Value, b: Value) -> Value:
         self._require_same_shape("mul", a, b)
@@ -233,7 +305,7 @@ class Tape:
             if b.requires_grad:
                 b.accumulate(g * a.data)
 
-        return self._record(a.data * b.data, (a, b), backward)
+        return self.record(a.data * b.data, (a, b), backward)
 
     def scale(self, a: Value, c: float) -> Value:
         c = float(c)
@@ -241,7 +313,7 @@ class Tape:
         def backward(g):
             a.accumulate(c * g)
 
-        return self._record(c * a.data, (a,), backward)
+        return self.record(c * a.data, (a,), backward)
 
     def exp(self, a: Value) -> Value:
         out_data = np.exp(a.data)
@@ -249,7 +321,7 @@ class Tape:
         def backward(g):
             a.accumulate(g * out_data)
 
-        return self._record(out_data, (a,), backward)
+        return self.record(out_data, (a,), backward)
 
     def log(self, a: Value) -> Value:
         # Argument clamped below at 1e-12; the clamped region has zero gradient.
@@ -258,26 +330,21 @@ class Tape:
         def backward(g):
             a.accumulate(np.where(a.data > _LOG_FLOOR, g / clamped, 0.0))
 
-        return self._record(np.log(clamped), (a,), backward)
+        return self.record(np.log(clamped), (a,), backward)
 
     def sigmoid(self, a: Value) -> Value:
-        x = a.data
-        out_data = np.empty_like(x)
-        pos = x >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        out_data = _sigmoid(a.data)
 
         def backward(g):
             a.accumulate(g * out_data * (1.0 - out_data))
 
-        return self._record(out_data, (a,), backward)
+        return self.record(out_data, (a,), backward)
 
     def relu(self, a: Value) -> Value:
         def backward(g):
             a.accumulate(g * (a.data > 0))
 
-        return self._record(np.maximum(a.data, 0.0), (a,), backward)
+        return self.record(np.maximum(a.data, 0.0), (a,), backward)
 
     def softplus(self, a: Value) -> Value:
         out_data = np.logaddexp(0.0, a.data)
@@ -285,7 +352,7 @@ class Tape:
         def backward(g):
             a.accumulate(g / (1.0 + np.exp(-a.data)))
 
-        return self._record(out_data, (a,), backward)
+        return self.record(out_data, (a,), backward)
 
     def reciprocal(self, a: Value) -> Value:
         out_data = 1.0 / a.data
@@ -293,13 +360,13 @@ class Tape:
         def backward(g):
             a.accumulate(-g * out_data * out_data)
 
-        return self._record(out_data, (a,), backward)
+        return self.record(out_data, (a,), backward)
 
     def transpose(self, a: Value) -> Value:
         def backward(g):
             a.accumulate(g.T, copy=True)
 
-        return self._record(a.data.T.copy(), (a,), backward)
+        return self.record(a.data.T.copy(), (a,), backward)
 
     def concat_cols(self, a: Value, b: Value) -> Value:
         if a.rows != b.rows:
@@ -312,7 +379,7 @@ class Tape:
             if b.requires_grad:
                 b.accumulate(g[:, split:], copy=True)
 
-        return self._record(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
+        return self.record(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
 
     def rowscale(self, col: Value, m: Value) -> Value:
         """out_ij = col_i * m_ij, where col is Nx1."""
@@ -325,7 +392,7 @@ class Tape:
             if m.requires_grad:
                 m.accumulate(g * col.data)
 
-        return self._record(col.data * m.data, (col, m), backward)
+        return self.record(col.data * m.data, (col, m), backward)
 
     def broadcast(self, s: Value, rows: int, cols: int) -> Value:
         """Spread a 1x1 value, or a 1 x cols row, to a rows x cols matrix."""
@@ -338,13 +405,13 @@ class Tape:
             else:
                 s.accumulate(g.sum(axis=0, keepdims=True))
 
-        return self._record(np.broadcast_to(s.data, (rows, cols)).copy(), (s,), backward)
+        return self.record(np.broadcast_to(s.data, (rows, cols)).copy(), (s,), backward)
 
     def sum_all(self, a: Value) -> Value:
         def backward(g):
             a.accumulate(np.full_like(a.data, g[0, 0]))
 
-        return self._record(np.array([[a.data.sum()]]), (a,), backward)
+        return self.record(np.array([[a.data.sum()]]), (a,), backward)
 
     def sum_rows(self, a: Value, sizes=None) -> Value:
         """Sum over the row index: out is 1 x cols. With ``sizes`` (G
@@ -357,7 +424,7 @@ class Tape:
         def backward(g):
             a.accumulate(np.repeat(g, sizes, axis=0))
 
-        return self._record(np.add.reduceat(a.data, np.cumsum(sizes) - sizes, axis=0), (a,), backward)
+        return self.record(np.add.reduceat(a.data, np.cumsum(sizes) - sizes, axis=0), (a,), backward)
 
     def masked_softmax(self, scores: Value, mask: np.ndarray) -> Value:
         """Row-wise softmax over masked-in entries; zeros elsewhere.
@@ -386,7 +453,7 @@ class Tape:
             dot = (g * out_data).sum(axis=1, keepdims=True)
             scores.accumulate(out_data * (g - dot))
 
-        return self._record(out_data, (scores,), backward)
+        return self.record(out_data, (scores,), backward)
 
     def dropout(self, a: Value, keep: np.ndarray) -> Value:
         """Inverted dropout by a constant mask of 0 and 1 / (1 - rate)."""
@@ -396,7 +463,7 @@ class Tape:
         def backward(g):
             a.accumulate(g * keep)
 
-        return self._record(a.data * keep, (a,), backward)
+        return self.record(a.data * keep, (a,), backward)
 
     # -- edge-list operations ---------------------------------------------------
 
@@ -411,7 +478,7 @@ class Tape:
             if b.requires_grad:
                 b.accumulate(_edge_sums(g[edges.rev], a.data, edges))
 
-        return self._record(_edge_dots(a.data, b.data, edges), (a, b), backward)
+        return self.record(_edge_dots(a.data, b.data, edges), (a, b), backward)
 
     def take_rows(self, a: Value, index: np.ndarray) -> Value:
         """out = a[index], where ``index`` holds distinct row indices of a:
@@ -424,7 +491,7 @@ class Tape:
             grad[index] = g
             a.accumulate(grad)
 
-        return self._record(a.data[index], (a,), backward)
+        return self.record(a.data[index], (a,), backward)
 
     def segment_softmax(self, scores: Value, edges, mask: np.ndarray) -> Value:
         """Softmax of E x 1 ``scores`` over each source node's edges.
@@ -437,19 +504,12 @@ class Tape:
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != (len(edges.src),):
             raise ShapeError(f"segment_softmax: mask shape {keep.shape} != ({len(edges.src)},)")
-        src = edges.src
-        s = scores.data[:, 0]
-        row_max = np.maximum.reduceat(np.where(keep, s, -np.inf), edges.starts)
-        if np.isneginf(row_max).any():
-            raise ShapeError("segment_softmax: a row has no masked-in edge")
-        ex = np.exp(np.where(keep, s - row_max[src], -np.inf))
-        out = ex / np.add.reduceat(ex, edges.starts)[src]
+        out = _segment_softmax(scores.data[:, 0], edges, keep)
 
         def backward(g):
-            dot = np.add.reduceat(g[:, 0] * out, edges.starts)
-            scores.accumulate((out * (g[:, 0] - dot[src]))[:, None])
+            scores.accumulate(_segment_softmax_grad(g[:, 0], out, edges)[:, None])
 
-        return self._record(out[:, None], (scores,), backward)
+        return self.record(out[:, None], (scores,), backward)
 
     def segment_sum(self, w: Value, x: Value, edges) -> Value:
         """out_i = sum over node i's edges e of w_e * x[dst_e] (N x F)."""
@@ -463,7 +523,7 @@ class Tape:
             if x.requires_grad:
                 x.accumulate(_edge_sums(w.data[edges.rev], g, edges))
 
-        return self._record(_edge_sums(w.data, x.data, edges), (w, x), backward)
+        return self.record(_edge_sums(w.data, x.data, edges), (w, x), backward)
 
     # -- backward ------------------------------------------------------------
 

@@ -29,11 +29,17 @@ at all, the whole output is zero. ``e_ij`` is computed once per edge as
 ``half + half[rev]``, so it is bit-for-bit symmetric. The
 ``internals`` keys are scores (e), gate (z), softmax1/softmax2 (before the
 weighting) and attention1/attention2 (a_1, a_2), each E x 1 in edge order
-except the N x 1 gate.
+except the N x 1 gate; they are constants, off the tape.
 
-Everything runs on the differentiation tape, so gradients reach W, E, u, b
-and the A2 edge weights (which is how the learnable distance profile behind
-the contact adjacency receives its gradient).
+A layer is one tape node (``Tape.record``). Its forward runs the steps above
+as numpy calls in a fixed order and checks each step's result for
+non-finite values; its backward rule, written out below the forward,
+returns the gradients of x, W, E, u, b and the A2 edge weights (which is
+how the learnable distance profile behind the contact adjacency receives
+its gradient). A pass that records nothing drops x'E, which only the
+backward reads, once the scores are made. ``tests/composed.py`` keeps the
+same layer as one tape operation per step, the reference the node must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value, constant, parameter
+from .autodiff import (Tape, Value, _checked, _edge_dots, _edge_sums, _segment_softmax,
+                       _segment_softmax_grad, _sigmoid, constant, parameter)
 from .errors import ShapeError
 from .graphs import Edges
 
@@ -82,7 +89,7 @@ def gat_forward(
 
     Every node's self-loop must be in both adjacencies: not a contact edge,
     and a positive ``a2`` weight. Pass ``internals`` to capture the
-    intermediate tape values listed above.
+    intermediate values listed above.
     """
     n, f = x.shape
     if len(edges.starts) != n:
@@ -96,25 +103,61 @@ def gat_forward(
     if params.w.shape != (f, f):
         raise ShapeError(f"layer width {params.w.shape} does not match feature dim {f}")
 
-    xp = tape.matmul(x, params.w)
-    half = tape.edge_dot(tape.matmul(xp, params.e), xp, edges)
-    scores = tape.add(half, tape.take_rows(half, edges.rev))
+    w, e, u = params.w.data, params.e.data, params.u.data
+    parents = (x, params.w, params.e, params.u, params.b, a2)
+    # A pass that records nothing drops the backward-only x'E once the
+    # scores are made, so it holds no more than the forward needs.
+    records = any(p.requires_grad for p in parents)
+
+    xp = _checked(x.data @ w)
+    xpe = _checked(xp @ e)
+    half = _checked(_edge_dots(xpe, xp, edges))
+    if not records:
+        xpe = None
+    scores = _checked(half + half[edges.rev])
 
     # A1 is 1 on every covalent edge, so its weighting leaves softmax1 as is.
-    attention1 = softmax1 = tape.segment_softmax(scores, edges, covalent)
-    softmax2 = tape.segment_softmax(scores, edges, a2.data[:, 0] > 0)
-    attention2 = tape.mul(softmax2, a2)
-    xpp = tape.segment_sum(tape.sub(attention2, attention1), xp, edges)
+    softmax1 = _checked(_segment_softmax(scores[:, 0], edges, covalent))[:, None]
+    softmax2 = _checked(_segment_softmax(scores[:, 0], edges, a2.data[:, 0] > 0))[:, None]
+    attention2 = _checked(softmax2 * a2.data)
+    diff = _checked(attention2 - softmax1)
+    xpp = _checked(_edge_sums(diff, xp, edges))
 
     # x (u_top + W u_bottom) = [x | x'] u, without an N x 2F concatenation.
-    u_top = tape.take_rows(params.u, np.arange(f))
-    u_bottom = tape.take_rows(params.u, np.arange(f, 2 * f))
-    v = tape.add(u_top, tape.matmul(params.w, u_bottom))
-    gate_logit = tape.add(tape.matmul(x, v), tape.broadcast(params.b, n, 1))
-    z = tape.sigmoid(gate_logit)
-    out = tape.rowscale(tape.sub(constant(np.ones((n, 1))), z), xpp)
+    u_bottom = _checked(u)[f:]
+    v = _checked(u[:f] + _checked(w @ u_bottom))
+    z = _checked(_sigmoid(_checked(_checked(x.data @ v) + _checked(params.b.data))))
+    keep = 1.0 - z  # in [0, 1], as z is
 
+    def backward(g):
+        # out = keep * x'': the gate's logit, then the gate's weights.
+        d_xpp = g * keep
+        d_logit = -(g * xpp).sum(axis=1, keepdims=True) * z * keep
+        d_v = x.data.T @ d_logit
+        d_x = d_logit @ v.T
+        d_w = d_v @ u_bottom.T
+        d_u = np.concatenate([d_v, w.T @ d_v])
+        # x'' = sum over i's edges of (a_2 - a_1) x'_j, then both softmaxes.
+        d_diff = _edge_dots(d_xpp, xp, edges)
+        d_xp = _edge_sums(diff[edges.rev], d_xpp, edges)
+        d_scores = _segment_softmax_grad((d_diff * a2.data)[:, 0], softmax2[:, 0], edges)
+        d_scores += _segment_softmax_grad(-d_diff[:, 0], softmax1[:, 0], edges)
+        # e = half + half[rev], half_e = x'E_src . x'_dst, x'E, then x' = x W.
+        d_half = (d_scores + d_scores[edges.rev])[:, None]
+        d_xpe = _edge_sums(d_half, xp, edges)
+        d_xp += _edge_sums(d_half[edges.rev], xpe, edges)
+        d_xp += d_xpe @ e.T
+        d_w += x.data.T @ d_xp
+        d_x += d_xp @ w.T
+        grads = (d_x, d_w, xp.T @ d_xpe, d_u, np.array([[d_logit.sum()]]), d_diff * softmax2)
+        for p, grad in zip(parents, grads):
+            if p.requires_grad:
+                p.accumulate(grad)
+
+    out = tape.record(keep * xpp, parents, backward)
     if internals is not None:
-        internals.update(scores=scores, gate=z, softmax1=softmax1, softmax2=softmax2,
-                         attention1=attention1, attention2=attention2)
+        attention1 = constant(softmax1)
+        internals.update(scores=constant(scores), gate=constant(z), softmax1=attention1,
+                         softmax2=constant(softmax2), attention1=attention1,
+                         attention2=constant(attention2))
     return out

@@ -3,8 +3,8 @@ graphs, sum pooling, and an MLP head.
 
 Both adjacencies live on one edge list per sample (``GraphSample.edges``):
 self-loops, both directions of every bond and of every intermolecular contact
-(opposite sides, d < 5 A). For every sample the contact adjacency's edge
-weights are materialized on the tape as
+(opposite sides, d < 5 A). For every pass the contact adjacency's edge
+weights are materialized on the tape, on the edges the layers run on, as
 
     A2_e = 1                               on self-loop and bond edges
     A2_e = exp(-(d_e - mu)^2 / sigma)      on contact edges
@@ -27,7 +27,14 @@ nothing, and so holds about one layer's values at a time. Node features are
 summed into one graph vector, and a small MLP with ReLU hidden activations
 and a final sigmoid produces the activity probability.
 
-``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``):
+The contact weights, each attention layer and each dense layer of the head
+are one tape node each, with a hand-written backward rule (the first two
+here and in ``gat``, the last ``Tape.affine``), so a paper-default training
+pass records 26 nodes, its loss included; ``tests/composed.py`` keeps the
+one-operation-per-step form they must match bit for bit.
+
+``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``
+of each sample's reached subgraph, which the sample's edge list keeps):
 every tape operation runs once per batch, pooling sums each graph's reached
 rows, and the output is a G x 1 column. Given an ``rng`` (training), it draws
 all dropout masks before the forward pass, sample by sample: each attention
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value, constant, parameter
+from .autodiff import Tape, Value, _checked, constant, parameter
 from .chem import N_FEATURES
 from .errors import CheckpointError, NumericError
 from .fileio import open_checked, write_checked
@@ -152,17 +159,29 @@ def materialize_a2(tape: Tape, edges: Edges, mu: Value, sigma: Value) -> Value:
     flow into mu and sigma.
 
     Exactly 1.0 on self-loop and bond edges, and the Gaussian of the contact
-    distance on contact edges.
+    distance on contact edges. One tape node: the Gaussian is computed on
+    every edge, each step checked for non-finite values, and kept on the
+    contact edges.
     """
     if sigma.item() <= 0:
         raise NumericError(f"sigma must be positive, got {sigma.item()}")
-    e = len(edges.src)
-    diff = tape.sub(constant(edges.dist[:, None]), tape.broadcast(mu, e, 1))
-    sq = tape.mul(diff, diff)
-    scaled = tape.mul(tape.scale(sq, -1.0), tape.broadcast(tape.reciprocal(sigma), e, 1))
-    gauss = tape.exp(scaled)
     contact = edges.contact[:, None].astype(np.float64)
-    return tape.add(constant(1.0 - contact), tape.mul(gauss, constant(contact)))
+    diff = _checked(edges.dist[:, None] - _checked(mu.data))
+    neg_sq = _checked(-1.0 * _checked(diff * diff))
+    r = _checked(1.0 / sigma.data)
+    gauss = _checked(np.exp(_checked(neg_sq * r)))
+
+    def backward(g):
+        # a2 = (1 - c) + c * exp(-(d - mu)^2 * r), r = 1 / sigma, each step
+        # differentiated in the order the step-by-step chain takes
+        d_scaled = g * contact * gauss
+        if mu.requires_grad:
+            d_sq = -1.0 * (d_scaled * r)
+            mu.accumulate(np.array([[(-(d_sq * diff + d_sq * diff)).sum()]]))
+        if sigma.requires_grad:
+            sigma.accumulate(-np.array([[(d_scaled * neg_sq).sum()]]) * r * r)
+
+    return tape.record((1.0 - contact) + _checked(gauss * contact), (mu, sigma), backward)
 
 
 def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> list[np.ndarray]:
@@ -200,10 +219,12 @@ def predict(
     """Forward pass for a batch; returns the G x 1 probabilities on the tape,
     one row per sample in order.
 
-    The batch runs as one block-diagonal graph of the samples' own
-    ``edges`` (``Edges.merge``), so each tape operation runs once per batch
-    and each sample's row equals its score alone. A2 is materialized on all
-    its edges; the layers run on the reached subgraph (``Edges.reach``).
+    The batch runs as one block-diagonal graph of the samples' reached
+    subgraphs (``Edges.reach``, merged by ``Edges.merge``), so each tape
+    operation runs once per batch and each sample's row equals its score
+    alone. A2 is materialized on the reached edges only; ``internals``, if
+    given, receives A2 over all of the batch's edges (``a2``, in the order
+    of the merged ``edges``) and the pooled G x F vectors (``pooled``).
     Dropout runs exactly when ``rng`` is given (training): every mask is
     drawn from it before the forward pass, sample by sample: the attention
     layers' N_s x F masks in layer order, then the hidden fully connected
@@ -216,17 +237,21 @@ def predict(
     masks = None
     if rng is not None and config.dropout_rate > 0:
         masks = iter(_dropout_masks(samples, config, rng))
-    graph = Edges.merge([s.edges for s in samples])
-    a2 = materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
+    sigma = params.sigma_on(tape)
 
     # The layers run on the rows a contact can reach; every other row's
-    # output is exactly zero, so it adds nothing to the pooled sum.
-    rows, reached, kept = graph.reach
-    features = np.concatenate([s.features for s in samples])[rows]  # widened to float64 by constant
-    h = tape.matmul(constant(features), params.embed)
-    reached_a2 = tape.take_rows(a2, kept)
+    # output is exactly zero, so it adds nothing to the pooled sum. Each
+    # sample's reach is kept with its edge list, and the batch's is their
+    # block-diagonal merge, its rows offset by the atoms before them.
+    reach = [s.edges.reach for s in samples]
+    reached = Edges.merge([sub for _, sub, _ in reach])
+    first = np.cumsum([0] + [s.num_atoms for s in samples[:-1]])
+    rows = np.concatenate([r + k for (r, _, _), k in zip(reach, first)])
+    features = np.concatenate([s.features[r] for s, (r, _, _) in zip(samples, reach)])
+    a2 = materialize_a2(tape, reached, params.mu, sigma)
+    h = tape.matmul(constant(features), params.embed)  # widened to float64 by constant
     for layer in params.layers:
-        h = gat_forward(tape, h, reached, reached_a2, layer)
+        h = gat_forward(tape, h, reached, a2, layer)
         if masks is not None:
             h = tape.dropout(h, next(masks)[rows])
 
@@ -234,14 +259,15 @@ def predict(
     y = pooled
     last = len(params.fc) - 1
     for k, (w, b) in enumerate(params.fc):
-        y = tape.add(tape.matmul(y, w), tape.broadcast(b, len(samples), b.cols))
+        y = tape.affine(y, w, b)
         if k < last:
             y = tape.relu(y)
             if masks is not None:
                 y = tape.dropout(y, next(masks))
     out = tape.sigmoid(y)
     if internals is not None:
-        internals.update(a2=a2, pooled=pooled)
+        graph = Edges.merge([s.edges for s in samples])
+        internals.update(a2=materialize_a2(tape, graph, params.mu, sigma), pooled=pooled)
     return out
 
 

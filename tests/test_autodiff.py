@@ -223,6 +223,17 @@ class TestBackwardExamples:
         np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
 
 
+def _recorded_product(t, x, y):
+    """x * y elementwise as one node with its own backward rule."""
+
+    def backward(g):
+        for p, other in ((x, y), (y, x)):
+            if p.requires_grad:
+                p.accumulate(g * other.data)
+
+    return t.record(x.data * y.data, (x, y), backward)
+
+
 def _op_cases():
     """Every tape operation, as (call, inputs): ``call(tape, *values)`` runs
     the operation on values holding ``inputs``."""
@@ -233,6 +244,8 @@ def _op_cases():
     keep, mask = dropout_mask((5, 3), 0.3, rng), edges.src == edges.dst
     return {
         "matmul": (lambda t, x, y: t.matmul(x, y), (a, b.T)),
+        "affine": (lambda t, x, y, c: t.affine(x, y, c), (a, b.T, col.T)),
+        "record": (_recorded_product, (a, b)),
         "add": (lambda t, x, y: t.add(x, y), (a, b)),
         "sub": (lambda t, x, y: t.sub(x, y), (a, b)),
         "mul": (lambda t, x, y: t.mul(x, y), (a, b)),
@@ -527,6 +540,34 @@ class TestGradientChecks:
         t = Tape()
         t.backward(t.sum_all(t.mul(t.broadcast(s, 3, 5), constant(weights))))
         check_gradients(forward, [s], tol=OP_TOL)
+
+    def test_affine(self):
+        rng = np.random.default_rng(16)
+        x, w, b = rand(rng, 3, 4), rand(rng, 4, 2), rand(rng, 1, 2)
+        weights = rng.uniform(-1, 1, size=(3, 2))
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(t.affine(x, w, b), constant(weights))).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.affine(x, w, b), constant(weights))))
+        check_gradients(forward, [x, w, b], tol=1e-6)
+        composed = t.add(t.matmul(x, w), t.broadcast(b, 3, 2))
+        assert np.array_equal(t.affine(x, w, b).data, composed.data)
+        for bad in ((x, w, rand(rng, 1, 3)), (x, rand(rng, 3, 2), b), (x, w, rand(rng, 3, 2))):
+            with pytest.raises(ShapeError):
+                t.affine(*bad)
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_affine_rejects_a_non_finite_input(self, where, bad):
+        values = [parameter([[1.0, 2.0]]), parameter([[1.0], [-1.0]]), parameter([[0.5]])]
+        values[where].data[0, 0] = bad
+        t = Tape()
+        with pytest.raises(NumericError):
+            t.affine(*values)
+        assert len(t) == 0
 
     def test_broadcast_row(self):
         rng = np.random.default_rng(15)

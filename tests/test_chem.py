@@ -980,7 +980,8 @@ class TestPairsWithin:
 
     def test_chem_does_not_import_graphs(self):
         # chem sits below graphs; importing graphs from chem would be a cycle
-        tree = ast.parse(open(chem.__file__, encoding="utf-8").read())
+        with open(chem.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
         imported = []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

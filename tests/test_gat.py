@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from molgat.autodiff import Tape, constant, parameter
-from molgat.errors import ShapeError
+from molgat.errors import NumericError, ShapeError
 from molgat.gat import GatParams, gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
+from composed import composed_gat_forward
 from helpers import check_gradients, dense_of, pocket_sample, record_gradient_shapes
 
 
@@ -251,6 +252,117 @@ class TestGradients:
         t = Tape()
         t.backward(t.sum_all(t.mul(gat_forward(t, x, edges, a2, params), weights)))
         check_gradients(forward, leaves, tol=1e-4)
+
+
+def fused_cases():
+    """(name, build) pairs; build(rng) gives x, edges, a2 and layer parameters,
+    every one a parameter."""
+
+    def random(rng):
+        return random_case(rng, n=7, f=4)
+
+    def complete(rng):
+        return random_case(rng, n=6, f=3, dense_positive=True)
+
+    def contact_free(rng):
+        x, edges, _, params = random_case(rng, n=6, f=4)
+        edges = dataclasses.replace(edges, contact=np.zeros_like(edges.contact))
+        return x, edges, parameter(np.ones((len(edges.src), 1))), params
+
+    def one_node(rng):
+        return parameter(rng.uniform(-1, 1, size=(1, 3))), Edges.build(1, []), parameter([[2.5]]), init_gat_params(3, rng)
+
+    def pocket(rng):
+        # the reached subgraph of a pocket, the rows the model runs the layer on
+        _, edges, _ = pocket_sample(300, seed=3).edges.reach
+        a2 = np.where(edges.contact, rng.uniform(0.05, 1.0, size=len(edges.src)), 1.0)[:, None]
+        params = init_gat_params(16, rng)
+        params.b.data[...] = 0.3
+        return parameter(rng.uniform(-0.5, 0.5, size=(len(edges.starts), 16))), edges, parameter(a2), params
+
+    return [("random", random), ("complete", complete), ("contact_free", contact_free),
+            ("one_node", one_node), ("pocket", pocket)]
+
+
+def run_layer(forward, x, edges, a2, params, weights):
+    """Output, internals and the gradients of x, W, E, u, b and a2 of one
+    layer under the loss sum(out * weights)."""
+    leaves = [x, params.w, params.e, params.u, params.b, a2]
+    for leaf in leaves:
+        leaf.zero_grad()
+    t, internals = Tape(), {}
+    out = forward(t, x, edges, a2, params, internals)
+    t.backward(t.sum_all(t.mul(out, constant(weights))))
+    return out.data, {k: v.data for k, v in internals.items()}, [leaf.grad for leaf in leaves], len(t)
+
+
+@pytest.mark.usefixtures("edge_kernel")
+class TestFusedLayer:
+    """One tape node per layer, against the composed reference in tests/composed.py."""
+
+    @pytest.mark.parametrize("name, build", [pytest.param(n, b, id=n) for n, b in fused_cases()])
+    def test_equals_the_composed_layer(self, name, build):
+        rng = np.random.default_rng(70)
+        x, edges, a2, params = build(rng)
+        weights = rng.uniform(-1, 1, size=x.shape)
+        out, internals, grads, nodes = run_layer(gat_forward, x, edges, a2, params, weights)
+        ref_out, ref_internals, ref_grads, ref_nodes = run_layer(composed_gat_forward, x, edges, a2, params, weights)
+        assert nodes == 3 and ref_nodes == 22  # the layer, then mul and sum_all for the loss
+        assert np.array_equal(out, ref_out)
+        assert internals.keys() == ref_internals.keys()
+        for key in internals:
+            assert np.array_equal(internals[key], ref_internals[key]), key
+        for label, g, ref in zip(("x", "w", "e", "u", "b", "a2"), grads, ref_grads):
+            assert g.shape == ref.shape, label
+            err = np.abs(g - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max(), f"{label}: {err:g}"
+        if name == "contact_free":
+            assert not out.any() and not grads[0].any()
+
+    def test_records_nothing_on_constants(self):
+        rng = np.random.default_rng(71)
+        x, edges, a2, params = random_case(rng)
+        weights = [constant(p.data) for p in (params.w, params.e, params.u, params.b)]
+        t = Tape()
+        out = gat_forward(t, constant(x.data), edges, constant(a2.data), GatParams(*weights))
+        assert len(t) == 0 and not out.requires_grad and out._backward is None
+        assert np.array_equal(out.data, gat_forward(Tape(), x, edges, a2, params).data)
+
+
+@pytest.mark.parametrize("target", ["x", "w", "e", "u", "b", "a2"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_input_raises_from_the_layer(target, bad):
+    # Each input of the layer, poisoned in one entry, raises NumericError
+    # before anything is recorded; the composed layer raises too.
+    for forward in (gat_forward, composed_gat_forward):
+        rng = np.random.default_rng(73)
+        x, edges, a2, params = random_case(rng, n=6, f=3)
+        value = {"x": x, "w": params.w, "e": params.e, "u": params.u, "b": params.b, "a2": a2}[target]
+        # for a2 an edge between two atoms: a self-loop must stay positive,
+        # or the layer reports a missing self-loop instead
+        entry = int(np.flatnonzero(edges.src != edges.dst)[0]) if target == "a2" else 0
+        value.data.flat[entry] = bad
+        t = Tape()
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            forward(t, x, edges, a2, params)
+        if forward is gat_forward:
+            assert len(t) == 0
+
+
+def test_non_finite_x_w_raises_when_the_gate_saturates():
+    # With the gate at exactly 1 the output is 0 * x'': an infinite x W
+    # still raises, and before anything is recorded.
+    rng = np.random.default_rng(74)
+    x, edges, a2, params = random_case(rng, n=6, f=3)
+    params.b.data[...] = 60.0
+    internals = {}
+    gat_forward(Tape(), x, edges, a2, params, internals)
+    assert np.all(internals["gate"].data == 1.0)
+    x.data[2] = [np.inf, 0.0, 0.0]
+    t = Tape()
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        gat_forward(t, x, edges, a2, params)
+    assert len(t) == 0
 
 
 def test_gate_holds_no_value_wider_than_the_layer(monkeypatch):

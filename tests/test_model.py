@@ -26,6 +26,7 @@ from molgat.model import (
 from molgat.synthetic import generate_corpus
 from molgat.training import mean_bce
 
+from composed import composed_materialize_a2, composed_predict, composed_score
 from helpers import bce_loss, check_gradients, dense_of, dropout_mask, num_parameters, pocket_sample
 
 SMALL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
@@ -107,6 +108,46 @@ class TestMaterializeA2:
             expected = float(np.logaddexp(0.0, raw) + SIGMA_FLOOR)
             assert params.sigma_value().hex() == expected.hex()
             assert params.sigma_value() == params.sigma_on(Tape()).item()
+
+    def test_equals_the_composed_column_and_its_gradients(self):
+        s = sample_with_contact(3.4, extra_protein=[(0, 2.8, 2.8), (4.0, 0.5, 1.0)])
+        weights = constant(np.random.default_rng(3).uniform(-1, 1, size=(len(s.edges.src), 1)))
+        runs = []
+        for build in (materialize_a2, composed_materialize_a2):
+            mu, sigma = parameter([[2.5]]), parameter([[1.7]])
+            t = Tape()
+            a2 = build(t, s.edges, mu, sigma)
+            t.backward(t.sum_all(t.mul(a2, weights)))
+            runs.append((a2.data, mu.grad, sigma.grad, len(t)))
+        (a2, mu_grad, sigma_grad, nodes), (ref, ref_mu, ref_sigma, ref_nodes) = runs
+        assert nodes == 3 and ref_nodes == 12  # the column, then mul and sum_all
+        assert np.array_equal(a2, ref)
+        np.testing.assert_allclose(mu_grad, ref_mu, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sigma_grad, ref_sigma, rtol=1e-12, atol=0)
+
+    def test_gradients_match_finite_differences(self):
+        s = sample_with_contact(3.4, extra_protein=[(0, 2.8, 2.8), (4.0, 0.5, 1.0)])
+        weights = constant(np.random.default_rng(4).uniform(-1, 1, size=(len(s.edges.src), 1)))
+        mu, sigma = parameter([[2.5]]), parameter([[1.7]])
+
+        def forward():
+            t = Tape()
+            return t.sum_all(t.mul(materialize_a2(t, s.edges, mu, sigma), weights)).item()
+
+        t = Tape()
+        t.backward(t.sum_all(t.mul(materialize_a2(t, s.edges, mu, sigma), weights)))
+        check_gradients(forward, [mu, sigma], tol=1e-6)
+
+    # An infinite sigma gives weights of exactly 1, in both forms.
+    @pytest.mark.parametrize("which, bad", [("mu", np.inf), ("mu", -np.inf), ("mu", np.nan), ("sigma", np.nan)])
+    def test_non_finite_mu_or_sigma_raises(self, which, bad):
+        s = sample_with_contact(3.4)
+        for build in (materialize_a2, composed_materialize_a2):
+            mu, sigma = parameter([[2.5]]), parameter([[1.7]])
+            (mu if which == "mu" else sigma).data[0, 0] = bad
+            t = Tape()
+            with np.errstate(all="ignore"), pytest.raises(NumericError):
+                build(t, s.edges, mu, sigma)
 
     def test_distance_at_mu_maximizes_weight(self):
         params = fresh_params()
@@ -283,6 +324,40 @@ class TestBatch:
         with pytest.raises(ValueError):
             predict(Tape(), [], fresh_params(), SMALL)
 
+    @pytest.mark.parametrize("dropout", [False, True], ids=["inference", "dropout"])
+    def test_equals_the_composed_pass(self, dropout):
+        # Probabilities bit for bit, every parameter gradient to rounding:
+        # only the order of some sums differs (mu and sigma sum over the
+        # reached edges, not over all of them).
+        config = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 7, 1), dropout_rate=0.3)
+        batch = mixed_batch() + [pocket_sample(300, seed=15)]
+        labels = [k % 2 for k in range(len(batch))]
+        params = fresh_params(config, seed=15)
+        runs = []
+        for forward in (predict, composed_predict):
+            params.zero_grad()
+            t = Tape()
+            out = forward(t, batch, params, config, rng=np.random.default_rng(16) if dropout else None)
+            t.backward(mean_bce(t, out, labels))
+            runs.append((out.data, {name: v.grad for name, v in params.named_values()}))
+        (out, grads), (ref_out, ref_grads) = runs
+        assert np.array_equal(out, ref_out)
+        for name, ref in ref_grads.items():
+            err = np.abs(grads[name] - ref).max()
+            assert err <= 1e-12 * np.abs(ref).max(), f"{name}: {err:g}"
+
+
+def test_paper_pass_of_sixteen_train_samples_records_26_nodes():
+    # 2 for sigma, 1 for A2, 1 embedding, 4 layers and 4 dropouts, 1 pooling,
+    # 3 dense layers with 2 ReLUs and 2 dropouts, 1 sigmoid, 5 for the loss.
+    batch = [build_sample(prune_protein(r)) for r in generate_corpus(16, seed=502)]
+    params = fresh_params(ModelConfig(), seed=17)
+    t = Tape()
+    loss = mean_bce(t, predict(t, batch, params, ModelConfig(), rng=np.random.default_rng(18)),
+                    [s.label for s in batch])
+    assert len(t) == 26
+    t.backward(loss)
+
 
 class TestScore:
     """``score`` runs ``predict`` on constant views of the weights, so its
@@ -307,6 +382,23 @@ class TestScore:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MB"  # a full backward graph holds about 14 MB
+
+    def test_pocket_peak_memory_is_no_higher_than_the_composed_pass(self):
+        # A score records nothing, so the fused layer drops x'E, which only
+        # its backward rule reads, as soon as the scores are made.
+        s = pocket_sample(600, seed=35)
+        params = fresh_params(ModelConfig(), seed=36)
+        peaks = {}
+        for name, run in (("fused", score), ("composed", composed_score)):
+            run(s, params, ModelConfig())  # builds and caches the sample's edge list and reach
+            tracemalloc.start()
+            try:
+                run(s, params, ModelConfig())
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["fused"] <= peaks["composed"], peaks
+        assert score(s, params, ModelConfig()) == composed_score(s, params, ModelConfig())
 
     def test_uint8_features_score_bit_identical_to_float64(self, tmp_path):
         samples = [pocket_sample(300, seed=38), pocket_sample(600, seed=39)]

@@ -592,7 +592,7 @@ class TestPasses:
         # per-atom values (more than one column) of every pass of a 32-sample
         # batch; E x 1 edge columns belong to the same bounded passes
         rows = []
-        real_record = Tape._record
+        real_record = Tape.record
 
         def record(tape, data, parents, backward):
             out = real_record(tape, data, parents, backward)
@@ -600,7 +600,7 @@ class TestPasses:
                 rows.append(out.rows)
             return out
 
-        monkeypatch.setattr(Tape, "_record", record)
+        monkeypatch.setattr(Tape, "record", record)
         *_, passes = self.one_step(pools, tmp_path, monkeypatch, "rows")
         largest = max(s.num_atoms for p in passes for s in p)
         assert sum(s.num_atoms for p in passes for s in p) > training.PASS_ATOMS
@@ -610,7 +610,7 @@ class TestPasses:
         # every recorded node's data, weakly: once a pass's backward is done
         # nothing holds its graph, not through Adam nor into the next step
         refs, passes = [], []
-        real_record, real_step, real_predict = Tape._record, Adam.step, training.predict
+        real_record, real_step, real_predict = Tape.record, Adam.step, training.predict
 
         def record(tape, data, parents, backward):
             out = real_record(tape, data, parents, backward)
@@ -626,7 +626,7 @@ class TestPasses:
             passes.append(rng is not None)
             return real_predict(tape, batch, *args, rng=rng, **kwargs)
 
-        monkeypatch.setattr(Tape, "_record", record)
+        monkeypatch.setattr(Tape, "record", record)
         monkeypatch.setattr(Adam, "step", step)
         monkeypatch.setattr(training, "predict", counting_predict)
         samples = [s for pool in pools.values() for s in pool]
