@@ -55,8 +55,12 @@ _LOG_FLOOR = 1e-12
 # F = 140 (2-core VM, one BLAS thread), dense takes 0.7x the buckets' time at
 # 30-35 entries per edge, 0.86x at 35-40, about 1.0x at 40-50, 1.25x at 50-55
 # and 1.5x past 60. A 32-graph training batch (about 4.5 entries per edge)
-# takes 1.3 ms dense against 2.4 ms bucketed; a 600-atom pocket (about 145)
-# 4.9 ms dense against 1.3 ms bucketed. The n x n temporaries stay within a
+# takes 1.3 ms dense against 2.4 ms bucketed. On the benchmark's screening
+# pockets (seeds 1-3), the reached subgraphs the model runs on hold 17-29
+# entries per edge at 300 atoms (all dense) and 36-48 at 600 (8 of 18
+# bucketed); a pocket score took 2.23 ms with this rule, against 2.28 dense
+# only, 2.44 at 20 and 2.55 bucketed only, and a 32-sample training step
+# 38 ms, against 56 ms bucketed only. The n x n temporaries stay within a
 # constant factor of the edge list's size.
 _DENSE_ENTRIES_PER_EDGE = 40
 

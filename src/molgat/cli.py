@@ -327,10 +327,10 @@ def cmd_poses(args) -> int:
         raise _UsageError(f"--top values must be positive, got {','.join(map(str, args.top))}")
     params, config, _ = load_params(args.checkpoint)
     items = _scored_items(map(_with_rmsd, _cache_samples(args.cache)), params, config)
+    successes = [metrics.topn_success(items, n) for n in args.top]  # a refusal comes before any output
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for n in args.top:
-        success = metrics.topn_success(items, n)
+    for n, success in zip(args.top, successes):
         rows.append((n, repr(100.0 * success)))
         print(f"top-{n}: {100.0 * success:.2f}% of complexes have a <2 A pose")
     _write_csv(os.path.join(args.out, "topn_success.csv"), ("n", "success_pct"), rows)

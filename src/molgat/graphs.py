@@ -2,12 +2,14 @@
 
 A ``GraphSample`` stores only O(N) data for one complex: binary node
 features, coordinates (ligand rows first), the ligand/protein flag of each
-atom and the covalent bond list. The network consumes its ``edges``: the
-self-loops, both directions of every bond and both directions of every
-intermolecular contact (ligand-protein pairs closer than the contact cutoff),
-built on first access and kept with the sample. Pruning and the contact
-search go through ``chem.pairs_within``; the contact search compares ligand
-atoms with protein atoms only, so no N x N array is built. The dense views
+atom and the covalent bond list. The network consumes its ``reach``: the
+rows an intermolecular contact (a ligand-protein pair closer than the contact
+cutoff) can reach, with their self-loops and both directions of the bonds
+among them and of every contact; ``edges`` holds the same for all N atoms.
+Both are built on first access from one contact search and kept with the
+sample. Pruning and the contact search go through ``chem.pairs_within``; the
+contact search compares ligand atoms with protein atoms only, so no N x N
+array is built. The dense views
 ``a1`` (covalent adjacency with self-loops), ``dist`` (interatomic distances)
 and ``inter_mask`` (contact mask) are derived on access for inspection and
 tests. Gaussian contact weights are deliberately NOT materialized here; the
@@ -50,10 +52,9 @@ class Edges:
     each graph: graph g owns the ``sizes[g]`` nodes after those of graphs
     0..g-1, and no edge joins two graphs.
 
-    Three views are derived on first access and kept with the edge list: for
-    the edge kernels of ``autodiff``, ``blocks`` places every edge in its
-    graph's dense n x n block and ``buckets`` groups the rows by degree; for
-    the model, ``reach`` is the subgraph of the rows a contact can reach.
+    Two views are derived on first access and kept with the edge list, for
+    the edge kernels of ``autodiff``: ``blocks`` places every edge in its
+    graph's dense n x n block and ``buckets`` groups the rows by degree.
     """
 
     src: np.ndarray  # E int
@@ -137,36 +138,6 @@ class Edges:
         return [(rows, self.starts[rows][:, None] + np.arange(k))
                 for k, rows in zip(d.tolist(), np.split(order, first[1:]))]
 
-    @cached_property
-    def reach(self) -> tuple[np.ndarray, "Edges", np.ndarray]:
-        """The rows a contact can reach, and the edges among them:
-        ``(rows, subgraph, kept)``. ``rows`` holds, in increasing order, every
-        end of a contact edge, their neighbours, and each graph's first row
-        (so every graph keeps a row); ``kept`` the indices of the edges with
-        both ends in ``rows``; ``subgraph`` those edges with each row renumbered
-        to its position in ``rows``. The renumbering keeps the order, so the
-        subgraph is sorted, symmetric and self-looped as it stands; a contact
-        end keeps all its edges."""
-        ends = np.zeros(len(self.starts), dtype=bool)
-        ends[self.src[self.contact]] = True
-        reached = np.zeros_like(ends)
-        reached[self.dst[ends[self.src]]] = True
-        first = np.cumsum(self.sizes) - self.sizes
-        reached[first] = True
-        rows = np.flatnonzero(reached)
-        kept = np.flatnonzero(reached[self.src] & reached[self.dst])
-        renumber = np.cumsum(reached) - 1
-        subgraph = Edges(
-            src=renumber[self.src[kept]],
-            dst=renumber[self.dst[kept]],
-            starts=np.searchsorted(kept, self.starts[rows]),
-            rev=np.searchsorted(kept, self.rev[kept]),
-            contact=self.contact[kept],
-            dist=self.dist[kept],
-            sizes=np.add.reduceat(reached, first, dtype=np.int64),
-        )
-        return rows, subgraph, kept
-
 
 @dataclass
 class GraphSample:
@@ -185,16 +156,39 @@ class GraphSample:
         return self.features.shape[0]
 
     @cached_property
-    def edges(self) -> Edges:
-        """Self-loops, bonds and intermolecular contacts (d < 5 A) as a
-        sorted symmetric edge list; the contact search is ligand x protein.
-        Kept after the first access: a sample's arrays must not change in place."""
+    def _contacts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The intermolecular contacts (d < 5 A), from a ligand x protein
+        search: C x 2 ``(ligand row, protein row)`` pairs and C distances."""
         lig = np.flatnonzero(self.is_ligand)
         prot = np.flatnonzero(~self.is_ligand)
         li, pj, d = pairs_within(self.coords[lig], self.coords[prot], CONTACT_CUTOFF)
         close = d < CONTACT_CUTOFF
-        contacts = np.stack([lig[li[close]], prot[pj[close]]], axis=1)
-        return Edges.build(self.num_atoms, self.bonds, contacts, d[close])
+        return np.stack([lig[li[close]], prot[pj[close]]], axis=1), d[close]
+
+    @cached_property
+    def edges(self) -> Edges:
+        """Self-loops, bonds and intermolecular contacts as a sorted
+        symmetric edge list of all N atoms. Kept after the first access: a
+        sample's arrays must not change in place."""
+        return Edges.build(self.num_atoms, self.bonds, *self._contacts)
+
+    @cached_property
+    def reach(self) -> tuple[np.ndarray, Edges]:
+        """The graph the model runs on: ``(rows, subgraph)``. ``rows`` holds,
+        in increasing order, every end of a contact, the atoms bonded to
+        them, and row 0 (so a sample without contacts keeps a row);
+        ``subgraph`` their self-loops, the bonds among them and every
+        contact, each row renumbered to its position in ``rows``. A contact
+        end keeps all its edges. Kept after the first access, like ``edges``."""
+        contacts, dist = self._contacts
+        reached = np.zeros(self.num_atoms, dtype=bool)
+        reached[contacts] = True
+        reached[self.bonds[reached[self.bonds[:, ::-1]]]] = True  # the bond partners of the contact ends
+        reached[0] = True
+        rows = np.flatnonzero(reached)
+        renumber = np.cumsum(reached) - 1
+        bonds = self.bonds[reached[self.bonds].all(axis=1)]
+        return rows, Edges.build(len(rows), renumber[bonds], renumber[contacts], dist)
 
     @property
     def a1(self) -> np.ndarray:

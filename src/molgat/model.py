@@ -1,10 +1,10 @@
 """The dual-adjacency classifier: gated attention over covalent and contact
 graphs, sum pooling, and an MLP head.
 
-Both adjacencies live on one edge list per sample (``GraphSample.edges``):
-self-loops, both directions of every bond and of every intermolecular contact
-(opposite sides, d < 5 A). For every pass the contact adjacency's edge
-weights are materialized on the tape, on the edges the layers run on, as
+Both adjacencies live on one edge list: self-loops, both directions of every
+bond and of every intermolecular contact (opposite sides, d < 5 A). For every
+pass the contact adjacency's edge weights are materialized on the tape, on
+the edges the layers run on, as
 
     A2_e = 1                               on self-loop and bond edges
     A2_e = exp(-(d_e - mu)^2 / sigma)      on contact edges
@@ -15,12 +15,13 @@ stays positive. Each attention layer (``gat.gat_forward``) runs its shared
 weights over A1 and A2 and returns the contact branch minus the covalent
 branch, ``(1 - z) * ((att2 - att1) x W)``. An atom with no contact edge has
 att2 == att1, so its output is exactly zero at every layer; the layers run
-only on the rows a contact can reach (``Edges.reach``: the contact ends,
-their neighbours and each graph's first row), and a complex with no contacts
-keeps one row and pools to an exactly-zero vector. A layer costs
-O(R F^2 + E_R F) time and O(R F + E_R) memory for the R reached rows and
-the E_R edges among them (``autodiff`` takes the edge products of small
-graphs through a dense product bounded by a constant per edge). A training
+only on the rows a contact can reach (``GraphSample.reach``: the contact
+ends, the atoms bonded to them and row 0, with the edges among them), and a
+complex with no contacts keeps one row and pools to an exactly-zero vector.
+A layer costs O(R F^2 + E_R F) time and O(R F + E_R) memory for the R
+reached rows and the E_R edges among them (``autodiff`` takes the edge
+products of small graphs through a dense product bounded by a constant per
+edge). A training
 pass keeps every layer's values on the tape for the backward pass; ``score``
 runs on constant views of the weights (``ModelParams.constants``), records
 nothing, and so holds about one layer's values at a time. Node features are
@@ -34,13 +35,13 @@ pass records 26 nodes, its loss included; ``tests/composed.py`` keeps the
 one-operation-per-step form they must match bit for bit.
 
 ``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``
-of each sample's reached subgraph, which the sample's edge list keeps):
-every tape operation runs once per batch, pooling sums each graph's reached
-rows, and the output is a G x 1 column. Given an ``rng`` (training), it draws
-all dropout masks before the forward pass, sample by sample: each attention
-layer's N_s x F mask in layer order, then each hidden fully connected layer's
-1 x d mask. A layer's mask is drawn for all N_s rows and applied to the
-reached ones, so the draws do not depend on the reach.
+of each sample's reached subgraph, which the sample keeps): every tape
+operation runs once per batch, pooling sums each graph's reached rows, and
+the output is a G x 1 column. Given an ``rng`` (training), it draws all
+dropout masks before the forward pass, sample by sample: each attention
+layer's N_s x F mask in layer order, then each hidden fully connected
+layer's 1 x d mask. A layer's mask is drawn for all N_s rows and keeps the reached
+ones, so the draws do not depend on the reach.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def materialize_a2(tape: Tape, edges: Edges, mu: Value, sigma: Value) -> Value:
 
 def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Every dropout mask of a batch, drawn in the order ``predict`` states;
-    one mask per dropout site, the samples' rows stacked in batch order.
+    one mask per dropout site, the samples' rows stacked in batch order. An
+    attention layer's mask keeps the reached rows (``GraphSample.reach``).
 
     A site's mask is 0 where a unit drops (``rng.random() < rate``) and
     1 / (1 - rate) where it is kept. The masks equal those drawn with one
@@ -198,13 +200,15 @@ def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> li
     freeing one batch-wide draw (about 6 MB at the paper defaults) raises
     glibc's mmap threshold, and with it peak RSS."""
     rate = config.dropout_rate
+    layers = config.num_gat_layers
     hidden = [(1, d) for d in config.fc_dims[:-1]]
     per_sample = []
     for s in samples:
-        sites = [(s.num_atoms, config.gat_dim)] * config.num_gat_layers + hidden
+        sites = [(s.num_atoms, config.gat_dim)] * layers + hidden
         sizes = [r * c for r, c in sites]
         kept = np.split(rng.random(sum(sizes)) >= rate, np.cumsum(sizes)[:-1])
-        per_sample.append([k.reshape(shape) for k, shape in zip(kept, sites)])
+        kept = [k.reshape(shape) for k, shape in zip(kept, sites)]
+        per_sample.append([k[s.reach[0]] for k in kept[:layers]] + kept[layers:])
     return [np.concatenate(site) / (1.0 - rate) for site in zip(*per_sample)]
 
 
@@ -220,7 +224,7 @@ def predict(
     one row per sample in order.
 
     The batch runs as one block-diagonal graph of the samples' reached
-    subgraphs (``Edges.reach``, merged by ``Edges.merge``), so each tape
+    subgraphs (``GraphSample.reach``, merged by ``Edges.merge``), so each tape
     operation runs once per batch and each sample's row equals its score
     alone. A2 is materialized on the reached edges only; ``internals``, if
     given, receives A2 over all of the batch's edges (``a2``, in the order
@@ -229,8 +233,7 @@ def predict(
     drawn from it before the forward pass, sample by sample: the attention
     layers' N_s x F masks in layer order, then the hidden fully connected
     layers' 1 x d masks, the order in which one-sample forward passes would
-    draw them. An attention layer's mask is then restricted to the reached
-    rows."""
+    draw them. An attention layer's mask keeps the reached rows only."""
     if not samples:
         raise ValueError("predict needs at least one sample")
 
@@ -240,20 +243,17 @@ def predict(
     sigma = params.sigma_on(tape)
 
     # The layers run on the rows a contact can reach; every other row's
-    # output is exactly zero, so it adds nothing to the pooled sum. Each
-    # sample's reach is kept with its edge list, and the batch's is their
-    # block-diagonal merge, its rows offset by the atoms before them.
-    reach = [s.edges.reach for s in samples]
-    reached = Edges.merge([sub for _, sub, _ in reach])
-    first = np.cumsum([0] + [s.num_atoms for s in samples[:-1]])
-    rows = np.concatenate([r + k for (r, _, _), k in zip(reach, first)])
-    features = np.concatenate([s.features[r] for s, (r, _, _) in zip(samples, reach)])
+    # output is exactly zero, so it adds nothing to the pooled sum. The
+    # batch's graph is the block-diagonal merge of each sample's reach.
+    reach = [s.reach for s in samples]
+    reached = Edges.merge([sub for _, sub in reach])
+    features = np.concatenate([s.features[rows] for s, (rows, _) in zip(samples, reach)])
     a2 = materialize_a2(tape, reached, params.mu, sigma)
     h = tape.matmul(constant(features), params.embed)  # widened to float64 by constant
     for layer in params.layers:
         h = gat_forward(tape, h, reached, a2, layer)
         if masks is not None:
-            h = tape.dropout(h, next(masks)[rows])
+            h = tape.dropout(h, next(masks))
 
     pooled = tape.sum_rows(h, reached.sizes)
     y = pooled

@@ -228,8 +228,8 @@ def train(
     """Run the optimization loop and write checkpoints plus a CSV log.
 
     ``train_pools`` maps category name to a list of labeled GraphSamples.
-    Each sample builds its edge list on its first draw or on the first
-    validation pass that scores it, and keeps it (``GraphSample.edges``), so
+    Each sample builds its reached subgraph on its first draw or on the first
+    validation pass that scores it, and keeps it (``GraphSample.reach``), so
     neither a later draw nor a later validation pass rebuilds one.
     Each step runs its batch in passes of at most ``PASS_ATOMS`` atoms
     (``atom_passes``) and accumulates their gradients before one Adam step;

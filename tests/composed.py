@@ -8,8 +8,9 @@ rule. The functions here compute the same arithmetic in the same order
 through the tape's elementary operations, so their forward values must equal
 the fused ones bit for bit, and their gradients, which the tape derives step
 by step, must agree to rounding. ``composed_predict`` is the whole forward
-pass in that form, the batch's reach taken from the merged edge list as it
-was before each sample's reach was reused. Nothing under ``src/`` uses it.
+pass in that form, the batch's reach taken from the merged full edge list
+(``merged_reach``) instead of from each sample's ``GraphSample.reach``.
+Nothing under ``src/`` uses it.
 """
 
 import numpy as np
@@ -69,23 +70,52 @@ def composed_materialize_a2(tape, edges, mu, sigma):
     return tape.add(constant(1.0 - contact), tape.mul(gauss, constant(contact)))
 
 
+def merged_reach(edges):
+    """The rows a contact can reach in a merged edge list, and the edges
+    among them: ``(rows, subgraph, kept)``. ``rows`` holds, in increasing
+    order, every end of a contact edge, their neighbours, and each graph's
+    first row; ``kept`` the indices of the edges with both ends in ``rows``;
+    ``subgraph`` those edges with each row renumbered to its position in
+    ``rows``, which keeps them sorted, symmetric and self-looped."""
+    ends = np.zeros(len(edges.starts), dtype=bool)
+    ends[edges.src[edges.contact]] = True
+    reached = np.zeros_like(ends)
+    reached[edges.dst[ends[edges.src]]] = True
+    first = np.cumsum(edges.sizes) - edges.sizes
+    reached[first] = True
+    rows = np.flatnonzero(reached)
+    kept = np.flatnonzero(reached[edges.src] & reached[edges.dst])
+    renumber = np.cumsum(reached) - 1
+    subgraph = Edges(
+        src=renumber[edges.src[kept]],
+        dst=renumber[edges.dst[kept]],
+        starts=np.searchsorted(kept, edges.starts[rows]),
+        rev=np.searchsorted(kept, edges.rev[kept]),
+        contact=edges.contact[kept],
+        dist=edges.dist[kept],
+        sizes=np.add.reduceat(reached, first, dtype=np.int64),
+    )
+    return rows, subgraph, kept
+
+
 def composed_predict(tape, samples, params, config, rng=None):
-    """``model.predict`` with every chain composed: A2 on the merged edge
-    list, then the reached edges' rows of it, and each dense layer of the
-    head as a product, a broadcast and a sum."""
+    """``model.predict`` with every chain composed: A2 on the merged full
+    edge list, then the reached edges' rows of it, and each dense layer of
+    the head as a product, a broadcast and a sum. The dropout masks come
+    from ``model._dropout_masks``, which keeps each sample's reached rows."""
     masks = None
     if rng is not None and config.dropout_rate > 0:
         masks = iter(_dropout_masks(samples, config, rng))
     graph = Edges.merge([s.edges for s in samples])
     a2 = composed_materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
-    rows, reached, kept = graph.reach
+    rows, reached, kept = merged_reach(graph)
     features = np.concatenate([s.features for s in samples])[rows]
     h = tape.matmul(constant(features), params.embed)
     reached_a2 = tape.take_rows(a2, kept)
     for layer in params.layers:
         h = composed_gat_forward(tape, h, reached, reached_a2, layer)
         if masks is not None:
-            h = tape.dropout(h, next(masks)[rows])
+            h = tape.dropout(h, next(masks))
     y = tape.sum_rows(h, reached.sizes)
     last = len(params.fc) - 1
     for k, (w, b) in enumerate(params.fc):

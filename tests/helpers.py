@@ -1,9 +1,9 @@
 """Shared test utilities: the finite-difference gradient oracle, pocket-size
-graph samples, random edge lists, the dense view of per-edge values, a
-recorder of gradient shapes, the one-sample loss, one-site dropout mask
-and parameter count the tests check the model against, one atom's feature
-row, a record's ligand atom count, the rows of a training log, and a
-whole-file decode of a graph cache.
+graph samples and a long ligand in a contact shell, random edge lists, the
+dense view of per-edge values, a recorder of gradient shapes, the one-sample
+loss, one-site dropout mask and parameter count the tests check the model
+against, one atom's feature row, a record's ligand atom count, the rows of a
+training log, and a whole-file decode of a graph cache.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
@@ -89,6 +89,31 @@ def pocket_sample(n_atoms, seed, n_ligand=30):
         bonds=np.concatenate([lig_bonds, prot_bonds]).astype(np.int64),
         complex_id=f"pocket{n_atoms}-{seed}",
         protein_id="pocket",
+    )
+
+
+def ligand_in_a_shell(n_ligand, seed):
+    """A long bonded ligand chain (1.5 A steps along x, jittered) in a shell
+    of protein atoms 3-6 A from it at about heavy-atom protein density, with
+    random sparse binary features. Protein atoms closer than 1.6 A are
+    bonded. Each ligand atom touches only its part of the shell, so the
+    reached subgraph is large and sparse."""
+    rng = np.random.default_rng(seed)
+    lig = np.cumsum([1.5, 0.0, 0.0] + rng.normal(scale=0.2, size=(n_ligand, 3)), axis=0)
+    lo, hi = lig.min(axis=0) - 6.0, lig.max(axis=0) + 6.0
+    candidates = rng.uniform(lo, hi, size=(int(0.05 * np.prod(hi - lo)), 3))
+    gap = pairwise_distances(candidates, lig).min(axis=1)
+    prot = candidates[(gap > 3.0) & (gap < 6.0)]
+    close = np.triu(pairwise_distances(prot, prot) < 1.6, k=1)
+    lig_bonds = np.stack([np.arange(n_ligand - 1), np.arange(1, n_ligand)], axis=1)
+    n_atoms = n_ligand + len(prot)
+    return GraphSample(
+        features=(rng.random((n_atoms, 56)) < 0.1).astype(np.float64),
+        coords=np.concatenate([lig, prot]),
+        is_ligand=np.arange(n_atoms) < n_ligand,
+        bonds=np.concatenate([lig_bonds, np.argwhere(close) + n_ligand]).astype(np.int64),
+        complex_id=f"shell{n_ligand}-{seed}",
+        protein_id="shell",
     )
 
 

@@ -1106,6 +1106,18 @@ class TestStreaming:
         assert capsys.readouterr().err == f"error: {bad}: graph cache sample {count - 1}: complex_id is not UTF-8\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, message", [("evaluate", "no labeled samples to evaluate"),
+                                                  ("predict", "no samples to score"),
+                                                  ("poses", "no poses given")])
+    def test_empty_cache_is_two_and_writes_nothing(self, workspace, tmp_path, capsys, command, message):
+        empty = tmp_path / "empty.cache"
+        write_cache([], empty)
+        rc = main([command, SCORING_INPUTS[command][0], str(empty),
+                   "--checkpoint", str(workspace / "run" / "latest.ckpt"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "predict", "poses"])
     def test_each_sample_is_scored_once_in_cache_order(self, workspace, tmp_path, monkeypatch, command):
         flag, name = SCORING_INPUTS[command]

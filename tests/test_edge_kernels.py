@@ -11,7 +11,7 @@ from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
 from dense_oracle import gather_edge_dots, gather_edge_sums
-from helpers import pocket_sample, random_edges
+from helpers import ligand_in_a_shell, pocket_sample, random_edges
 
 
 def loops_and_a_chain():
@@ -99,3 +99,8 @@ def test_kernel_rule_picks_dense_for_training_batches_and_buckets_for_pockets():
     assert autodiff._dense(Edges.merge([s.edges for s in batch]))
     for n in (300, 600):
         assert not autodiff._dense(pocket_sample(n, seed=n).edges)
+    # the graphs the model runs on: the reached subgraphs
+    assert autodiff._dense(Edges.merge([s.reach[1] for s in batch]))
+    assert autodiff._dense(pocket_sample(300, seed=300).reach[1])
+    shell = ligand_in_a_shell(80, seed=1)
+    assert shell.num_atoms > 600 and not autodiff._dense(shell.reach[1])

@@ -274,7 +274,7 @@ def fused_cases():
 
     def pocket(rng):
         # the reached subgraph of a pocket, the rows the model runs the layer on
-        _, edges, _ = pocket_sample(300, seed=3).edges.reach
+        _, edges = pocket_sample(300, seed=3).reach
         a2 = np.where(edges.contact, rng.uniform(0.05, 1.0, size=len(edges.src)), 1.0)[:, None]
         params = init_gat_params(16, rng)
         params.b.data[...] = 0.3

@@ -27,6 +27,7 @@ from molgat.graphs import (
 )
 from molgat.synthetic import generate_corpus, generate_pose_set
 
+from composed import merged_reach
 from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_samples
 
 
@@ -295,15 +296,13 @@ class TestEdges:
         assert total == sum(len(p.starts) ** 2 for p in parts) == bounds[-1][2] + bounds[-1][1] ** 2
 
     @staticmethod
-    def assert_reach(edges):
-        """``edges.reach`` against its definition, row by row."""
-        rows, sub, kept = edges.reach
-        n = len(edges.starts)
+    def assert_reach(s):
+        """``s.reach`` against its definition on the full edge list ``s.edges``."""
+        rows, sub = s.reach
+        edges = s.edges
         ends = np.unique(edges.src[edges.contact])
-        expected = set(edges.dst[np.isin(edges.src, ends)].tolist())
-        expected |= set((np.cumsum(edges.sizes) - edges.sizes).tolist())
-        assert rows.tolist() == sorted(expected)
-        assert kept.tolist() == np.flatnonzero(np.isin(edges.src, rows) & np.isin(edges.dst, rows)).tolist()
+        assert rows.tolist() == sorted(set(edges.dst[np.isin(edges.src, ends)].tolist()) | {0})
+        kept = np.flatnonzero(np.isin(edges.src, rows) & np.isin(edges.dst, rows))
         r = len(rows)
         keys = sub.src * r + sub.dst
         assert np.all(np.diff(keys) > 0)  # sorted by (src, dst), each pair once
@@ -315,41 +314,39 @@ class TestEdges:
         assert np.array_equal(sub.rev[sub.rev], np.arange(len(sub.src)))
         assert np.array_equal(sub.src[sub.rev], sub.dst) and np.array_equal(kept[sub.rev], edges.rev[kept])
         assert np.array_equal(sub.src[sub.src == sub.dst], np.arange(r))  # a self-loop on every row
-        degree = np.bincount(edges.src, minlength=n)
+        degree = np.bincount(edges.src, minlength=s.num_atoms)
         sub_degree = np.bincount(sub.src, minlength=r)
         np.testing.assert_array_equal(sub_degree[np.searchsorted(rows, ends)], degree[ends])
-        bounds = np.cumsum(edges.sizes)
-        np.testing.assert_array_equal(sub.sizes, np.diff(np.searchsorted(rows, np.concatenate([[0], bounds]))))
-        return rows, sub, kept
+        assert sub.sizes.tolist() == [r]
+        for field in ("src", "dst", "starts", "rev", "contact", "dist", "sizes"):
+            assert getattr(sub, field).dtype == getattr(edges, field).dtype, field
+        assert rows.dtype == np.int64
+        return rows, sub
 
     def test_reach_is_the_sorted_symmetric_subgraph_of_the_reached_rows(self):
         samples = self.samples()
         for s in samples:
-            self.assert_reach(s.edges)
-        assert all(len(s.edges.reach[0]) < s.num_atoms / 2 for s in samples[-2:])  # the pockets
-        self.assert_reach(Edges.merge([s.edges for s in samples]))
+            self.assert_reach(s)
+        assert all(len(s.reach[0]) < s.num_atoms / 2 for s in samples[-2:])  # the pockets
 
     def test_reach_of_a_graph_without_contacts_keeps_its_first_row(self):
-        edges = build_sample(complex_with_protein_at([6.5, 7.7])).edges
-        assert not edges.contact.any()
-        rows, sub, kept = self.assert_reach(edges)
-        assert rows.tolist() == [0] and kept.tolist() == [0]
+        s = build_sample(complex_with_protein_at([6.5, 7.7]))
+        assert not s.edges.contact.any()
+        rows, sub = self.assert_reach(s)
+        assert rows.tolist() == [0]
         assert sub.src.tolist() == sub.dst.tolist() == [0] and sub.sizes.tolist() == [1]
-        samples = self.samples()
-        _, sub, _ = self.assert_reach(Edges.merge([samples[0].edges, edges, samples[-1].edges]))
-        assert sub.sizes[1] == 1
 
     def test_merge_then_reach_equals_reach_then_merge(self):
-        parts = [s.edges for s in self.samples()]
-        rows, sub, kept = Edges.merge(parts).reach
-        node_offsets = np.cumsum([0] + [len(p.starts) for p in parts[:-1]])
-        edge_offsets = np.cumsum([0] + [len(p.src) for p in parts[:-1]])
-        each = [p.reach for p in parts]
-        np.testing.assert_array_equal(rows, np.concatenate([r + k for (r, _, _), k in zip(each, node_offsets)]))
-        np.testing.assert_array_equal(kept, np.concatenate([e + k for (_, _, e), k in zip(each, edge_offsets)]))
-        merged = Edges.merge([sub_p for _, sub_p, _ in each])
+        # The reference pass reaches into the merged full edge list
+        # (tests/composed.py); predict merges each sample's reach.
+        samples = self.samples() + [build_sample(complex_with_protein_at([6.5, 7.7]))]
+        rows, sub, _ = merged_reach(Edges.merge([s.edges for s in samples]))
+        offsets = np.cumsum([0] + [s.num_atoms for s in samples[:-1]])
+        np.testing.assert_array_equal(rows, np.concatenate([s.reach[0] + k for s, k in zip(samples, offsets)]))
+        merged = Edges.merge([s.reach[1] for s in samples])
         for field in ("src", "dst", "starts", "rev", "contact", "dist", "sizes"):
             np.testing.assert_array_equal(getattr(sub, field), getattr(merged, field), err_msg=field)
+        assert merged.sizes[-1] == 1
 
 
 class TestRmsd:

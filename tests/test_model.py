@@ -374,7 +374,7 @@ class TestScore:
     def test_pocket_peak_memory_is_about_one_layer(self):
         s = pocket_sample(600, seed=35)
         params = fresh_params(ModelConfig(), seed=36)
-        score(s, params, ModelConfig())  # builds and caches the sample's edge list
+        score(s, params, ModelConfig())  # builds and caches the sample's reach
         tracemalloc.start()
         try:
             score(s, params, ModelConfig())
@@ -430,21 +430,40 @@ class TestScore:
 
 def test_dropout_masks_equal_per_site_draws():
     config = ModelConfig(num_gat_layers=3, gat_dim=8, fc_dims=(6, 5, 1), dropout_rate=0.3)
-    batch = mixed_batch()
-    # reference: one draw per site, sample by sample, in predict's order
+    batch = mixed_batch() + [pocket_sample(300, seed=19)]
+    # reference: one draw per site, sample by sample, in predict's order,
+    # each attention layer's mask cut to the sample's reached rows
     rng = np.random.default_rng(15)
     per_sample = [
-        [dropout_mask((s.num_atoms, 8), 0.3, rng) for _ in range(3)]
+        [dropout_mask((s.num_atoms, 8), 0.3, rng)[s.reach[0]] for _ in range(3)]
         + [dropout_mask((1, d), 0.3, rng) for d in (6, 5)]
         for s in batch
     ]
     expected = [np.concatenate(site) for site in zip(*per_sample)]
     rng = np.random.default_rng(15)
     masks = _dropout_masks(batch, config, rng)
-    assert [m.shape for m in masks] == [(sum(s.num_atoms for s in batch), 8)] * 3 + [(len(batch), 6), (len(batch), 5)]
+    reached = sum(len(s.reach[0]) for s in batch)
+    assert reached < sum(s.num_atoms for s in batch)
+    assert [m.shape for m in masks] == [(reached, 8)] * 3 + [(len(batch), 6), (len(batch), 5)]
     for got, want in zip(masks, expected, strict=True):
         np.testing.assert_array_equal(got, want)
-    assert rng.random() == np.random.default_rng(15).random(sum(m.size for m in masks) + 1)[-1]
+    drawn = sum(3 * s.num_atoms * 8 + 6 + 5 for s in batch)  # every row drawn, reached or not
+    assert rng.random() == np.random.default_rng(15).random(drawn + 1)[-1]
+
+
+def test_training_and_scoring_build_no_full_edge_list():
+    # The layers run on each sample's reach; only internals read the full edge list.
+    config = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
+    batch = mixed_batch() + [pocket_sample(300, seed=20)]
+    params = fresh_params(config, seed=21)
+    t = Tape()
+    t.backward(mean_bce(t, predict(t, batch, params, config, rng=np.random.default_rng(22)),
+                        [k % 2 for k in range(len(batch))]))
+    score(batch[-1], params, config)
+    assert not any("edges" in vars(s) for s in batch)
+    internals = {}
+    predict(Tape(), batch[:2], params, config, internals=internals)
+    assert internals["a2"].shape == (sum(len(s.edges.src) for s in batch[:2]), 1)
 
 
 class TestGradientsThroughModel:

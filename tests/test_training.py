@@ -309,25 +309,25 @@ class TestTrainLoop:
 
         from molgat.graphs import GraphSample
 
-        # fresh samples: the module's pools may already hold edges built by other tests
+        # fresh samples: the module's pools may already hold reaches built by other tests
         pools = {name: [dataclasses.replace(s) for s in pool] for name, pool in pools.items()}
         cfg = TrainConfig(batch_size=8, iterations=12, learning_rate=1e-3, seed=11, checkpoint_every=3)
         _, val = split_by_protein([s for pool in pools.values() for s in pool], 0.2, seed=11)
         builds = []
-        build = GraphSample.edges.func
+        build = GraphSample.reach.func
 
-        def counted_edges(sample):
+        def counted_edges(sample):  # the reached subgraph, the edges the model runs on
             builds.append(id(sample))
             return build(sample)
 
-        monkeypatch.setattr(GraphSample.edges, "func", counted_edges)
+        monkeypatch.setattr(GraphSample.reach, "func", counted_edges)
         kept = train(pools, val, TINY_MODEL, cfg, tmp_path / "kept")
         assert len(builds) == len(set(builds))  # each sample at most once
         assert {id(s) for s in val} <= set(builds)
         built_once = set(builds)
 
-        # the same run with every draw and every validation score rebuilding its edges
-        monkeypatch.setattr(GraphSample, "edges", property(counted_edges))
+        # the same run with every draw and every validation score rebuilding its reach
+        monkeypatch.setattr(GraphSample, "reach", property(counted_edges))
         builds.clear()
         rebuilt = train(pools, val, TINY_MODEL, cfg, tmp_path / "rebuilt")
         assert set(builds) == built_once and len(builds) > 12 * 8
