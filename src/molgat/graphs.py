@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .chem import CATEGORIES, N_FEATURES, ComplexRecord, featurize, ligand_first, select_atoms
+from .chem import CATEGORIES, N_FEATURES, ComplexRecord, _feature_rows, _with_atoms, ligand_first, select_atoms
+from .chem import featurize  # noqa: F401 - unused here; perfbench/spans.py and tests patch graphs.featurize
 from .chem import pairs_within, pairwise_distances, repeats
 from .errors import CheckpointError, DataError
 from .fileio import Reader, open_checked, write_checked
@@ -225,8 +226,7 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
         return rec
     if not (keep & ~is_lig).any():
         raise DataError(f"{rec.complex_id}: no protein atoms within {cutoff} A of the ligand")
-    atoms, bonds = select_atoms(rec.atoms, rec.bonds, keep)
-    return replace(rec, atoms=atoms, bonds=bonds)
+    return _with_atoms(rec, *select_atoms(rec.atoms, rec.bonds, keep))
 
 
 def build_sample(rec: ComplexRecord, stats: dict | None = None) -> GraphSample:
@@ -241,7 +241,7 @@ def build_sample(rec: ComplexRecord, stats: dict | None = None) -> GraphSample:
         raise DataError(f"{rec.complex_id}: non-finite coordinates")
     bonds = np.array([(b.i, b.j) for b in ordered.bonds], dtype=np.int64).reshape(-1, 2)
     return GraphSample(
-        features=featurize(ordered, stats),
+        features=_feature_rows(ordered.atoms, stats),
         coords=coords,
         is_ligand=np.array([a.is_ligand for a in ordered.atoms], dtype=bool),
         bonds=np.sort(bonds, axis=1),

@@ -2,9 +2,10 @@
 
 ``molgat.chem`` annotates atoms, selects and reorders atoms, validates
 records, builds feature rows and finds neighbour pairs with array operations.
-This module keeps the same steps written one atom and one bond at a time, and
-the cell list that ranks the 27 neighbour cells of every row, so tests can
-compare the two bit for bit. Nothing under ``src/`` uses it.
+It reads PDB entries with array passes over the lines. This module keeps the
+same steps written one line, one atom and one bond at a time, and the cell
+list that ranks the 27 neighbour cells of every row, so tests can compare the
+two bit for bit. Nothing under ``src/`` uses it.
 """
 
 import dataclasses
@@ -21,9 +22,51 @@ from molgat.chem import (
     _ELEMENT_INDEX,
     _ORDER_VALENCE,
 )
-from molgat.errors import DataError
+from molgat.errors import DataError, ParseError
 
 _NEIGHBOUR_STEPS = np.array([-1.0, 0.0, 1.0])
+
+
+def read_pdb_atoms(path):
+    """``(elements, coords, linenos)`` of the kept ATOM/HETATM lines of a PDB
+    file, read one line at a time; ``ParseError`` at the first faulty line,
+    unless a non-finite coordinate on an earlier line comes first."""
+    elements, positions, linenos = [], [], []
+    models, fault = 0, None
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            record = line[0:6].strip()
+            if record not in ("ATOM", "HETATM"):
+                if record == "MODEL":
+                    models += 1
+                    if models > 1:
+                        fault = "more than one MODEL (a multi-model file such as an NMR ensemble)", lineno
+                        break
+                continue
+            if len(line) < 54:
+                fault = "truncated coordinate record", lineno
+                break
+            if line[16:17] not in (" ", "", "A"):
+                continue
+            try:
+                positions.append((float(line[30:38]), float(line[38:46]), float(line[46:54])))
+            except ValueError:
+                fault = "bad coordinates", lineno
+                break
+            linenos.append(lineno)
+            element = line[76:78].strip() if len(line) >= 78 else ""
+            if not element:
+                letters = [c for c in line[12:16] if c.isalpha()]
+                element = letters[0] if letters else ""
+            elements.append(element.capitalize())
+
+    coords = np.array(positions, dtype=np.float64).reshape(-1, 3)
+    for lineno, xyz in zip(linenos, positions):
+        if not all(math.isfinite(c) for c in xyz):
+            raise ParseError("non-finite coordinates", path=path, line=lineno)
+    if fault:
+        raise ParseError(fault[0], path=path, line=fault[1])
+    return elements, coords, np.array(linenos, dtype=np.intp)
 
 
 def annotate(kept, bonds, is_ligand):

@@ -236,6 +236,19 @@ class TestFeaturize:
                 in capsys.readouterr().out)
         assert not (tmp_path / "pair.cache").exists()
 
+    def test_sdf_pdb_complex_is_validated_once(self, tmp_path, monkeypatch):
+        # parse_complex validates the record; pruning and building the sample only cut it
+        calls = []
+        real = chem.validate_record
+        monkeypatch.setattr(chem, "validate_record", lambda rec: calls.append(rec.complex_id) or real(rec))
+        sdf = tmp_path / "lig.sdf"
+        sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
+        pdb = tmp_path / "prot.pdb"
+        pdb.write_text("\n".join(triglycine_lines()) + "\n")  # atoms up to 10.2 A out: some are pruned
+        rc = main(["featurize", f"{sdf}:{pdb}", "--format", "sdf+pdb", "--out", str(tmp_path / "pair.cache")])
+        assert rc == 0 and calls == ["lig"]
+        assert read_cache(tmp_path / "pair.cache")[0].num_atoms < 17
+
     def test_sdf_pdb_pair(self, tmp_path, capsys):
         sdf = tmp_path / "lig.sdf"
         sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from molgat import chem, graphs
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, DataError
 from molgat.fileio import Reader, write_checked
@@ -33,6 +34,13 @@ from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_sample
 
 def atom(element, pos, is_ligand, degree=1):
     return Atom(element, tuple(float(c) for c in pos), is_ligand, degree, 0, 0, False)
+
+
+def reversed_atoms(rec):
+    """``rec`` with its atoms in reverse order (protein first) and the bonds renumbered."""
+    n = len(rec.atoms)
+    return ComplexRecord(rec.complex_id, rec.protein_id, rec.atoms[::-1],
+                         [Bond(n - 1 - b.j, n - 1 - b.i, b.order) for b in rec.bonds], rec.category, rec.label)
 
 
 def complex_with_protein_at(distances):
@@ -106,6 +114,22 @@ class TestPrune:
         with pytest.raises(DataError):
             prune_protein(rec)
 
+    def test_taken_records_pass_validation_without_running_it(self, monkeypatch):
+        # pruning cuts and ligand_first reorders a validated record; neither
+        # checks the result again, and each result passes the checks
+        calls = []
+        real = chem.validate_record
+        monkeypatch.setattr(chem, "validate_record", lambda rec: calls.append(rec.complex_id) or real(rec))
+        taken = []
+        for rec in generate_corpus(6, seed=12):
+            flipped = reversed_atoms(rec)
+            calls.clear()
+            taken += [prune_protein(rec), chem.ligand_first(flipped), prune_protein(flipped, cutoff=4.5)]
+            assert calls == []
+            assert len(taken[-1].atoms) < len(rec.atoms) and taken[-2].atoms[0].is_ligand
+        for rec in taken:
+            real(rec)
+
 
 class TestBuildSample:
     def fixture_record(self):
@@ -122,6 +146,22 @@ class TestBuildSample:
         ]
         bonds = [Bond(0, 1), Bond(0, 2), Bond(3, 7)]
         return ComplexRecord("fix", "p", atoms, bonds)
+
+    def test_ligand_first_runs_once_per_sample(self, monkeypatch):
+        calls = []
+        real = chem.ligand_first
+
+        def spy(rec):
+            calls.append(rec.complex_id)
+            return real(rec)
+
+        monkeypatch.setattr(chem, "ligand_first", spy)
+        monkeypatch.setattr(graphs, "ligand_first", spy)
+        records = [self.fixture_record(), reversed_atoms(self.fixture_record())]
+        samples = [build_sample(rec) for rec in records]
+        assert calls == ["fix", "fix"]
+        for rec, sample in zip(records, samples):
+            assert np.array_equal(sample.features, chem.featurize(rec))
 
     def test_adjacency_matches_hand_matrix(self):
         sample = build_sample(self.fixture_record())
