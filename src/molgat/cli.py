@@ -176,9 +176,8 @@ def cmd_featurize(args) -> int:
     failures = []
     category_counts: dict[str, int] = {}
 
-    def ingest_record(rec):
-        pruned = graphs.prune_protein(rec, cutoff=args.cutoff)
-        sample = graphs.build_sample(pruned, stats)
+    def ingest_pruned(rec):
+        sample = graphs.build_sample(rec, stats)
         samples.append(sample)
         category_counts[sample.category] = category_counts.get(sample.category, 0) + 1
 
@@ -187,7 +186,8 @@ def cmd_featurize(args) -> int:
             if args.format == "jsonl":
                 for lineno, line in chem.jsonl_lines(spec):
                     try:
-                        ingest_record(chem.record_from_json_line(line, path=spec, lineno=lineno))
+                        rec = chem.record_from_json_line(line, path=spec, lineno=lineno)
+                        ingest_pruned(graphs.prune_protein(rec, cutoff=args.cutoff))
                     except (DataError, ParseError) as exc:
                         failures.append(_escaped(f"{spec}:{lineno}: {exc}"))
             else:
@@ -196,8 +196,8 @@ def cmd_featurize(args) -> int:
                         f"sdf+pdb input must look like LIGAND.sdf:PROTEIN.pdb, got {spec!r}"
                     )
                 lig_path, prot_path = spec.split(":", 1)
-                rec = chem.parse_complex(lig_path, prot_path, category=args.category, stats=stats)
-                ingest_record(rec)
+                ingest_pruned(chem.parse_complex(lig_path, prot_path, category=args.category, stats=stats,
+                                                 cutoff=args.cutoff))
         except (DataError, ParseError, OSError) as exc:
             failures.append(_escaped(f"{spec}: {exc}"))
 

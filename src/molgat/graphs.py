@@ -7,9 +7,10 @@ rows an intermolecular contact (a ligand-protein pair closer than the contact
 cutoff) can reach, with their self-loops and both directions of the bonds
 among them and of every contact; ``edges`` holds the same for all N atoms.
 Both are built on first access from one contact search and kept with the
-sample. Pruning and the contact search go through ``chem.pairs_within``; the
-contact search compares ligand atoms with protein atoms only, so no N x N
-array is built. The dense views
+sample. Pruning goes through ``chem.protein_within``, the rule
+``chem.parse_complex`` also prunes a file pair by, and the contact search
+through ``chem.pairs_within``; both compare protein atoms with ligand atoms
+only, so no N x N array is built. The dense views
 ``a1`` (covalent adjacency with self-loops), ``dist`` (interatomic distances)
 and ``inter_mask`` (contact mask) are derived on access for inspection and
 tests. Gaussian contact weights are deliberately NOT materialized here; the
@@ -27,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .chem import CATEGORIES, N_FEATURES, ComplexRecord, _feature_rows, _with_atoms, ligand_first, select_atoms
-from .chem import featurize  # noqa: F401 - unused here; perfbench/spans.py and tests patch graphs.featurize
-from .chem import pairs_within, pairwise_distances, repeats
+from .chem import featurize  # noqa: F401 - unused here; perfbench/spans.py patches graphs.featurize
+from .chem import pairs_within, pairwise_distances, protein_within, repeats
 from .errors import CheckpointError, DataError
 from .fileio import Reader, open_checked, write_checked
 
@@ -217,15 +218,15 @@ def prune_protein(rec: ComplexRecord, cutoff: float = PRUNE_CUTOFF) -> ComplexRe
 
     Bonds touching removed atoms are dropped; per-atom annotations are kept
     as-is (they describe the unpruned molecule). Idempotent.
+    ``chem.parse_complex(..., cutoff=cutoff)`` returns the same record from
+    a file pair without assembling the whole one first.
     """
     coords = rec.coordinates()
     is_lig = np.array([a.is_ligand for a in rec.atoms], dtype=bool)
     keep = is_lig.copy()
-    keep[pairs_within(coords, coords[is_lig], cutoff)[0]] = True
+    keep[~is_lig] = protein_within(rec.complex_id, coords[~is_lig], coords[is_lig], cutoff)
     if keep.all():
         return rec
-    if not (keep & ~is_lig).any():
-        raise DataError(f"{rec.complex_id}: no protein atoms within {cutoff} A of the ligand")
     return _with_atoms(rec, *select_atoms(rec.atoms, rec.bonds, keep))
 
 

@@ -650,6 +650,24 @@ class TestParseComplex:
         with pytest.raises(DataError, match=re.escape("co: bond (0,1) repeats an earlier bond")):
             parse_complex(sdf, pdb)
 
+    @pytest.mark.parametrize("fault, shift", [(None, 30.0), ("repeat", 30.0), ("stem", 30.0), ("repeat", 0.0),
+                                              ("stem", 0.0)])
+    def test_record_fault_wins_over_the_prune_refusal(self, tmp_path, fault, shift):
+        # 30 A up, no protein atom is within the cutoff: a fault of the whole
+        # record is still reported first; in range, the pruned record has it
+        sdf = tmp_path / ("lig\udcff.sdf" if fault == "stem" else "lig.sdf")
+        bonds = METHANE_BONDS + [(1, 2, 1)] if fault == "repeat" else METHANE_BONDS
+        sdf.write_text(sdf_text([(x, y, z + shift, s) for x, y, z, s in METHANE_ATOMS], bonds))
+        pdb = tmp_path / "prot.pdb"
+        pdb.write_text("\n".join(triglycine_lines()) + "\n")
+        message = {
+            None: "lig: no protein atoms within 8.0 A of the ligand",
+            "repeat": "lig: bond (0,1) repeats an earlier bond",
+            "stem": "complex_id 'lig\\udcff' cannot be encoded as UTF-8",
+        }[fault]
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            parse_complex(sdf, pdb, cutoff=8.0)
+
     @pytest.mark.parametrize("side", ["ligand", "protein"])
     def test_side_without_a_supported_atom_rejected(self, tmp_path, side):
         sdf = tmp_path / "lig.sdf"

@@ -237,17 +237,36 @@ class TestFeaturize:
         assert not (tmp_path / "pair.cache").exists()
 
     def test_sdf_pdb_complex_is_validated_once(self, tmp_path, monkeypatch):
-        # parse_complex validates the record; pruning and building the sample only cut it
+        # parse_complex prunes the protein side, then validates the record of
+        # the kept atoms; building the sample only reorders it
         calls = []
         real = chem.validate_record
-        monkeypatch.setattr(chem, "validate_record", lambda rec: calls.append(rec.complex_id) or real(rec))
+        monkeypatch.setattr(chem, "validate_record",
+                            lambda rec: calls.append((rec.complex_id, len(rec.atoms))) or real(rec))
         sdf = tmp_path / "lig.sdf"
         sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
         pdb = tmp_path / "prot.pdb"
         pdb.write_text("\n".join(triglycine_lines()) + "\n")  # atoms up to 10.2 A out: some are pruned
         rc = main(["featurize", f"{sdf}:{pdb}", "--format", "sdf+pdb", "--out", str(tmp_path / "pair.cache")])
-        assert rc == 0 and calls == ["lig"]
-        assert read_cache(tmp_path / "pair.cache")[0].num_atoms < 17
+        kept = read_cache(tmp_path / "pair.cache")[0].num_atoms
+        assert rc == 0 and kept < 17 and calls == [("lig", kept)]
+
+    @pytest.mark.parametrize("repeated_bond", [False, True])
+    def test_sdf_pdb_complex_out_of_range_is_rejected(self, tmp_path, capsys, repeated_bond):
+        # the ligand lies 30 A above the triglycine: no protein atom is within
+        # the cutoff, and a fault of the ligand is still reported first
+        bonds = METHANE_BONDS + [(1, 2, 1)] if repeated_bond else METHANE_BONDS
+        sdf = tmp_path / "lig.sdf"
+        sdf.write_text(sdf_text([(x, y, z + 30.0, s) for x, y, z, s in METHANE_ATOMS], bonds))
+        pdb = tmp_path / "prot.pdb"
+        pdb.write_text("\n".join(triglycine_lines()) + "\n")
+        spec = f"{sdf}:{pdb}"
+        rc = main(["featurize", spec, "--format", "sdf+pdb", "--cutoff", "12.5", "--out", str(tmp_path / "far.cache")])
+        reason = ("bond (0,1) repeats an earlier bond" if repeated_bond
+                  else "no protein atoms within 12.5 A of the ligand")
+        assert rc == 2
+        assert capsys.readouterr().out.splitlines()[-1] == f"  rejected: {spec}: lig: {reason}"
+        assert not (tmp_path / "far.cache").exists()
 
     def test_sdf_pdb_pair(self, tmp_path, capsys):
         sdf = tmp_path / "lig.sdf"

@@ -111,7 +111,7 @@ class TestPrune:
 
     def test_all_protein_pruned_rejected(self):
         rec = complex_with_protein_at([20.0])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^c: no protein atoms within 8\.0 A of the ligand$"):
             prune_protein(rec)
 
     def test_taken_records_pass_validation_without_running_it(self, monkeypatch):

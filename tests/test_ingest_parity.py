@@ -1,8 +1,9 @@
 """Array-based ingestion against the per-atom reference in ``ingest_oracle``:
 seeded SDF/PDB pairs of 250, 700 and 3,000 protein atoms give the same atoms
 (values and Python types), the same bonds in the same order, the same
-``stats`` counts and byte-identical caches; feature rows and their clamp
-counts match; and faulty records fail with the same message."""
+``stats`` counts and byte-identical caches, whether the record is pruned
+after ``parse_complex`` or by it; feature rows and their clamp counts match;
+and faulty records fail with the same message."""
 
 import dataclasses
 
@@ -12,7 +13,7 @@ import pytest
 from molgat import chem, graphs
 from molgat.chem import Bond, parse_complex, parse_pdb_protein, parse_sdf_ligand
 from molgat.errors import DataError
-from molgat.graphs import build_sample, prune_protein, write_cache
+from molgat.graphs import PRUNE_CUTOFF, build_sample, prune_protein, write_cache
 from molgat.synthetic import generate_corpus
 
 import ingest_oracle
@@ -66,33 +67,41 @@ def reference(monkeypatch):
         bonds = [Bond(i, j, order) for (i, j), order in zip(ends.tolist(), orders)]
         return ingest_oracle.annotate(list(zip(elements, positions)), bonds, is_ligand)
 
+    def feature_rows(atoms, stats):
+        return np.array([ingest_oracle.atom_feature_row(a, stats) for a in atoms], dtype=np.uint8)
+
     def use():
         monkeypatch.setattr(chem, "_annotate", annotate)
         monkeypatch.setattr(chem, "_grid_pairs", lambda a, *args: ingest_oracle.grid_pairs(a, a, *args))
         monkeypatch.setattr(chem, "validate_record", ingest_oracle.validate_record)
+        monkeypatch.setattr(chem, "select_atoms", ingest_oracle.select_atoms)
         monkeypatch.setattr(graphs, "select_atoms", ingest_oracle.select_atoms)
         monkeypatch.setattr(graphs, "ligand_first", ingest_oracle.ligand_first)
-        monkeypatch.setattr(graphs, "featurize", ingest_oracle.featurize)
+        monkeypatch.setattr(graphs, "_feature_rows", feature_rows)
 
     return use
 
 
-def ingest(sdf, pdb, cache):
+def ingest(sdf, pdb, cache, pruned_by_parse=False):
+    """Parse, prune and cache one pair: pruned after ``parse_complex``, or by
+    it as ``featurize`` does."""
     stats = {}
     parts = (parse_sdf_ligand(sdf, dict(stats)), parse_pdb_protein(pdb, dict(stats)))
-    rec = parse_complex(sdf, pdb, "dude_active", stats)
-    pruned = prune_protein(rec)
+    if pruned_by_parse:
+        rec = pruned = parse_complex(sdf, pdb, "dude_active", stats, cutoff=PRUNE_CUTOFF)
+    else:
+        rec = parse_complex(sdf, pdb, "dude_active", stats)
+        pruned = prune_protein(rec)
     write_cache([build_sample(pruned, stats)], cache)
     return parts, rec, pruned, stats, cache.read_bytes()
 
 
-@pytest.mark.parametrize("n", [250, 700, 3000])
-def test_pairs_match_the_per_atom_reference(tmp_path, reference, n):
+def check_pair(tmp_path, reference, n, pruned_by_parse):
     rng = np.random.default_rng(n)
     sdf, pdb = write_pair(tmp_path, n, rng)
-    got = ingest(sdf, pdb, tmp_path / "array.cache")
+    got = ingest(sdf, pdb, tmp_path / "array.cache", pruned_by_parse)
     reference()
-    want = ingest(sdf, pdb, tmp_path / "oracle.cache")
+    want = ingest(sdf, pdb, tmp_path / "oracle.cache", pruned_by_parse)
 
     (lig, prot), rec, pruned, stats, cache = got
     assert stats == want[3] and stats["dropped_atoms"] > 0
@@ -105,6 +114,34 @@ def test_pairs_match_the_per_atom_reference(tmp_path, reference, n):
     assert any(b.order == "aromatic" for b in lig[1]) and any(a.element == "H" for a in prot[0])
     assert len(prot[1]) > len(prot[0]) // 3
     assert all(type(c) is float for a in rec.atoms for c in a.position)
+
+
+@pytest.mark.parametrize("n", [250, 700, 3000])
+def test_pairs_match_the_per_atom_reference(tmp_path, reference, n):
+    check_pair(tmp_path, reference, n, pruned_by_parse=False)
+
+
+@pytest.mark.parametrize("n", [250, 700, 3000])
+def test_pairs_pruned_by_parse_complex_match_the_per_atom_reference(tmp_path, reference, n):
+    check_pair(tmp_path, reference, n, pruned_by_parse=True)
+
+
+@pytest.mark.parametrize("cutoff", [4.5, 8.0, 12.0])
+@pytest.mark.parametrize("n", [250, 700, 3000])
+def test_parse_complex_prunes_like_prune_protein(tmp_path, n, cutoff):
+    sdf, pdb = write_pair(tmp_path, n, np.random.default_rng(n))
+    counts = {}, {}
+    whole = parse_complex(sdf, pdb, "dude_active", counts[0])
+    after = prune_protein(whole, cutoff)
+    pruned = parse_complex(sdf, pdb, "dude_active", counts[1], cutoff=cutoff)
+    assert repr(pruned) == repr(after) and counts[0] == counts[1]
+    if (n, cutoff) != (250, 12.0):  # that box lies wholly within 12 A of the ligand
+        assert len(pruned.atoms) < len(whole.atoms)
+    caches = []
+    for name, rec in (("after", after), ("in_parse", pruned)):
+        write_cache([build_sample(rec, {})], tmp_path / f"{name}.cache")
+        caches.append((tmp_path / f"{name}.cache").read_bytes())
+    assert caches[0] == caches[1]
 
 
 def test_feature_rows_match_the_per_atom_reference():
