@@ -15,10 +15,12 @@ The distance helpers live here, below their users: ``pairs_within`` is the one
 neighbour search behind every distance cutoff (covalent-radius bonds and
 pruning here, contacts in ``graphs``, the label rule in ``synthetic``). Only
 bond inference searches one point set against itself, over a whole PDB
-entry; that search takes a cell list, O(N + pairs) in time and memory, when
-the entry has more than ``_PAIR_BLOCK`` atoms, all less than 2**17 cells from
-the origin. Every other search (pruning and contacts against the ligand's
-rows, small graphs) takes blocked dense distances, and so does an entry with
+entry; that search takes a cell list when the entry has more than
+``_PAIR_BLOCK`` atoms, all less than 2**17 cells from the origin. It sorts
+the rows by cell key once and reads each row's neighbours as five contiguous
+runs of the sorted rows: O(N log N + pairs) in time, O(N + pairs) in memory.
+Every other search (pruning and contacts against the ligand's rows, small
+graphs) takes blocked dense distances, and so does an entry with
 an atom beyond that clip, such as a PDB x field reading ``1e300``: it is
 compared in blocks of ``_PAIR_BLOCK`` rows. Both paths return the same bits.
 Inputs must be finite: the PDB reader rejects a non-finite coordinate at its
@@ -52,6 +54,7 @@ SCHEMA_VERSION = 1
 
 ELEMENTS = ("C", "N", "O", "S", "F", "P", "Cl", "Br", "B", "H")
 _ELEMENT_INDEX = {e: i for i, e in enumerate(ELEMENTS)}
+_SYMBOLS = np.array(ELEMENTS, dtype=object)
 
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
 _ORDER_VALENCE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
@@ -84,6 +87,7 @@ COVALENT_RADII = {
     "Cl": 1.02,
     "Br": 1.20,
 }
+_COVALENT_RADII = np.array([COVALENT_RADII[symbol] for symbol in ELEMENTS])
 BOND_INFERENCE_FACTOR = 1.3
 _PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs a longer set
 
@@ -92,20 +96,17 @@ _PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs
 # wide, where a distance that passes the test cannot come from underflowed
 # squares (``featurize --cutoff`` passes any positive float). Rows less than
 # 2**17 cells from the origin on every axis (1.1e5 A at the narrowest bond search)
-# are numbered by one exact int64 key below 2**55; a set with a row farther
-# out, which an 8-column PDB field reading ``1e300`` gives, is compared densely.
+# are numbered by one exact int64 key below 2**55 whose last digit is z, so a
+# sort by key lays out each (x, y) column's cells in z order; a set with a row
+# farther out, which an 8-column PDB field reading ``1e300`` gives, is
+# compared densely.
 _GRID_MARGIN = 1.0 + 1e-12
 _GRID_MIN_WIDTH = 1e-150
 _GRID_CLIP = 2**17
-# The 13 cell offsets after (0, 0, 0) in lexicographic order; the other 13
-# neighbours are their reverses.
-_HALF_SHELL = np.array([
-    (0, 0, 1),
-    (0, 1, -1), (0, 1, 0), (0, 1, 1),
-    (1, -1, -1), (1, -1, 0), (1, -1, 1),
-    (1, 0, -1), (1, 0, 0), (1, 0, 1),
-    (1, 1, -1), (1, 1, 0), (1, 1, 1),
-])
+# The (dx, dy) columns of the half shell other than (0, 0): the 13 cell offsets
+# after (0, 0, 0) in lexicographic order are (0, 0, 1) and these four columns
+# at dz = -1, 0 and +1; the other 13 neighbours are their reverses.
+_GRID_COLUMNS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)], dtype=np.int64)
 
 # Typical valence used when deriving implicit valence from explicit bonds.
 STANDARD_VALENCE = {
@@ -348,7 +349,9 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     - a cell list (``_grid_pairs``) for a search of one array against itself
       (``a is b``, as in bond inference) of more than ``_PAIR_BLOCK`` rows,
       all less than ``_GRID_CLIP`` cells from the origin on every axis (at
-      least 1.1e5 A for any bond search): O(M + pairs) time and memory;
+      least 1.1e5 A for any bond search): the rows sorted by cell, and each
+      row's half shell five runs of them; O(M log M + pairs) time, O(M +
+      pairs) memory;
     - otherwise blocked dense distances (``_dense_pairs``): O(M K) time,
       memory linear in K. This serves pruning and the contact search, whose
       ``b`` is a ligand, and small graphs. An entry with a row beyond the
@@ -396,44 +399,45 @@ def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
     Space is cut into cubes ``width`` wide, slightly wider than ``cutoff``, so
     every pair the distance test accepts lies in the same or an adjacent cell,
     even after the rounding of its distance. Cell coordinates shifted by
-    ``_GRID_CLIP + 1`` lie in 1..span-2, so ``(qx * span + qy) * span + qz``
-    numbers a row's cell and its 26 neighbours exactly, each by its own key.
-    The occupied cells are the distinct keys of the rows, and each one's
-    neighbours at the 13 offsets of ``_HALF_SHELL`` are looked up once among
-    them. The candidates are the rows of a cell against the rows of the same
-    cell and of each half-shell neighbour; the pairs across two cells are
-    found once and mirrored, since ``(a_i - a_j)**2`` and ``(a_j - a_i)**2``
-    have the same bits.
+    ``_GRID_CLIP + 1`` lie in 1..span-2, so the key ``(qx * span + qy) * span
+    + qz`` numbers a row's cell and its 26 neighbours exactly, and the three
+    cells at dz = -1, 0 and +1 of any (x, y) column hold the consecutive keys
+    ``k + c - 1 .. k + c + 1``, where ``k`` is the row's key and ``c`` the
+    column's offset. With the rows sorted by key, a row's half shell is five
+    contiguous runs of the sorted rows, each bounded by ``searchsorted``: its
+    own column from the next sorted row up to key ``k + 1``, and the columns
+    of ``_GRID_COLUMNS``. So every unordered pair of distinct rows is a
+    candidate once, whatever the order of the rows of one cell. The pairs
+    accepted are mirrored, since ``(a_i - a_j)**2`` and ``(a_j - a_i)**2``
+    have the same bits, and each row meets itself at distance 0 when
+    ``cutoff >= 0``.
     """
-    span = 2 * _GRID_CLIP + 2
-    place = np.array([span * span, span, 1])
+    n, span = len(a), 2 * _GRID_CLIP + 2
     q = np.floor_divide(a, width).astype(np.int64) + (_GRID_CLIP + 1)
-    cells, cell = np.unique(q @ place, return_inverse=True)
-    neighbours = _rank(cells, cells[:, None] + _HALF_SHELL @ place)
-    own = np.arange(len(neighbours))
-    near = neighbours >= 0
-    src = np.concatenate([own, np.broadcast_to(own[:, None], near.shape)[near]])
-    dst = np.concatenate([own, neighbours[near]])
-    count = np.bincount(cell, minlength=len(own))
-    order, start = np.argsort(cell, kind="stable"), np.cumsum(count) - count
-    # candidates as positions in the cell-sorted rows
-    rows = count[src]
-    per_row = np.repeat(count[dst], rows)
-    i = np.repeat(_ranges(start[src], rows), per_row)
-    j = _ranges(np.repeat(start[dst], rows), per_row)
-    d = np.zeros(len(i))  # summed as in ``pairwise_distances``; 0.0 + x*x is x*x
-    for k in range(3):
-        x = a[order, k]
-        t = x[i]
-        t -= x[j]
+    key = (q[:, 0] * span + q[:, 1]) * span + q[:, 2]
+    order = np.argsort(key)
+    key = key[order]
+    # candidates as positions in the key-sorted rows: five ranges per row
+    columns = _GRID_COLUMNS @ [span * span, span]
+    start = np.concatenate([np.arange(1, n + 1)] + [np.searchsorted(key, key + (c - 1)) for c in columns])
+    end = np.concatenate([np.searchsorted(key, key + (c + 1), side="right") for c in (0, *columns)])
+    count = end - start
+    i = np.repeat(np.tile(np.arange(n), 1 + len(columns)), count)
+    j = _ranges(start, count)
+    x, y, z = a[order].T.copy()  # contiguous axes gather fastest
+    d = x[i] - x[j]  # summed as in ``pairwise_distances``
+    d *= d
+    for axis in (y, z):
+        t = axis[i] - axis[j]
         t *= t
         d += t
     np.sqrt(d, out=d)
     keep = np.flatnonzero(d <= cutoff)
     i, j, d = order[i[keep]], order[j[keep]], d[keep]
-    mirror = keep >= count @ count  # past the same-cell candidates, which hold both orders
-    i, j, d = np.concatenate([i, j[mirror]]), np.concatenate([j, i[mirror]]), np.concatenate([d, d[mirror]])
-    s = np.argsort(i * len(a) + j)
+    own = np.arange(n) if cutoff >= 0 else np.empty(0, np.intp)
+    i, j = np.concatenate([i, j, own]), np.concatenate([j, i, own])
+    d = np.concatenate([d, d, np.zeros(len(own))])
+    s = np.argsort(i * n + j)
     return i[s], j[s], d[s]
 
 
@@ -441,13 +445,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
-
-
-def _rank(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of every entry of ``x`` in the sorted, unique ``sorted_values``; -1 where absent."""
-    r = np.searchsorted(sorted_values, x)
-    hit = sorted_values[np.minimum(r, len(sorted_values) - 1)] == x
-    return np.where(hit, r, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -689,16 +686,16 @@ def parse_pdb_protein(path, stats: dict | None = None):
 
     The lines are read by ``_read_pdb_atoms`` in array passes; the bond
     search (``_infer_bonds``), sized by the elements present, and the
-    annotations are array work too. On a 4,000-atom entry (8.0 ms) the
-    reader takes about a tenth of the time, the bond search a little under
-    half, and building the per-atom objects the rest.
+    annotations are array work too. On a 4,000-atom entry (11 ms) the
+    reader takes about an eighth of the time, the bond search about two
+    fifths, and building the per-atom objects the rest.
     """
     elements, coords, _ = _read_pdb_atoms(path)
-    rows = np.flatnonzero(_supported(elements, stats))
-    if len(rows) < len(elements):
-        elements, coords = [elements[k] for k in rows.tolist()], coords[rows]
-    ends = _infer_bonds(elements, coords)
-    return _annotate(elements, list(map(tuple, coords.tolist())), ends, ["single"] * len(ends), is_ligand=False)
+    element = _element_codes(elements, stats)
+    kept = element >= 0
+    element, coords = element[kept], coords[kept]
+    ends = _infer_bonds(element, coords)
+    return _annotate(element, list(map(tuple, coords.tolist())), ends, ["single"] * len(ends), is_ligand=False)
 
 
 _STRIP = np.frombuffer(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", np.uint8)  # the ASCII characters ``str.strip`` removes
@@ -836,26 +833,29 @@ def _read_line(line: str):
     return element.capitalize(), position
 
 
-def _infer_bonds(elements, coords: np.ndarray) -> np.ndarray:
+def _infer_bonds(element: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Single bonds between atoms closer than the radius cutoff, as a K x 2
-    array ordered by ``(i, j)`` with ``i < j``.
+    array ordered by ``(i, j)`` with ``i < j``; ``element`` holds each atom's
+    index in ``ELEMENTS``.
 
     The search reaches ``1.3 x 2 x`` the widest radius among the elements
     present (2.73 A with sulfur, 1.98 A for C, N, O and H), which no bonded
     pair exceeds: ``1.3 (r_i + r_j)`` rounds to at most that in floats."""
-    radii = np.array([COVALENT_RADII[symbol] for symbol in elements])
+    radii = _COVALENT_RADII[element]
     widest = radii.max(initial=0.0)
     i, j, d = pairs_within(coords, coords, BOND_INFERENCE_FACTOR * (widest + widest))
     bonded = (j > i) & (d < BOND_INFERENCE_FACTOR * (radii[i] + radii[j]))
     return np.stack([i[bonded], j[bonded]], axis=1)
 
 
-def _supported(symbols, stats: dict | None) -> np.ndarray:
-    """Flags for atoms of supported elements; the others count in ``stats``."""
-    keep = np.array([symbol in _ELEMENT_INDEX for symbol in symbols], dtype=bool)
-    if stats is not None and not keep.all():
-        stats["dropped_atoms"] = stats.get("dropped_atoms", 0) + len(keep) - int(keep.sum())
-    return keep
+def _element_codes(symbols, stats: dict | None) -> np.ndarray:
+    """The index of each symbol in ``ELEMENTS``, the one lookup per atom of a
+    side; -1 for an unsupported element, and those count in ``stats``."""
+    element = np.array([_ELEMENT_INDEX.get(symbol, -1) for symbol in symbols], dtype=np.intp)
+    dropped = int((element < 0).sum())
+    if stats is not None and dropped:
+        stats["dropped_atoms"] = stats.get("dropped_atoms", 0) + dropped
+    return element
 
 
 def _coordinates(positions) -> np.ndarray:
@@ -867,12 +867,13 @@ def _coordinates(positions) -> np.ndarray:
 def _assemble_side(raw_atoms, raw_bonds, is_ligand: bool, stats: dict | None):
     """Drop unsupported elements with their bonds, renumber the rest, derive
     per-atom annotations: ``(atoms, bonds)``."""
-    keep = _supported([symbol for symbol, _ in raw_atoms], stats)
+    element = _element_codes([symbol for symbol, _ in raw_atoms], stats)
+    keep = element >= 0
     rows = np.flatnonzero(keep).tolist()
     ends = np.array([(i, j) for i, j, _ in raw_bonds], dtype=np.intp).reshape(-1, 2)
     inside = np.flatnonzero(keep[ends].all(axis=1))
     return _annotate(
-        [raw_atoms[k][0] for k in rows],
+        element[keep],
         [tuple(map(float, raw_atoms[k][1])) for k in rows],
         (np.cumsum(keep) - 1)[ends[inside]],
         [raw_bonds[k][2] for k in inside.tolist()],
@@ -880,22 +881,22 @@ def _assemble_side(raw_atoms, raw_bonds, is_ligand: bool, stats: dict | None):
     )
 
 
-def _annotate(elements, positions, ends: np.ndarray, orders: list, is_ligand: bool):
+def _annotate(element: np.ndarray, positions, ends: np.ndarray, orders: list, is_ligand: bool):
     """Atoms with degree, hydrogen, valence and aromatic annotations, and their
-    bonds: ``ends`` (K x 2) and ``orders`` describe one bond per row.
+    bonds: ``element`` holds each atom's index in ``ELEMENTS``, and ``ends``
+    (K x 2) and ``orders`` describe one bond per row.
 
     Each annotation is one count over both ends of every bond. The valence a
     bond uses is a multiple of 0.5, so its sums are exact in any order."""
-    n = len(elements)
+    n = len(element)
     end, other = np.concatenate([ends, ends[:, ::-1]]).T
     order = np.tile(np.array([BOND_ORDERS.index(o) for o in orders], dtype=np.intp), 2)
-    element = np.array([_ELEMENT_INDEX[symbol] for symbol in elements], dtype=np.intp)
     used = np.bincount(end, weights=_BOND_VALENCE[order], minlength=n)
     standard = _STANDARD_VALENCE[element]
     hydrogen = element == _ELEMENT_INDEX["H"]
     aromatic_bond = order == BOND_ORDERS.index("aromatic")
     atoms = list(map(
-        Atom, elements, positions, itertools.repeat(is_ligand, n),
+        Atom, _SYMBOLS[element].tolist(), positions, itertools.repeat(is_ligand, n),
         np.bincount(end, minlength=n).tolist(),
         np.bincount(end[hydrogen[other]], minlength=n).tolist(),
         np.maximum(np.floor(standard - used), 0).astype(np.int64).tolist(),

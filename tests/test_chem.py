@@ -28,6 +28,7 @@ from molgat.chem import (
 )
 from molgat.errors import DataError, ParseError
 
+import ingest_oracle
 from helpers import atom_feature_row, num_ligand_atoms
 
 
@@ -715,8 +716,10 @@ class TestPairsWithin:
         # the 13 offsets after (0, 0, 0) in lexicographic order
         shell = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
                  if (dx, dy, dz) > (0, 0, 0)]
-        assert chem._HALF_SHELL.tolist() == [list(o) for o in shell]
-        assert chem._HALF_SHELL.dtype == np.int64
+        # their distinct (dx, dy) columns other than (0, 0), in the same order
+        columns = list(dict.fromkeys((dx, dy) for dx, dy, _ in shell if (dx, dy) != (0, 0)))
+        assert chem._GRID_COLUMNS.tolist() == [list(c) for c in columns]
+        assert chem._GRID_COLUMNS.dtype == np.int64
 
     def test_matches_brute_force_oracle(self, grid_calls):
         # searches across two sets take the dense path: 700 and 257 rows of
@@ -807,6 +810,69 @@ class TestPairsWithin:
         assert grid_calls == []
         assert self.assert_matches_oracle(pts, pts, 4.0) == 300 * 300
         assert grid_calls == [300]
+
+    @staticmethod
+    def assert_matches_cell_oracle(a, cutoff):
+        """The grid's self-search of ``a`` against the cell list that ranks
+        all 27 neighbour cells of every row, bit for bit, and no row pair
+        found twice."""
+        width = max(cutoff, chem._GRID_MIN_WIDTH) * chem._GRID_MARGIN
+        got = pairs_within(a, a, cutoff)
+        want = ingest_oracle.grid_pairs(a, a, cutoff, width)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        i, j, _ = got
+        assert len(np.unique(i * len(a) + j)) == len(i)
+        return got
+
+    def test_grid_one_column_across_many_z_cells(self, grid_calls):
+        # 320 rows in one (x, y) column over 80 z cells: at every z face two
+        # rows 1e-9 A either side of it and two half a cutoff either side, so
+        # each row's own-column run reaches into the next cell up
+        cutoff = 2.5
+        width = cutoff * chem._GRID_MARGIN
+        faces = width * np.arange(-40.0, 40.0)
+        z = np.concatenate([faces + s for s in (-1e-9, 1e-9, -0.5 * cutoff, 0.5 * cutoff)])
+        a = np.stack([np.full(320, 0.3), np.full(320, 1.1), z], axis=1)
+        assert self.assert_matches_oracle(a, a, cutoff) > 320 * 3
+        i, j, _ = self.assert_matches_cell_oracle(a, cutoff)
+        q = np.floor_divide(a, width).astype(np.int64)
+        assert np.unique(q[:, :2], axis=0).shape == (1, 2)
+        assert set((q[j, 2] - q[i, 2]).tolist()) == {-1, 0, 1}
+        assert grid_calls == [320] * 2
+
+    def test_grid_rows_in_every_neighbour_cell(self, grid_calls):
+        # twelve rows in each of the 27 cells around one cell: pairs are found
+        # at all 26 neighbour offsets, which puts rows of each (dx, dy) column
+        # of the half shell at dz = -1, 0 and +1 of one another
+        cutoff = 3.12
+        width = cutoff * chem._GRID_MARGIN
+        cells = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+        rng = np.random.default_rng(45)
+        a = (np.repeat(cells, 12, axis=0) + rng.uniform(0.0, 1.0, size=(27 * 12, 3))) * width
+        assert self.assert_matches_oracle(a, a, cutoff) > 1000
+        i, j, _ = self.assert_matches_cell_oracle(a, cutoff)
+        q = np.floor_divide(a, width).astype(np.int64)
+        assert set(map(tuple, (q[j] - q[i]).tolist())) == set(cells)
+        assert grid_calls == [27 * 12] * 2
+
+    def test_grid_finds_each_pair_once(self, grid_calls):
+        # a jittered lattice of rotated lines like a PDB entry's heavy atoms
+        # (1.5 A along a line, 3.4 A between lines, 3-decimal coordinates) at
+        # the bond search's radii, and 300 rows at one point
+        rng = np.random.default_rng(46)
+        line = np.arange(-10.0, 10.0, 1.5)
+        across = np.arange(-10.0, 10.0, 3.4)
+        grid = np.stack(np.meshgrid(line, across, across, indexing="ij"), axis=-1).reshape(-1, 3)
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        lattice = np.round((grid + rng.normal(scale=0.1, size=grid.shape)) @ rotation, 3)
+        for cutoff in (1.976, 2.73, 3.12):
+            assert self.assert_matches_oracle(lattice, lattice, cutoff) > len(lattice) * 2
+            self.assert_matches_cell_oracle(lattice, cutoff)
+        pts = np.full((300, 3), -1.25)
+        i, j, _ = self.assert_matches_cell_oracle(pts, 4.0)
+        assert len(i) == 300 * 300
+        assert grid_calls == [len(lattice)] * 6 + [300]
 
     @pytest.mark.parametrize("far", [1e17, -1e17])
     def test_grid_far_outlier(self, grid_calls, far):

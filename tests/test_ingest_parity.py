@@ -63,9 +63,10 @@ def write_pair(tmp_path, n, rng):
 def reference(monkeypatch):
     """Swaps the per-atom reference in for the array-based steps."""
 
-    def annotate(elements, positions, ends, orders, is_ligand):
+    def annotate(element, positions, ends, orders, is_ligand):
         bonds = [Bond(i, j, order) for (i, j), order in zip(ends.tolist(), orders)]
-        return ingest_oracle.annotate(list(zip(elements, positions)), bonds, is_ligand)
+        symbols = [chem.ELEMENTS[k] for k in element.tolist()]
+        return ingest_oracle.annotate(list(zip(symbols, positions)), bonds, is_ligand)
 
     def feature_rows(atoms, stats):
         return np.array([ingest_oracle.atom_feature_row(a, stats) for a in atoms], dtype=np.uint8)

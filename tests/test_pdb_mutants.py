@@ -222,7 +222,7 @@ def test_bonds_match_brute_force_at_the_radius_of_the_elements_present(monkeypat
     side = (n / 0.09) ** (1 / 3)
     elements = [rng.choice(present) for _ in range(n)]
     coords = np.round(np.array([[rng.uniform(0, side) for _ in range(3)] for _ in range(n)]), 3)
-    got = chem._infer_bonds(elements, coords)
+    got = chem._infer_bonds(chem._element_codes(elements, None), coords)
     want = brute_force_bonds(elements, coords)
     assert got.tolist() == want.tolist() and len(want) > 5
     assert cutoffs == [pytest.approx(radius, abs=1e-12)]
