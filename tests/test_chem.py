@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import gc
 import json
 import re
 import tracemalloc
@@ -683,6 +685,39 @@ class TestParseComplex:
         with pytest.raises(DataError, match=re.escape(f"{path}: no supported {side} atoms after filtering")):
             parse_complex(sdf, pdb)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome", ["parsed", "out of range", "nan", "second model", "missing"])
+    def test_collector_state_restored(self, tmp_path, enabled, outcome):
+        # parse_complex pauses the cyclic collector while it holds the whole
+        # entry's objects; a parse or a refusal leaves it as it was on entry
+        shift = 30.0 if outcome == "out of range" else 0.0
+        sdf = tmp_path / "lig.sdf"
+        sdf.write_text(sdf_text([(x, y, z + shift, s) for x, y, z, s in METHANE_ATOMS], METHANE_BONDS))
+        lines = triglycine_lines()
+        if outcome == "nan":
+            lines[4] = lines[4][:38] + f"{'nan':>8}" + lines[4][46:]
+        elif outcome == "second model":
+            lines = ["MODEL        1", *lines[:3], "ENDMDL", "MODEL        2", *lines[:3], "ENDMDL", "END"]
+        pdb = tmp_path / "prot.pdb"
+        if outcome != "missing":
+            pdb.write_text("\n".join(lines) + "\n")
+        refusal = {
+            "parsed": contextlib.nullcontext(),
+            "out of range": pytest.raises(DataError, match="no protein atoms within 8.0 A of the ligand"),
+            "nan": pytest.raises(ParseError, match="non-finite coordinates"),
+            "second model": pytest.raises(ParseError, match="more than one MODEL"),
+            "missing": pytest.raises(OSError),
+        }[outcome]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with refusal:
+                rec = parse_complex(sdf, pdb, cutoff=8.0)
+                assert len(rec.atoms) == 5 + 9  # methane and the 9 glycine atoms within 8 A
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_sdf_plus_pdb(self, tmp_path):
         sdf = tmp_path / "lig.sdf"
         sdf.write_text(sdf_text(METHANE_ATOMS, METHANE_BONDS))
@@ -981,7 +1016,7 @@ class TestPairsWithin:
 
     def test_bond_search_memory_stays_linear(self, grid_calls):
         # 20,000 uniform atoms at protein heavy-atom density (0.054 atoms/A^3):
-        # the cell list holds O(N + pairs) arrays and peaks near 26 MB. The
+        # the cell list holds O(N + pairs) arrays and peaks near 23 MB. The
         # cell list that looked up 27 cells per row peaked at 63.4 MB in this
         # test; the bound keeps later versions below that.
         n = 20000
