@@ -15,14 +15,16 @@ The distance helpers live here, below their users: ``pairs_within`` is the one
 neighbour search behind every distance cutoff (covalent-radius bonds and
 pruning here, contacts in ``graphs``, the label rule in ``synthetic``). Only
 bond inference searches one point set against itself, over a whole PDB
-entry; that search takes a cell list when the entry has more than
-``_PAIR_BLOCK`` atoms, all less than 2**17 cells from the origin. It sorts
-the rows by cell key once and reads each row's neighbours as five contiguous
-runs of the sorted rows: O(N log N + pairs) in time, O(N + pairs) in memory.
-Every other search (pruning and contacts against the ligand's rows, small
-graphs) takes blocked dense distances, and so does an entry with
-an atom beyond that clip, such as a PDB x field reading ``1e300``: it is
-compared in blocks of ``_PAIR_BLOCK`` rows. Both paths return the same bits.
+entry, through ``_pairs_above``, which returns each unordered pair once;
+that search takes a cell list when the entry has more than ``_PAIR_BLOCK``
+atoms, all less than 2**17 cells from the origin. It sorts the rows by cell
+key once and reads each row's half shell as five contiguous runs of the
+sorted rows, ``_PAIR_BLOCK`` sorted rows at a time: O(N log N + pairs) in
+time, O(N) in memory beyond the pairs. Every other search (pruning and
+contacts against the ligand's rows, small graphs) takes blocked dense
+distances, and so does an entry with an atom beyond that clip, such as a PDB
+x field reading ``1e300``: it is compared in blocks of ``_PAIR_BLOCK`` rows.
+Both paths return the same bits.
 Inputs must be finite: the PDB reader rejects a non-finite coordinate at its
 line before any search runs.
 
@@ -38,6 +40,7 @@ record holds, and reading their fields back into arrays.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import gc
 import itertools
@@ -92,7 +95,7 @@ COVALENT_RADII = {
 }
 _COVALENT_RADII = np.array([COVALENT_RADII[symbol] for symbol in ELEMENTS])
 BOND_INFERENCE_FACTOR = 1.3
-_PAIR_BLOCK = 256  # rows of ``a`` per block of ``pairs_within``; the grid needs a longer set
+_PAIR_BLOCK = 256  # rows of ``a`` per block of either search path; the grid needs a longer set
 
 # Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
 # 1e-12, far above the few ulps of rounding in a distance, and at least 1e-150
@@ -135,7 +138,7 @@ _ONE_HOT_STARTS = np.array([[10], [16], [21]])
 _CLAMP_LIMITS = np.array([[5], [4], [5]])
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     element: str
     position: tuple[float, float, float]
@@ -146,7 +149,7 @@ class Atom:
     aromatic: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     i: int
     j: int
@@ -347,28 +350,54 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     (``ValueError`` otherwise).
 
     This is the one neighbour search behind bond inference, pruning, contacts
-    and the synthetic label rule. It has two paths with the same output:
-
-    - a cell list (``_grid_pairs``) for a search of one array against itself
-      (``a is b``, as in bond inference) of more than ``_PAIR_BLOCK`` rows,
-      all less than ``_GRID_CLIP`` cells from the origin on every axis (at
-      least 1.1e5 A for any bond search): the rows sorted by cell, and each
-      row's half shell five runs of them; O(M log M + pairs) time, O(M +
-      pairs) memory;
-    - otherwise blocked dense distances (``_dense_pairs``): O(M K) time,
-      memory linear in K. This serves pruning and the contact search, whose
-      ``b`` is a ligand, and small graphs. An entry with a row beyond the
-      clip (a PDB field can read ``1e300``) is compared this way too, one
-      block of ``_PAIR_BLOCK`` rows at a time. When ``a`` spans several
-      blocks, as in pruning, its rows outside the bounding box of ``b``
-      widened by a grid cell are skipped first.
+    and the synthetic label rule. A search of one array against itself
+    (``a is b``) takes the pairs ``i < j`` from ``_pairs_above`` and mirrors
+    them here, adding each row against itself at distance 0 when ``cutoff
+    >= 0``: ``(a_i - a_j)**2`` and ``(a_j - a_i)**2`` have the same bits, so
+    the mirror is exact. Bond inference calls ``_pairs_above`` itself and
+    never builds the mirror. Any other search takes blocked dense distances
+    (``_dense_pairs``): O(M K) time, memory linear in K. This serves pruning
+    and the contact search, whose ``b`` is a ligand. When ``a`` spans
+    several blocks, as in pruning, its rows outside the bounding box of
+    ``b`` widened by a grid cell are skipped first.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("pairs_within: non-finite coordinates")
-    width = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
-    if a is b and len(a) > _PAIR_BLOCK and (np.abs(a) < _GRID_CLIP * width).all():
-        return _grid_pairs(a, cutoff, width)
+    if a is b:
+        i, j, d = _pairs_above(a, cutoff)
+        own = np.arange(len(a)) if cutoff >= 0 else np.empty(0, np.intp)
+        i, j = np.concatenate([i, j, own]), np.concatenate([j, i, own])
+        d = np.concatenate([d, d, np.zeros(len(own))])
+        s = np.argsort(i * len(a) + j)
+        return i[s], j[s], d[s]
+    _check_finite(a, b)
     return _dense_pairs(a, b, cutoff)
+
+
+def _pairs_above(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
+    """The row pairs ``i < j`` of ``a`` (Nx3) with ``d <= cutoff``, as
+    ``(i, j, d)`` arrays in ``(i, j)`` order, ``d`` as in ``pairs_within``;
+    the one choice between the two paths of a search of a set against itself.
+
+    - A cell list (``_grid_pairs``) for more than ``_PAIR_BLOCK`` rows, all
+      less than ``_GRID_CLIP`` cells from the origin on every axis (at least
+      1.1e5 A for any bond search): the rows sorted by cell, and each row's
+      half shell five runs of them; O(N log N + pairs) time, O(N + pairs)
+      memory.
+    - Otherwise dense blocks (``_dense_pairs``) kept where ``j > i``: small
+      sets, and an entry with a row beyond the clip (a PDB field can read
+      ``1e300``), compared one block of ``_PAIR_BLOCK`` rows at a time.
+    """
+    _check_finite(a)
+    width = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
+    if len(a) > _PAIR_BLOCK and (np.abs(a) < _GRID_CLIP * width).all():
+        return _grid_pairs(a, cutoff, width)
+    i, j, d = _dense_pairs(a, a, cutoff)
+    above = j > i
+    return i[above], j[above], d[above]
+
+
+def _check_finite(*sets: np.ndarray) -> None:
+    if not all(np.isfinite(s).all() for s in sets):
+        raise ValueError("pairs_within: non-finite coordinates")
 
 
 def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
@@ -395,7 +424,7 @@ def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
 
 
 def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
-    """``pairs_within(a, a, cutoff)`` through a cell list (Allen & Tildesley
+    """``_pairs_above(a, cutoff)`` through a cell list (Allen & Tildesley
     1987, 5.3.2), for rows less than ``_GRID_CLIP`` cells of ``width`` from
     the origin.
 
@@ -410,10 +439,15 @@ def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
     contiguous runs of the sorted rows, each bounded by ``searchsorted``: its
     own column from the next sorted row up to key ``k + 1``, and the columns
     of ``_GRID_COLUMNS``. So every unordered pair of distinct rows is a
-    candidate once, whatever the order of the rows of one cell. The pairs
-    accepted are mirrored, since ``(a_i - a_j)**2`` and ``(a_j - a_i)**2``
-    have the same bits, and each row meets itself at distance 0 when
-    ``cutoff >= 0``.
+    candidate once, whatever the order of the rows of one cell. The
+    candidates are built and compared ``_PAIR_BLOCK`` sorted rows at a time
+    (about 3,500 at bond-search density), so the arrays in flight stay small
+    whatever the size of ``a``. Built for all rows at once, the candidate
+    arrays of a 4,000-atom entry (55,000 entries) are freshly mapped memory
+    on every call, and their page faults cost about a quarter of the
+    search. Each pair accepted is named by its lower original row first,
+    and the pairs are sorted back into ``(i, j)`` order. No mirror and no
+    row against itself is built here; only ``pairs_within`` adds them.
     """
     n, span = len(a), 2 * _GRID_CLIP + 2
     q = np.floor_divide(a, width).astype(np.int64) + (_GRID_CLIP + 1)
@@ -422,24 +456,27 @@ def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
     key = key[order]
     # candidates as positions in the key-sorted rows: five ranges per row
     columns = _GRID_COLUMNS @ [span * span, span]
-    start = np.concatenate([np.arange(1, n + 1)] + [np.searchsorted(key, key + (c - 1)) for c in columns])
-    end = np.concatenate([np.searchsorted(key, key + (c + 1), side="right") for c in (0, *columns)])
-    count = end - start
-    i = np.repeat(np.tile(np.arange(n), 1 + len(columns)), count)
-    j = _ranges(start, count)
+    start = np.stack([np.arange(1, n + 1)] + [np.searchsorted(key, key + (c - 1)) for c in columns])
+    count = np.stack([np.searchsorted(key, key + (c + 1), side="right") for c in (0, *columns)]) - start
     x, y, z = a[order].T.copy()  # contiguous axes gather fastest
-    d = x[i] - x[j]  # summed as in ``pairwise_distances``
-    d *= d
-    for axis in (y, z):
-        t = axis[i] - axis[j]
-        t *= t
-        d += t
-    np.sqrt(d, out=d)
-    keep = np.flatnonzero(d <= cutoff)
-    i, j, d = order[i[keep]], order[j[keep]], d[keep]
-    own = np.arange(n) if cutoff >= 0 else np.empty(0, np.intp)
-    i, j = np.concatenate([i, j, own]), np.concatenate([j, i, own])
-    d = np.concatenate([d, d, np.zeros(len(own))])
+    rows = np.arange(n)
+    found = [(rows[:0], rows[:0], np.empty(0))]
+    for s in range(0, n, _PAIR_BLOCK):
+        runs = count[:, s:s + _PAIR_BLOCK].ravel()
+        i = np.repeat(np.tile(rows[s:s + _PAIR_BLOCK], len(start)), runs)
+        j = _ranges(start[:, s:s + _PAIR_BLOCK].ravel(), runs)
+        d = x[i] - x[j]  # summed as in ``pairwise_distances``
+        d *= d
+        for axis in (y, z):
+            t = axis[i] - axis[j]
+            t *= t
+            d += t
+        np.sqrt(d, out=d)
+        keep = np.flatnonzero(d <= cutoff)
+        found.append((i[keep], j[keep], d[keep]))
+    i, j, d = (np.concatenate(parts) for parts in zip(*found))
+    i, j = order[i], order[j]
+    i, j = np.minimum(i, j), np.maximum(i, j)
     s = np.argsort(i * n + j)
     return i[s], j[s], d[s]
 
@@ -683,18 +720,18 @@ def parse_pdb_protein(path, stats: dict | None = None):
     block is read like a file without one. Covalent bonds are inferred
     between atom pairs closer than
     ``1.3 x (sum of single-bond covalent radii)``, through the cell list of
-    ``pairs_within`` on proteins of more than ``_PAIR_BLOCK`` atoms (by dense
+    ``_pairs_above`` on proteins of more than ``_PAIR_BLOCK`` atoms (by dense
     blocks when an atom lies beyond its clip); all inferred bonds are single
     order and aromatic flags stay false.
 
     The lines are read by ``_read_pdb_atoms`` in array passes; the bond
     search (``_infer_bonds``), sized by the elements present, and the
-    annotations are array work too. On a 4,000-atom entry (11 ms with the
-    cyclic collector running) the reader takes about 1.3 ms, the bond
-    search about 3.2 ms, and the rest splits into the annotations and the
-    per-atom objects, about 4.5 ms, and the collector's passes those
-    objects set off, about 2.3 ms, which free nothing. ``parse_complex``
-    pauses the collector around its call.
+    annotations are array work too. On a 4,000-atom entry (9 ms with the
+    cyclic collector running, on a 2-core Xeon VM) the reader takes about
+    1.3 ms, the bond search about 3.0 ms, and the rest splits into the
+    annotations and the per-atom objects, about 3.3 ms, and the collector's
+    passes those objects set off, about 1.5 ms, which free nothing.
+    ``parse_complex`` pauses the collector around its call.
     """
     elements, coords, _ = _read_pdb_atoms(path)
     element = _element_codes(elements, stats)
@@ -702,7 +739,7 @@ def parse_pdb_protein(path, stats: dict | None = None):
     element, coords = element[kept], coords[kept]
     ends = _infer_bonds(element, coords)
     single = np.zeros(len(ends), dtype=np.intp)
-    return _annotate(element, list(map(tuple, coords.tolist())), ends, single, is_ligand=False)
+    return _annotate(element, list(zip(*coords.T.tolist())), ends, single, is_ligand=False)
 
 
 _STRIP = np.frombuffer(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", np.uint8)  # the ASCII characters ``str.strip`` removes
@@ -850,8 +887,8 @@ def _infer_bonds(element: np.ndarray, coords: np.ndarray) -> np.ndarray:
     pair exceeds: ``1.3 (r_i + r_j)`` rounds to at most that in floats."""
     radii = _COVALENT_RADII[element]
     widest = radii.max(initial=0.0)
-    i, j, d = pairs_within(coords, coords, BOND_INFERENCE_FACTOR * (widest + widest))
-    bonded = (j > i) & (d < BOND_INFERENCE_FACTOR * (radii[i] + radii[j]))
+    i, j, d = _pairs_above(coords, BOND_INFERENCE_FACTOR * (widest + widest))
+    bonded = d < BOND_INFERENCE_FACTOR * (radii[i] + radii[j])
     return np.stack([i[bonded], j[bonded]], axis=1)
 
 
@@ -917,6 +954,24 @@ def _annotate(element: np.ndarray, positions, ends: np.ndarray, orders: np.ndarr
 # Combined entry point
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the ``with`` block and turn it
+    back on when the block ends, by a return or an exception, only if it was
+    on at the start. Around a parse that builds a whole entry's ``Atom``,
+    position tuple and ``Bond`` objects, none of them in a reference cycle:
+    refcounting frees them, and the collections their allocations would set
+    off free nothing. molgat runs on one thread, so no other thread's
+    allocations go unchecked meanwhile."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def parse_complex(
     ligand_path,
     protein_path,
@@ -941,20 +996,19 @@ def parse_complex(
     so a fault of the record wins.
 
     The cyclic garbage collector is paused for the whole call (parse,
-    prune, assembly and checks) and re-enabled on the way out, by a return
-    or an exception, only if it was enabled on entry. The whole entry's
-    ``Atom``s, position tuples and ``Bond``s, about 12,000 tracked objects
-    at 4,000 atoms, live until the prune, and their allocations alone would
-    set off about 18 collections, a full one now and then: 2.3-2.8 ms of
-    a 15 ms complex that free nothing. The pause is safe: none of these
-    objects is in a reference cycle, so refcounting frees each of them and
-    no garbage waits for the collector; and molgat runs on one thread, so
-    no other thread's allocations go unchecked meanwhile. It goes when the
-    record holds arrays instead of per-atom objects (ROADMAP item 11).
+    prune, assembly and checks) by ``collector_paused``, and re-enabled on
+    the way out, by a return or an exception, only if it was enabled on
+    entry. The whole entry's ``Atom``s, position tuples and ``Bond``s, about
+    12,000 objects at 4,000 atoms, live until the prune, and their
+    allocations alone would set off about 14 collections, a full one now
+    and then: 1.2-2.5 ms of a 10 ms complex that free nothing. They are
+    freed inside the pause, so the one young collection that follows it
+    sees only the pruned record. The pause is safe: none of these objects
+    is in a reference cycle, so refcounting frees each of them and no
+    garbage waits for the collector. It goes when the record holds arrays
+    instead of per-atom objects (ROADMAP item 11).
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         lig_atoms, lig_bonds = parse_sdf_ligand(ligand_path, stats=stats)
         prot_atoms, prot_bonds = parse_pdb_protein(protein_path, stats=stats)
         if not lig_atoms:
@@ -970,15 +1024,13 @@ def parse_complex(
             return ComplexRecord(complex_id=complex_id, protein_id=protein_id, atoms=lig_atoms + prot_atoms,
                                  bonds=bonds, category=category)
 
-        if cutoff is None:
-            return record(prot_atoms, prot_bonds)
-        try:
-            keep = protein_within(complex_id, _coordinates([a.position for a in prot_atoms]),
-                                  _coordinates([a.position for a in lig_atoms]), cutoff)
-        except DataError:
-            record(prot_atoms, prot_bonds)  # raises first if the whole record has a fault
-            raise
-        return record(*select_atoms(prot_atoms, prot_bonds, keep))
-    finally:
-        if collecting:
-            gc.enable()
+        if cutoff is not None:
+            try:
+                keep = protein_within(complex_id, _coordinates([a.position for a in prot_atoms]),
+                                      _coordinates([a.position for a in lig_atoms]), cutoff)
+            except DataError:
+                record(prot_atoms, prot_bonds)  # raises first if the whole record has a fault
+                raise
+            # rebound, so the whole entry's objects are freed while the collector is still paused
+            prot_atoms, prot_bonds = select_atoms(prot_atoms, prot_bonds, keep)
+        return record(prot_atoms, prot_bonds)

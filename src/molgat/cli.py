@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import itertools
 import os
 import sys
@@ -186,8 +187,10 @@ def cmd_featurize(args) -> int:
             if args.format == "jsonl":
                 for lineno, line in chem.jsonl_lines(spec):
                     try:
-                        rec = chem.record_from_json_line(line, path=spec, lineno=lineno)
-                        ingest_pruned(graphs.prune_protein(rec, cutoff=args.cutoff))
+                        with chem.collector_paused():  # as parse_complex does, while the whole record lives
+                            rec = graphs.prune_protein(chem.record_from_json_line(line, path=spec, lineno=lineno),
+                                                       cutoff=args.cutoff)
+                        ingest_pruned(rec)
                     except (DataError, ParseError) as exc:
                         failures.append(_escaped(f"{spec}:{lineno}: {exc}"))
             else:
@@ -423,9 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call of the process: it
+    holds reference cycles, so each parser built and dropped waits for the
+    cyclic collector. Parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

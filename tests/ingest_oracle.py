@@ -238,6 +238,14 @@ def grid_pairs(a, b, cutoff, width):
     return i[s], j[s], d[s]
 
 
+def pairs_above(a, cutoff, width):
+    """The half-shell form of ``grid_pairs(a, a, cutoff, width)``: its pairs
+    with ``i < j``, in the same order."""
+    i, j, d = grid_pairs(a, a, cutoff, width)
+    above = j > i
+    return i[above], j[above], d[above]
+
+
 def _rank(sorted_values, x):
     r = np.searchsorted(sorted_values, x)
     hit = sorted_values[np.minimum(r, len(sorted_values) - 1)] == x

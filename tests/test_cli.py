@@ -1,5 +1,7 @@
+import argparse
 import configparser
 import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -115,6 +117,40 @@ class TestFeaturize:
         assert rc == 0
         assert "parsed 3 sample(s); 1 rejected" in out
         assert "broken" in out
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_jsonl_lines_pause_the_collector_and_restore_it(self, tmp_path, monkeypatch, enabled):
+        # each jsonl record is parsed and pruned with the collector paused, as
+        # parse_complex does; a parsed line and a refused one (bad JSON, a
+        # record that fails validation) leave it as the caller had it
+        lines = [chem.record_to_json_line(r) for r in generate_corpus(2, seed=60)]
+        unknown = json.loads(lines[1])
+        unknown["category"] = "bogus"
+        path = tmp_path / "lines.jsonl"
+        path.write_text("\n".join([lines[0], "{not json", lines[1], json.dumps(unknown)]) + "\n")
+        during, after = [], []
+        parse, read = chem.record_from_json_line, chem.jsonl_lines
+
+        def parsed(*args, **kwargs):
+            during.append(gc.isenabled())
+            return parse(*args, **kwargs)
+
+        def lines_read(spec):
+            for item in read(spec):
+                yield item
+                after.append(gc.isenabled())  # the line has been handled
+
+        monkeypatch.setattr(chem, "record_from_json_line", parsed)
+        monkeypatch.setattr(chem, "jsonl_lines", lines_read)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            rc = main(["featurize", str(path), "--out", str(tmp_path / "lines.cache")])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert rc == 0 and len(read_cache(tmp_path / "lines.cache")) == 2
+        assert during == [False] * 4 and after == [enabled] * 4
 
     def test_non_object_line_listed_and_run_continues(self, tmp_path, capsys):
         lines = [chem.record_to_json_line(r) for r in generate_corpus(2, seed=60)]
@@ -1187,3 +1223,41 @@ class TestStreaming:
                              str(tmp_path / "m.ckpt"), "--out", str(tmp_path / name)], threads=1, peak_rss=True)
             peak[name] = int(out.split()[-1]) / 1024
         assert peak["x16"] - peak["x1"] < 4.0, peak
+
+
+class TestOneParser:
+    def test_two_commands_use_one_parser(self, workspace, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["featurize", str(workspace / "test.jsonl"), "--out", str(tmp_path / "a.cache")]) == 0
+            assert main(["synth", "--train", "2", "--test", "1", "--out", str(tmp_path / "synth")]) == 0
+            assert cli._parser() is built[0]
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert (tmp_path / "a.cache").read_bytes() == (workspace / "test.cache").read_bytes()
+
+    def test_a_command_leaves_no_parser_garbage(self, workspace, tmp_path):
+        # a parser holds reference cycles; built once per process, none of
+        # its objects is left for the cyclic collector after a command
+        argv = ["featurize", str(workspace / "test.jsonl"), "--out", str(tmp_path / "b.cache")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            parser_objects = [o for o in gc.garbage
+                              if type(o).__module__ == "argparse" or isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert parser_objects == []

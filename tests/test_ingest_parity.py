@@ -11,7 +11,7 @@ import gc
 import numpy as np
 import pytest
 
-from molgat import chem, graphs
+from molgat import chem, cli, graphs
 from molgat.chem import Bond, parse_complex, parse_pdb_protein, parse_sdf_ligand
 from molgat.errors import DataError
 from molgat.graphs import PRUNE_CUTOFF, build_sample, prune_protein, write_cache
@@ -74,7 +74,7 @@ def reference(monkeypatch):
 
     def use():
         monkeypatch.setattr(chem, "_annotate", annotate)
-        monkeypatch.setattr(chem, "_grid_pairs", lambda a, *args: ingest_oracle.grid_pairs(a, a, *args))
+        monkeypatch.setattr(chem, "_grid_pairs", lambda a, *args: ingest_oracle.pairs_above(a, *args))
         monkeypatch.setattr(chem, "validate_record", ingest_oracle.validate_record)
         monkeypatch.setattr(chem, "select_atoms", ingest_oracle.select_atoms)
         monkeypatch.setattr(graphs, "select_atoms", ingest_oracle.select_atoms)
@@ -170,6 +170,32 @@ def test_parse_complex_pauses_the_collector(tmp_path):
     for _ in range(3):
         parse_complex(sdf, pdb, "dude_active", {}, cutoff=PRUNE_CUTOFF)
     assert gc.collect() == 0
+
+
+def test_jsonl_featurize_pauses_the_collector_per_record(tmp_path):
+    # the whole 3,000-atom record as one canonical line: its JSON objects,
+    # atoms, position tuples and bonds live until the prune, and with the
+    # collector running their allocations start about 24 collections per
+    # command; paused, one young collection follows the record
+    sdf, pdb = write_pair(tmp_path, 3000, np.random.default_rng(3000))
+    chem.write_jsonl([parse_complex(sdf, pdb, "dude_active", {})], tmp_path / "whole.jsonl")
+    argv = ["featurize", str(tmp_path / "whole.jsonl"), "--out", str(tmp_path / "whole.cache")]
+    assert cli.main(argv) == 0  # builds the parser on a first call in the process
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    for _ in range(3):
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+    assert len(starts) <= 3
 
 
 def test_feature_rows_match_the_per_atom_reference():

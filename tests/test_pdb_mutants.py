@@ -200,24 +200,28 @@ def brute_force_bonds(elements, coords):
     return np.argwhere(np.triu(dist < BOND_INFERENCE_FACTOR * (radii[:, None] + radii[None, :]), k=1))
 
 
-@pytest.mark.parametrize("present, radius", [
+# The elements present, and the search radius they give: 1.3 x 2 x the widest covalent radius.
+RADII = [
     (["C", "N", "O", "H"], 1.976),
     (["C", "N", "O", "S", "H"], 2.73),
     (["C", "N", "O", "P"], 2.782),
     (["C", "Cl", "F", "B"], 2.652),
     (["C", "Br"], 3.12),
     (["H"], 0.806),
-])
+]
+
+
+@pytest.mark.parametrize("present, radius", RADII)
 @pytest.mark.parametrize("n", [200, 600])
 def test_bonds_match_brute_force_at_the_radius_of_the_elements_present(monkeypatch, present, radius, n):
     cutoffs = []
-    real = chem.pairs_within
+    real = chem._pairs_above
 
-    def spy(a, b, cutoff):
+    def spy(a, cutoff):
         cutoffs.append(cutoff)
-        return real(a, b, cutoff)
+        return real(a, cutoff)
 
-    monkeypatch.setattr(chem, "pairs_within", spy)
+    monkeypatch.setattr(chem, "_pairs_above", spy)
     rng = random.Random(n + len(present))
     side = (n / 0.09) ** (1 / 3)
     elements = [rng.choice(present) for _ in range(n)]
@@ -226,6 +230,43 @@ def test_bonds_match_brute_force_at_the_radius_of_the_elements_present(monkeypat
     want = brute_force_bonds(elements, coords)
     assert got.tolist() == want.tolist() and len(want) > 5
     assert cutoffs == [pytest.approx(radius, abs=1e-12)]
+
+
+def half_shell_layout(layout, n, width, rng):
+    """``n`` coordinates of one kind the cell list must get right, for cells
+    ``width`` wide: a jittered lattice of lines in cell order, then shuffled
+    out of it; a set whose rows come in coincident groups; or rows on cell
+    faces (multiples of the width) and a float step either side of them."""
+    if layout == "shuffled":  # like a PDB entry's chains: 0.55 cells along a line, 1.25 cells between lines
+        steps = np.arange(n)
+        grid = np.stack([steps // 36 * 0.55, steps // 6 % 6 * 1.25, steps % 6 * 1.25], axis=1) * width
+        return np.round(grid + rng.normal(scale=0.04 * width, size=grid.shape), 3)[rng.permutation(n)]
+    if layout == "coincident":
+        base = np.round(rng.uniform(0.0, (n / 0.09) ** (1 / 3), size=(n // 3, 3)), 3)
+        return base[rng.permutation(np.arange(n) % len(base))]
+    faces = width * rng.integers(-4, 5, size=(n, 3))
+    return np.where(rng.random((n, 3)) < 0.5, faces, np.nextafter(faces, rng.choice([-np.inf, np.inf], (n, 3))))
+
+
+@pytest.mark.parametrize("layout", ["shuffled", "coincident", "faces"])
+@pytest.mark.parametrize("present, radius", RADII)
+def test_half_shell_bonds_equal_brute_force(monkeypatch, layout, present, radius):
+    # above 256 atoms the cell list takes each unordered pair once, names it
+    # by its lower original row first and sorts the pairs back into file order
+    calls = []
+    real = chem._grid_pairs
+    monkeypatch.setattr(chem, "_grid_pairs", lambda a, *args: calls.append(len(a)) or real(a, *args))
+    rng = np.random.default_rng(len(present) * 10 + len(layout))
+    n = 400
+    coords = half_shell_layout(layout, n, radius * chem._GRID_MARGIN, rng)
+    elements = [present[k] for k in rng.integers(len(present), size=len(coords))]
+    got = chem._infer_bonds(chem._element_codes(elements, None), coords)
+    want = brute_force_bonds(elements, coords)
+    assert got.dtype == np.intp and got.tobytes() == want.astype(np.intp).tobytes() and len(want) > 20
+    assert calls == [len(coords)] and len(coords) > chem._PAIR_BLOCK
+    if layout == "shuffled":  # the rows really leave cell order
+        q = np.floor_divide(coords, radius * chem._GRID_MARGIN)
+        assert not (np.diff(q[:, 0]) >= 0).all()
 
 
 def test_an_entry_without_a_supported_atom_has_no_bonds(tmp_path):

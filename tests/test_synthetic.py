@@ -1,5 +1,9 @@
-import numpy as np
+import hashlib
 
+import numpy as np
+import pytest
+
+from molgat.chem import write_jsonl
 from molgat.graphs import build_sample, label_pose, ligand_rmsd, prune_protein
 from molgat.synthetic import LABEL_CUTOFF, generate_corpus, generate_pose_set
 
@@ -14,6 +18,23 @@ def brute_force_label(rec):
             if {el_l, el_p} == {"N", "O"} and np.linalg.norm(xl - xp) < LABEL_CUTOFF:
                 return 1
     return 0
+
+
+# SHA-256 of ``generate_corpus(40, seed)`` written by ``write_jsonl``, computed
+# before ``Atom`` and ``Bond`` were slotted: the corpus and its canonical lines
+# do not depend on how a record's atoms are stored.
+CORPUS_SHA256 = {
+    1: "3bd2f7dbd0452b70cf4ba11689ff5d8fb6238b1e4dbca13b9516611d545b3e3f",
+    2: "e47809c3f2968dc8850fd40a54e9427c8c169fe89da5272f37a6f6974f4a3c5e",
+    3: "b39f7f27412d0826f9bed690d613904c58fe919a87de91b6c8f90fc4b590b103",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_SHA256))
+def test_corpus_json_lines_are_pinned(tmp_path, seed):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(generate_corpus(40, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_SHA256[seed]
 
 
 class TestCorpus:
