@@ -1,4 +1,5 @@
-"""Reverse-mode automatic differentiation over matrices and edge lists.
+"""Reverse-mode automatic differentiation over matrices, and the numpy
+edge-list kernels of the attention layer.
 
 Every differentiable quantity is a ``Value``: a 2-D float64 numpy array plus
 an accumulated gradient. Operations are methods on a ``Tape``; each call
@@ -17,17 +18,18 @@ Every operation checks its result for non-finite values and pays for a
 every pass is one node with a hand-written backward rule: ``Tape.affine``
 for a dense layer, and ``Tape.record`` for a chain computed by its caller
 (an attention layer in ``gat``, the contact weights in ``model``), which
-checks each intermediate itself. The numpy kernels such chains share with
-the elementary operations (edge products and sums, segment softmax,
-sigmoid, the finiteness check) are module functions here, so each exists
-once.
+checks each intermediate itself. The tape holds the operations molgat
+records; the numpy kernels of its chains (edge products and sums, segment
+softmax and its gradient, sigmoid, the finiteness check) are module
+functions here, so each exists once. The composed reference the tests keep
+builds its edge-list operations from the same kernels on ``Tape.record``.
 
 Scalars are represented as 1x1 matrices so the whole engine has one shape
-discipline. Graph operations take a sorted symmetric edge list
+discipline. The edge kernels take a sorted symmetric edge list
 (``graphs.Edges``: ``src``/``dst`` sorted by ``(src, dst)``, each row's first
 edge in ``starts``, each edge's reverse in ``rev``, the node count of each
 graph in ``sizes``) and hold per-edge values as E x 1 columns. A batch of
-graphs is one block-diagonal edge list (``Edges.merge``), so every operation
+graphs is one block-diagonal edge list (``Edges.merge``), so every kernel
 runs once per batch. Sums over the edges into a node go through ``rev``,
 which turns them into sums over a row's edges. The edge products and sums
 run one of two ways, chosen once per edge list. Small graphs take one dense
@@ -133,12 +135,6 @@ def _checked(data: np.ndarray) -> np.ndarray:
     if not np.isfinite(data).all():
         raise NumericError("operation produced non-finite values")
     return data
-
-
-def _check_edges(op: str, edges, *per_edge) -> None:
-    for v in per_edge:
-        if v.shape != (len(edges.src), 1):
-            raise ShapeError(f"{op}: expected one value per edge ({len(edges.src)}x1), got {v.shape}")
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -468,66 +464,6 @@ class Tape:
             a.accumulate(g * keep)
 
         return self.record(a.data * keep, (a,), backward)
-
-    # -- edge-list operations ---------------------------------------------------
-
-    def edge_dot(self, a: Value, b: Value, edges) -> Value:
-        """out_e = a[src_e] . b[dst_e] for every edge, as an E x 1 column."""
-        if a.shape != b.shape or a.rows != len(edges.starts):
-            raise ShapeError(f"edge_dot: {a.shape} and {b.shape} must be {len(edges.starts)} x F")
-
-        def backward(g):
-            if a.requires_grad:
-                a.accumulate(_edge_sums(g, b.data, edges))
-            if b.requires_grad:
-                b.accumulate(_edge_sums(g[edges.rev], a.data, edges))
-
-        return self.record(_edge_dots(a.data, b.data, edges), (a, b), backward)
-
-    def take_rows(self, a: Value, index: np.ndarray) -> Value:
-        """out = a[index], where ``index`` holds distinct row indices of a:
-        a permutation of its rows (an edge list's ``rev``) or some of them."""
-        if len(index) > a.rows:
-            raise ShapeError(f"take_rows: {len(index)} indices for {a.rows} rows")
-
-        def backward(g):
-            grad = np.zeros_like(a.data)
-            grad[index] = g
-            a.accumulate(grad)
-
-        return self.record(a.data[index], (a,), backward)
-
-    def segment_softmax(self, scores: Value, edges, mask: np.ndarray) -> Value:
-        """Softmax of E x 1 ``scores`` over each source node's edges.
-
-        Only edges where the constant boolean ``mask`` (length E) is true take
-        part; the others get zero. Rows are stabilized by subtracting their
-        max over masked-in edges; a row with no masked-in edge is an error.
-        """
-        _check_edges("segment_softmax", edges, scores)
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != (len(edges.src),):
-            raise ShapeError(f"segment_softmax: mask shape {keep.shape} != ({len(edges.src)},)")
-        out = _segment_softmax(scores.data[:, 0], edges, keep)
-
-        def backward(g):
-            scores.accumulate(_segment_softmax_grad(g[:, 0], out, edges)[:, None])
-
-        return self.record(out[:, None], (scores,), backward)
-
-    def segment_sum(self, w: Value, x: Value, edges) -> Value:
-        """out_i = sum over node i's edges e of w_e * x[dst_e] (N x F)."""
-        _check_edges("segment_sum", edges, w)
-        if x.rows != len(edges.starts):
-            raise ShapeError(f"segment_sum: {x.rows} rows for {len(edges.starts)} nodes")
-
-        def backward(g):
-            if w.requires_grad:
-                w.accumulate(_edge_dots(g, x.data, edges))
-            if x.requires_grad:
-                x.accumulate(_edge_sums(w.data[edges.rev], g, edges))
-
-        return self.record(_edge_sums(w.data, x.data, edges), (w, x), backward)
 
     # -- backward ------------------------------------------------------------
 

@@ -11,20 +11,19 @@ ligand block, 28-55 the protein block, and only the block matching the atom's
 side is populated. Each 28-block is [element one-hot (10) | degree 0-5 (6) |
 attached hydrogens 0-4 (5) | implicit valence 0-5 (6) | aromatic flag (1)].
 
-The distance helpers live here, below their users: ``pairs_within`` is the one
-neighbour search behind every distance cutoff (covalent-radius bonds and
-pruning here, contacts in ``graphs``, the label rule in ``synthetic``). Only
-bond inference searches one point set against itself, over a whole PDB
-entry, through ``_pairs_above``, which returns each unordered pair once;
-that search takes a cell list when the entry has more than ``_PAIR_BLOCK``
-atoms, all less than 2**17 cells from the origin. It sorts the rows by cell
-key once and reads each row's half shell as five contiguous runs of the
-sorted rows, ``_PAIR_BLOCK`` sorted rows at a time: O(N log N + pairs) in
-time, O(N) in memory beyond the pairs. Every other search (pruning and
-contacts against the ligand's rows, small graphs) takes blocked dense
-distances, and so does an entry with an atom beyond that clip, such as a PDB
-x field reading ``1e300``: it is compared in blocks of ``_PAIR_BLOCK`` rows.
-Both paths return the same bits.
+The distance helpers live here, below their users, as two searches. The
+cross search ``pairs_within(a, b, cutoff)`` is behind pruning here, contacts
+in ``graphs`` and the label rule in ``synthetic``, whose ``b`` is a ligand:
+blocked dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a time. The
+self-search ``_pairs_above(a, cutoff)`` is behind bond inference over a whole
+PDB entry and returns each unordered pair once. It takes a cell list when
+the entry has more than ``_PAIR_BLOCK`` atoms, all less than 2**17 cells
+from the origin: it sorts the rows by cell key once and reads each row's
+half shell as five contiguous runs of the sorted rows, ``_PAIR_BLOCK``
+sorted rows at a time, O(N log N + pairs) in time, O(N) in memory beyond
+the pairs. A small entry, or one with an atom beyond that clip (a PDB x
+field reading ``1e300``), takes the cross search of the entry against
+itself, kept where ``j > i``. Both paths return the same bits.
 Inputs must be finite: the PDB reader rejects a non-finite coordinate at its
 line before any search runs.
 
@@ -97,7 +96,7 @@ _COVALENT_RADII = np.array([COVALENT_RADII[symbol] for symbol in ELEMENTS])
 BOND_INFERENCE_FACTOR = 1.3
 _PAIR_BLOCK = 256  # rows of ``a`` per block of either search path; the grid needs a longer set
 
-# Cell list of ``pairs_within``. Cells are wider than the cutoff by a relative
+# Cell list of ``_pairs_above``. Cells are wider than the cutoff by a relative
 # 1e-12, far above the few ulps of rounding in a distance, and at least 1e-150
 # wide, where a distance that passes the test cannot come from underflowed
 # squares (``featurize --cutoff`` passes any positive float). Rows less than
@@ -349,65 +348,18 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     ``pairwise_distances(a, b)[i, j]``. Every coordinate must be finite
     (``ValueError`` otherwise).
 
-    This is the one neighbour search behind bond inference, pruning, contacts
-    and the synthetic label rule. A search of one array against itself
-    (``a is b``) takes the pairs ``i < j`` from ``_pairs_above`` and mirrors
-    them here, adding each row against itself at distance 0 when ``cutoff
-    >= 0``: ``(a_i - a_j)**2`` and ``(a_j - a_i)**2`` have the same bits, so
-    the mirror is exact. Bond inference calls ``_pairs_above`` itself and
-    never builds the mirror. Any other search takes blocked dense distances
-    (``_dense_pairs``): O(M K) time, memory linear in K. This serves pruning
-    and the contact search, whose ``b`` is a ligand. When ``a`` spans
-    several blocks, as in pruning, its rows outside the bounding box of
-    ``b`` widened by a grid cell are skipped first.
+    This is the cross search behind pruning, contacts and the synthetic label
+    rule, whose ``b`` is a ligand: dense distances, ``_PAIR_BLOCK`` rows of
+    ``a`` at a time, O(M K) time and memory linear in K. When ``a`` spans
+    several blocks (pruning a whole entry against its ligand), rows outside
+    the bounding box of ``b`` widened by a grid cell are skipped first: on
+    some axis they lie farther from every row of ``b`` than any distance the
+    test accepts, even after rounding (see ``_GRID_MARGIN``). One array given
+    as both sides is searched the same way, each ordered pair and each row
+    against itself; bond inference searches a set against itself through
+    ``_pairs_above`` instead, which takes each unordered pair once.
     """
-    if a is b:
-        i, j, d = _pairs_above(a, cutoff)
-        own = np.arange(len(a)) if cutoff >= 0 else np.empty(0, np.intp)
-        i, j = np.concatenate([i, j, own]), np.concatenate([j, i, own])
-        d = np.concatenate([d, d, np.zeros(len(own))])
-        s = np.argsort(i * len(a) + j)
-        return i[s], j[s], d[s]
     _check_finite(a, b)
-    return _dense_pairs(a, b, cutoff)
-
-
-def _pairs_above(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
-    """The row pairs ``i < j`` of ``a`` (Nx3) with ``d <= cutoff``, as
-    ``(i, j, d)`` arrays in ``(i, j)`` order, ``d`` as in ``pairs_within``;
-    the one choice between the two paths of a search of a set against itself.
-
-    - A cell list (``_grid_pairs``) for more than ``_PAIR_BLOCK`` rows, all
-      less than ``_GRID_CLIP`` cells from the origin on every axis (at least
-      1.1e5 A for any bond search): the rows sorted by cell, and each row's
-      half shell five runs of them; O(N log N + pairs) time, O(N + pairs)
-      memory.
-    - Otherwise dense blocks (``_dense_pairs``) kept where ``j > i``: small
-      sets, and an entry with a row beyond the clip (a PDB field can read
-      ``1e300``), compared one block of ``_PAIR_BLOCK`` rows at a time.
-    """
-    _check_finite(a)
-    width = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
-    if len(a) > _PAIR_BLOCK and (np.abs(a) < _GRID_CLIP * width).all():
-        return _grid_pairs(a, cutoff, width)
-    i, j, d = _dense_pairs(a, a, cutoff)
-    above = j > i
-    return i[above], j[above], d[above]
-
-
-def _check_finite(*sets: np.ndarray) -> None:
-    if not all(np.isfinite(s).all() for s in sets):
-        raise ValueError("pairs_within: non-finite coordinates")
-
-
-def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
-    """``pairs_within`` from dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a time.
-
-    When ``a`` spans several blocks (pruning a whole entry against its
-    ligand), rows outside the bounding box of ``b`` widened by a grid cell
-    are skipped first: on some axis they lie farther from every row of ``b``
-    than any distance the test accepts, even after rounding (see
-    ``_GRID_MARGIN``)."""
     rows = np.arange(len(a))
     if len(a) > _PAIR_BLOCK and len(b):
         reach = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
@@ -421,6 +373,35 @@ def _dense_pairs(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
         found.append((block[i], j, d[i, j]))
         del d  # freed before the next block's distances are allocated
     return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _pairs_above(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, ...]:
+    """The row pairs ``i < j`` of ``a`` (Nx3) with ``d <= cutoff``, as
+    ``(i, j, d)`` arrays in ``(i, j)`` order, ``d`` as in ``pairs_within``:
+    the one search of a set against itself, which bond inference runs over a
+    whole PDB entry.
+
+    - A cell list (``_grid_pairs``) for more than ``_PAIR_BLOCK`` rows, all
+      less than ``_GRID_CLIP`` cells from the origin on every axis (at least
+      1.1e5 A for any bond search): the rows sorted by cell, and each row's
+      half shell five runs of them; O(N log N + pairs) time, O(N + pairs)
+      memory.
+    - Otherwise ``pairs_within(a, a, cutoff)`` kept where ``j > i``: small
+      sets, and an entry with a row beyond the clip (a PDB field can read
+      ``1e300``), compared one block of ``_PAIR_BLOCK`` rows at a time.
+    """
+    _check_finite(a)
+    width = max(cutoff, _GRID_MIN_WIDTH) * _GRID_MARGIN
+    if len(a) > _PAIR_BLOCK and (np.abs(a) < _GRID_CLIP * width).all():
+        return _grid_pairs(a, cutoff, width)
+    i, j, d = pairs_within(a, a, cutoff)
+    above = j > i
+    return i[above], j[above], d[above]
+
+
+def _check_finite(*sets: np.ndarray) -> None:
+    if not all(np.isfinite(s).all() for s in sets):
+        raise ValueError("pairs_within: non-finite coordinates")
 
 
 def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
@@ -447,7 +428,7 @@ def _grid_pairs(a: np.ndarray, cutoff: float, width: float):
     on every call, and their page faults cost about a quarter of the
     search. Each pair accepted is named by its lower original row first,
     and the pairs are sorted back into ``(i, j)`` order. No mirror and no
-    row against itself is built here; only ``pairs_within`` adds them.
+    row against itself is built here.
     """
     n, span = len(a), 2 * _GRID_CLIP + 2
     q = np.floor_divide(a, width).astype(np.int64) + (_GRID_CLIP + 1)

@@ -132,25 +132,40 @@ def _write_echo(path, args, configs: dict) -> None:
     a ``[model]`` or ``[train]`` section holding the resolved config under its
     ``_SETTINGS`` keys; then ``[run]``, every other parsed argument in flag
     order. A list is comma-joined; each value is ``str``'d and ``_escaped``,
-    with ``%`` written as ``%%`` so that a ``ConfigParser`` reads it back."""
+    with ``%`` written as ``%%`` so that a ``ConfigParser`` reads it back.
+
+    The text is what ``ConfigParser.write`` writes: ``key = value`` lines,
+    each newline in a value followed by a tab, and a blank line after each
+    section. No parser is built, so a command leaves no reference cycles
+    for the collector."""
     sections = {name: {key: getattr(cfg, key) for key in _SETTINGS[name][1]} for name, cfg in configs.items()}
     settings = {key for values in sections.values() for key in values}
     sections["run"] = {key: value for key, value in vars(args).items()
                        if key not in _NOT_ECHOED and key not in settings}
-    ini = configparser.ConfigParser()
-    for name, values in sections.items():
-        ini[name] = {}
-        for key, value in values.items():
-            text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
-            ini[name][key] = _escaped(text).replace("%", "%%")
     with atomic_open(path) as fh:
-        ini.write(fh)
+        for name, values in sections.items():
+            fh.write(f"[{name}]\n")
+            for key, value in values.items():
+                text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+                text = _escaped(text).replace("%", "%%").replace("\n", "\n\t")
+                fh.write(f"{key} = {text}\n")
+            fh.write("\n")
 
 
 def _escaped(text: str) -> str:
     """``text`` with each character UTF-8 cannot encode written as a backslash
     escape: a path byte that is not UTF-8 reaches Python as a lone surrogate."""
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
+def _jsonl_sample(line: str, path, lineno: int, cutoff: float, stats: dict | None):
+    """The graph sample of the record on one JSON line, its protein pruned
+    at ``cutoff``. The parse and the prune run with the cyclic collector
+    paused, as ``parse_complex`` runs, while the whole record's objects
+    live."""
+    with chem.collector_paused():
+        rec = graphs.prune_protein(chem.record_from_json_line(line, path=path, lineno=lineno), cutoff=cutoff)
+    return graphs.build_sample(rec, stats)
 
 
 def _cache_samples(paths):
@@ -177,8 +192,7 @@ def cmd_featurize(args) -> int:
     failures = []
     category_counts: dict[str, int] = {}
 
-    def ingest_pruned(rec):
-        sample = graphs.build_sample(rec, stats)
+    def keep(sample):
         samples.append(sample)
         category_counts[sample.category] = category_counts.get(sample.category, 0) + 1
 
@@ -187,10 +201,7 @@ def cmd_featurize(args) -> int:
             if args.format == "jsonl":
                 for lineno, line in chem.jsonl_lines(spec):
                     try:
-                        with chem.collector_paused():  # as parse_complex does, while the whole record lives
-                            rec = graphs.prune_protein(chem.record_from_json_line(line, path=spec, lineno=lineno),
-                                                       cutoff=args.cutoff)
-                        ingest_pruned(rec)
+                        keep(_jsonl_sample(line, spec, lineno, args.cutoff, stats))
                     except (DataError, ParseError) as exc:
                         failures.append(_escaped(f"{spec}:{lineno}: {exc}"))
             else:
@@ -199,8 +210,8 @@ def cmd_featurize(args) -> int:
                         f"sdf+pdb input must look like LIGAND.sdf:PROTEIN.pdb, got {spec!r}"
                     )
                 lig_path, prot_path = spec.split(":", 1)
-                ingest_pruned(chem.parse_complex(lig_path, prot_path, category=args.category, stats=stats,
-                                                 cutoff=args.cutoff))
+                rec = chem.parse_complex(lig_path, prot_path, category=args.category, stats=stats, cutoff=args.cutoff)
+                keep(graphs.build_sample(rec, stats))
         except (DataError, ParseError, OSError) as exc:
             failures.append(_escaped(f"{spec}: {exc}"))
 
@@ -299,9 +310,8 @@ def cmd_predict(args) -> int:
     if _is_cache_file(args.input):
         samples = graphs.iter_cache(args.input)
     else:
-        records = (chem.record_from_json_line(line, args.input, lineno)
+        samples = (_jsonl_sample(line, args.input, lineno, graphs.PRUNE_CUTOFF, None)
                    for lineno, line in chem.jsonl_lines(args.input))
-        samples = (graphs.build_sample(graphs.prune_protein(rec)) for rec in records)
     items = _scored_items(samples, params, config)
     if not items:
         raise DataError("no samples to score")

@@ -46,12 +46,12 @@ ADAM_EPS = 1e-8
 
 # Atoms per training pass and per validation chunk. A pass's tape keeps every
 # layer's N x F values, so the bound, or one larger sample, caps a step's
-# memory whatever the batch size. Paper defaults, 2-core VM, one BLAS thread:
-# a step of 32 pockets (24 x 300 + 8 x 600 atoms, 20 passes) took 0.41-0.59 s
-# at 64 MB peak RSS, against 0.50-0.67 s at 234 MB as one whole-batch pass (on
-# a day perfbench's calibration read the VM 1.4-1.7x slower than its
-# reference). At train size (32 x ~40 atoms) peak RSS fell from 150 to 100 MB
-# at about the same samples/s; 320 and 512 atoms cut it further but cost 5-14%
+# memory whatever the batch size. Paper defaults, 2-core Xeon VM, one BLAS
+# thread: a step of 32 pockets (24 x 300 + 8 x 600 atoms, 20 passes) took
+# 0.38-0.39 s at 62 MB peak RSS, against 0.45-0.46 s at 232 MB as one
+# whole-batch pass (median of 12 steps, two processes each). When the bound
+# was set, at train size (32 x ~40 atoms) peak RSS fell from 150 to 100 MB at
+# about the same samples/s; 320 and 512 atoms cut it further but cost 5-14%
 # of samples/s.
 PASS_ATOMS = 640
 

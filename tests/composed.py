@@ -10,19 +10,90 @@ the fused ones bit for bit, and their gradients, which the tape derives step
 by step, must agree to rounding. ``composed_predict`` is the whole forward
 pass in that form, the batch's reach taken from the merged full edge list
 (``merged_reach``) instead of from each sample's ``GraphSample.reach``.
-Nothing under ``src/`` uses it.
+The edge-list steps are ``ComposedTape``'s operations, built on
+``Tape.record`` and the edge kernels of ``molgat.autodiff`` that the fused
+layer calls. Nothing under ``src/`` uses this module.
 """
 
 import numpy as np
 
-from molgat.autodiff import Tape, constant
+from molgat.autodiff import Tape, _edge_dots, _edge_sums, _segment_softmax, _segment_softmax_grad, constant
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
 from molgat.model import _dropout_masks
 
 
+def _check_edges(op, edges, *per_edge):
+    for v in per_edge:
+        if v.shape != (len(edges.src), 1):
+            raise ShapeError(f"{op}: expected one value per edge ({len(edges.src)}x1), got {v.shape}")
+
+
+class ComposedTape(Tape):
+    """A ``Tape`` with the edge-list operations the composed layer takes
+    one step at a time; each records one node through ``Tape.record``."""
+
+    def edge_dot(self, a, b, edges):
+        """out_e = a[src_e] . b[dst_e] for every edge, as an E x 1 column."""
+        if a.shape != b.shape or a.rows != len(edges.starts):
+            raise ShapeError(f"edge_dot: {a.shape} and {b.shape} must be {len(edges.starts)} x F")
+
+        def backward(g):
+            if a.requires_grad:
+                a.accumulate(_edge_sums(g, b.data, edges))
+            if b.requires_grad:
+                b.accumulate(_edge_sums(g[edges.rev], a.data, edges))
+
+        return self.record(_edge_dots(a.data, b.data, edges), (a, b), backward)
+
+    def take_rows(self, a, index):
+        """out = a[index], where ``index`` holds distinct row indices of a:
+        a permutation of its rows (an edge list's ``rev``) or some of them."""
+        if len(index) > a.rows:
+            raise ShapeError(f"take_rows: {len(index)} indices for {a.rows} rows")
+
+        def backward(g):
+            grad = np.zeros_like(a.data)
+            grad[index] = g
+            a.accumulate(grad)
+
+        return self.record(a.data[index], (a,), backward)
+
+    def segment_softmax(self, scores, edges, mask):
+        """Softmax of E x 1 ``scores`` over each source node's edges.
+
+        Only edges where the constant boolean ``mask`` (length E) is true take
+        part; the others get zero. Rows are stabilized by subtracting their
+        max over masked-in edges; a row with no masked-in edge is an error.
+        """
+        _check_edges("segment_softmax", edges, scores)
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != (len(edges.src),):
+            raise ShapeError(f"segment_softmax: mask shape {keep.shape} != ({len(edges.src)},)")
+        out = _segment_softmax(scores.data[:, 0], edges, keep)
+
+        def backward(g):
+            scores.accumulate(_segment_softmax_grad(g[:, 0], out, edges)[:, None])
+
+        return self.record(out[:, None], (scores,), backward)
+
+    def segment_sum(self, w, x, edges):
+        """out_i = sum over node i's edges e of w_e * x[dst_e] (N x F)."""
+        _check_edges("segment_sum", edges, w)
+        if x.rows != len(edges.starts):
+            raise ShapeError(f"segment_sum: {x.rows} rows for {len(edges.starts)} nodes")
+
+        def backward(g):
+            if w.requires_grad:
+                w.accumulate(_edge_dots(g, x.data, edges))
+            if x.requires_grad:
+                x.accumulate(_edge_sums(w.data[edges.rev], g, edges))
+
+        return self.record(_edge_sums(w.data, x.data, edges), (w, x), backward)
+
+
 def composed_gat_forward(tape, x, edges, a2, params, internals=None):
-    """One dual-adjacency layer as about 20 tape operations."""
+    """One dual-adjacency layer as about 20 operations of a ``ComposedTape``."""
     n, f = x.shape
     if len(edges.starts) != n:
         raise ShapeError(f"edge list of {len(edges.starts)} nodes does not match {n} nodes")
@@ -99,10 +170,11 @@ def merged_reach(edges):
 
 
 def composed_predict(tape, samples, params, config, rng=None):
-    """``model.predict`` with every chain composed: A2 on the merged full
-    edge list, then the reached edges' rows of it, and each dense layer of
-    the head as a product, a broadcast and a sum. The dropout masks come
-    from ``model._dropout_masks``, which keeps each sample's reached rows."""
+    """``model.predict`` with every chain composed, on a ``ComposedTape``:
+    A2 on the merged full edge list, then the reached edges' rows of it, and
+    each dense layer of the head as a product, a broadcast and a sum. The
+    dropout masks come from ``model._dropout_masks``, which keeps each
+    sample's reached rows."""
     masks = None
     if rng is not None and config.dropout_rate > 0:
         masks = iter(_dropout_masks(samples, config, rng))
@@ -128,4 +200,4 @@ def composed_predict(tape, samples, params, config, rng=None):
 
 
 def composed_score(sample, params, config):
-    return composed_predict(Tape(), [sample], params.constants(), config).item()
+    return composed_predict(ComposedTape(), [sample], params.constants(), config).item()

@@ -22,6 +22,7 @@ from molgat.synthetic import generate_corpus
 from molgat.training import TrainConfig, mean_bce, split_by_protein, train
 from molgat.cli import main as cli_main
 
+from composed import ComposedTape
 from helpers import (
     bce_loss,
     check_gradients,
@@ -123,15 +124,15 @@ class TestA1GradientSuite:
         for name, (build, leaves) in cases.items():
 
             def forward():
-                t = Tape()
+                t = ComposedTape()
                 return t.sum_all(t.mul(build(t, *leaves), weights)).item()
 
-            t = Tape()
+            t = ComposedTape()
             probe = build(t, *leaves)
             weights = constant(np.random.default_rng(5).uniform(-1, 1, size=probe.shape))
             for l in leaves:
                 l.zero_grad()
-            t2 = Tape()
+            t2 = ComposedTape()
             t2.backward(t2.sum_all(t2.mul(build(t2, *leaves), weights)))
             numeric = finite_difference_grads(forward, leaves, h=FD_H)
             for l, num in zip(leaves, numeric):

@@ -8,6 +8,7 @@ from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
 from molgat.model import ModelConfig, ModelParams, predict
 
+from composed import ComposedTape
 from helpers import (
     check_gradients,
     dense_of,
@@ -117,7 +118,7 @@ class TestEdgeOps:
         rng = np.random.default_rng(20)
         edges = random_edges(rng, 7)
         a, b = rng.uniform(-1, 1, size=(7, 4)), rng.uniform(-1, 1, size=(7, 4))
-        out = Tape().edge_dot(constant(a), constant(b), edges)
+        out = ComposedTape().edge_dot(constant(a), constant(b), edges)
         np.testing.assert_allclose(out.data[:, 0], (a @ b.T)[edges.src, edges.dst], atol=1e-14)
 
     @pytest.mark.usefixtures("edge_kernel")
@@ -125,7 +126,7 @@ class TestEdgeOps:
         rng = np.random.default_rng(21)
         edges = random_edges(rng, 6)
         a = rng.uniform(-1, 1, size=(len(edges.src), 1))
-        out = Tape().take_rows(constant(a), edges.rev)
+        out = ComposedTape().take_rows(constant(a), edges.rev)
         np.testing.assert_array_equal(dense_of(edges, out.data[:, 0]), dense_of(edges, a[:, 0]).T)
 
     def test_segment_softmax_matches_masked_softmax(self):
@@ -135,7 +136,7 @@ class TestEdgeOps:
             edges = random_edges(rng, n)
             scores = rng.uniform(-50, 50, size=(len(edges.src), 1))
             mask = (rng.random(len(edges.src)) < 0.6) | (edges.src == edges.dst)
-            out = Tape().segment_softmax(constant(scores), edges, mask).data[:, 0]
+            out = ComposedTape().segment_softmax(constant(scores), edges, mask).data[:, 0]
             dense = Tape().masked_softmax(constant(dense_of(edges, scores[:, 0])), dense_of(edges, mask))
             np.testing.assert_allclose(dense_of(edges, out), dense.data, atol=1e-14)
             np.testing.assert_allclose(np.add.reduceat(out, edges.starts), 1.0, atol=1e-12)
@@ -146,21 +147,21 @@ class TestEdgeOps:
         mask = np.ones(len(edges.src), dtype=bool)
         mask[edges.src == 2] = False
         with pytest.raises(ShapeError, match="no masked-in edge"):
-            Tape().segment_softmax(constant(np.zeros((len(edges.src), 1))), edges, mask)
+            ComposedTape().segment_softmax(constant(np.zeros((len(edges.src), 1))), edges, mask)
 
     def test_segment_sum_matches_dense_product(self):
         rng = np.random.default_rng(23)
         edges = random_edges(rng, 8)
         w = rng.uniform(-1, 1, size=(len(edges.src), 1))
         x = rng.uniform(-1, 1, size=(8, 3))
-        out = Tape().segment_sum(constant(w), constant(x), edges)
+        out = ComposedTape().segment_sum(constant(w), constant(x), edges)
         np.testing.assert_allclose(out.data, dense_of(edges, w[:, 0]) @ x, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(24)
         edges = random_edges(rng, 5)
         e = len(edges.src)
-        t = Tape()
+        t = ComposedTape()
         with pytest.raises(ShapeError):
             t.edge_dot(constant(np.ones((4, 2))), constant(np.ones((4, 2))), edges)
         with pytest.raises(ShapeError):
@@ -279,13 +280,22 @@ class TestRecording:
     when some input requires a gradient."""
 
     def test_every_operation_is_covered(self):
-        public = {name for name in vars(Tape) if not name.startswith("_")}
+        public = {name for name in dir(ComposedTape) if not name.startswith("_")}
         assert set(OP_CASES) == public - {"backward"}
+
+    def test_tape_holds_the_operations_molgat_records(self):
+        # the edge-list operations only the composed reference takes live on ComposedTape
+        ops = {"matmul", "affine", "add", "sub", "mul", "scale", "exp", "log", "sigmoid", "relu",
+               "softplus", "reciprocal", "transpose", "concat_cols", "rowscale", "broadcast",
+               "sum_all", "sum_rows", "masked_softmax", "dropout"}
+        assert {name for name in vars(Tape) if not name.startswith("_")} == ops | {"record", "backward"}
+        assert {name for name in vars(ComposedTape) if not name.startswith("_")} == {
+            "edge_dot", "take_rows", "segment_softmax", "segment_sum"}
 
     @pytest.mark.parametrize("op", sorted(OP_CASES))
     def test_operation_on_constants_records_nothing(self, op):
         call, inputs = OP_CASES[op]
-        t = Tape()
+        t = ComposedTape()
         out = call(t, *map(constant, inputs))
         assert len(t) == 0
         assert not out.requires_grad and out._parents == () and out._backward is None
@@ -294,11 +304,11 @@ class TestRecording:
     def test_operation_on_a_parameter_records_one_node(self, op):
         call, inputs = OP_CASES[op]
         values = [parameter(inputs[0])] + [constant(x) for x in inputs[1:]]
-        t = Tape()
+        t = ComposedTape()
         out = call(t, *values)
         assert t._nodes == [out] and out.requires_grad
         assert out._parents == tuple(values) and out._backward is not None
-        with_constants = call(Tape(), *map(constant, inputs))
+        with_constants = call(ComposedTape(), *map(constant, inputs))
         np.testing.assert_array_equal(out.data, with_constants.data)
 
     def test_mixed_graph_records_exactly_the_nodes_downstream_of_a_parameter(self):
@@ -362,7 +372,7 @@ class TestGradientOwnership:
     def test_no_gradient_shares_memory(self, op, monkeypatch):
         call, inputs = OP_CASES[op]
         values = [parameter(x) for x in inputs]
-        t = Tape()
+        t = ComposedTape()
         out = call(t, *values)
         weights = constant(np.random.default_rng(63).uniform(-1, 1, size=out.shape))
         watched = values + [weights] + t._nodes
@@ -627,10 +637,10 @@ class TestGradientChecks:
         weights = rng.uniform(-1, 1, size=(len(edges.src), 1))
 
         def forward():
-            t = Tape()
+            t = ComposedTape()
             return t.sum_all(t.mul(t.edge_dot(a, b, edges), constant(weights))).item()
 
-        t = Tape()
+        t = ComposedTape()
         t.backward(t.sum_all(t.mul(t.edge_dot(a, b, edges), constant(weights))))
         check_gradients(forward, [a, b], tol=OP_TOL)
 
@@ -643,11 +653,11 @@ class TestGradientChecks:
         for perm in (edges.rev, rng.permutation(len(edges.src))):  # involution, general
 
             def forward():
-                t = Tape()
+                t = ComposedTape()
                 return t.sum_all(t.mul(t.take_rows(a, perm), constant(weights))).item()
 
             a.zero_grad()
-            t = Tape()
+            t = ComposedTape()
             t.backward(t.sum_all(t.mul(t.take_rows(a, perm), constant(weights))))
             check_gradients(forward, [a], tol=OP_TOL)
 
@@ -663,11 +673,11 @@ class TestGradientChecks:
             picked = t.sum_all(t.mul(t.take_rows(a, top), constant(w_top)))
             return t.add(picked, t.sum_all(t.mul(t.take_rows(a, bottom), constant(w_bottom))))
 
-        np.testing.assert_array_equal(Tape().take_rows(a, bottom).data, a.data[[5, 3]])
-        t = Tape()
+        np.testing.assert_array_equal(ComposedTape().take_rows(a, bottom).data, a.data[[5, 3]])
+        t = ComposedTape()
         t.backward(loss(t))
         assert np.all(a.grad[4] == 0.0)
-        check_gradients(lambda: loss(Tape()).item(), [a], tol=OP_TOL)
+        check_gradients(lambda: loss(ComposedTape()).item(), [a], tol=OP_TOL)
 
     @pytest.mark.usefixtures("edge_kernel")
     def test_segment_softmax_gradient(self):
@@ -678,10 +688,10 @@ class TestGradientChecks:
         weights = rng.uniform(-1, 1, size=scores.shape)
 
         def forward():
-            t = Tape()
+            t = ComposedTape()
             return t.sum_all(t.mul(t.segment_softmax(scores, edges, mask), constant(weights))).item()
 
-        t = Tape()
+        t = ComposedTape()
         t.backward(t.sum_all(t.mul(t.segment_softmax(scores, edges, mask), constant(weights))))
         check_gradients(forward, [scores], tol=OP_TOL)
 
@@ -693,10 +703,10 @@ class TestGradientChecks:
         weights = rng.uniform(-1, 1, size=(5, 3))
 
         def forward():
-            t = Tape()
+            t = ComposedTape()
             return t.sum_all(t.mul(t.segment_sum(w, x, edges), constant(weights))).item()
 
-        t = Tape()
+        t = ComposedTape()
         t.backward(t.sum_all(t.mul(t.segment_sum(w, x, edges), constant(weights))))
         check_gradients(forward, [w, x], tol=OP_TOL)
 
@@ -774,7 +784,7 @@ class TestBatchedEdgeOps:
         a, b = rng.uniform(-1, 1, size=(n, 3)), rng.uniform(-1, 1, size=(n, 3))
         w = rng.uniform(-1, 1, size=(len(edges.src), 1))
         mask = (rng.random(len(edges.src)) < 0.7) | (edges.src == edges.dst)
-        t = Tape()
+        t = ComposedTape()
         batched = {
             "dot": t.edge_dot(constant(a), constant(b), edges).data,
             "sum": t.segment_sum(constant(w), constant(a), edges).data,
@@ -784,7 +794,7 @@ class TestBatchedEdgeOps:
         node, edge = 0, 0
         for p in parts:
             rows, span = slice(node, node + len(p.starts)), slice(edge, edge + len(p.src))
-            t = Tape()
+            t = ComposedTape()
             alone = {
                 "dot": t.edge_dot(constant(a[rows]), constant(b[rows]), p).data,
                 "sum": t.segment_sum(constant(w[span]), constant(a[rows]), p).data,
@@ -810,6 +820,6 @@ class TestBatchedEdgeOps:
             attention = t.segment_softmax(scores, edges, mask)
             return t.sum_all(t.mul(t.segment_sum(attention, b, edges), constant(weights)))
 
-        t = Tape()
+        t = ComposedTape()
         t.backward(loss(t))
-        check_gradients(lambda: loss(Tape()).item(), [a, b], tol=OP_TOL)
+        check_gradients(lambda: loss(ComposedTape()).item(), [a, b], tol=OP_TOL)

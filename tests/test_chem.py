@@ -836,8 +836,9 @@ class TestPairsWithin:
         a = rng.uniform(-40.0, -15.0, size=(600, 3))
         b = rng.uniform(-40.0, -15.0, size=(400, 3))
         assert self.assert_matches_oracle(a, b, 3.0) > 100
+        assert self.assert_matches_oracle(a, a, 3.0) > 600
         assert grid_calls == []
-        assert self.assert_matches_oracle(a, a, 3.0) > 600  # the self-search takes the grid
+        assert len(self.assert_matches_cell_oracle(a, 3.0)[0]) > 0  # the self-search takes the grid
         assert grid_calls == [600]
 
     def test_grid_atoms_on_cell_faces(self, grid_calls):
@@ -847,8 +848,9 @@ class TestPairsWithin:
         a = rng.integers(-5, 5, size=(500, 3)) * 2.5
         b = rng.integers(-5, 5, size=(300, 3)) * 2.5
         assert self.assert_matches_oracle(a, b, 2.5) > 1000
+        assert self.assert_matches_oracle(a, a, 2.5) > 1000
         assert grid_calls == []
-        assert self.assert_matches_oracle(a, a, 2.5) > 1000  # the self-search takes the grid
+        assert len(self.assert_matches_cell_oracle(a, 2.5)[0]) > 250  # the self-search takes the grid
         assert grid_calls == [500]
 
     def test_grid_pairs_at_exactly_cutoff_straddle_a_face(self, grid_calls):
@@ -863,34 +865,36 @@ class TestPairsWithin:
         i, j, d = pairs_within(a, b, cutoff)
         assert i.tolist() == j.tolist() == list(range(300)) and (d == cutoff).all()
         assert self.assert_matches_oracle(a, b, cutoff) == 300
+        ab = np.concatenate([a, b])
+        assert self.assert_matches_oracle(ab, ab, cutoff) == 600 + 2 * 300
         assert grid_calls == []
         # as one set, the grid takes it and finds each (k, 300 + k) pair at the cutoff
-        ab = np.concatenate([a, b])
-        i, j, d = pairs_within(ab, ab, cutoff)
+        i, j, d = self.assert_matches_cell_oracle(ab, cutoff)
         straddle = np.flatnonzero(j - i == 300)
         assert i[straddle].tolist() == list(range(300)) and (d[straddle] == cutoff).all()
-        assert self.assert_matches_oracle(ab, ab, cutoff) == 600 + 2 * 300
-        assert grid_calls == [600] * 2
+        assert len(i) == 300
+        assert grid_calls == [600]
 
     def test_grid_all_atoms_at_one_point(self, grid_calls):
         pts = np.full((300, 3), -1.25)
         assert self.assert_matches_oracle(pts, pts[:260], 4.0) == 300 * 260
-        assert grid_calls == []
         assert self.assert_matches_oracle(pts, pts, 4.0) == 300 * 300
+        assert grid_calls == []
+        assert len(self.assert_matches_cell_oracle(pts, 4.0)[0]) == 300 * 299 // 2
         assert grid_calls == [300]
 
     @staticmethod
     def assert_matches_cell_oracle(a, cutoff):
-        """The grid's self-search of ``a`` against the cell list that ranks
-        all 27 neighbour cells of every row, bit for bit, and no row pair
-        found twice."""
+        """The self-search ``_pairs_above(a, cutoff)`` against the pairs
+        ``i < j`` of the cell list that ranks all 27 neighbour cells of every
+        row, bit for bit, and no row pair found twice."""
         width = max(cutoff, chem._GRID_MIN_WIDTH) * chem._GRID_MARGIN
-        got = pairs_within(a, a, cutoff)
-        want = ingest_oracle.grid_pairs(a, a, cutoff, width)
+        got = chem._pairs_above(a, cutoff)
+        want = ingest_oracle.pairs_above(a, cutoff, width)
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         i, j, _ = got
-        assert len(np.unique(i * len(a) + j)) == len(i)
+        assert (i < j).all() and len(np.unique(i * len(a) + j)) == len(i)
         return got
 
     def test_grid_one_column_across_many_z_cells(self, grid_calls):
@@ -903,11 +907,12 @@ class TestPairsWithin:
         z = np.concatenate([faces + s for s in (-1e-9, 1e-9, -0.5 * cutoff, 0.5 * cutoff)])
         a = np.stack([np.full(320, 0.3), np.full(320, 1.1), z], axis=1)
         assert self.assert_matches_oracle(a, a, cutoff) > 320 * 3
+        assert grid_calls == []
         i, j, _ = self.assert_matches_cell_oracle(a, cutoff)
         q = np.floor_divide(a, width).astype(np.int64)
         assert np.unique(q[:, :2], axis=0).shape == (1, 2)
         assert set((q[j, 2] - q[i, 2]).tolist()) == {-1, 0, 1}
-        assert grid_calls == [320] * 2
+        assert grid_calls == [320]
 
     def test_grid_rows_in_every_neighbour_cell(self, grid_calls):
         # twelve rows in each of the 27 cells around one cell: pairs are found
@@ -919,10 +924,12 @@ class TestPairsWithin:
         rng = np.random.default_rng(45)
         a = (np.repeat(cells, 12, axis=0) + rng.uniform(0.0, 1.0, size=(27 * 12, 3))) * width
         assert self.assert_matches_oracle(a, a, cutoff) > 1000
+        assert grid_calls == []
         i, j, _ = self.assert_matches_cell_oracle(a, cutoff)
         q = np.floor_divide(a, width).astype(np.int64)
-        assert set(map(tuple, (q[j] - q[i]).tolist())) == set(cells)
-        assert grid_calls == [27 * 12] * 2
+        offsets = np.concatenate([q[j] - q[i], q[i] - q[j]])  # each pair is found once, in either order
+        assert set(map(tuple, offsets.tolist())) == set(cells)
+        assert grid_calls == [27 * 12]
 
     def test_grid_finds_each_pair_once(self, grid_calls):
         # a jittered lattice of rotated lines like a PDB entry's heavy atoms
@@ -939,8 +946,8 @@ class TestPairsWithin:
             self.assert_matches_cell_oracle(lattice, cutoff)
         pts = np.full((300, 3), -1.25)
         i, j, _ = self.assert_matches_cell_oracle(pts, 4.0)
-        assert len(i) == 300 * 300
-        assert grid_calls == [len(lattice)] * 6 + [300]
+        assert len(i) == 300 * 299 // 2
+        assert grid_calls == [len(lattice)] * 3 + [300]
 
     @pytest.mark.parametrize("far", [1e17, -1e17])
     def test_grid_far_outlier(self, grid_calls, far):
@@ -1013,9 +1020,13 @@ class TestPairsWithin:
         assert self.assert_matches_oracle(a, a, cutoff) > 1000
         i, j, _ = pairs_within(a, a, cutoff)
         assert ((i < n_in) & (j >= n_in)).sum() == 6 * 3 * 3  # every inside row meets every outside row
+        i, j, _ = self.assert_matches_cell_oracle(a, cutoff)
+        assert ((i < n_in) & (j >= n_in)).sum() == 6 * 3 * 3
         assert grid_calls == []
         near = a[:n_in]
         assert self.assert_matches_oracle(near, near, cutoff) > 1000
+        assert grid_calls == []
+        self.assert_matches_cell_oracle(near, cutoff)
         assert grid_calls == [n_in]
 
     def test_pdb_coordinate_extremes_take_one_grid_call(self, grid_calls):
@@ -1028,6 +1039,8 @@ class TestPairsWithin:
                             corners + rng.uniform(-1.0, 1.0, size=(8, 3))])
         a = np.round(a, 3)
         assert self.assert_matches_oracle(a, a, 3.12) > 1000
+        assert grid_calls == []
+        self.assert_matches_cell_oracle(a, 3.12)
         assert grid_calls == [316]
 
     def test_far_coordinates_raise_no_warning(self):
@@ -1050,18 +1063,18 @@ class TestPairsWithin:
     def test_bond_search_memory_stays_linear(self, grid_calls):
         # 20,000 uniform atoms at protein heavy-atom density (0.054 atoms/A^3):
         # the cell list holds O(N + pairs) arrays, compares its candidates one
-        # block of rows at a time, and peaks near 9 MB with the mirror. The
-        # cell list that looked up 27 cells per row peaked at 63.4 MB in this
-        # test; the bound keeps later versions below that.
+        # block of rows at a time, and peaks near 8 MB. The cell list that
+        # looked up 27 cells per row peaked at 63.4 MB in this test; the bound
+        # keeps later versions below that.
         n = 20000
         x = np.random.default_rng(5).uniform(0.0, (n / 0.054) ** (1 / 3), size=(n, 3))
         tracemalloc.start()
         try:
-            i, j, d = pairs_within(x, x, 3.12)
+            i, j, d = chem._pairs_above(x, 3.12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(i) == 149972 and grid_calls == [n]
+        assert len(i) == (149972 - n) // 2 and grid_calls == [n]
         assert peak <= 63.4e6
 
     def test_dense_path_skips_rows_outside_the_box_exactly(self, grid_calls):
@@ -1091,6 +1104,8 @@ class TestPairsWithin:
         assert grid_calls == []
         bonds = protein[:1000]
         assert self.assert_matches_oracle(bonds, bonds, 3.12) > 1000
+        assert grid_calls == []
+        self.assert_matches_cell_oracle(bonds, 3.12)
         assert grid_calls == [1000]
 
     def test_prune_and_contact_shapes_of_pocket_size_take_the_dense_path(self, grid_calls):
@@ -1104,6 +1119,24 @@ class TestPairsWithin:
         assert self.assert_matches_oracle(protein, ligand, 8.0) > 10000
         assert self.assert_matches_oracle(ligand, pocket, 5.0) > 1000
         assert grid_calls == []
+
+    def test_one_array_as_both_sides_matches_brute_force(self, grid_calls):
+        # one array given as both sides is a cross search like any other: one
+        # block of rows at 256, two at 257, and with a row beyond the grid's
+        # clip; its pairs j > i are the self-search's, bit for bit
+        rng = np.random.default_rng(47)
+        cutoff = 3.12
+        for n in (256, 257):
+            a = np.round(rng.uniform(0.0, 12.0, size=(n, 3)), 3)
+            far = a.copy()
+            far[n // 2] = [2.0 * chem._GRID_CLIP * cutoff, 0.0, 0.0]
+            for x in (a, far):
+                assert self.assert_matches_oracle(x, x, cutoff) > 4 * n
+                i, j, d = pairs_within(x, x, cutoff)
+                above = j > i
+                for got, want in zip(chem._pairs_above(x, cutoff), (i[above], j[above], d[above])):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert grid_calls == [257]
 
     @pytest.mark.parametrize("cutoff", [0.0, 1e-200, -1.0])
     def test_degenerate_cutoffs(self, grid_calls, cutoff):
@@ -1119,6 +1152,9 @@ class TestPairsWithin:
         assert grid_calls == []
         origin = a[300:]
         assert self.assert_matches_oracle(origin, origin, cutoff) == (0 if cutoff < 0 else 300 * 300)
+        assert grid_calls == []
+        i, _, _ = self.assert_matches_cell_oracle(origin, cutoff)
+        assert len(i) == (0 if cutoff < 0 else 300 * 299 // 2)
         assert grid_calls == [300]
 
     @pytest.mark.parametrize("n", [10, 300])
@@ -1130,6 +1166,8 @@ class TestPairsWithin:
         for a, b in [(broken, pts), (pts, broken)]:
             with pytest.raises(ValueError, match="non-finite"):
                 pairs_within(a, b, 3.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            chem._pairs_above(broken, 3.0)
 
     def test_chem_does_not_import_graphs(self):
         # chem sits below graphs; importing graphs from chem would be a cycle

@@ -535,6 +535,45 @@ def test_every_echo_records_the_parsed_arguments(workspace, tmp_path):
         assert {section: list(echo[section]) for section in echo.sections() if section != "run"} == configs
 
 
+def configparser_echo(path, args, configs):
+    """A config echo as ``ConfigParser.write`` writes it: the reference for
+    ``cli._write_echo``, which writes the same text itself."""
+    sections = {name: {key: getattr(cfg, key) for key in cli._SETTINGS[name][1]} for name, cfg in configs.items()}
+    settings = {key for values in sections.values() for key in values}
+    sections["run"] = {key: value for key, value in vars(args).items()
+                       if key not in cli._NOT_ECHOED and key not in settings}
+    ini = configparser.ConfigParser()
+    for name, values in sections.items():
+        ini[name] = {}
+        for key, value in values.items():
+            text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+            ini[name][key] = cli._escaped(text).replace("%", "%%")
+    with open(path, "w", encoding="utf-8") as fh:
+        ini.write(fh)
+
+
+def test_config_echo_is_the_text_configparser_writes(tmp_path):
+    # a value holding %, a path byte that is not UTF-8 (a lone surrogate),
+    # newlines, lists, both settings sections, and random sections
+    # (keys in flag order, values of printable text, tabs, newlines, %, and
+    # characters UTF-8 cannot encode)
+    train = argparse.Namespace(command="train", func=None, parser=None, out="x", config="c.ini",
+                               cache=["pct%d/train.cache", "d\u00fc\udcff/t.cache"], screening_only=False,
+                               val_fraction=0.1, num_gat_layers=None, note="two\nlines\n")
+    cases = [(train, {"model": ModelConfig(), "train": TrainConfig()}),
+             (argparse.Namespace(inputs=["a%b.jsonl"], format="jsonl", out="o", cutoff=8.0), {})]
+    rng = np.random.default_rng(90)
+    alphabet = list("ab %=:;#[]\t\n\r\\") + ["\u00fc", "\udcff", "\U0001f600"]
+    for _ in range(200):
+        keys = [f"k{k}_{int(rng.integers(100))}" for k in range(int(rng.integers(0, 6)))]
+        values = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 12)))) for _ in keys]
+        cases.append((argparse.Namespace(**dict(zip(keys, values))), {}))
+    for k, (args, configs) in enumerate(cases):
+        cli._write_echo(tmp_path / f"echo{k}.ini", args, configs)
+        configparser_echo(tmp_path / f"want{k}.ini", args, configs)
+        assert (tmp_path / f"echo{k}.ini").read_bytes() == (tmp_path / f"want{k}.ini").read_bytes(), k
+
+
 class TestEvaluate:
     def test_report_files(self, workspace, capsys):
         out = workspace / "eval"
@@ -733,6 +772,34 @@ class TestPredict:
              "--out", str(tmp_path / "pred")]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_jsonl_records_pause_the_collector_and_restore_it(self, workspace, tmp_path, monkeypatch, enabled):
+        # each record is parsed and pruned with the collector paused, as
+        # featurize does; a scored run and a refused record (exit 2) leave
+        # it as the caller had it
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text((workspace / "test.jsonl").read_text().splitlines()[0] + "\n{not json\n")
+        during = []
+        parse = chem.record_from_json_line
+
+        def parsed(*args, **kwargs):
+            during.append(gc.isenabled())
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(chem, "record_from_json_line", parsed)
+        checkpoint = ["--checkpoint", str(workspace / "run" / "latest.ckpt")]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            states = []
+            for path in (workspace / "test.jsonl", bad):
+                states.append(main(["predict", "--input", str(path), "--out", str(tmp_path / path.stem)] + checkpoint))
+                states.append(gc.isenabled())
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert states == [0, enabled, 2, enabled]
+        assert during == [False] * (24 + 2)
 
     def test_predict_twice_identical(self, workspace):
         out1, out2 = workspace / "pred_d1", workspace / "pred_d2"
@@ -1246,8 +1313,10 @@ class TestOneParser:
         assert (tmp_path / "a.cache").read_bytes() == (workspace / "test.cache").read_bytes()
 
     def test_a_command_leaves_no_parser_garbage(self, workspace, tmp_path):
-        # a parser holds reference cycles; built once per process, none of
-        # its objects is left for the cyclic collector after a command
+        # a parser holds reference cycles; the argument parser is built once
+        # per process and the config echo is written without a ConfigParser,
+        # so none of their objects is left for the cyclic collector after a
+        # command
         argv = ["featurize", str(workspace / "test.jsonl"), "--out", str(tmp_path / "b.cache")]
         assert main(argv) == 0
         gc.collect()
@@ -1256,7 +1325,8 @@ class TestOneParser:
             assert main(argv) == 0
             gc.collect()
             parser_objects = [o for o in gc.garbage
-                              if type(o).__module__ == "argparse" or isinstance(o, argparse.ArgumentParser)]
+                              if type(o).__module__ in ("argparse", "configparser")
+                              or isinstance(o, (argparse.ArgumentParser, configparser.RawConfigParser))]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()

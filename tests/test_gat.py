@@ -9,7 +9,7 @@ from molgat.gat import GatParams, gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
-from composed import composed_gat_forward
+from composed import ComposedTape, composed_gat_forward
 from helpers import check_gradients, dense_of, pocket_sample, record_gradient_shapes
 
 
@@ -290,7 +290,7 @@ def run_layer(forward, x, edges, a2, params, weights):
     leaves = [x, params.w, params.e, params.u, params.b, a2]
     for leaf in leaves:
         leaf.zero_grad()
-    t, internals = Tape(), {}
+    t, internals = (ComposedTape() if forward is composed_gat_forward else Tape()), {}
     out = forward(t, x, edges, a2, params, internals)
     t.backward(t.sum_all(t.mul(out, constant(weights))))
     return out.data, {k: v.data for k, v in internals.items()}, [leaf.grad for leaf in leaves], len(t)
@@ -334,7 +334,7 @@ class TestFusedLayer:
 def test_non_finite_input_raises_from_the_layer(target, bad):
     # Each input of the layer, poisoned in one entry, raises NumericError
     # before anything is recorded; the composed layer raises too.
-    for forward in (gat_forward, composed_gat_forward):
+    for forward, tape in ((gat_forward, Tape), (composed_gat_forward, ComposedTape)):
         rng = np.random.default_rng(73)
         x, edges, a2, params = random_case(rng, n=6, f=3)
         value = {"x": x, "w": params.w, "e": params.e, "u": params.u, "b": params.b, "a2": a2}[target]
@@ -342,7 +342,7 @@ def test_non_finite_input_raises_from_the_layer(target, bad):
         # or the layer reports a missing self-loop instead
         entry = int(np.flatnonzero(edges.src != edges.dst)[0]) if target == "a2" else 0
         value.data.flat[entry] = bad
-        t = Tape()
+        t = tape()
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             forward(t, x, edges, a2, params)
         if forward is gat_forward:

@@ -15,6 +15,7 @@ from molgat import chem, cli, graphs
 from molgat.chem import Bond, parse_complex, parse_pdb_protein, parse_sdf_ligand
 from molgat.errors import DataError
 from molgat.graphs import PRUNE_CUTOFF, build_sample, prune_protein, write_cache
+from molgat.model import ModelConfig, ModelParams, save_params
 from molgat.synthetic import generate_corpus
 
 import ingest_oracle
@@ -180,6 +181,33 @@ def test_jsonl_featurize_pauses_the_collector_per_record(tmp_path):
     sdf, pdb = write_pair(tmp_path, 3000, np.random.default_rng(3000))
     chem.write_jsonl([parse_complex(sdf, pdb, "dude_active", {})], tmp_path / "whole.jsonl")
     argv = ["featurize", str(tmp_path / "whole.jsonl"), "--out", str(tmp_path / "whole.cache")]
+    assert cli.main(argv) == 0  # builds the parser on a first call in the process
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    for _ in range(3):
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+    assert len(starts) <= 3
+
+
+def test_jsonl_predict_pauses_the_collector_per_record(tmp_path):
+    # predict on a JSON-lines input parses and prunes each record as
+    # featurize does: the 3,000-atom record costs at most one collection
+    sdf, pdb = write_pair(tmp_path, 3000, np.random.default_rng(3000))
+    chem.write_jsonl([parse_complex(sdf, pdb, "dude_active", {})], tmp_path / "whole.jsonl")
+    config = ModelConfig(num_gat_layers=1, gat_dim=8, fc_dims=(8, 1))
+    save_params(tmp_path / "tiny.ckpt", ModelParams.initialize(config, np.random.default_rng(7)), config)
+    argv = ["predict", "--input", str(tmp_path / "whole.jsonl"), "--checkpoint", str(tmp_path / "tiny.ckpt"),
+            "--out", str(tmp_path / "pred")]
     assert cli.main(argv) == 0  # builds the parser on a first call in the process
     starts = []
 

@@ -26,7 +26,7 @@ from molgat.model import (
 from molgat.synthetic import generate_corpus
 from molgat.training import mean_bce
 
-from composed import composed_materialize_a2, composed_predict, composed_score
+from composed import ComposedTape, composed_materialize_a2, composed_predict, composed_score
 from helpers import bce_loss, check_gradients, dense_of, dropout_mask, ligand_in_a_shell, num_parameters, pocket_sample
 
 SMALL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
@@ -334,9 +334,9 @@ class TestBatch:
         labels = [k % 2 for k in range(len(batch))]
         params = fresh_params(config, seed=15)
         runs = []
-        for forward in (predict, composed_predict):
+        for forward, tape in ((predict, Tape), (composed_predict, ComposedTape)):
             params.zero_grad()
-            t = Tape()
+            t = tape()
             out = forward(t, batch, params, config, rng=np.random.default_rng(16) if dropout else None)
             t.backward(mean_bce(t, out, labels))
             runs.append((out.data, {name: v.grad for name, v in params.named_values()}))
