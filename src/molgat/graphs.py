@@ -5,12 +5,11 @@ features, coordinates (ligand rows first), the ligand/protein flag of each
 atom and the covalent bond list. The network consumes its ``reach``: the
 rows an intermolecular contact (a ligand-protein pair closer than the contact
 cutoff) can reach, with their self-loops and both directions of the bonds
-among them and of every contact; ``edges`` holds the same for all N atoms.
-Both are built on first access from one contact search and kept with the
-sample. Pruning goes through ``chem.protein_within``, the rule
-``chem.parse_complex`` also prunes a file pair by, and the contact search
-through ``chem.pairs_within``; both compare protein atoms with ligand atoms
-only, so no N x N array is built. The dense views
+among them and of every contact, built on first access from one contact
+search and kept with the sample. Pruning goes through
+``chem.protein_within``, the rule ``chem.parse_complex`` also prunes a file
+pair by, and the contact search through ``chem.pairs_within``; both compare
+protein atoms with ligand atoms only, so no N x N array is built. The dense views
 ``a1`` (covalent adjacency with self-loops), ``dist`` (interatomic distances)
 and ``inter_mask`` (contact mask) are derived on access for inspection and
 tests. Gaussian contact weights are deliberately NOT materialized here; the
@@ -27,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .chem import CATEGORIES, N_FEATURES, ComplexRecord, _feature_rows, _with_atoms, ligand_first, select_atoms
+from .chem import CATEGORIES, CATEGORY_LABELS, N_FEATURES, ComplexRecord, _feature_rows, _with_atoms
 from .chem import featurize  # noqa: F401 - unused here; perfbench/spans.py patches graphs.featurize
-from .chem import pairs_within, pairwise_distances, protein_within, repeats
+from .chem import ligand_first, pairs_within, pairwise_distances, protein_within, repeats, select_atoms
 from .errors import CheckpointError, DataError
 from .fileio import Reader, open_checked, write_checked
 
@@ -158,31 +157,20 @@ class GraphSample:
         return self.features.shape[0]
 
     @cached_property
-    def _contacts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The intermolecular contacts (d < 5 A), from a ligand x protein
-        search: C x 2 ``(ligand row, protein row)`` pairs and C distances."""
+    def reach(self) -> tuple[np.ndarray, Edges]:
+        """The graph the model runs on: ``(rows, subgraph)``. ``rows`` holds,
+        in increasing order, every end of a contact (a ligand-protein pair
+        closer than ``CONTACT_CUTOFF``, from one ligand x protein search),
+        the atoms bonded to them, and row 0 (so a sample without contacts
+        keeps a row); ``subgraph`` their self-loops, the bonds among them and
+        every contact with its distance, each row renumbered to its position
+        in ``rows``. A contact end keeps all its edges. Kept after the first
+        access: a sample's arrays must not change in place."""
         lig = np.flatnonzero(self.is_ligand)
         prot = np.flatnonzero(~self.is_ligand)
         li, pj, d = pairs_within(self.coords[lig], self.coords[prot], CONTACT_CUTOFF)
         close = d < CONTACT_CUTOFF
-        return np.stack([lig[li[close]], prot[pj[close]]], axis=1), d[close]
-
-    @cached_property
-    def edges(self) -> Edges:
-        """Self-loops, bonds and intermolecular contacts as a sorted
-        symmetric edge list of all N atoms. Kept after the first access: a
-        sample's arrays must not change in place."""
-        return Edges.build(self.num_atoms, self.bonds, *self._contacts)
-
-    @cached_property
-    def reach(self) -> tuple[np.ndarray, Edges]:
-        """The graph the model runs on: ``(rows, subgraph)``. ``rows`` holds,
-        in increasing order, every end of a contact, the atoms bonded to
-        them, and row 0 (so a sample without contacts keeps a row);
-        ``subgraph`` their self-loops, the bonds among them and every
-        contact, each row renumbered to its position in ``rows``. A contact
-        end keeps all its edges. Kept after the first access, like ``edges``."""
-        contacts, dist = self._contacts
+        contacts = np.stack([lig[li[close]], prot[pj[close]]], axis=1)
         reached = np.zeros(self.num_atoms, dtype=bool)
         reached[contacts] = True
         reached[self.bonds[reached[self.bonds[:, ::-1]]]] = True  # the bond partners of the contact ends
@@ -190,7 +178,7 @@ class GraphSample:
         rows = np.flatnonzero(reached)
         renumber = np.cumsum(reached) - 1
         bonds = self.bonds[reached[self.bonds].all(axis=1)]
-        return rows, Edges.build(len(rows), renumber[bonds], renumber[contacts], dist)
+        return rows, Edges.build(len(rows), renumber[bonds], renumber[contacts], d[close])
 
     @property
     def a1(self) -> np.ndarray:
@@ -352,6 +340,11 @@ def _decode_sample(r: Reader, index: int) -> GraphSample:
     where = f"{r.where} sample {texts[0]!r}"
     if cat_idx >= len(CATEGORIES) or label not in (-1, 0, 1):
         raise CheckpointError(f"{where}: category index {cat_idx} or label {label} out of range")
+    category = CATEGORIES[cat_idx]
+    if label >= 0 and CATEGORY_LABELS.get(category, label) != label:
+        raise CheckpointError(f"{where}: label {label} contradicts category {category}")
+    if rmsd < 0 or rmsd == np.inf:  # NaN, the absent rmsd, fails both
+        raise CheckpointError(f"{where}: rmsd must be a finite non-negative number, got {rmsd}")
     if (flags > 1).any():
         raise CheckpointError(f"{where}: is_ligand byte other than 0/1")
     if flags.all() or not flags.any():
@@ -376,7 +369,7 @@ def _decode_sample(r: Reader, index: int) -> GraphSample:
         bonds=bonds,
         complex_id=texts[0],
         protein_id=texts[1],
-        category=CATEGORIES[cat_idx],
+        category=category,
         label=None if label < 0 else int(label),
         rmsd=None if np.isnan(rmsd) else float(rmsd),
     )

@@ -227,8 +227,7 @@ def predict(
     subgraphs (``GraphSample.reach``, merged by ``Edges.merge``), so each tape
     operation runs once per batch and each sample's row equals its score
     alone. A2 is materialized on the reached edges only; ``internals``, if
-    given, receives A2 over all of the batch's edges (``a2``, in the order
-    of the merged ``edges``) and the pooled G x F vectors (``pooled``).
+    given, receives the pooled G x F vectors (``pooled``).
     Dropout runs exactly when ``rng`` is given (training): every mask is
     drawn from it before the forward pass, sample by sample: the attention
     layers' N_s x F masks in layer order, then the hidden fully connected
@@ -264,11 +263,9 @@ def predict(
             y = tape.relu(y)
             if masks is not None:
                 y = tape.dropout(y, next(masks))
-    out = tape.sigmoid(y)
     if internals is not None:
-        graph = Edges.merge([s.edges for s in samples])
-        internals.update(a2=materialize_a2(tape, graph, params.mu, sigma), pooled=pooled)
-    return out
+        internals.update(pooled=pooled)
+    return tape.sigmoid(y)
 
 
 def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> float:

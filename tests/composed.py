@@ -8,8 +8,9 @@ rule. The functions here compute the same arithmetic in the same order
 through the tape's elementary operations, so their forward values must equal
 the fused ones bit for bit, and their gradients, which the tape derives step
 by step, must agree to rounding. ``composed_predict`` is the whole forward
-pass in that form, the batch's reach taken from the merged full edge list
-(``merged_reach``) instead of from each sample's ``GraphSample.reach``.
+pass in that form, the batch's reach taken from the merged full edge lists
+(``full_edges``, ``merged_reach``) instead of from each sample's
+``GraphSample.reach``.
 The edge-list steps are ``ComposedTape``'s operations, built on
 ``Tape.record`` and the edge kernels of ``molgat.autodiff`` that the fused
 layer calls. Nothing under ``src/`` uses this module.
@@ -18,8 +19,9 @@ layer calls. Nothing under ``src/`` uses this module.
 import numpy as np
 
 from molgat.autodiff import Tape, _edge_dots, _edge_sums, _segment_softmax, _segment_softmax_grad, constant
+from molgat.chem import pairs_within
 from molgat.errors import NumericError, ShapeError
-from molgat.graphs import Edges
+from molgat.graphs import CONTACT_CUTOFF, Edges
 from molgat.model import _dropout_masks
 
 
@@ -141,6 +143,19 @@ def composed_materialize_a2(tape, edges, mu, sigma):
     return tape.add(constant(1.0 - contact), tape.mul(gauss, constant(contact)))
 
 
+def full_edges(s):
+    """Self-loops, bonds and intermolecular contacts (d < 5 A) of all N atoms
+    of sample ``s``, as a sorted symmetric edge list: the graph whose
+    contact-reachable part is ``s.reach``, from its own ligand x protein
+    search and the ``Edges.build`` call ``reach`` makes."""
+    lig = np.flatnonzero(s.is_ligand)
+    prot = np.flatnonzero(~s.is_ligand)
+    li, pj, d = pairs_within(s.coords[lig], s.coords[prot], CONTACT_CUTOFF)
+    close = d < CONTACT_CUTOFF
+    contacts = np.stack([lig[li[close]], prot[pj[close]]], axis=1)
+    return Edges.build(s.num_atoms, s.bonds, contacts, d[close])
+
+
 def merged_reach(edges):
     """The rows a contact can reach in a merged edge list, and the edges
     among them: ``(rows, subgraph, kept)``. ``rows`` holds, in increasing
@@ -178,7 +193,7 @@ def composed_predict(tape, samples, params, config, rng=None):
     masks = None
     if rng is not None and config.dropout_rate > 0:
         masks = iter(_dropout_masks(samples, config, rng))
-    graph = Edges.merge([s.edges for s in samples])
+    graph = Edges.merge([full_edges(s) for s in samples])
     a2 = composed_materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
     rows, reached, kept = merged_reach(graph)
     features = np.concatenate([s.features for s in samples])[rows]

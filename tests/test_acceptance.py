@@ -22,7 +22,7 @@ from molgat.synthetic import generate_corpus
 from molgat.training import TrainConfig, mean_bce, split_by_protein, train
 from molgat.cli import main as cli_main
 
-from composed import ComposedTape
+from composed import ComposedTape, full_edges
 from helpers import (
     bce_loss,
     check_gradients,
@@ -254,7 +254,7 @@ class TestA4InvarianceSuite:
     def check_gat_internals(self, s, params, config):
         t = Tape()
         h = t.matmul(constant(s.features), params.embed)
-        edges = s.edges
+        edges = full_edges(s)
         a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
         internals = {}
         gat_forward(t, h, edges, a2, params.layers[0], internals=internals)
@@ -300,9 +300,12 @@ class TestA4InvarianceSuite:
         s = build_sample(ComplexRecord("nc", "p", atoms, [Bond(0, 1)]))
         assert s.inter_mask.sum() == 0
         internals = {}
-        p = predict(Tape(), [s], params, config, internals=internals).item()
+        t = Tape()
+        p = predict(t, [s], params, config, internals=internals).item()
         assert np.array_equal(internals["pooled"].data, np.zeros((1, config.gat_dim)))
-        np.testing.assert_array_equal(dense_of(s.edges, internals["a2"].data), s.a1)
+        edges = full_edges(s)
+        a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
+        np.testing.assert_array_equal(dense_of(edges, a2.data), s.a1)
         # constant: any other no-contact complex scores identically
         atoms2 = [
             Atom("S", (0, 0, 0), True, 2, 1, 0, True),

@@ -679,6 +679,26 @@ class TestEvaluate:
         assert rc == 2
         assert "unsupported cache version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "poses"])
+    @pytest.mark.parametrize("fault, message", [
+        ({"rmsd": -1.0}, "rmsd must be a finite non-negative number, got -1.0"),
+        ({"label": 1}, "label 1 contradicts category pdbbind_negative"),
+    ], ids=["negative rmsd", "contradicting label"])
+    def test_cache_sample_that_breaks_a_record_rule_is_two(self, workspace, tmp_path, capsys, command, fault,
+                                                           message):
+        # a far pose written as near-native (or labelled against its category)
+        # is refused by the reader, as a record would be by validate_record
+        samples = read_cache(workspace / "poses.cache")
+        k = next(k for k, s in enumerate(samples) if s.category == "pdbbind_negative")
+        samples[k] = dataclasses.replace(samples[k], **fault)
+        bad = tmp_path / "bad.cache"
+        write_cache(samples, bad)
+        rc = main([command, "--cache", str(bad), "--checkpoint", str(workspace / "run" / "latest.ckpt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{bad}: graph cache sample {samples[k].complex_id!r}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPredict:
     def test_scores_and_histogram(self, workspace, capsys):
@@ -834,6 +854,30 @@ class TestPoses:
         )
         assert rc == 2
         assert "rmsd" in capsys.readouterr().err
+
+
+def test_each_csv_output_keeps_its_line_ending(workspace, tmp_path):
+    # docs/formats.md: the csv module's writers end lines in CRLF, the
+    # writer of predict and poses (cli._write_csv) in LF
+    ckpt = str(workspace / "run" / "latest.ckpt")
+    for argv in (["evaluate", "--cache", str(workspace / "test.cache")],
+                 ["predict", "--input", str(workspace / "test.cache")],
+                 ["poses", "--cache", str(workspace / "poses.cache")]):
+        assert main(argv + ["--checkpoint", ckpt, "--out", str(tmp_path / argv[0])]) == 0
+    endings = {
+        workspace / "run" / "train_log.csv": b"\r\n",
+        tmp_path / "evaluate" / "report.csv": b"\r\n",
+        tmp_path / "evaluate" / "roc_curve.csv": b"\r\n",
+        tmp_path / "evaluate" / "pr_curve.csv": b"\r\n",
+        tmp_path / "predict" / "scores.csv": b"\n",
+        tmp_path / "predict" / "score_histogram.csv": b"\n",
+        tmp_path / "poses" / "topn_success.csv": b"\n",
+    }
+    for path, ending in endings.items():
+        data = path.read_bytes()
+        assert data.count(ending) > 1 and data.endswith(ending), path.name
+        rest = data.replace(ending, b"")
+        assert b"\r" not in rest and b"\n" not in rest, path.name
 
 
 class TestSynthCommand:

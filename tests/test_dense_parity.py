@@ -12,6 +12,7 @@ from molgat.graphs import build_sample, prune_protein
 from molgat.model import ModelConfig, ModelParams, predict, score
 from molgat.synthetic import generate_corpus
 
+from composed import full_edges
 from dense_oracle import dense_gat_forward, dense_predict, dense_score
 from helpers import bce_loss, dense_of, pocket_sample, record_gradient_shapes
 
@@ -43,7 +44,7 @@ def assert_parity(samples, config, seed, grad_every):
             scale = np.abs(dense[name]).max()
             err = np.abs(sparse[name] - dense[name]).max()
             assert err <= 1e-9 * scale or err == 0.0, f"{s.complex_id} {name}: {err:g} vs {scale:g}"
-        assert np.abs(sparse["mu"]).max() > 0 or not s.edges.contact.any()
+        assert np.abs(sparse["mu"]).max() > 0 or not full_edges(s).contact.any()
 
 
 @pytest.mark.usefixtures("edge_kernel")
@@ -66,7 +67,7 @@ def test_pocket_layer_matches_the_concat_gate():
     # [x | x W] and multiplies it by u. Output, gate and the gradients of u,
     # W and x agree on a 600-atom pocket.
     s = pocket_sample(600, seed=600)
-    edges = s.edges
+    edges = full_edges(s)
     rng = np.random.default_rng(13)
     gauss = np.exp(-((edges.dist - 3.0) ** 2) / 2.0)
     a2 = np.where(edges.contact, gauss, 1.0)[:, None]

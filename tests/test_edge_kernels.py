@@ -10,6 +10,7 @@ from molgat import autodiff
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
+from composed import full_edges
 from dense_oracle import gather_edge_dots, gather_edge_sums
 from helpers import ligand_in_a_shell, pocket_sample, random_edges
 
@@ -37,7 +38,7 @@ def merged_batch():
 
 
 def pocket():
-    return pocket_sample(600, seed=12).edges
+    return full_edges(pocket_sample(600, seed=12))
 
 
 CASES = {"loops": loops_and_a_chain, "hub": hub, "ring": ring, "batch": merged_batch, "pocket": pocket}
@@ -96,9 +97,9 @@ def test_degree_profiles_of_the_cases():
 def test_kernel_rule_picks_dense_for_training_batches_and_buckets_for_pockets():
     batch = [build_sample(prune_protein(r)) for r in generate_corpus(32, seed=52)]
     assert 30 <= np.mean([s.num_atoms for s in batch]) <= 60
-    assert autodiff._dense(Edges.merge([s.edges for s in batch]))
+    assert autodiff._dense(Edges.merge([full_edges(s) for s in batch]))
     for n in (300, 600):
-        assert not autodiff._dense(pocket_sample(n, seed=n).edges)
+        assert not autodiff._dense(full_edges(pocket_sample(n, seed=n)))
     # the graphs the model runs on: the reached subgraphs
     assert autodiff._dense(Edges.merge([s.reach[1] for s in batch]))
     assert autodiff._dense(pocket_sample(300, seed=300).reach[1])

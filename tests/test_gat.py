@@ -9,7 +9,7 @@ from molgat.gat import GatParams, gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
-from composed import ComposedTape, composed_gat_forward
+from composed import ComposedTape, composed_gat_forward, full_edges
 from helpers import check_gradients, dense_of, pocket_sample, record_gradient_shapes
 
 
@@ -371,7 +371,7 @@ def test_gate_holds_no_value_wider_than_the_layer(monkeypatch):
     # an array with the batch's N rows and more than F columns.
     passed = record_gradient_shapes(monkeypatch)
     batch = [build_sample(prune_protein(r)) for r in generate_corpus(32, seed=53)]
-    graph = Edges.merge([s.edges for s in batch])
+    graph = Edges.merge([full_edges(s) for s in batch])
     n, f = len(graph.starts), 140
     rng = np.random.default_rng(54)
     x = parameter(rng.uniform(-1, 1, size=(n, f)))
@@ -391,7 +391,7 @@ def test_row_without_a_contact_edge_outputs_exact_zero_at_every_layer(edge_kerne
     # The premise of running the model on the reached rows only: a row whose
     # edges are all covalent has att2 == att1, so its output is exactly 0.
     s = pocket_sample(n_atoms, seed)
-    edges = s.edges
+    edges = full_edges(s)
     rng = np.random.default_rng(seed)
     f = 16
     a2 = np.ones((len(edges.src), 1))

@@ -28,7 +28,7 @@ from molgat.graphs import (
 )
 from molgat.synthetic import generate_corpus, generate_pose_set
 
-from composed import merged_reach
+from composed import full_edges, merged_reach
 from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_samples
 
 
@@ -263,7 +263,7 @@ class TestEdges:
 
     def test_support_equals_dense_adjacency_support(self):
         for s in self.samples():
-            edges = s.edges
+            edges = full_edges(s)
             src, dst = np.nonzero(s.a1 + s.inter_mask)  # row-major: sorted by (src, dst)
             np.testing.assert_array_equal(edges.src, src)
             np.testing.assert_array_equal(edges.dst, dst)
@@ -272,7 +272,7 @@ class TestEdges:
 
     def test_contact_distances_bit_equal_to_dist(self):
         for s in self.samples():
-            edges = s.edges
+            edges = full_edges(s)
             dist = s.dist
             c = edges.contact
             assert np.array_equal(edges.dist[c], dist[edges.src[c], edges.dst[c]])
@@ -286,14 +286,14 @@ class TestEdges:
             atom("O", (0, 0, 5.0), False),
             atom("O", (0, 0, 5.001), False),
         ]
-        edges = build_sample(ComplexRecord("c", "p", atoms, [Bond(0, 1)])).edges
+        edges = full_edges(build_sample(ComplexRecord("c", "p", atoms, [Bond(0, 1)])))
         pairs = set(zip(edges.src[edges.contact].tolist(), edges.dst[edges.contact].tolist()))
         assert (0, 2) in pairs and (2, 0) in pairs
         assert not pairs & {(0, 3), (3, 0), (0, 4), (4, 0)}
 
     def test_rev_is_involution_mapping_to_reverse_edge(self):
         for s in self.samples():
-            edges = s.edges
+            edges = full_edges(s)
             assert np.array_equal(edges.rev[edges.rev], np.arange(len(edges.src)))
             assert np.array_equal(edges.src[edges.rev], edges.dst)
             assert np.array_equal(edges.dst[edges.rev], edges.src)
@@ -307,7 +307,7 @@ class TestEdges:
 
 
     def test_merge_equals_the_edges_of_the_disjoint_union(self):
-        parts = [s.edges for s in self.samples()[:6]]
+        parts = [full_edges(s) for s in self.samples()[:6]]
         merged = Edges.merge(parts)
         offsets = np.cumsum([0] + [len(p.starts) for p in parts])
         bonds, contacts, dists = [], [], []
@@ -324,7 +324,7 @@ class TestEdges:
         assert Edges.merge(parts[:1]) is parts[0]
 
     def test_blocks_put_each_edge_in_its_graphs_dense_block(self):
-        parts = [s.edges for s in self.samples()[:4]]
+        parts = [full_edges(s) for s in self.samples()[:4]]
         bounds, index, total = Edges.merge(parts).blocks
         flat = np.zeros(total)
         flat[index] = np.arange(1, len(index) + 1)  # edge number, 1-based
@@ -337,9 +337,9 @@ class TestEdges:
 
     @staticmethod
     def assert_reach(s):
-        """``s.reach`` against its definition on the full edge list ``s.edges``."""
+        """``s.reach`` against its definition on the full edge list ``full_edges(s)``."""
         rows, sub = s.reach
-        edges = s.edges
+        edges = full_edges(s)
         ends = np.unique(edges.src[edges.contact])
         assert rows.tolist() == sorted(set(edges.dst[np.isin(edges.src, ends)].tolist()) | {0})
         kept = np.flatnonzero(np.isin(edges.src, rows) & np.isin(edges.dst, rows))
@@ -371,7 +371,7 @@ class TestEdges:
 
     def test_reach_of_a_graph_without_contacts_keeps_its_first_row(self):
         s = build_sample(complex_with_protein_at([6.5, 7.7]))
-        assert not s.edges.contact.any()
+        assert not full_edges(s).contact.any()
         rows, sub = self.assert_reach(s)
         assert rows.tolist() == [0]
         assert sub.src.tolist() == sub.dst.tolist() == [0] and sub.sizes.tolist() == [1]
@@ -380,7 +380,7 @@ class TestEdges:
         # The reference pass reaches into the merged full edge list
         # (tests/composed.py); predict merges each sample's reach.
         samples = self.samples() + [build_sample(complex_with_protein_at([6.5, 7.7]))]
-        rows, sub, _ = merged_reach(Edges.merge([s.edges for s in samples]))
+        rows, sub, _ = merged_reach(Edges.merge([full_edges(s) for s in samples]))
         offsets = np.cumsum([0] + [s.num_atoms for s in samples[:-1]])
         np.testing.assert_array_equal(rows, np.concatenate([s.reach[0] + k for s, k in zip(samples, offsets)]))
         merged = Edges.merge([s.reach[1] for s in samples])
@@ -589,6 +589,10 @@ class TestCache:
             return dataclasses.replace(sample, is_ligand=np.ones(4, bool))
         if case == "label 2":
             return dataclasses.replace(sample, label=2)
+        if case == "label 0 of an active":
+            return dataclasses.replace(sample, label=0)
+        if case.startswith("rmsd "):
+            return dataclasses.replace(sample, rmsd=float(case[5:]))
         if case == "nan coordinate":
             coords = sample.coords.copy()
             coords[3, 1] = np.nan
@@ -606,6 +610,10 @@ class TestCache:
             ("feature byte 7", "feature byte other than 0/1"),
             ("label 2", "category index 0 or label 2 out of range"),
             ("nan coordinate", "non-finite coordinates"),
+            ("label 0 of an active", "sample 'c0': label 0 contradicts category dude_active"),
+            ("rmsd -1.0", "sample 'c0': rmsd must be a finite non-negative number, got -1.0"),
+            ("rmsd inf", "sample 'c0': rmsd must be a finite non-negative number, got inf"),
+            ("rmsd -inf", "sample 'c0': rmsd must be a finite non-negative number, got -inf"),
         ],
     )
     def test_degenerate_sample_rejected(self, tmp_path, case, message):

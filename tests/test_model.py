@@ -10,7 +10,7 @@ import pytest
 from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
 from molgat.errors import CheckpointError, NumericError
-from molgat.graphs import GraphSample, build_sample, prune_protein, read_cache, write_cache
+from molgat.graphs import Edges, GraphSample, build_sample, prune_protein, read_cache, write_cache
 from molgat.model import (
     CHECKPOINT_MAGIC,
     SIGMA_FLOOR,
@@ -26,7 +26,7 @@ from molgat.model import (
 from molgat.synthetic import generate_corpus
 from molgat.training import mean_bce
 
-from composed import ComposedTape, composed_materialize_a2, composed_predict, composed_score
+from composed import ComposedTape, composed_materialize_a2, composed_predict, composed_score, full_edges
 from helpers import bce_loss, check_gradients, dense_of, dropout_mask, ligand_in_a_shell, num_parameters, pocket_sample
 
 SMALL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
@@ -73,14 +73,15 @@ class TestMaterializeA2:
         params = fresh_params()
         params.mu.data[0, 0] = 3.0
         t = Tape()
-        a2 = materialize_a2(t, s.edges, params.mu, params.sigma_on(t))
-        assert edge_weight(s.edges, a2, 0, 2) == pytest.approx(1.0, abs=1e-12)
+        edges = full_edges(s)
+        a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
+        assert edge_weight(edges, a2, 0, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_contacts_reproduces_a1_exactly(self):
         s = no_contact_sample()
         params = fresh_params()
         t = Tape()
-        edges = s.edges
+        edges = full_edges(s)
         a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
         assert np.array_equal(dense_of(edges, a2.data), s.a1)
 
@@ -90,7 +91,7 @@ class TestMaterializeA2:
         t = Tape()
         mu = parameter([[2.0]])
         sigma = constant([[4.0]])
-        edges = s.edges
+        edges = full_edges(s)
         a2 = materialize_a2(t, edges, mu, sigma)
         assert edge_weight(edges, a2, 0, 2) == pytest.approx(np.exp(-0.25), abs=1e-12)
         assert edge_weight(edges, a2, 2, 0) == pytest.approx(np.exp(-0.25), abs=1e-12)
@@ -99,7 +100,7 @@ class TestMaterializeA2:
     def test_nonpositive_sigma_rejected(self):
         s = sample_with_contact(3.0)
         with pytest.raises(NumericError):
-            materialize_a2(Tape(), s.edges, parameter([[2.0]]), constant([[0.0]]))
+            materialize_a2(Tape(), full_edges(s), parameter([[2.0]]), constant([[0.0]]))
 
     def test_sigma_value_is_the_softplus_plus_floor_of_its_raw_value(self):
         params = fresh_params()
@@ -111,12 +112,13 @@ class TestMaterializeA2:
 
     def test_equals_the_composed_column_and_its_gradients(self):
         s = sample_with_contact(3.4, extra_protein=[(0, 2.8, 2.8), (4.0, 0.5, 1.0)])
-        weights = constant(np.random.default_rng(3).uniform(-1, 1, size=(len(s.edges.src), 1)))
+        edges = full_edges(s)
+        weights = constant(np.random.default_rng(3).uniform(-1, 1, size=(len(edges.src), 1)))
         runs = []
         for build in (materialize_a2, composed_materialize_a2):
             mu, sigma = parameter([[2.5]]), parameter([[1.7]])
             t = Tape()
-            a2 = build(t, s.edges, mu, sigma)
+            a2 = build(t, edges, mu, sigma)
             t.backward(t.sum_all(t.mul(a2, weights)))
             runs.append((a2.data, mu.grad, sigma.grad, len(t)))
         (a2, mu_grad, sigma_grad, nodes), (ref, ref_mu, ref_sigma, ref_nodes) = runs
@@ -127,15 +129,16 @@ class TestMaterializeA2:
 
     def test_gradients_match_finite_differences(self):
         s = sample_with_contact(3.4, extra_protein=[(0, 2.8, 2.8), (4.0, 0.5, 1.0)])
-        weights = constant(np.random.default_rng(4).uniform(-1, 1, size=(len(s.edges.src), 1)))
+        edges = full_edges(s)
+        weights = constant(np.random.default_rng(4).uniform(-1, 1, size=(len(edges.src), 1)))
         mu, sigma = parameter([[2.5]]), parameter([[1.7]])
 
         def forward():
             t = Tape()
-            return t.sum_all(t.mul(materialize_a2(t, s.edges, mu, sigma), weights)).item()
+            return t.sum_all(t.mul(materialize_a2(t, edges, mu, sigma), weights)).item()
 
         t = Tape()
-        t.backward(t.sum_all(t.mul(materialize_a2(t, s.edges, mu, sigma), weights)))
+        t.backward(t.sum_all(t.mul(materialize_a2(t, edges, mu, sigma), weights)))
         check_gradients(forward, [mu, sigma], tol=1e-6)
 
     # An infinite sigma gives weights of exactly 1, in both forms.
@@ -147,7 +150,7 @@ class TestMaterializeA2:
             (mu if which == "mu" else sigma).data[0, 0] = bad
             t = Tape()
             with np.errstate(all="ignore"), pytest.raises(NumericError):
-                build(t, s.edges, mu, sigma)
+                build(t, full_edges(s), mu, sigma)
 
     def test_distance_at_mu_maximizes_weight(self):
         params = fresh_params()
@@ -156,8 +159,9 @@ class TestMaterializeA2:
         for d in np.linspace(0.5, 4.9, 23):
             s = sample_with_contact(d)
             t = Tape()
-            a2 = materialize_a2(t, s.edges, params.mu, params.sigma_on(t))
-            weights.append((abs(d - mu), edge_weight(s.edges, a2, 0, 2)))
+            edges = full_edges(s)
+            a2 = materialize_a2(t, edges, params.mu, params.sigma_on(t))
+            weights.append((abs(d - mu), edge_weight(edges, a2, 0, 2)))
         best = min(weights, key=lambda p: p[0])
         assert max(weights, key=lambda p: p[1]) == best
 
@@ -454,19 +458,37 @@ def test_dropout_masks_equal_per_site_draws():
     assert rng.random() == np.random.default_rng(15).random(drawn + 1)[-1]
 
 
-def test_training_and_scoring_build_no_full_edge_list():
-    # The layers run on each sample's reach; only internals read the full edge list.
+def test_training_and_scoring_build_no_full_edge_list(monkeypatch):
+    # A sample's one graph is its reach: a training pass, scoring and
+    # predict(internals=) each build one edge list per sample, and internals
+    # holds the pooled vectors only.
     config = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 1), dropout_rate=0.3)
-    batch = mixed_batch() + [pocket_sample(300, seed=20)]
     params = fresh_params(config, seed=21)
-    t = Tape()
-    t.backward(mean_bce(t, predict(t, batch, params, config, rng=np.random.default_rng(22)),
-                        [k % 2 for k in range(len(batch))]))
-    score(batch[-1], params, config)
-    assert not any("edges" in vars(s) for s in batch)
+    build = Edges.build.__func__
+    built = []
+
+    def counted_build(cls, n, *args):
+        built.append(n)
+        return build(cls, n, *args)
+
+    monkeypatch.setattr(Edges, "build", classmethod(counted_build))
+
+    def training_pass(batch):
+        t = Tape()
+        t.backward(mean_bce(t, predict(t, batch, params, config, rng=np.random.default_rng(22)),
+                            [k % 2 for k in range(len(batch))]))
+
+    def scores(batch):
+        for s in batch + batch:
+            score(s, params, config)
+
     internals = {}
-    predict(Tape(), batch[:2], params, config, internals=internals)
-    assert internals["a2"].shape == (sum(len(s.edges.src) for s in batch[:2]), 1)
+    for run in (training_pass, scores, lambda batch: predict(Tape(), batch, params, config, internals=internals)):
+        batch = mixed_batch() + [pocket_sample(300, seed=20)]
+        built.clear()
+        run(batch)
+        assert built == [len(s.reach[0]) for s in batch]
+    assert internals.keys() == {"pooled"} and internals["pooled"].shape == (len(batch), config.gat_dim)
 
 
 class TestGradientsThroughModel:
