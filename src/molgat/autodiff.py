@@ -11,7 +11,8 @@ a plain ``Value``: no parents, no rule, not on the tape, so it is freed as
 soon as nothing references it. A forward pass on constant weights
 (``ModelParams.constants``) therefore holds about one layer's values at a
 time. A tape is built fresh for each forward pass (define-by-run) and is
-single-threaded.
+used by one thread: a training step runs two passes at once on two threads,
+each on its own tape and its own parameter views (``ModelParams.views``).
 
 Every operation checks its result for non-finite values and pays for a
 ``Value`` and a closure, whether or not it records. So a chain that runs
@@ -455,15 +456,17 @@ class Tape:
 
         return self.record(out_data, (scores,), backward)
 
-    def dropout(self, a: Value, keep: np.ndarray) -> Value:
-        """Inverted dropout by a constant mask of 0 and 1 / (1 - rate)."""
-        if keep.shape != a.shape:
-            raise ShapeError(f"dropout: mask {keep.shape} must match {a.shape}")
+    def dropout(self, a: Value, kept: np.ndarray, scale: float) -> Value:
+        """Inverted dropout: ``(a * kept) * scale`` for a constant boolean
+        mask ``kept`` and ``scale`` = 1 / (1 - rate). Bit for bit, this is
+        ``a`` times a float mask of 0 and ``scale``, signed zeros included."""
+        if kept.shape != a.shape or kept.dtype != bool:
+            raise ShapeError(f"dropout: mask of {kept.dtype} {kept.shape} must be bool {a.shape}")
 
         def backward(g):
-            a.accumulate(g * keep)
+            a.accumulate((g * kept) * scale)
 
-        return self.record(a.data * keep, (a,), backward)
+        return self.record((a.data * kept) * scale, (a,), backward)
 
     # -- backward ------------------------------------------------------------
 

@@ -942,8 +942,10 @@ def collector_paused():
     on at the start. Around a parse that builds a whole entry's ``Atom``,
     position tuple and ``Bond`` objects, none of them in a reference cycle:
     refcounting frees them, and the collections their allocations would set
-    off free nothing. molgat runs on one thread, so no other thread's
-    allocations go unchecked meanwhile."""
+    off free nothing. Parsing runs on one thread, and nothing else runs
+    meanwhile (a training pair runs its two passes on two threads, each
+    pass on its own tape, but training parses nothing), so no other
+    thread's allocations go unchecked."""
     collecting = gc.isenabled()
     gc.disable()
     try:

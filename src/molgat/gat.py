@@ -37,9 +37,11 @@ non-finite values; its backward rule, written out below the forward,
 returns the gradients of x, W, E, u, b and the A2 edge weights (which is
 how the learnable distance profile behind the contact adjacency receives
 its gradient). A pass that records nothing drops x'E, which only the
-backward reads, once the scores are made. ``tests/composed.py`` keeps the
-same layer as one tape operation per step, the reference the node must
-match bit for bit.
+backward reads, once the scores are made. Given a dropout mask, the node
+applies it to its output as ``Tape.dropout`` would, bit for bit, so a
+training pass keeps neither the undropped output nor a float mask.
+``tests/composed.py`` keeps the same layer as one tape operation per step,
+the reference the node must match bit for bit.
 """
 
 from __future__ import annotations
@@ -84,12 +86,15 @@ def gat_forward(
     a2: Value,
     params: GatParams,
     internals: dict | None = None,
+    dropout: tuple[np.ndarray, float] | None = None,
 ) -> Value:
     """Run one dual-adjacency gated attention layer; returns N x F features.
 
     Every node's self-loop must be in both adjacencies: not a contact edge,
     and a positive ``a2`` weight. Pass ``internals`` to capture the
-    intermediate values listed above.
+    intermediate values listed above, and ``dropout``, a boolean N x F mask
+    of the kept units and the scale 1 / (1 - rate), to drop the output's
+    units inside the node.
     """
     n, f = x.shape
     if len(edges.starts) != n:
@@ -102,6 +107,10 @@ def gat_forward(
         raise ShapeError("adjacency has a zero diagonal entry (missing self-loop)")
     if params.w.shape != (f, f):
         raise ShapeError(f"layer width {params.w.shape} does not match feature dim {f}")
+    if dropout is not None:
+        kept, scale = dropout
+        if kept.shape != (n, f) or kept.dtype != bool:
+            raise ShapeError(f"dropout mask of {kept.dtype} {kept.shape} must be bool {(n, f)}")
 
     w, e, u = params.w.data, params.e.data, params.u.data
     parents = (x, params.w, params.e, params.u, params.b, a2)
@@ -130,6 +139,8 @@ def gat_forward(
     keep = 1.0 - z  # in [0, 1], as z is
 
     def backward(g):
+        if dropout is not None:
+            g = (g * kept) * scale
         # out = keep * x'': the gate's logit, then the gate's weights.
         d_xpp = g * keep
         d_logit = -(g * xpp).sum(axis=1, keepdims=True) * z * keep
@@ -154,7 +165,10 @@ def gat_forward(
             if p.requires_grad:
                 p.accumulate(grad)
 
-    out = tape.record(keep * xpp, parents, backward)
+    out = keep * xpp
+    if dropout is not None:
+        out = (out * kept) * scale
+    out = tape.record(out, parents, backward)
     if internals is not None:
         attention1 = constant(softmax1)
         internals.update(scores=constant(scores), gate=constant(z), softmax1=attention1,

@@ -304,6 +304,40 @@ def label_pose(rmsd: float) -> int | None:
 #   crc32               u32 over everything after the magic
 # ---------------------------------------------------------------------------
 
+def _record_fault(category_index, label, rmsd, flags, feats, coords, bonds) -> str | None:
+    """The first record rule a cached sample breaks, given its fields as the
+    cache stores them (``bonds`` as read back, int64), or ``None``. The
+    reader checks every sample it decodes, and the writer every sample
+    before anything is written, so a cache that ``write_cache`` writes reads
+    back."""
+    n = len(flags)
+    if category_index >= len(CATEGORIES) or label not in (-1, 0, 1):
+        return f"category index {category_index} or label {label} out of range"
+    category = CATEGORIES[category_index]
+    if label >= 0 and CATEGORY_LABELS.get(category, label) != label:
+        return f"label {label} contradicts category {category}"
+    if rmsd < 0 or rmsd == np.inf:  # NaN, the absent rmsd, fails both
+        return f"rmsd must be a finite non-negative number, got {rmsd}"
+    if (flags > 1).any():
+        return "is_ligand byte other than 0/1"
+    if flags.all() or not flags.any():
+        return "sample needs at least one ligand and one protein atom"
+    if (feats > 1).any():
+        return "feature byte other than 0/1"
+    if not np.isfinite(coords).all():
+        return "non-finite coordinates"
+    if ((bonds[:, 0] >= bonds[:, 1]) | (bonds[:, 1] >= n)).any():
+        return "bond index out of range or not i < j < n_atoms"
+    is_ligand = flags.astype(bool)
+    if (is_ligand[bonds[:, 0]] != is_ligand[bonds[:, 1]]).any():
+        return "covalent bond crosses the ligand/protein boundary"
+    repeated = repeats(bonds[:, 0] * n + bonds[:, 1])
+    if repeated.any():
+        i, j = bonds[np.argmax(repeated)].tolist()
+        return f"bond ({i},{j}) is repeated"
+    return None
+
+
 def _encode_sample(s: GraphSample) -> bytes:
     parts = []
     for text in (s.complex_id, s.protein_id):
@@ -319,6 +353,25 @@ def _encode_sample(s: GraphSample) -> bytes:
     parts.append(struct.pack("<I", len(s.bonds)))
     parts.append(s.bonds.astype("<u4").tobytes())
     return b"".join(parts)
+
+
+def _checked_sample(s: GraphSample, path) -> bytes:
+    """``s`` encoded, once its fields as stored break no record rule;
+    ``DataError`` naming ``path`` and the sample otherwise."""
+    where = f"{path}: sample {s.complex_id!r}"
+    n = s.num_atoms
+    if s.features.shape != (n, N_FEATURES) or s.is_ligand.shape != (n,) or s.coords.shape != (n, 3) \
+            or s.bonds.ndim != 2 or s.bonds.shape[1] != 2:
+        raise DataError(f"{where}: array shapes do not match {n} atoms")
+    category_index = CATEGORIES.index(s.category) if s.category in CATEGORIES else len(CATEGORIES)
+    fault = _record_fault(
+        category_index, -1 if s.label is None else s.label, np.nan if s.rmsd is None else s.rmsd,
+        s.is_ligand.astype(np.uint8), s.features.astype(np.uint8), s.coords.astype("<f8"),
+        s.bonds.astype("<u4").astype(np.int64),
+    )
+    if fault:
+        raise DataError(f"{where}: {fault}")
+    return _encode_sample(s)
 
 
 def _decode_sample(r: Reader, index: int) -> GraphSample:
@@ -337,47 +390,28 @@ def _decode_sample(r: Reader, index: int) -> GraphSample:
     coords = np.frombuffer(r.take(n * 24), dtype="<f8").reshape(n, 3).astype(np.float64)
     (n_bonds,) = r.unpack("<I")
     bonds = np.frombuffer(r.take(n_bonds * 8), dtype="<u4").reshape(n_bonds, 2).astype(np.int64)
-    where = f"{r.where} sample {texts[0]!r}"
-    if cat_idx >= len(CATEGORIES) or label not in (-1, 0, 1):
-        raise CheckpointError(f"{where}: category index {cat_idx} or label {label} out of range")
-    category = CATEGORIES[cat_idx]
-    if label >= 0 and CATEGORY_LABELS.get(category, label) != label:
-        raise CheckpointError(f"{where}: label {label} contradicts category {category}")
-    if rmsd < 0 or rmsd == np.inf:  # NaN, the absent rmsd, fails both
-        raise CheckpointError(f"{where}: rmsd must be a finite non-negative number, got {rmsd}")
-    if (flags > 1).any():
-        raise CheckpointError(f"{where}: is_ligand byte other than 0/1")
-    if flags.all() or not flags.any():
-        raise CheckpointError(f"{where}: sample needs at least one ligand and one protein atom")
-    if (feats > 1).any():
-        raise CheckpointError(f"{where}: feature byte other than 0/1")
-    if not np.isfinite(coords).all():
-        raise CheckpointError(f"{where}: non-finite coordinates")
-    if ((bonds[:, 0] >= bonds[:, 1]) | (bonds[:, 1] >= n)).any():
-        raise CheckpointError(f"{where}: bond index out of range or not i < j < n_atoms")
-    is_ligand = flags.astype(bool)
-    if (is_ligand[bonds[:, 0]] != is_ligand[bonds[:, 1]]).any():
-        raise CheckpointError(f"{where}: covalent bond crosses the ligand/protein boundary")
-    repeated = repeats(bonds[:, 0] * n + bonds[:, 1])
-    if repeated.any():
-        i, j = bonds[np.argmax(repeated)].tolist()
-        raise CheckpointError(f"{where}: bond ({i},{j}) is repeated")
+    fault = _record_fault(cat_idx, label, rmsd, flags, feats, coords, bonds)
+    if fault:
+        raise CheckpointError(f"{r.where} sample {texts[0]!r}: {fault}")
     return GraphSample(
         features=feats.copy(),  # writable, like the features of a built sample
         coords=coords,
-        is_ligand=is_ligand,
+        is_ligand=flags.astype(bool),
         bonds=bonds,
         complex_id=texts[0],
         protein_id=texts[1],
-        category=category,
+        category=CATEGORIES[cat_idx],
         label=None if label < 0 else int(label),
         rmsd=None if np.isnan(rmsd) else float(rmsd),
     )
 
 
 def write_cache(samples, path) -> None:
+    """Write ``samples`` as a graph cache, atomically. A sample that breaks
+    a record rule the reader checks (``_record_fault``) raises ``DataError``
+    before anything is written."""
     body = struct.pack("<I", CACHE_VERSION) + struct.pack("<Q", len(samples))
-    body += b"".join(_encode_sample(s) for s in samples)
+    body += b"".join(_checked_sample(s, path) for s in samples)
     write_checked(path, CACHE_MAGIC, body)
 
 

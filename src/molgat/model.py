@@ -30,18 +30,21 @@ and a final sigmoid produces the activity probability.
 
 The contact weights, each attention layer and each dense layer of the head
 are one tape node each, with a hand-written backward rule (the first two
-here and in ``gat``, the last ``Tape.affine``), so a paper-default training
-pass records 26 nodes, its loss included; ``tests/composed.py`` keeps the
+here and in ``gat``, the last ``Tape.affine``); an attention layer applies
+its dropout inside its node. So a paper-default training pass records 22
+nodes, its loss included; ``tests/composed.py`` keeps the
 one-operation-per-step form they must match bit for bit.
 
 ``predict`` runs a whole batch as one block-diagonal graph (``Edges.merge``
 of each sample's reached subgraph, which the sample keeps): every tape
 operation runs once per batch, pooling sums each graph's reached rows, and
-the output is a G x 1 column. Given an ``rng`` (training), it draws all
-dropout masks before the forward pass, sample by sample: each attention
-layer's N_s x F mask in layer order, then each hidden fully connected
-layer's 1 x d mask. A layer's mask is drawn for all N_s rows and keeps the reached
-ones, so the draws do not depend on the reach.
+the output is a G x 1 column. In training it takes the batch's dropout
+masks, drawn beforehand by ``dropout_masks`` sample by sample: each
+attention layer's N_s x F mask in layer order, then each hidden fully
+connected layer's 1 x d mask. A layer's mask is drawn for all N_s rows and
+keeps the reached ones, so the draws do not depend on the reach. The masks
+are boolean (the kept units); a layer scales its kept units by
+1 / (1 - rate).
 """
 
 from __future__ import annotations
@@ -144,6 +147,14 @@ class ModelParams:
         values = [constant(v.data) for v in self.values()]
         return ModelParams.from_values(values, len(self.layers), len(self.fc))
 
+    def views(self) -> "ModelParams":
+        """The same weights as parameters with gradients of their own. Each
+        shares its parameter's array, so an Adam step on the parameters
+        moves them too, and a pass on them accumulates into their own
+        ``grad``, which nothing else touches."""
+        values = [parameter(v.data) for v in self.values()]
+        return ModelParams.from_values(values, len(self.layers), len(self.fc))
+
     def sigma_on(self, tape: Tape) -> Value:
         """Positive sigma on the tape: softplus(raw) + floor."""
         return tape.add(tape.softplus(self.sigma_raw), constant([[SIGMA_FLOOR]]))
@@ -185,21 +196,25 @@ def materialize_a2(tape: Tape, edges: Edges, mu: Value, sigma: Value) -> Value:
     return tape.record((1.0 - contact) + _checked(gauss * contact), (mu, sigma), backward)
 
 
-def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> list[np.ndarray]:
+def dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> list[np.ndarray] | None:
     """Every dropout mask of a batch, drawn in the order ``predict`` states;
     one mask per dropout site, the samples' rows stacked in batch order. An
-    attention layer's mask keeps the reached rows (``GraphSample.reach``).
+    attention layer's mask keeps the reached rows (``GraphSample.reach``,
+    built here if it is not yet). ``None``, with nothing drawn, when the
+    rate is 0.
 
-    A site's mask is 0 where a unit drops (``rng.random() < rate``) and
-    1 / (1 - rate) where it is kept. The masks equal those drawn with one
+    A site's mask is False where a unit drops (``rng.random() < rate``) and
+    True where it is kept. The masks equal those drawn with one
     ``rng.random`` call per site, with fewer calls and passes:
     ``rng.random(a)`` followed by ``rng.random(b)`` yields the same numbers
     as ``rng.random(a + b)``, so each sample's sites come from one draw, and
-    each site's kept flags are stacked before they are scaled. One draw per
+    each site's kept flags are stacked. One draw per
     sample, not per batch, keeps each draw below the size of a site's mask:
     freeing one batch-wide draw (about 6 MB at the paper defaults) raises
     glibc's mmap threshold, and with it peak RSS."""
     rate = config.dropout_rate
+    if rate == 0:
+        return None
     layers = config.num_gat_layers
     hidden = [(1, d) for d in config.fc_dims[:-1]]
     per_sample = []
@@ -209,7 +224,7 @@ def _dropout_masks(samples, config: ModelConfig, rng: np.random.Generator) -> li
         kept = np.split(rng.random(sum(sizes)) >= rate, np.cumsum(sizes)[:-1])
         kept = [k.reshape(shape) for k, shape in zip(kept, sites)]
         per_sample.append([k[s.reach[0]] for k in kept[:layers]] + kept[layers:])
-    return [np.concatenate(site) / (1.0 - rate) for site in zip(*per_sample)]
+    return [np.concatenate(site) for site in zip(*per_sample)]
 
 
 def predict(
@@ -217,7 +232,7 @@ def predict(
     samples: list[GraphSample],
     params: ModelParams,
     config: ModelConfig,
-    rng: np.random.Generator | None = None,
+    masks: list[np.ndarray] | None = None,
     internals: dict | None = None,
 ) -> Value:
     """Forward pass for a batch; returns the G x 1 probabilities on the tape,
@@ -228,17 +243,19 @@ def predict(
     operation runs once per batch and each sample's row equals its score
     alone. A2 is materialized on the reached edges only; ``internals``, if
     given, receives the pooled G x F vectors (``pooled``).
-    Dropout runs exactly when ``rng`` is given (training): every mask is
-    drawn from it before the forward pass, sample by sample: the attention
-    layers' N_s x F masks in layer order, then the hidden fully connected
-    layers' 1 x d masks, the order in which one-sample forward passes would
-    draw them. An attention layer's mask keeps the reached rows only."""
+    Dropout runs exactly when ``masks`` are given (training): the batch's
+    boolean masks from ``dropout_masks``, one per dropout site, the
+    attention layers' in layer order, then the hidden fully connected
+    layers'. Each attention layer drops its output's units inside its own
+    node; a hidden layer's units go through ``Tape.dropout``."""
     if not samples:
         raise ValueError("predict needs at least one sample")
-
-    masks = None
-    if rng is not None and config.dropout_rate > 0:
-        masks = iter(_dropout_masks(samples, config, rng))
+    if masks is not None:
+        sites = len(params.layers) + len(params.fc) - 1
+        if len(masks) != sites:
+            raise ValueError(f"predict takes {sites} dropout masks, got {len(masks)}")
+        scale = 1.0 / (1.0 - config.dropout_rate)
+        masks = iter(masks)
     sigma = params.sigma_on(tape)
 
     # The layers run on the rows a contact can reach; every other row's
@@ -250,9 +267,7 @@ def predict(
     a2 = materialize_a2(tape, reached, params.mu, sigma)
     h = tape.matmul(constant(features), params.embed)  # widened to float64 by constant
     for layer in params.layers:
-        h = gat_forward(tape, h, reached, a2, layer)
-        if masks is not None:
-            h = tape.dropout(h, next(masks))
+        h = gat_forward(tape, h, reached, a2, layer, dropout=None if masks is None else (next(masks), scale))
 
     pooled = tape.sum_rows(h, reached.sizes)
     y = pooled
@@ -262,7 +277,7 @@ def predict(
         if k < last:
             y = tape.relu(y)
             if masks is not None:
-                y = tape.dropout(y, next(masks))
+                y = tape.dropout(y, next(masks), scale)
     if internals is not None:
         internals.update(pooled=pooled)
     return tape.sigmoid(y)

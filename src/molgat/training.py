@@ -4,22 +4,30 @@ Batches draw an equal number of samples from each category pool (with
 replacement; the pools are wildly unequal in practice), every parameter is
 updated by Adam, and checkpoints plus a CSV progress log are written
 periodically. A step splits its batch, in order, into passes of at most
-``PASS_ATOMS`` atoms (a larger sample runs alone). Each pass is one batched
-forward pass (``model.predict``) and one backward pass of its mean BCE scaled
-by its share of the batch, so the parameters' gradients add up to those of
-the batch's mean BCE; Adam steps once per batch. A pass's graph is freed
-once its backward pass is done, so a step holds one pass's values at a time.
+``PASS_ATOMS // 2`` atoms (a larger sample runs alone). Each pass is one
+batched forward pass (``model.predict``) and one backward pass of its mean
+BCE scaled by its share of the batch, so the parameters' gradients add up to
+those of the batch's mean BCE; Adam steps once per batch. Two consecutive
+passes that hold at most ``PASS_ATOMS`` atoms together run at once: this
+thread runs the first, one worker thread the second (in turn when the
+process may use one core only). Each pass accumulates into its own views of
+the parameters (``ModelParams.views``), and this thread adds their gradients
+to the parameters in pass order, so the sum has the same bits whichever
+thread ran which pass. A pass's graph is freed once its backward pass is
+done, so a step holds one pair's values at a time.
 Each checkpoint scores the labelled validation samples without dropout, in
-chunks of the same atom bound, each chunk one ``predict`` on the constant
-weights (``ModelParams.constants``), which records no tape node. All
-randomness flows from one seeded generator, in a fixed order per step: the
-batch draw, then each sample's dropout masks, sample by sample (its
-attention layers' masks in layer order, then its hidden fully connected
-layers' masks). A fixed seed reproduces the run bit-for-bit on one machine.
+chunks of at most ``PASS_ATOMS`` atoms, each chunk one ``predict`` on the
+constant weights (``ModelParams.constants``), which records no tape node.
+All randomness flows from one seeded generator, drawn on this thread in a
+fixed order per step: the batch draw, then each pass's dropout masks in pass
+order, sample by sample (its attention layers' masks in layer order, then
+its hidden fully connected layers' masks). A fixed seed reproduces the run
+bit-for-bit on one machine, on one core or two.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -31,7 +39,7 @@ import numpy as np
 from .autodiff import Tape, Value, constant
 from .errors import DataError, NumericError
 from .metrics import auroc
-from .model import ModelConfig, ModelParams, predict, save_params
+from .model import ModelConfig, ModelParams, dropout_masks, predict, save_params
 from .model import score  # noqa: F401 - unused here, but perfbench/spans.py wraps training.score
 
 TRAIN_CATEGORIES = ("dude_active", "dude_inactive", "pdbbind_positive", "pdbbind_negative")
@@ -44,15 +52,19 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Atoms per training pass and per validation chunk. A pass's tape keeps every
-# layer's N x F values, so the bound, or one larger sample, caps a step's
-# memory whatever the batch size. Paper defaults, 2-core Xeon VM, one BLAS
-# thread: a step of 32 pockets (24 x 300 + 8 x 600 atoms, 20 passes) took
-# 0.38-0.39 s at 62 MB peak RSS, against 0.45-0.46 s at 232 MB as one
-# whole-batch pass (median of 12 steps, two processes each). When the bound
-# was set, at train size (32 x ~40 atoms) peak RSS fell from 150 to 100 MB at
-# about the same samples/s; 320 and 512 atoms cut it further but cost 5-14%
-# of samples/s.
+# Atoms per pair of training passes (a pass holds at most half) and per
+# validation chunk. A pass's tape keeps every layer's N x F values, so the
+# bound, or one larger sample, caps a step's memory whatever the batch size.
+# Paper defaults, 2-core Xeon VM, one BLAS thread; 640-atom passes in turn
+# (the schedule before pairs) against 320-atom passes two at a time, run
+# alternately in one process (median of 12 or 24 steps; peak RSS of one
+# process each): a step of 32 pockets (24 x 300 + 8 x 600 atoms) took 408 ms
+# against 362 ms, at 58 MB against 71 MB peak RSS (the worker thread's malloc
+# arena keeps its own high-water mark); pinned to one core, 421 ms against
+# 425 ms. A train-size step (32 x ~40 atoms) took 76 ms against 55 ms, at
+# 67 MB peak RSS both; 640-atom passes two at a time took 49 ms at 79 MB.
+# When the bound was set, one whole-batch pocket pass took 0.45-0.46 s at
+# 232 MB.
 PASS_ATOMS = 640
 
 
@@ -89,18 +101,32 @@ def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:
     return tape.scale(tape.sum_all(tape.log(picked)), -1.0 / len(labels))
 
 
-def atom_passes(samples: list) -> list[list]:
-    """The samples, in order, as consecutive runs of at most ``PASS_ATOMS``
-    atoms in all; a sample larger than the bound runs alone."""
+def atom_passes(samples: list, bound: int) -> list[list]:
+    """The samples, in order, as consecutive runs of at most ``bound`` atoms
+    in all; a sample larger than the bound runs alone."""
     passes = []
     for s in samples:
-        if passes and atoms + s.num_atoms <= PASS_ATOMS:
+        if passes and atoms + s.num_atoms <= bound:
             passes[-1].append(s)
             atoms += s.num_atoms
         else:
             passes.append([s])
             atoms = s.num_atoms
     return passes
+
+
+def pass_pairs(passes: list[list]) -> list[list[list]]:
+    """The passes, in order, in groups that run at once: two consecutive
+    passes holding at most ``PASS_ATOMS`` atoms together, else one."""
+    groups = []
+    k = 0
+    while k < len(passes):
+        pair = passes[k:k + 2]
+        if sum(s.num_atoms for part in pair for s in part) > PASS_ATOMS:
+            pair = pair[:1]
+        groups.append(pair)
+        k += len(pair)
+    return groups
 
 
 def draws_per_pool(batch_size: int, n_pools: int) -> int:
@@ -201,22 +227,59 @@ def _validation_auroc(val_samples, params, model_cfg) -> float:
         return float("nan")
     weights = params.constants()
     scores = np.concatenate([
-        predict(Tape(), chunk, weights, model_cfg).data[:, 0] for chunk in atom_passes(labeled)
+        predict(Tape(), chunk, weights, model_cfg).data[:, 0]
+        for chunk in atom_passes(labeled, PASS_ATOMS)
     ])
     return auroc(scores, labels)
 
 
-def _backward_pass(part, share: float, params, model_cfg, rng) -> float:
-    """Forward and backward pass over the samples ``part``: adds the gradient
-    of ``share`` times their mean BCE to every parameter's ``grad`` and
-    returns that scaled loss. The pass's tape and graph are freed on return.
-    A non-finite value in the forward pass raises ``NumericError`` (``Tape``
-    checks each operation)."""
+def _backward_pass(part, share: float, params, model_cfg, masks) -> float:
+    """Forward and backward pass over the samples ``part`` with the dropout
+    ``masks`` drawn for them: adds the gradient of ``share`` times their mean
+    BCE to every parameter's ``grad`` and returns that scaled loss. The
+    pass's tape and graph are freed on return. A non-finite value in the
+    forward pass raises ``NumericError`` (``Tape`` checks each operation)."""
     tape = Tape()
-    probs = predict(tape, part, params, model_cfg, rng=rng)
+    probs = predict(tape, part, params, model_cfg, masks=masks)
     loss = tape.scale(mean_bce(tape, probs, [s.label for s in part]), share)
     tape.backward(loss)
     return loss.item()
+
+
+def _batch_gradient(batch, params, model_cfg, rng, pool) -> float:
+    """Sets every parameter's ``grad`` to the gradient of the batch's mean
+    BCE and returns that loss, the sum of the passes' shares in pass order.
+
+    The batch runs in passes of at most ``PASS_ATOMS // 2`` atoms, grouped by
+    ``pass_pairs``. Before a group starts, this thread draws its passes'
+    dropout masks in pass order and builds each sample's reach (a
+    ``cached_property``, which locks on Python 3.10-3.11 and not from 3.12).
+    With a ``pool``, its worker runs a pair's second pass while this thread
+    runs the first; without one, they run in turn. Each pass accumulates
+    into its own ``params.views()``, which are added to the parameters in
+    pass order. Both passes of a pair end before an error of either is
+    raised, the first pass's first."""
+    params.zero_grad()
+    losses = []
+    for group in pass_pairs(atom_passes(batch, PASS_ATOMS // 2)):
+        for sample in (sample for part in group for sample in part):
+            sample.reach  # noqa: B018 - built on this thread, not on the worker
+        jobs = [(part, len(part) / len(batch), params.views(), model_cfg, dropout_masks(part, model_cfg, rng))
+                for part in group]
+        if pool is not None and len(jobs) == 2:
+            second = pool.submit(_backward_pass, *jobs[1])
+            try:
+                losses.append(_backward_pass(*jobs[0]))
+            finally:
+                second.exception()  # the second pass ends before an error of the first propagates
+            losses.append(second.result())
+        else:
+            losses += [_backward_pass(*job) for job in jobs]
+        for _, _, views, _, _ in jobs:
+            for value, view in zip(params.values(), views.values()):
+                if view.grad is not None:
+                    value.accumulate(view.grad)
+    return sum(losses)
 
 
 def train(
@@ -233,11 +296,13 @@ def train(
     Each sample builds its reached subgraph on its first draw or on the first
     validation pass that scores it, and keeps it (``GraphSample.reach``), so
     neither a later draw nor a later validation pass rebuilds one.
-    Each step runs its batch in passes of at most ``PASS_ATOMS`` atoms
-    (``atom_passes``) and accumulates their gradients before one Adam step;
-    the logged ``train_loss`` is the batch's mean BCE, the sum of the passes'
-    shares. ``val_samples`` are scored at each checkpoint in chunks of the
-    same atom bound; their AUROC picks ``best.ckpt``.
+    Each step computes its gradient in pairs of passes (``_batch_gradient``)
+    before one Adam step; a pair runs on two threads when the process may
+    use more than one core (``os.sched_getaffinity``), with the same bits.
+    One worker thread serves the whole run and is shut down however
+    ``train`` ends. The logged ``train_loss`` is the batch's mean BCE.
+    ``val_samples`` are scored at each checkpoint in chunks of at most
+    ``PASS_ATOMS`` atoms; their AUROC picks ``best.ckpt``.
     A non-finite value in a pass's forward pass, or a non-finite parameter
     gradient, aborts before the Adam step with a ``NumericError`` naming the
     iteration; the last written checkpoint stays on disk untouched.
@@ -262,17 +327,18 @@ def train(
     result = TrainResult(latest_path=latest_path, best_path=None, log_path=log_path)
     start = time.monotonic()
 
-    with open(log_path, "w", newline="", encoding="utf-8") as log_fh:
+    # Imported here: the commands that do not train load no thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="molgat-pass") if cores > 1 else None
+    with pool or contextlib.nullcontext(), open(log_path, "w", newline="", encoding="utf-8") as log_fh:
         writer = csv.DictWriter(log_fh, fieldnames=LOG_COLUMNS)
         writer.writeheader()
         for iteration in range(1, train_cfg.iterations + 1):
             batch = next(batches)
-            params.zero_grad()
             try:
-                loss_value = sum(
-                    _backward_pass(part, len(part) / len(batch), params, model_cfg, rng)
-                    for part in atom_passes(batch)
-                )
+                loss_value = _batch_gradient(batch, params, model_cfg, rng, pool)
             except NumericError as exc:
                 raise NumericError(f"{exc} at iteration {iteration}; last checkpoint retained") from exc
             for name, value in params.named_values():

@@ -22,7 +22,6 @@ from molgat.autodiff import Tape, _edge_dots, _edge_sums, _segment_softmax, _seg
 from molgat.chem import pairs_within
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import CONTACT_CUTOFF, Edges
-from molgat.model import _dropout_masks
 
 
 def _check_edges(op, edges, *per_edge):
@@ -184,15 +183,16 @@ def merged_reach(edges):
     return rows, subgraph, kept
 
 
-def composed_predict(tape, samples, params, config, rng=None):
+def composed_predict(tape, samples, params, config, masks=None):
     """``model.predict`` with every chain composed, on a ``ComposedTape``:
     A2 on the merged full edge list, then the reached edges' rows of it, and
     each dense layer of the head as a product, a broadcast and a sum. The
-    dropout masks come from ``model._dropout_masks``, which keeps each
-    sample's reached rows."""
-    masks = None
-    if rng is not None and config.dropout_rate > 0:
-        masks = iter(_dropout_masks(samples, config, rng))
+    dropout ``masks`` are ``model.dropout_masks``'s, which keep each
+    sample's reached rows; every site, an attention layer's too, is its own
+    ``Tape.dropout`` node."""
+    if masks is not None:
+        scale = 1.0 / (1.0 - config.dropout_rate)
+        masks = iter(masks)
     graph = Edges.merge([full_edges(s) for s in samples])
     a2 = composed_materialize_a2(tape, graph, params.mu, params.sigma_on(tape))
     rows, reached, kept = merged_reach(graph)
@@ -202,7 +202,7 @@ def composed_predict(tape, samples, params, config, rng=None):
     for layer in params.layers:
         h = composed_gat_forward(tape, h, reached, reached_a2, layer)
         if masks is not None:
-            h = tape.dropout(h, next(masks))
+            h = tape.dropout(h, next(masks), scale)
     y = tape.sum_rows(h, reached.sizes)
     last = len(params.fc) - 1
     for k, (w, b) in enumerate(params.fc):
@@ -210,7 +210,7 @@ def composed_predict(tape, samples, params, config, rng=None):
         if k < last:
             y = tape.relu(y)
             if masks is not None:
-                y = tape.dropout(y, next(masks))
+                y = tape.dropout(y, next(masks), scale)
     return tape.sigmoid(y)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from molgat import chem
 from molgat.autodiff import Value, constant
 from molgat.errors import DataError
-from molgat.graphs import CACHE_MAGIC, Edges, GraphSample, pairwise_distances
+from molgat.fileio import write_checked
+from molgat.graphs import CACHE_MAGIC, CACHE_VERSION, Edges, GraphSample, _encode_sample, pairwise_distances
 
 
 def finite_difference_grads(fn, leaves, h=1e-5):
@@ -159,11 +160,12 @@ def bce_loss(tape, pred, label):
 
 
 def dropout_mask(shape, rate, rng):
-    """Inverted-dropout mask drawn from ``rng``: 0 where a unit drops (with
-    probability ``rate``), 1 / (1 - rate) where it is kept."""
+    """Inverted-dropout mask drawn from ``rng``: False where a unit drops
+    (with probability ``rate``), True where it is kept; ``Tape.dropout``
+    scales the kept units by 1 / (1 - rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return rng.random(shape) >= rate
 
 
 def num_parameters(params):
@@ -179,6 +181,13 @@ def atom_feature_row(atom, stats=None):
 def num_ligand_atoms(rec):
     """Number of ligand atoms in a ``ComplexRecord``."""
     return sum(1 for a in rec.atoms if a.is_ligand)
+
+
+def write_unchecked(samples, path) -> None:
+    """The graph cache ``write_cache`` writes, without its record check: a
+    cache whose samples may break the rules the reader refuses."""
+    body = struct.pack("<IQ", CACHE_VERSION, len(samples)) + b"".join(_encode_sample(s) for s in samples)
+    write_checked(path, CACHE_MAGIC, body)
 
 
 def log_rows(result):

@@ -14,7 +14,7 @@ import pytest
 
 from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
-from molgat.gat import gat_forward, init_gat_params
+from molgat.gat import GatParams, gat_forward, init_gat_params
 from molgat.graphs import Edges, build_sample, label_pose, prune_protein
 from molgat.metrics import adjusted_logauc, auroc, re_score, topn_success, ScoredItem
 from molgat.model import ModelConfig, ModelParams, load_params, materialize_a2, predict, score
@@ -92,6 +92,12 @@ class TestA1GradientSuite:
         edge_mask = edges.dst != 3  # row 3 keeps only its self-loop
         edge_mask |= edges.src == edges.dst
         drop_keep = dropout_mask((4, 4), 0.3, np.random.default_rng(17))
+        # bonds 0-1 and 2-3, contacts 0-2 and 1-3: both branches differ on every row
+        layer_edges = Edges.build(4, [[0, 1], [2, 3]], [[0, 2], [1, 3]], [3.1, 4.2])
+
+        def fused_layer(t, x, w, e, u, b, a2):
+            return gat_forward(t, x, layer_edges, a2, GatParams(w=w, e=e, u=u, b=b), dropout=(drop_keep, 1.0 / 0.7))
+
         cases = {
             "matmul": (lambda t, a, b: t.matmul(a, b), [leaf(3, 4), leaf(4, 2)]),
             "add": (lambda t, a, b: t.add(a, b), [leaf(3, 3), leaf(3, 3)]),
@@ -110,7 +116,11 @@ class TestA1GradientSuite:
             "broadcast": (lambda t, s: t.broadcast(s, 3, 4), [leaf(1, 1)]),
             "sum_rows": (lambda t, a: t.sum_rows(a), [leaf(4, 3)]),
             "masked_softmax": (lambda t, a: t.masked_softmax(a, mask), [leaf(4, 4)]),
-            "dropout": (lambda t, a: t.dropout(a, drop_keep), [leaf(4, 4)]),
+            "dropout": (lambda t, a: t.dropout(a, drop_keep, 1.0 / 0.7), [leaf(4, 4)]),
+            "gat_forward with fused dropout": (
+                fused_layer,
+                [leaf(4, 4), leaf(4, 4), leaf(4, 4), leaf(8, 1), leaf(1, 1), leaf(len(layer_edges.src), 1, 0.2, 1.0)],
+            ),
             "edge_dot": (lambda t, a, b: t.edge_dot(a, b, edges), [leaf(4, 3), leaf(4, 3)]),
             "take_rows": (lambda t, a: t.take_rows(a, edges.rev), [leaf(n_edges, 2)]),
             "take_rows (some rows)": (lambda t, a: t.take_rows(a, np.array([4, 0, 2])), [leaf(6, 2)]),

@@ -6,7 +6,7 @@ import pytest
 from molgat.autodiff import Tape, Value, constant, parameter
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import Edges
-from molgat.model import ModelConfig, ModelParams, predict
+from molgat.model import ModelConfig, ModelParams, dropout_masks, predict
 
 from composed import ComposedTape
 from helpers import (
@@ -264,7 +264,7 @@ def _op_cases():
         "sum_all": (lambda t, x: t.sum_all(x), (a,)),
         "sum_rows": (lambda t, x: t.sum_rows(x, [2, 3]), (a,)),
         "masked_softmax": (lambda t, x: t.masked_softmax(x, np.eye(5)), (a @ b.T,)),
-        "dropout": (lambda t, x: t.dropout(x, keep), (a,)),
+        "dropout": (lambda t, x: t.dropout(x, keep, 1.0 / 0.7), (a,)),
         "edge_dot": (lambda t, x, y: t.edge_dot(x, y, edges), (a, b)),
         "take_rows": (lambda t, x: t.take_rows(x, edges.rev), (w,)),
         "segment_softmax": (lambda t, x: t.segment_softmax(x, edges, mask), (w,)),
@@ -427,7 +427,7 @@ class TestGradientOwnership:
         params = ModelParams.initialize(config, rng)
         samples = [pocket_sample(45, seed=67, n_ligand=12), pocket_sample(130, seed=68, n_ligand=20)]
         t = Tape()
-        out = predict(t, samples, params, config, rng=rng)
+        out = predict(t, samples, params, config, masks=dropout_masks(samples, config, rng))
         loss = t.sum_all(t.log(out))
         receivers = check_ownership(monkeypatch, params.values() + t._nodes)
         t.backward(loss)
@@ -710,6 +710,23 @@ class TestGradientChecks:
         t.backward(t.sum_all(t.mul(t.segment_sum(w, x, edges), constant(weights))))
         check_gradients(forward, [w, x], tol=OP_TOL)
 
+    def test_dropout_equals_a_float_mask_bit_for_bit(self):
+        # (a * kept) * scale against a * (kept / (1 - rate)), the float mask
+        # dropout used to take, signed zeros of dropped negative units included
+        rng = np.random.default_rng(14)
+        x = parameter(rng.uniform(-1, 1, size=(6, 5)))
+        keep = dropout_mask((6, 5), 0.3, rng)
+        g = rng.uniform(-1, 1, size=(6, 5))
+        t = Tape()
+        out = t.dropout(x, keep, 1.0 / (1.0 - 0.3))
+        t.backward(t.sum_all(t.mul(out, constant(g))))
+        float_mask = keep / (1.0 - 0.3)
+        assert (~keep).any() and (x.data[~keep] < 0).any()
+        for got, want in ((out.data, x.data * float_mask), (x.grad, g * float_mask)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        with pytest.raises(ShapeError, match="bool"):
+            t.dropout(x, float_mask, 1.0)
+
     def test_dropout_gradient(self):
         rng = np.random.default_rng(12)
         x = rand(rng, 4, 4)
@@ -717,10 +734,10 @@ class TestGradientChecks:
 
         def forward():
             t = Tape()
-            return t.sum_all(t.dropout(x, keep)).item()
+            return t.sum_all(t.dropout(x, keep, 1.0 / 0.6)).item()
 
         t = Tape()
-        t.backward(t.sum_all(t.dropout(x, keep)))
+        t.backward(t.sum_all(t.dropout(x, keep, 1.0 / 0.6)))
         check_gradients(forward, [x], tol=OP_TOL)
 
     def test_composite_expression(self):

@@ -25,7 +25,7 @@ from molgat.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams, _expected_
 from molgat.synthetic import generate_corpus, generate_pose_set
 from molgat.training import TrainConfig, TrainResult, train
 
-from helpers import pocket_sample
+from helpers import pocket_sample, write_unchecked
 from test_chem import METHANE_ATOMS, METHANE_BONDS, sdf_text, triglycine_lines
 
 TINY_MODEL_FLAGS = ["--num-gat-layers", "2", "--gat-dim", "8", "--fc-dims", "8,1"]
@@ -692,7 +692,7 @@ class TestEvaluate:
         k = next(k for k, s in enumerate(samples) if s.category == "pdbbind_negative")
         samples[k] = dataclasses.replace(samples[k], **fault)
         bad = tmp_path / "bad.cache"
-        write_cache(samples, bad)
+        write_unchecked(samples, bad)  # write_cache refuses the sample
         rc = main([command, "--cache", str(bad), "--checkpoint", str(workspace / "run" / "latest.ckpt"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2

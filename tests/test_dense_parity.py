@@ -9,7 +9,7 @@ import pytest
 from molgat.autodiff import Tape, constant, parameter
 from molgat.gat import gat_forward, init_gat_params
 from molgat.graphs import build_sample, prune_protein
-from molgat.model import ModelConfig, ModelParams, predict, score
+from molgat.model import ModelConfig, ModelParams, dropout_masks, predict, score
 from molgat.synthetic import generate_corpus
 
 from composed import full_edges
@@ -96,7 +96,7 @@ def test_no_tape_node_is_n_squared(monkeypatch):
     s = pocket_sample(600, seed=11)
     params = ModelParams.initialize(PAPER, np.random.default_rng(8))
     t = Tape()
-    loss = bce_loss(t, predict(t, [s], params, PAPER, rng=np.random.default_rng(9)), 1)
+    loss = bce_loss(t, predict(t, [s], params, PAPER, masks=dropout_masks([s], PAPER, np.random.default_rng(9))), 1)
     t.backward(loss)
     n2 = s.num_atoms**2
     assert len(t) > 0 and len(passed) >= len(t)

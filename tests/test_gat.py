@@ -319,6 +319,28 @@ class TestFusedLayer:
         if name == "contact_free":
             assert not out.any() and not grads[0].any()
 
+    @pytest.mark.parametrize("name, build", [pytest.param(n, b, id=n) for n, b in fused_cases()])
+    def test_fused_dropout_equals_a_dropout_node(self, name, build):
+        # the layer's output and every gradient bit for bit, against the
+        # layer followed by its own Tape.dropout node
+        rng = np.random.default_rng(72)
+        x, edges, a2, params = build(rng)
+        weights = rng.uniform(-1, 1, size=x.shape)
+        kept = rng.random(x.shape) >= 0.3
+        fused = run_layer(lambda t, *a: gat_forward(t, *a, dropout=(kept, 1.0 / 0.7)), x, edges, a2, params, weights)
+        apart = run_layer(lambda t, *a: t.dropout(gat_forward(t, *a), kept, 1.0 / 0.7), x, edges, a2, params, weights)
+        assert fused[3] == 3 and apart[3] == 4  # the dropout adds no node of its own
+        assert np.array_equal(fused[0], apart[0]) and np.array_equal(np.signbit(fused[0]), np.signbit(apart[0]))
+        assert not fused[0][~kept].any()
+        for label, g, ref in zip(("x", "w", "e", "u", "b", "a2"), fused[2], apart[2]):
+            assert np.array_equal(g, ref), label
+
+    def test_fused_dropout_mask_must_be_bool_and_match(self):
+        x, edges, a2, params = random_case(np.random.default_rng(73))
+        for kept in (np.ones(x.shape), np.ones((x.rows + 1, x.cols), dtype=bool)):
+            with pytest.raises(ShapeError, match="dropout mask"):
+                gat_forward(Tape(), x, edges, a2, params, dropout=(kept, 1.0))
+
     def test_records_nothing_on_constants(self):
         rng = np.random.default_rng(71)
         x, edges, a2, params = random_case(rng)

@@ -29,7 +29,7 @@ from molgat.graphs import (
 from molgat.synthetic import generate_corpus, generate_pose_set
 
 from composed import full_edges, merged_reach
-from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_samples
+from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_samples, write_unchecked
 
 
 def atom(element, pos, is_ligand, degree=1):
@@ -567,14 +567,17 @@ class TestCache:
         ],
     )
     def test_invalid_sample_rejected(self, tmp_path, bonds, flag, message):
+        bad = self.invalid(bonds, flag)
+        path = tmp_path / "bad.cache"
+        write_unchecked([bad], path)
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
+            read_cache(path)
+
+    def invalid(self, bonds, flag):
         sample = self.samples()[0]
         flags = sample.is_ligand.astype(np.uint8)
         flags[0] = flag
-        bad = dataclasses.replace(sample, bonds=np.array(bonds), is_ligand=flags)
-        path = tmp_path / "bad.cache"
-        write_cache([bad], path)
-        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
-            read_cache(path)
+        return dataclasses.replace(sample, bonds=np.array(bonds), is_ligand=flags)
 
     def degenerate(self, case):
         sample = self.samples()[0]  # ligand rows 0-1, protein rows 2-3
@@ -618,9 +621,42 @@ class TestCache:
     )
     def test_degenerate_sample_rejected(self, tmp_path, case, message):
         path = tmp_path / "bad.cache"
-        write_cache([self.samples()[1], self.degenerate(case)], path)
+        write_unchecked([self.samples()[1], self.degenerate(case)], path)
         with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + message):
             read_cache(path)
+
+    @pytest.mark.parametrize("case", [
+        "no atoms", "no ligand atom", "no protein atom", "feature byte 7", "label 2", "nan coordinate",
+        "label 0 of an active", "rmsd -1.0", "rmsd inf", "rmsd -inf", "bond out of range", "bond i == j",
+        "is_ligand byte 2", "bond across", "repeated bond",
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, case):
+        # the rule the reader names, raised by the writer before it writes:
+        # no cache and no temporary file are left behind
+        invalid = {"bond out of range": ([[0, 4]], 1), "bond i == j": ([[1, 1]], 1),
+                   "is_ligand byte 2": ([[0, 1]], 2), "bond across": ([[1, 2]], 1),
+                   "repeated bond": ([[0, 1], [2, 3], [0, 1]], 1)}
+        bad = self.invalid(*invalid[case]) if case in invalid else self.degenerate(case)
+        samples = [self.samples()[1], bad]
+        write_unchecked(samples, tmp_path / "reference.cache")
+        with pytest.raises(CheckpointError) as read:
+            read_cache(tmp_path / "reference.cache")
+        rule = str(read.value).split(f" sample {bad.complex_id!r}: ")[1]
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(DataError) as written:
+            write_cache(samples, out / "bad.cache")
+        assert str(written.value) == f"{out / 'bad.cache'}: sample {bad.complex_id!r}: {rule}"
+        assert not any(out.iterdir())
+
+    def test_writer_refuses_arrays_of_other_lengths(self, tmp_path):
+        sample = self.samples()[0]
+        for bad in (dataclasses.replace(sample, coords=sample.coords[:-1]),
+                    dataclasses.replace(sample, is_ligand=sample.is_ligand[:-1]),
+                    dataclasses.replace(sample, bonds=sample.bonds.ravel())):
+            with pytest.raises(DataError, match="array shapes do not match 4 atoms"):
+                write_cache([bad], tmp_path / "bad.cache")
+            assert not any(tmp_path.iterdir())
 
     @staticmethod
     def rewritten(path, edit) -> None:

@@ -16,7 +16,7 @@ from molgat.model import (
     SIGMA_FLOOR,
     ModelConfig,
     ModelParams,
-    _dropout_masks,
+    dropout_masks,
     load_params,
     materialize_a2,
     predict,
@@ -239,8 +239,8 @@ class TestPredict:
     def test_training_dropout_reproducible_with_seed(self):
         s = sample_with_contact(2.8)
         params = fresh_params()
-        p1 = predict(Tape(), [s], params, SMALL, rng=np.random.default_rng(7)).item()
-        p2 = predict(Tape(), [s], params, SMALL, rng=np.random.default_rng(7)).item()
+        p1 = predict(Tape(), [s], params, SMALL, masks=dropout_masks([s], SMALL, np.random.default_rng(7))).item()
+        p2 = predict(Tape(), [s], params, SMALL, masks=dropout_masks([s], SMALL, np.random.default_rng(7))).item()
         assert p1 == p2
 
     def test_parameter_count_layer_sharing(self):
@@ -294,9 +294,9 @@ class TestBatch:
         config = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(6, 5, 1), dropout_rate=0.3)
         batch = mixed_batch()
         params = fresh_params(config, seed=13)
-        out = predict(Tape(), batch, params, config, rng=np.random.default_rng(7))
+        out = predict(Tape(), batch, params, config, masks=dropout_masks(batch, config, np.random.default_rng(7)))
         rng = np.random.default_rng(7)
-        alone = [predict(Tape(), [s], params, config, rng=rng).item() for s in batch]
+        alone = [predict(Tape(), [s], params, config, masks=dropout_masks([s], config, rng)).item() for s in batch]
         np.testing.assert_allclose(out.data[:, 0], alone, rtol=0, atol=1e-12)
 
     def test_paper_batch_loss_and_gradients_equal_the_per_sample_sum(self):
@@ -341,7 +341,8 @@ class TestBatch:
         for forward, tape in ((predict, Tape), (composed_predict, ComposedTape)):
             params.zero_grad()
             t = tape()
-            out = forward(t, batch, params, config, rng=np.random.default_rng(16) if dropout else None)
+            masks = dropout_masks(batch, config, np.random.default_rng(16)) if dropout else None
+            out = forward(t, batch, params, config, masks=masks)
             t.backward(mean_bce(t, out, labels))
             runs.append((out.data, {name: v.grad for name, v in params.named_values()}))
         (out, grads), (ref_out, ref_grads) = runs
@@ -351,15 +352,16 @@ class TestBatch:
             assert err <= 1e-12 * np.abs(ref).max(), f"{name}: {err:g}"
 
 
-def test_paper_pass_of_sixteen_train_samples_records_26_nodes():
-    # 2 for sigma, 1 for A2, 1 embedding, 4 layers and 4 dropouts, 1 pooling,
-    # 3 dense layers with 2 ReLUs and 2 dropouts, 1 sigmoid, 5 for the loss.
+def test_paper_pass_of_sixteen_train_samples_records_22_nodes():
+    # 2 for sigma, 1 for A2, 1 embedding, 4 layers with their dropout inside,
+    # 1 pooling, 3 dense layers with 2 ReLUs and 2 dropouts, 1 sigmoid, 5 for
+    # the loss.
     batch = [build_sample(prune_protein(r)) for r in generate_corpus(16, seed=502)]
     params = fresh_params(ModelConfig(), seed=17)
     t = Tape()
-    loss = mean_bce(t, predict(t, batch, params, ModelConfig(), rng=np.random.default_rng(18)),
-                    [s.label for s in batch])
-    assert len(t) == 26
+    masks = dropout_masks(batch, ModelConfig(), np.random.default_rng(18))
+    loss = mean_bce(t, predict(t, batch, params, ModelConfig(), masks=masks), [s.label for s in batch])
+    assert len(t) == 22
     t.backward(loss)
 
 
@@ -448,7 +450,7 @@ def test_dropout_masks_equal_per_site_draws():
     ]
     expected = [np.concatenate(site) for site in zip(*per_sample)]
     rng = np.random.default_rng(15)
-    masks = _dropout_masks(batch, config, rng)
+    masks = dropout_masks(batch, config, rng)
     reached = sum(len(s.reach[0]) for s in batch)
     assert reached < sum(s.num_atoms for s in batch)
     assert [m.shape for m in masks] == [(reached, 8)] * 3 + [(len(batch), 6), (len(batch), 5)]
@@ -475,7 +477,8 @@ def test_training_and_scoring_build_no_full_edge_list(monkeypatch):
 
     def training_pass(batch):
         t = Tape()
-        t.backward(mean_bce(t, predict(t, batch, params, config, rng=np.random.default_rng(22)),
+        masks = dropout_masks(batch, config, np.random.default_rng(22))
+        t.backward(mean_bce(t, predict(t, batch, params, config, masks=masks),
                             [k % 2 for k in range(len(batch))]))
 
     def scores(batch):

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import sys
+import threading
 import weakref
 from types import SimpleNamespace
 
@@ -7,11 +10,11 @@ import pytest
 from scipy import stats
 
 from molgat import training
-from molgat.autodiff import Tape, constant, parameter
+from molgat.autodiff import Tape, Value, constant, parameter
 from molgat.errors import DataError, NumericError
 from molgat.graphs import build_sample, prune_protein
 from molgat.metrics import auroc
-from molgat.model import ModelConfig, ModelParams, load_params, predict, save_params, score
+from molgat.model import ModelConfig, ModelParams, dropout_masks, load_params, predict, save_params, score
 from molgat.synthetic import generate_corpus
 from molgat.training import (
     Adam,
@@ -368,15 +371,17 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=4, iterations=3, learning_rate=1e-3, seed=2, checkpoint_every=1)
         params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(0))
         calls = []
-        real_backward = Tape.backward
+        real_pass = training._backward_pass
 
-        def poisoned_backward(tape, loss):
-            real_backward(tape, loss)
+        def poisoned_pass(part, share, views, *args):
+            # a pass accumulates into its own views; the step adds them to params
+            loss = real_pass(part, share, views, *args)
             calls.append(1)
             if len(calls) >= poison_from:
-                params.mu.grad[0, 0] = np.nan
+                views.mu.grad[0, 0] = np.nan
+            return loss
 
-        monkeypatch.setattr(Tape, "backward", poisoned_backward)
+        monkeypatch.setattr(training, "_backward_pass", poisoned_pass)
         latest = tmp_path / "run" / "latest.ckpt"
         with pytest.raises(NumericError, match="gradient of mu at iteration"):
             train({n: p[:2] for n, p in pools.items()}, [], TINY_MODEL, cfg, tmp_path / "run", params=params)
@@ -445,10 +450,10 @@ class TestValidation:
         assert len({s.label for s in val}) == 2
         chunks = []
 
-        def recording_predict(tape, batch, params, config, rng=None, internals=None):
-            if rng is None:
+        def recording_predict(tape, batch, params, config, masks=None, internals=None):
+            if masks is None:
                 chunks.append(list(batch))
-            return predict(tape, batch, params, config, rng=rng, internals=internals)
+            return predict(tape, batch, params, config, masks=masks, internals=internals)
 
         monkeypatch.setattr(training, "predict", recording_predict)
         cfg = TrainConfig(batch_size=8, iterations=1, learning_rate=1e-3, seed=0, checkpoint_every=1)
@@ -498,48 +503,47 @@ class TestValidation:
 
 
 class TestPasses:
-    """A step runs its batch in consecutive passes of at most ``PASS_ATOMS``
-    atoms, each pass's mean BCE scaled by its share of the batch, and Adam
-    steps once on the accumulated gradients."""
+    """A step runs its batch in consecutive passes of at most
+    ``PASS_ATOMS // 2`` atoms, each pass's mean BCE scaled by its share of
+    the batch, two passes at once where they hold at most ``PASS_ATOMS``
+    atoms together, and Adam steps once on the gradients summed in pass
+    order."""
 
     @staticmethod
     def one_step(pools, tmp_path, monkeypatch, tag, model=TINY_MODEL, batch_size=32):
         """One training step: its logged loss, the gradients Adam stepped on,
         each dropout site's mask over the whole batch, the generator state
-        after the step, and the samples of each training pass."""
-        seen = {"grads": [], "keeps": [], "passes": [], "rng": []}
-        real_step, real_dropout, real_predict = Adam.step, Tape.dropout, training.predict
+        after the step, and the samples of each training pass in pass order
+        (the order in which the step draws their masks)."""
+        seen = {"grads": [], "masks": [], "passes": [], "rng": []}
+        real_step, real_masks = Adam.step, training.dropout_masks
 
         def step(adam, values):
             seen["grads"] = [None if v.grad is None else v.grad.copy() for v in values]
             seen["state"] = seen["rng"][0].bit_generator.state
             real_step(adam, values)
 
-        def dropout(tape, a, keep):
-            seen["keeps"].append(keep)
-            return real_dropout(tape, a, keep)
-
-        def recording_predict(tape, batch, params, config, rng=None, internals=None):
-            if rng is not None:
-                seen["passes"].append(list(batch))
-                seen["rng"][:] = [rng]
-            return real_predict(tape, batch, params, config, rng=rng, internals=internals)
+        def recording_masks(part, config, rng):
+            masks = real_masks(part, config, rng)
+            seen["passes"].append(list(part))
+            seen["masks"].append(masks)
+            seen["rng"][:] = [rng]
+            return masks
 
         with monkeypatch.context() as m:
             m.setattr(Adam, "step", step)
-            m.setattr(Tape, "dropout", dropout)
-            m.setattr(training, "predict", recording_predict)
+            m.setattr(training, "dropout_masks", recording_masks)
             cfg = TrainConfig(batch_size=batch_size, iterations=1, learning_rate=1e-3, seed=17)
             result = train(pools, [], model, cfg, tmp_path / tag)
-        sites = model.num_gat_layers + len(model.fc_dims) - 1
-        keeps = [np.concatenate(seen["keeps"][k::sites]) for k in range(sites)]
+        keeps = [np.concatenate(site) for site in zip(*seen["masks"])]
         return result.final_loss, seen["grads"], keeps, seen["state"], seen["passes"]
 
     def test_multi_pass_step_matches_one_pass_step(self, pools, tmp_path, monkeypatch):
         model = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
         loss, grads, keeps, state, passes = self.one_step(pools, tmp_path, monkeypatch, "passes", model)
-        assert len(passes) > 1
-        assert all(sum(s.num_atoms for s in p) <= training.PASS_ATOMS for p in passes)
+        assert len(passes) > 2  # at least one pair and another pass
+        assert all(sum(s.num_atoms for s in p) <= training.PASS_ATOMS // 2 for p in passes)
+        assert all(k.dtype == bool for k in keeps) and len(keeps) == 5
         monkeypatch.setattr(training, "PASS_ATOMS", 10**9)
         loss1, grads1, keeps1, state1, passes1 = self.one_step(pools, tmp_path, monkeypatch, "one", model)
         assert len(passes1) == 1 and [id(s) for s in passes1[0]] == [id(s) for p in passes for s in p]
@@ -553,15 +557,17 @@ class TestPasses:
     def test_one_pass_batch_checkpoint_equals_the_one_pass_step(self, pools, tmp_path):
         # the step as it ran before passes: one forward and one backward pass
         # of the whole batch's mean BCE
-        cfg = TrainConfig(batch_size=8, iterations=4, learning_rate=1e-3, seed=19, checkpoint_every=4)
+        # (a batch of 4 samples of 26-52 atoms is one pass of at most PASS_ATOMS // 2)
+        cfg = TrainConfig(batch_size=4, iterations=4, learning_rate=1e-3, seed=19, checkpoint_every=4)
         rng = np.random.default_rng(cfg.seed)
         params = ModelParams.initialize(TINY_MODEL, rng)
         batches, adam = balanced_batches(pools, cfg, rng), Adam(cfg.learning_rate)
         for _ in range(cfg.iterations):
             batch = next(batches)
-            assert sum(s.num_atoms for s in batch) <= training.PASS_ATOMS
+            assert sum(s.num_atoms for s in batch) <= training.PASS_ATOMS // 2
             tape = Tape()
-            loss = mean_bce(tape, predict(tape, batch, params, TINY_MODEL, rng=rng), [s.label for s in batch])
+            masks = dropout_masks(batch, TINY_MODEL, rng)
+            loss = mean_bce(tape, predict(tape, batch, params, TINY_MODEL, masks=masks), [s.label for s in batch])
             params.zero_grad()
             tape.backward(loss)
             adam.step(params.values())
@@ -573,10 +579,22 @@ class TestPasses:
 
     def test_atom_passes(self):
         samples = [SimpleNamespace(num_atoms=n) for n in (300, 300, 700, 40, 600, 41, 640, 1)]
-        passes = training.atom_passes(samples)
+        passes = training.atom_passes(samples, 640)
         assert [[s.num_atoms for s in p] for p in passes] == [[300, 300], [700], [40, 600], [41], [640], [1]]
         assert [s for p in passes for s in p] == samples
-        assert training.atom_passes([]) == []
+        halves = training.atom_passes(samples, 320)
+        assert [[s.num_atoms for s in p] for p in halves] == [[300], [300], [700], [40], [600], [41], [640], [1]]
+        assert training.atom_passes([], 320) == []
+
+    def test_pass_pairs(self):
+        sizes = [[300], [20], [300, 20], [700], [40], [600], [41], [320], [320], [1]]
+        passes = [[SimpleNamespace(num_atoms=n) for n in p] for p in sizes]
+        groups = training.pass_pairs(passes)
+        assert [[[s.num_atoms for s in p] for p in g] for g in groups] == [
+            [[300], [20]], [[300, 20]], [[700]], [[40], [600]], [[41], [320]], [[320], [1]],
+        ]
+        assert [p for g in groups for p in g] == passes
+        assert training.pass_pairs([]) == []
 
     def test_sample_larger_than_the_bound_gets_a_pass_of_its_own(self, pools, tmp_path, monkeypatch):
         big = pocket_sample(training.PASS_ATOMS + 60, seed=81)
@@ -604,7 +622,7 @@ class TestPasses:
         *_, passes = self.one_step(pools, tmp_path, monkeypatch, "rows")
         largest = max(s.num_atoms for p in passes for s in p)
         assert sum(s.num_atoms for p in passes for s in p) > training.PASS_ATOMS
-        assert max(rows) <= max(training.PASS_ATOMS, largest)
+        assert max(rows) <= max(training.PASS_ATOMS // 2, largest)
 
     def test_no_tape_node_outlives_its_step(self, pools, tmp_path, monkeypatch):
         # every recorded node's data, weakly: once a pass's backward is done
@@ -622,9 +640,9 @@ class TestPasses:
             assert refs and all(r() is None for r in refs)
             real_step(adam, values)
 
-        def counting_predict(tape, batch, *args, rng=None, **kwargs):
-            passes.append(rng is not None)
-            return real_predict(tape, batch, *args, rng=rng, **kwargs)
+        def counting_predict(tape, batch, *args, masks=None, **kwargs):
+            passes.append(masks is not None)
+            return real_predict(tape, batch, *args, masks=masks, **kwargs)
 
         monkeypatch.setattr(Tape, "record", record)
         monkeypatch.setattr(Adam, "step", step)
@@ -635,3 +653,171 @@ class TestPasses:
         train(pools, val, TINY_MODEL, cfg, tmp_path / "run")
         assert passes.count(True) > 3  # more than one pass per step
         assert all(r() is None for r in refs)
+
+
+def pass_threads(monkeypatch):
+    """Records the name of the thread that ran each training pass, and the
+    number of pairs of passes the steps ran."""
+    seen = {"names": [], "pairs": 0}
+    real_pass, real_pairs = training._backward_pass, training.pass_pairs
+
+    def recording_pass(*args):
+        seen["names"].append(threading.current_thread().name)
+        return real_pass(*args)
+
+    def counting_pairs(passes):
+        groups = real_pairs(passes)
+        seen["pairs"] += sum(len(g) == 2 for g in groups)
+        return groups
+
+    monkeypatch.setattr(training, "_backward_pass", recording_pass)
+    monkeypatch.setattr(training, "pass_pairs", counting_pairs)
+    return seen
+
+
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("molgat-pass")]
+
+
+class TestTwoThreads:
+    """Two passes of a pair run at once on two threads when the process may
+    use two cores, in turn on one; either way the outputs have the same
+    bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_outputs_equal_on_one_core_and_two(self, pools, tmp_path, monkeypatch, seed):
+        model = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
+        samples = [s for pool in pools.values() for s in pool]
+        _, val = split_by_protein(samples, 0.2, seed=seed)
+        cfg = TrainConfig(batch_size=32, iterations=6, learning_rate=1e-3, seed=seed, checkpoint_every=3)
+        runs = {}
+        for cores in ({0}, {0, 1}):
+            monkeypatch.undo()
+            seen = pass_threads(monkeypatch)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # the two threads trade the interpreter as often as they can
+            try:
+                runs[len(cores)] = train(pools, val, model, cfg, tmp_path / f"cores{len(cores)}")
+            finally:
+                sys.setswitchinterval(interval)
+            on_worker = sum(name.startswith("molgat-pass") for name in seen["names"])
+            # 32 samples of 26-52 atoms: at least four passes, two pairs, a step
+            assert seen["pairs"] >= 2 * cfg.iterations
+            assert on_worker == (0 if len(cores) == 1 else seen["pairs"])
+        assert runs[2].best_path is not None
+        for name in ("latest.ckpt", "best.ckpt"):
+            assert (tmp_path / "cores1" / name).read_bytes() == (tmp_path / "cores2" / name).read_bytes()
+        rows = [[{k: v for k, v in row.items() if k != "wall_time"} for row in log_rows(runs[n])] for n in (1, 2)]
+        assert rows[0] == rows[1] and len(rows[0]) == 2
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one_core", "two_cores"])
+    @pytest.mark.parametrize("failing", [{1}, {0}, {0, 1}], ids=["second", "first", "both"])
+    def test_error_of_the_earlier_pass_wins(self, pools, tmp_path, monkeypatch, cores, failing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        order, finished = [], []
+        real_masks, real_pass = training.dropout_masks, training._backward_pass
+
+        def numbered_masks(part, config, rng):  # called on the calling thread, in pass order
+            order.append(id(part))
+            return real_masks(part, config, rng)
+
+        def failing_pass(part, *args):
+            k = order.index(id(part))
+            loss = real_pass(part, *args)
+            finished.append(k)
+            if k in failing:
+                raise NumericError(f"pass {k} failed")
+            return loss
+
+        monkeypatch.setattr(training, "dropout_masks", numbered_masks)
+        monkeypatch.setattr(training, "_backward_pass", failing_pass)
+        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(4))
+        before = [v.data.copy() for v in params.values()]
+        cfg = TrainConfig(batch_size=32, iterations=2, learning_rate=1e-3, seed=4, checkpoint_every=1)
+        first = min(failing)
+        with pytest.raises(NumericError, match=rf"^pass {first} failed at iteration 1; last checkpoint retained$"):
+            train(pools, [], TINY_MODEL, cfg, tmp_path / "run", params=params)
+        # the pair ran to its end, on two cores both passes of it
+        assert sorted(finished) == ([0] if len(cores) == 1 and first == 0 else [0, 1])
+        assert all(np.array_equal(v.data, b) for v, b in zip(params.values(), before))
+        assert not (tmp_path / "run" / "latest.ckpt").exists()
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one_core", "two_cores"])
+    def test_non_finite_value_in_the_second_pass_keeps_its_message(self, pools, tmp_path, monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        order = []
+        real_masks, real_pass = training.dropout_masks, training._backward_pass
+
+        def numbered_masks(part, config, rng):
+            order.append(id(part))
+            return real_masks(part, config, rng)
+
+        def poisoned_pass(part, share, views, *args):
+            if order.index(id(part)) == 1:
+                views.mu.data = np.full((1, 1), np.nan)  # this pass's view only
+            return real_pass(part, share, views, *args)
+
+        monkeypatch.setattr(training, "dropout_masks", numbered_masks)
+        monkeypatch.setattr(training, "_backward_pass", poisoned_pass)
+        cfg = TrainConfig(batch_size=32, iterations=2, learning_rate=1e-3, seed=5, checkpoint_every=1)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=r"^operation produced non-finite values at iteration 1; last checkpoint retained$"
+        ):
+            train(pools, [], TINY_MODEL, cfg, tmp_path / "run")
+
+    def test_no_pool_thread_outlives_train(self, pools, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert not pool_threads()
+        alive = []
+        real_step = Adam.step
+
+        class Stop(Exception):
+            pass
+
+        def step(adam, values, stop_at=None):
+            alive.append(len(pool_threads()))
+            if adam.t + 1 == stop_at:
+                raise Stop()
+            real_step(adam, values)
+
+        cfg = TrainConfig(batch_size=32, iterations=3, learning_rate=1e-3, seed=6, checkpoint_every=3)
+        monkeypatch.setattr(Adam, "step", step)
+        train(pools, [], TINY_MODEL, cfg, tmp_path / "returns")
+        assert alive == [1, 1, 1] and not pool_threads()
+
+        monkeypatch.setattr(Adam, "step", lambda adam, values: step(adam, values, stop_at=2))
+        with pytest.raises(Stop):
+            train(pools, [], TINY_MODEL, cfg, tmp_path / "stopped")
+        assert not pool_threads()
+
+        def failing_pass(*args):
+            raise NumericError("failed")
+
+        monkeypatch.setattr(training, "_backward_pass", failing_pass)
+        with pytest.raises(NumericError, match="failed at iteration 1"):
+            train(pools, [], TINY_MODEL, cfg, tmp_path / "raises")
+        assert not pool_threads()
+
+    def test_each_view_gets_one_gradient_per_pass(self, pools, monkeypatch):
+        # adding the passes' gradients in pass order gives the bits of one
+        # accumulation across the passes only while each pass hands each
+        # parameter one gradient
+        model = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
+        params = ModelParams.initialize(model, np.random.default_rng(7))
+        views = params.views()
+        assert all(v.data is p.data and v.grad is None and v.requires_grad
+                   for v, p in zip(views.values(), params.values()))
+        counts = {}
+        real_accumulate = Value.accumulate
+
+        def counting_accumulate(value, g, copy=False):
+            counts[id(value)] = counts.get(id(value), 0) + 1
+            real_accumulate(value, g, copy)
+
+        monkeypatch.setattr(Value, "accumulate", counting_accumulate)
+        batch = [s for pool in pools.values() for s in pool[:2]]
+        masks = dropout_masks(batch, model, np.random.default_rng(8))
+        training._backward_pass(batch, 1.0, views, model, masks)
+        assert [counts.get(id(v)) for v in views.values()] == [1] * len(views.values())
+        assert all(p.grad is None for p in params.values())
