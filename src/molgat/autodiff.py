@@ -1,5 +1,4 @@
-"""Reverse-mode automatic differentiation over matrices, and the numpy
-edge-list kernels of the attention layer.
+"""Reverse-mode automatic differentiation over matrices.
 
 Every differentiable quantity is a ``Value``: a 2-D float64 numpy array plus
 an accumulated gradient. Operations are methods on a ``Tape``; each call
@@ -20,27 +19,14 @@ every pass is one node with a hand-written backward rule: ``Tape.affine``
 for a dense layer, and ``Tape.record`` for a chain computed by its caller
 (an attention layer in ``gat``, the contact weights in ``model``), which
 checks each intermediate itself. The tape holds the operations molgat
-records; the numpy kernels of its chains (edge products and sums, segment
-softmax and its gradient, sigmoid, the finiteness check) are module
-functions here, so each exists once. The composed reference the tests keep
-builds its edge-list operations from the same kernels on ``Tape.record``.
+records; the sigmoid and the finiteness check of its chains are module
+functions here, and the edge-list kernels are the edge list's own methods
+(``graphs.Edges``), so each exists once. The composed reference the tests
+keep builds its edge-list operations from the same kernels on
+``Tape.record``.
 
 Scalars are represented as 1x1 matrices so the whole engine has one shape
-discipline. The edge kernels take a sorted symmetric edge list
-(``graphs.Edges``: ``src``/``dst`` sorted by ``(src, dst)``, each row's first
-edge in ``starts``, each edge's reverse in ``rev``, the node count of each
-graph in ``sizes``) and hold per-edge values as E x 1 columns. A batch of
-graphs is one block-diagonal edge list (``Edges.merge``), so every kernel
-runs once per batch. Sums over the edges into a node go through ``rev``,
-which turns them into sums over a row's edges. The edge products and sums
-run one of two ways, chosen once per edge list. Small graphs take one dense
-n x n product per graph (``Edges.blocks``). Larger ones take the rows grouped
-by degree (``Edges.buckets``): the edges of the n_d rows of degree d are
-n_d runs of length d, so their sums are one batched (n_d,1,d) @ (n_d,d,F)
-product and their dots one (n_d,d,F) @ (n_d,F,1) product. The dense kernel
-runs when the blocks hold at most ``_DENSE_ENTRIES_PER_EDGE`` entries per
-edge in all (sum of n_g^2 <= 40 E), so a one-graph edge list is judged by
-its own n^2.
+discipline.
 """
 
 from __future__ import annotations
@@ -50,74 +36,6 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 _LOG_FLOOR = 1e-12
-
-
-# An edge list whose graphs' n x n blocks hold at most this many entries per
-# edge in all gets its edge products from one dense n x n product per graph
-# instead of the degree buckets. Per call of one edge sum and one edge dot at
-# F = 140 (2-core VM, one BLAS thread), dense takes 0.7x the buckets' time at
-# 30-35 entries per edge, 0.86x at 35-40, about 1.0x at 40-50, 1.25x at 50-55
-# and 1.5x past 60. A 32-graph training batch (about 4.5 entries per edge)
-# takes 1.3 ms dense against 2.4 ms bucketed. On the benchmark's screening
-# pockets (seeds 1-3), the reached subgraphs the model runs on hold 17-29
-# entries per edge at 300 atoms (all dense) and 36-48 at 600 (8 of 18
-# bucketed); a pocket score took 2.23 ms with this rule, against 2.28 dense
-# only, 2.44 at 20 and 2.55 bucketed only, and a 32-sample training step
-# 38 ms, against 56 ms bucketed only. The n x n temporaries stay within a
-# constant factor of the edge list's size.
-_DENSE_ENTRIES_PER_EDGE = 40
-
-
-def _dense(edges) -> bool:
-    return int(edges.sizes @ edges.sizes) <= _DENSE_ENTRIES_PER_EDGE * len(edges.src)
-
-
-def _edge_dots(a: np.ndarray, b: np.ndarray, edges) -> np.ndarray:
-    """E x 1 column of a[src_e] . b[dst_e]."""
-    if not _dense(edges):
-        out = np.empty((len(edges.src), 1))
-        for rows, index in edges.buckets:
-            out[index] = b[edges.dst[index]] @ a[rows][:, :, None]
-        return out
-    bounds, index, total = edges.blocks
-    flat = np.empty(total)
-    for lo, n, at in bounds:
-        np.matmul(a[lo:lo + n], b[lo:lo + n].T, out=flat[at:at + n * n].reshape(n, n))
-    return flat[index][:, None]
-
-
-def _edge_sums(w: np.ndarray, x: np.ndarray, edges) -> np.ndarray:
-    """N x F rows out_i = sum over node i's edges e of w_e * x[dst_e]."""
-    out = np.empty((len(edges.starts), x.shape[1]))
-    if not _dense(edges):
-        for rows, index in edges.buckets:
-            out[rows] = (w[index].transpose(0, 2, 1) @ x[edges.dst[index]])[:, 0]
-        return out
-    bounds, index, total = edges.blocks
-    flat = np.zeros(total)
-    flat[index] = w[:, 0]
-    for lo, n, at in bounds:
-        np.matmul(flat[at:at + n * n].reshape(n, n), x[lo:lo + n], out=out[lo:lo + n])
-    return out
-
-
-def _segment_softmax(s: np.ndarray, edges, keep: np.ndarray) -> np.ndarray:
-    """Softmax of the length-E vector ``s`` over each source node's edges
-    where ``keep`` is true, zero elsewhere; rows are stabilized by their max
-    over the kept edges."""
-    src = edges.src
-    row_max = np.maximum.reduceat(np.where(keep, s, -np.inf), edges.starts)
-    if np.isneginf(row_max).any():
-        raise ShapeError("segment_softmax: a row has no masked-in edge")
-    ex = np.exp(np.where(keep, s - row_max[src], -np.inf))
-    return ex / np.add.reduceat(ex, edges.starts)[src]
-
-
-def _segment_softmax_grad(g: np.ndarray, out: np.ndarray, edges) -> np.ndarray:
-    """Gradient of a segment softmax's scores, given ``out`` and the
-    gradient ``g`` of out (length-E vectors)."""
-    dot = np.add.reduceat(g * out, edges.starts)
-    return out * (g - dot[edges.src])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

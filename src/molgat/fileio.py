@@ -14,7 +14,11 @@ from .errors import CheckpointError
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write ``<path>.tmp`` (text: UTF-8, no newline translation), then rename
-    it to ``path``; if the block raises, remove it and leave ``path`` as it was."""
+    it to ``path``; if the block raises, remove it and leave ``path`` as it was.
+
+    Nothing is ``fsync``ed, neither the file nor its directory: after a
+    crashed or killed process, ``path`` is whole or absent (or as it was),
+    but after a power loss or an operating-system crash it may be neither."""
     tmp = f"{path}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:

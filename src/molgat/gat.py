@@ -32,7 +32,9 @@ weighting) and attention1/attention2 (a_1, a_2), each E x 1 in edge order
 except the N x 1 gate; they are constants, off the tape.
 
 A layer is one tape node (``Tape.record``). Its forward runs the steps above
-as numpy calls in a fixed order and checks each step's result for
+as numpy calls in a fixed order, the edge products, sums and softmaxes
+through the edge list's kernels (``Edges.dots``, ``Edges.sums``,
+``Edges.softmax``, ``Edges.softmax_grad``), and checks each step's result for
 non-finite values; its backward rule, written out below the forward,
 returns the gradients of x, W, E, u, b and the A2 edge weights (which is
 how the learnable distance profile behind the contact adjacency receives
@@ -50,8 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tape, Value, _checked, _edge_dots, _edge_sums, _segment_softmax,
-                       _segment_softmax_grad, _sigmoid, constant, parameter)
+from .autodiff import Tape, Value, _checked, _sigmoid, constant, parameter
 from .errors import ShapeError
 from .graphs import Edges
 
@@ -120,17 +121,17 @@ def gat_forward(
 
     xp = _checked(x.data @ w)
     xpe = _checked(xp @ e)
-    half = _checked(_edge_dots(xpe, xp, edges))
+    half = _checked(edges.dots(xpe, xp))
     if not records:
         xpe = None
     scores = _checked(half + half[edges.rev])
 
     # A1 is 1 on every covalent edge, so its weighting leaves softmax1 as is.
-    softmax1 = _checked(_segment_softmax(scores[:, 0], edges, covalent))[:, None]
-    softmax2 = _checked(_segment_softmax(scores[:, 0], edges, a2.data[:, 0] > 0))[:, None]
+    softmax1 = _checked(edges.softmax(scores[:, 0], covalent))[:, None]
+    softmax2 = _checked(edges.softmax(scores[:, 0], a2.data[:, 0] > 0))[:, None]
     attention2 = _checked(softmax2 * a2.data)
     diff = _checked(attention2 - softmax1)
-    xpp = _checked(_edge_sums(diff, xp, edges))
+    xpp = _checked(edges.sums(diff, xp))
 
     # x (u_top + W u_bottom) = [x | x'] u, without an N x 2F concatenation.
     u_bottom = _checked(u)[f:]
@@ -149,14 +150,14 @@ def gat_forward(
         d_w = d_v @ u_bottom.T
         d_u = np.concatenate([d_v, w.T @ d_v])
         # x'' = sum over i's edges of (a_2 - a_1) x'_j, then both softmaxes.
-        d_diff = _edge_dots(d_xpp, xp, edges)
-        d_xp = _edge_sums(diff[edges.rev], d_xpp, edges)
-        d_scores = _segment_softmax_grad((d_diff * a2.data)[:, 0], softmax2[:, 0], edges)
-        d_scores += _segment_softmax_grad(-d_diff[:, 0], softmax1[:, 0], edges)
+        d_diff = edges.dots(d_xpp, xp)
+        d_xp = edges.sums(diff[edges.rev], d_xpp)
+        d_scores = edges.softmax_grad((d_diff * a2.data)[:, 0], softmax2[:, 0])
+        d_scores += edges.softmax_grad(-d_diff[:, 0], softmax1[:, 0])
         # e = half + half[rev], half_e = x'E_src . x'_dst, x'E, then x' = x W.
         d_half = (d_scores + d_scores[edges.rev])[:, None]
-        d_xpe = _edge_sums(d_half, xp, edges)
-        d_xp += _edge_sums(d_half[edges.rev], xpe, edges)
+        d_xpe = edges.sums(d_half, xp)
+        d_xp += edges.sums(d_half[edges.rev], xpe)
         d_xp += d_xpe @ e.T
         d_w += x.data.T @ d_xp
         d_x += d_xp @ w.T

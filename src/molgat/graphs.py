@@ -1,4 +1,5 @@
-"""Model-ready graph samples: pruning, pose labels, cache.
+"""Model-ready graph samples: pruning, pose labels, cache, and the edge
+list the network runs on.
 
 A ``GraphSample`` stores only O(N) data for one complex: binary node
 features, coordinates (ligand rows first), the ligand/protein flag of each
@@ -14,7 +15,8 @@ protein atoms with ligand atoms only, so no N x N array is built. The dense view
 and ``inter_mask`` (contact mask) are derived on access for inspection and
 tests. Gaussian contact weights are deliberately NOT materialized here; the
 model computes them on the tape so gradients reach the distance-profile
-parameters.
+parameters. The edge list (``Edges``) holds both layouts of its products,
+the rule that picks one and the attention layer's four edge kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .chem import CATEGORIES, CATEGORY_LABELS, N_FEATURES, ComplexRecord, _feature_rows, _with_atoms
 from .chem import featurize  # noqa: F401 - unused here; perfbench/spans.py patches graphs.featurize
 from .chem import ligand_first, pairs_within, pairwise_distances, protein_within, repeats, select_atoms
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, DataError, ShapeError
 from .fileio import Reader, open_checked, write_checked
 
 PRUNE_CUTOFF = 8.0  # protein atoms farther than this from every ligand atom are removed
@@ -37,6 +39,21 @@ CONTACT_CUTOFF = 5.0  # intermolecular pairs closer than this enter the contact 
 
 CACHE_MAGIC = b"MOLGATGC"
 CACHE_VERSION = 2
+
+# An edge list whose graphs' n x n blocks hold at most this many entries per
+# edge in all gets its edge products from one dense n x n product per graph
+# instead of the degree buckets. Per call of one edge sum and one edge dot at
+# F = 140 (2-core VM, one BLAS thread), dense takes 0.7x the buckets' time at
+# 30-35 entries per edge, 0.86x at 35-40, about 1.0x at 40-50, 1.25x at 50-55
+# and 1.5x past 60. A 32-graph training batch (about 4.5 entries per edge)
+# takes 1.3 ms dense against 2.4 ms bucketed. On the benchmark's screening
+# pockets (seeds 1-3), the reached subgraphs the model runs on hold 17-29
+# entries per edge at 300 atoms (all dense) and 36-48 at 600 (8 of 18
+# bucketed); a pocket score took 2.23 ms with this rule, against 2.28 dense
+# only, 2.44 at 20 and 2.55 bucketed only, and a 32-sample training step
+# 38 ms, against 56 ms bucketed only. The n x n temporaries stay within a
+# constant factor of the edge list's size.
+_DENSE_ENTRIES_PER_EDGE = 40
 
 
 @dataclass(frozen=True)
@@ -53,9 +70,23 @@ class Edges:
     each graph: graph g owns the ``sizes[g]`` nodes after those of graphs
     0..g-1, and no edge joins two graphs.
 
-    Two views are derived on first access and kept with the edge list, for
-    the edge kernels of ``autodiff``: ``blocks`` places every edge in its
-    graph's dense n x n block and ``buckets`` groups the rows by degree.
+    The edge list owns the numpy kernels of the attention layer, which hold
+    per-edge values as E x 1 columns: ``dots`` and ``sums`` (edge products
+    and sums over a row's edges), ``softmax`` and ``softmax_grad`` (a
+    softmax over each row's edges and its gradient). A batch of graphs is
+    one block-diagonal edge list (``merge``), so every kernel runs once per
+    batch. Sums over the edges into a node go through ``rev``, which turns
+    them into sums over a row's edges. The products and sums run one of two
+    ways, each on a view derived on first access and kept with the edge
+    list. Small graphs take one dense n x n product per graph (``blocks``).
+    Larger ones take the rows grouped by degree (``buckets``): the edges of
+    the n_d rows of degree d are n_d runs of length d, so their sums are one
+    batched (n_d,1,d) @ (n_d,d,F) product and their dots one
+    (n_d,d,F) @ (n_d,F,1) product. ``dense`` is the rule that picks: the
+    blocks hold at most ``_DENSE_ENTRIES_PER_EDGE`` entries per edge in all
+    (sum of n_g^2 <= 40 E), so a one-graph edge list is judged by its own
+    n^2. The rule is read on every call, not kept, so setting
+    ``_DENSE_ENTRIES_PER_EDGE`` also steers edge lists already built.
     """
 
     src: np.ndarray  # E int
@@ -138,6 +169,55 @@ class Edges:
         d, first = np.unique(degree[order], return_index=True)
         return [(rows, self.starts[rows][:, None] + np.arange(k))
                 for k, rows in zip(d.tolist(), np.split(order, first[1:]))]
+
+    @property
+    def dense(self) -> bool:
+        """Whether ``dots`` and ``sums`` take the dense blocks."""
+        return int(self.sizes @ self.sizes) <= _DENSE_ENTRIES_PER_EDGE * len(self.src)
+
+    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """E x 1 column of a[src_e] . b[dst_e]."""
+        if not self.dense:
+            out = np.empty((len(self.src), 1))
+            for rows, index in self.buckets:
+                out[index] = b[self.dst[index]] @ a[rows][:, :, None]
+            return out
+        bounds, index, total = self.blocks
+        flat = np.empty(total)
+        for lo, n, at in bounds:
+            np.matmul(a[lo:lo + n], b[lo:lo + n].T, out=flat[at:at + n * n].reshape(n, n))
+        return flat[index][:, None]
+
+    def sums(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """N x F rows out_i = sum over node i's edges e of w_e * x[dst_e]."""
+        out = np.empty((len(self.starts), x.shape[1]))
+        if not self.dense:
+            for rows, index in self.buckets:
+                out[rows] = (w[index].transpose(0, 2, 1) @ x[self.dst[index]])[:, 0]
+            return out
+        bounds, index, total = self.blocks
+        flat = np.zeros(total)
+        flat[index] = w[:, 0]
+        for lo, n, at in bounds:
+            np.matmul(flat[at:at + n * n].reshape(n, n), x[lo:lo + n], out=out[lo:lo + n])
+        return out
+
+    def softmax(self, s: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Softmax of the length-E vector ``s`` over each source node's edges
+        where ``keep`` is true, zero elsewhere; rows are stabilized by their max
+        over the kept edges."""
+        src = self.src
+        row_max = np.maximum.reduceat(np.where(keep, s, -np.inf), self.starts)
+        if np.isneginf(row_max).any():
+            raise ShapeError("segment_softmax: a row has no masked-in edge")
+        ex = np.exp(np.where(keep, s - row_max[src], -np.inf))
+        return ex / np.add.reduceat(ex, self.starts)[src]
+
+    def softmax_grad(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Gradient of a ``softmax``'s scores, given ``out`` and the gradient
+        ``g`` of out (length-E vectors)."""
+        dot = np.add.reduceat(g * out, self.starts)
+        return out * (g - dot[self.src])
 
 
 @dataclass

@@ -19,7 +19,7 @@ only on the rows a contact can reach (``GraphSample.reach``: the contact
 ends, the atoms bonded to them and row 0, with the edges among them), and a
 complex with no contacts keeps one row and pools to an exactly-zero vector.
 A layer costs O(R F^2 + E_R F) time and O(R F + E_R) memory for the R
-reached rows and the E_R edges among them (``autodiff`` takes the edge
+reached rows and the E_R edges among them (``graphs.Edges`` takes the edge
 products of small graphs through a dense product bounded by a constant per
 edge). A training
 pass keeps every layer's values on the tape for the backward pass; ``score``

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .chem import Bond, ComplexRecord, _assemble_side, pairs_within, pairwise_distances
-from .graphs import label_pose, ligand_rmsd
+from .graphs import compute_rmsd, label_pose
 
 POSITIVE_PAIR_RANGE = (2.5, 3.3)
 NEAR_MISS_RANGE = (3.8, 4.9)
@@ -164,7 +164,8 @@ def generate_corpus(
 def generate_pose_set(n_complexes: int, poses_per_complex: int, seed: int) -> list[ComplexRecord]:
     """Docked-pose stand-ins: rigid perturbations of a reference ligand.
 
-    Each pose carries its heavy-atom RMSD to the reference; poses in the
+    Each pose carries its ligand heavy-atom RMSD to the reference, computed
+    from the shifted positions before any record is built; poses in the
     2-4 A dead zone are omitted, the rest are labeled near-native/decoy.
     Complex ids are ``pose0000``, ``pose0001``, ...
     """
@@ -177,33 +178,26 @@ def generate_pose_set(n_complexes: int, poses_per_complex: int, seed: int) -> li
             protein_id=f"pose-prot{c % max(1, n_complexes // 3):03d}",
             label=int(rng.random() < 0.5),
         )
-        for p in range(poses_per_complex):
+        xyz = reference.coordinates()
+        ligand = [k for k, a in enumerate(reference.atoms) if a.is_ligand]
+        heavy = [k for k in ligand if reference.atoms[k].element != "H"]
+        for _ in range(poses_per_complex):
             shift = _unit(rng) * rng.uniform(0.0, 6.0)
             jitter = rng.normal(scale=0.15, size=3)
-            atoms = []
-            for atom in reference.atoms:
-                if atom.is_ligand:
-                    pos = tuple(np.asarray(atom.position) + shift + jitter)
-                    atoms.append(replace(atom, position=pos))
-                else:
-                    atoms.append(atom)
-            pose = ComplexRecord(
-                complex_id=f"pose{c:04d}",
-                protein_id=reference.protein_id,
-                atoms=atoms,
-                bonds=list(reference.bonds),
-                category="unlabeled",
-            )
-            rmsd = ligand_rmsd(pose, reference)
+            moved = xyz + shift + jitter
+            rmsd = compute_rmsd(moved[heavy], xyz[heavy])
             pose_label = label_pose(rmsd)
             if pose_label is None:
                 continue
+            atoms = list(reference.atoms)
+            for k in ligand:
+                atoms[k] = replace(atoms[k], position=tuple(moved[k]))
             records.append(
                 ComplexRecord(
-                    complex_id=pose.complex_id,
-                    protein_id=pose.protein_id,
-                    atoms=pose.atoms,
-                    bonds=pose.bonds,
+                    complex_id=f"pose{c:04d}",
+                    protein_id=reference.protein_id,
+                    atoms=atoms,
+                    bonds=list(reference.bonds),
                     category="pdbbind_positive" if pose_label == 1 else "pdbbind_negative",
                     label=pose_label,
                     rmsd=rmsd,

@@ -12,13 +12,13 @@ pass in that form, the batch's reach taken from the merged full edge lists
 (``full_edges``, ``merged_reach``) instead of from each sample's
 ``GraphSample.reach``.
 The edge-list steps are ``ComposedTape``'s operations, built on
-``Tape.record`` and the edge kernels of ``molgat.autodiff`` that the fused
-layer calls. Nothing under ``src/`` uses this module.
+``Tape.record`` and the edge list's kernels (``Edges.dots``, ``Edges.sums``,
+``Edges.softmax``, ``Edges.softmax_grad``) that the fused layer calls. Nothing under ``src/`` uses this module.
 """
 
 import numpy as np
 
-from molgat.autodiff import Tape, _edge_dots, _edge_sums, _segment_softmax, _segment_softmax_grad, constant
+from molgat.autodiff import Tape, constant
 from molgat.chem import pairs_within
 from molgat.errors import NumericError, ShapeError
 from molgat.graphs import CONTACT_CUTOFF, Edges
@@ -41,11 +41,11 @@ class ComposedTape(Tape):
 
         def backward(g):
             if a.requires_grad:
-                a.accumulate(_edge_sums(g, b.data, edges))
+                a.accumulate(edges.sums(g, b.data))
             if b.requires_grad:
-                b.accumulate(_edge_sums(g[edges.rev], a.data, edges))
+                b.accumulate(edges.sums(g[edges.rev], a.data))
 
-        return self.record(_edge_dots(a.data, b.data, edges), (a, b), backward)
+        return self.record(edges.dots(a.data, b.data), (a, b), backward)
 
     def take_rows(self, a, index):
         """out = a[index], where ``index`` holds distinct row indices of a:
@@ -71,10 +71,10 @@ class ComposedTape(Tape):
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != (len(edges.src),):
             raise ShapeError(f"segment_softmax: mask shape {keep.shape} != ({len(edges.src)},)")
-        out = _segment_softmax(scores.data[:, 0], edges, keep)
+        out = edges.softmax(scores.data[:, 0], keep)
 
         def backward(g):
-            scores.accumulate(_segment_softmax_grad(g[:, 0], out, edges)[:, None])
+            scores.accumulate(edges.softmax_grad(g[:, 0], out)[:, None])
 
         return self.record(out[:, None], (scores,), backward)
 
@@ -86,11 +86,11 @@ class ComposedTape(Tape):
 
         def backward(g):
             if w.requires_grad:
-                w.accumulate(_edge_dots(g, x.data, edges))
+                w.accumulate(edges.dots(g, x.data))
             if x.requires_grad:
-                x.accumulate(_edge_sums(w.data[edges.rev], g, edges))
+                x.accumulate(edges.sums(w.data[edges.rev], g))
 
-        return self.record(_edge_sums(w.data, x.data, edges), (w, x), backward)
+        return self.record(edges.sums(w.data, x.data), (w, x), backward)
 
 
 def composed_gat_forward(tape, x, edges, a2, params, internals=None):

@@ -6,7 +6,7 @@ kernel for an edge list."""
 import numpy as np
 import pytest
 
-from molgat import autodiff
+from molgat import graphs
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
@@ -53,8 +53,10 @@ def kernels(edges, monkeypatch, f=140, seed=51):
     w = rng.uniform(-1, 1, size=(len(edges.src), 1))
     out = {}
     for name, rule in (("bucketed", 0), ("dense", 10**9)):
-        monkeypatch.setattr(autodiff, "_DENSE_ENTRIES_PER_EDGE", rule)
-        out[name] = (autodiff._edge_dots(a, b, edges), autodiff._edge_sums(w, a, edges))
+        monkeypatch.setattr(graphs, "_DENSE_ENTRIES_PER_EDGE", rule)
+        out[name] = (edges.dots(a, b), edges.sums(w, a))
+    # both layouts were built: the rule was read again after it changed
+    assert "blocks" in edges.__dict__ and "buckets" in edges.__dict__
     out["oracle"] = (gather_edge_dots(a, b, edges), gather_edge_sums(w, a, edges))
     return out
 
@@ -97,11 +99,11 @@ def test_degree_profiles_of_the_cases():
 def test_kernel_rule_picks_dense_for_training_batches_and_buckets_for_pockets():
     batch = [build_sample(prune_protein(r)) for r in generate_corpus(32, seed=52)]
     assert 30 <= np.mean([s.num_atoms for s in batch]) <= 60
-    assert autodiff._dense(Edges.merge([full_edges(s) for s in batch]))
+    assert Edges.merge([full_edges(s) for s in batch]).dense
     for n in (300, 600):
-        assert not autodiff._dense(full_edges(pocket_sample(n, seed=n)))
+        assert not full_edges(pocket_sample(n, seed=n)).dense
     # the graphs the model runs on: the reached subgraphs
-    assert autodiff._dense(Edges.merge([s.reach[1] for s in batch]))
-    assert autodiff._dense(pocket_sample(300, seed=300).reach[1])
+    assert Edges.merge([s.reach[1] for s in batch]).dense
+    assert pocket_sample(300, seed=300).reach[1].dense
     shell = ligand_in_a_shell(80, seed=1)
-    assert shell.num_atoms > 600 and not autodiff._dense(shell.reach[1])
+    assert shell.num_atoms > 600 and not shell.reach[1].dense

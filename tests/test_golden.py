@@ -4,13 +4,18 @@ Runs, through ``cli.main``: ``featurize`` on the benchmark's full-size
 ingest_pdb inputs of seeds 1-3 (SDF ligands and 3,000-5,000-atom PDB
 entries, built by ``perfbench/inputs.py``), on seed 1 again at
 ``--cutoff 12`` and on a ``molgat synth`` JSON-lines corpus; then
-``predict`` on that corpus's cache with a seeded paper-default checkpoint.
+``predict`` on that corpus's cache with a seeded paper-default checkpoint;
+``synth`` of a pose set; ``predict`` on the corpus's JSON lines; and a
+3-iteration paper-default ``train`` on the corpus's cache.
 ``golden.json`` pins each command's exit code, stdout and config echo, with
 the working directory masked as ``<dir>``, and the SHA-256 of each file it
-writes, except predict's. Featurizing involves no BLAS, so its bytes are
-pinned; predict's scores depend on the BLAS build and thread count, so they
-are pinned within 1e-10, and two runs in one process must write the same
-bytes.
+writes, except predict's and train's. Featurizing and synthesizing involve
+no BLAS, so their bytes are pinned; predict's scores depend on the BLAS
+build and thread count, so they are pinned within 1e-10, and train's log
+(``iteration``, ``train_loss``, ``val_auroc``, ``mu``, ``sigma``) within
+rtol 1e-9. Two runs of predict, and two of train, in one process must
+write the same bytes, and predict on the JSON lines the same scores as on
+their cache.
 
 A change that moves an output on purpose rewrites the table with
 ``PYTHONPATH=src python tests/test_golden.py`` and names each moved entry,
@@ -18,6 +23,7 @@ and why, in CHANGES.md.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -33,6 +39,8 @@ from molgat.model import ModelConfig, ModelParams, save_params
 TABLE = Path(__file__).with_name("golden.json")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCORE_TOL = 1e-10
+LOG_RTOL = 1e-9
+LOG_FIELDS = ("iteration", "train_loss", "val_auroc", "mu", "sigma")  # wall_time is not pinned
 
 
 def _perfbench_inputs():
@@ -66,8 +74,18 @@ def _entry(root: Path, argv, echo: Path, files) -> dict:
     }
 
 
-def _predict_argv(root: Path, out: str) -> list:
-    return ["predict", "--input", root / "synth.cache", "--checkpoint", root / "init.ckpt", "--out", root / out]
+def _predict_argv(root: Path, out: str, source: str = "synth.cache") -> list:
+    return ["predict", "--input", root / source, "--checkpoint", root / "init.ckpt", "--out", root / out]
+
+
+def _train_argv(root: Path, out: str) -> list:
+    return ["train", "--cache", root / "synth.cache", "--out", root / out, "--iterations", "3", "--checkpoint-every", "3"]
+
+
+def _scores(pred: Path) -> dict:
+    """``"complex_id,protein_id"``: probability, from ``scores.csv``."""
+    rows = (line.rsplit(",", 1) for line in (pred / "scores.csv").read_text().splitlines()[1:])
+    return {ids: float(p) for ids, p in rows}
 
 
 def run_commands(root: Path) -> dict:
@@ -100,9 +118,24 @@ def run_commands(root: Path) -> dict:
     save_params(root / "init.ckpt", ModelParams.initialize(config, np.random.default_rng(31)), config)
     pred = root / "pred"
     entry = _entry(root, _predict_argv(root, "pred"), pred / "config.resolved.ini", [])
-    rows = (line.rsplit(",", 1) for line in (pred / "scores.csv").read_text().splitlines()[1:])
-    entry["scores"] = {ids: float(p) for ids, p in rows}  # "complex_id,protein_id": probability
+    entry["scores"] = _scores(pred)
     table["predict synth"] = entry
+
+    poses = root / "poses"
+    table["synth poses"] = _entry(
+        root, ["synth", "--train", "0", "--test", "0", "--pose-complexes", "4", "--poses-per-complex", "6",
+               "--seed", "7", "--out", poses],
+        poses / "config.resolved.ini", [poses / "poses.jsonl"])
+    pred = root / "pred_jsonl"
+    entry = _entry(root, _predict_argv(root, "pred_jsonl", "synth/train.jsonl"), pred / "config.resolved.ini", [])
+    entry["scores"] = _scores(pred)
+    table["predict synth jsonl"] = entry
+
+    run = root / "train"
+    entry = _entry(root, _train_argv(root, "train"), run / "config.resolved.ini", [])
+    with open(run / "train_log.csv", newline="", encoding="utf-8") as fh:
+        entry["log"] = [{k: float(row[k]) for k in LOG_FIELDS} for row in csv.DictReader(fh)]
+    table["train synth"] = entry
     return table
 
 
@@ -123,9 +156,13 @@ def test_table_names_every_command(outputs):
 def test_outputs_match_the_table(outputs, name):
     got, want = dict(outputs[1][name]), dict(GOLDEN[name])
     got_scores, want_scores = got.pop("scores", {}), want.pop("scores", {})
+    got_log, want_log = got.pop("log", []), want.pop("log", [])
     assert got == want
     assert list(got_scores) == list(want_scores)
     np.testing.assert_allclose(list(got_scores.values()), list(want_scores.values()), rtol=0, atol=SCORE_TOL)
+    assert [list(row) for row in got_log] == [list(row) for row in want_log]
+    np.testing.assert_allclose([list(row.values()) for row in got_log], [list(row.values()) for row in want_log],
+                               rtol=LOG_RTOL, atol=0)
 
 
 def test_predict_twice_in_one_process_writes_the_same_bytes(outputs):
@@ -133,6 +170,17 @@ def test_predict_twice_in_one_process_writes_the_same_bytes(outputs):
     assert _run(root, _predict_argv(root, "pred_again"))[0] == 0
     for name in ("scores.csv", "score_histogram.csv", "config.resolved.ini"):
         assert (root / "pred_again" / name).read_bytes() == (root / "pred" / name).read_bytes(), name
+
+
+def test_predict_on_json_lines_gives_the_scores_of_their_cache(outputs):
+    root, _ = outputs
+    assert (root / "pred_jsonl" / "scores.csv").read_bytes() == (root / "pred" / "scores.csv").read_bytes()
+
+
+def test_train_twice_in_one_process_writes_the_same_checkpoint(outputs):
+    root, _ = outputs
+    assert _run(root, _train_argv(root, "train_again"))[0] == 0
+    assert (root / "train_again" / "latest.ckpt").read_bytes() == (root / "train" / "latest.ckpt").read_bytes()
 
 
 if __name__ == "__main__":
