@@ -287,6 +287,18 @@ def protein_within(complex_id: str, protein: np.ndarray, ligand: np.ndarray, cut
     return keep
 
 
+def join_sides(complex_id: str, protein_id: str, ligand, protein, **fields) -> ComplexRecord:
+    """The record of a ligand side and a protein side, each an ``(atoms,
+    bonds)`` pair numbered within its side: the ligand atoms first, the
+    protein bonds offset by the ligand's atom count. ``fields`` are the
+    record's other fields."""
+    (lig_atoms, lig_bonds), (prot_atoms, prot_bonds) = ligand, protein
+    offset = len(lig_atoms)
+    bonds = list(lig_bonds) + [Bond(b.i + offset, b.j + offset, b.order) for b in prot_bonds]
+    return ComplexRecord(complex_id=complex_id, protein_id=protein_id, atoms=lig_atoms + prot_atoms,
+                         bonds=bonds, **fields)
+
+
 def ligand_first(rec: ComplexRecord) -> ComplexRecord:
     """Reorder atoms so every ligand atom precedes every protein atom.
 
@@ -1002,10 +1014,8 @@ def parse_complex(
                                   for p in (ligand_path, protein_path))
 
         def record(prot_atoms, prot_bonds):
-            offset = len(lig_atoms)
-            bonds = list(lig_bonds) + [Bond(b.i + offset, b.j + offset, b.order) for b in prot_bonds]
-            return ComplexRecord(complex_id=complex_id, protein_id=protein_id, atoms=lig_atoms + prot_atoms,
-                                 bonds=bonds, category=category)
+            return join_sides(complex_id, protein_id, (lig_atoms, lig_bonds), (prot_atoms, prot_bonds),
+                              category=category)
 
         if cutoff is not None:
             try:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value, _checked, _sigmoid, constant, parameter
+from .autodiff import Tape, Value, _checked, _sigmoid, constant
 from .errors import ShapeError
 from .graphs import Edges
 
@@ -63,21 +63,6 @@ class GatParams:
     e: Value  # F x F attention bilinear form
     u: Value  # 2F x 1 gate weights
     b: Value  # 1 x 1 gate bias
-
-
-def glorot(rows: int, cols: int, rng: np.random.Generator) -> Value:
-    """Trainable rows x cols matrix drawn uniformly from the Glorot range."""
-    bound = np.sqrt(6.0 / (rows + cols))
-    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
-
-
-def init_gat_params(dim: int, rng: np.random.Generator) -> GatParams:
-    return GatParams(
-        w=glorot(dim, dim, rng),
-        e=glorot(dim, dim, rng),
-        u=glorot(2 * dim, 1, rng),
-        b=parameter(np.zeros((1, 1))),
-    )
 
 
 def gat_forward(
@@ -155,9 +140,10 @@ def gat_forward(
         d_scores = edges.softmax_grad((d_diff * a2.data)[:, 0], softmax2[:, 0])
         d_scores += edges.softmax_grad(-d_diff[:, 0], softmax1[:, 0])
         # e = half + half[rev], half_e = x'E_src . x'_dst, x'E, then x' = x W.
+        # d_half[rev] is d_half bit for bit (rev is an involution, + commutes).
         d_half = (d_scores + d_scores[edges.rev])[:, None]
         d_xpe = edges.sums(d_half, xp)
-        d_xp += edges.sums(d_half[edges.rev], xpe)
+        d_xp += edges.sums(d_half, xpe)
         d_xp += d_xpe @ e.T
         d_w += x.data.T @ d_xp
         d_x += d_xp @ w.T

@@ -327,7 +327,7 @@ def compute_rmsd(pose: np.ndarray, reference: np.ndarray) -> float:
 
     No superposition is performed (poses share the protein frame) and no
     graph-symmetry correction is applied. Callers are responsible for
-    restricting to heavy atoms; see ``ligand_rmsd``.
+    restricting to heavy atoms, as ``synthetic.generate_pose_set`` does.
     """
     pose = np.asarray(pose, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -337,18 +337,6 @@ def compute_rmsd(pose: np.ndarray, reference: np.ndarray) -> float:
         raise DataError(f"rmsd: expected an Nx3 coordinate array, got {pose.shape}")
     disp = pose - reference
     return float(np.sqrt((disp * disp).sum(axis=1).mean()))
-
-
-def ligand_rmsd(pose: ComplexRecord, reference: ComplexRecord) -> float:
-    """RMSD over the ligand heavy atoms of two records of the same molecule."""
-
-    def heavy_coords(rec):
-        return np.array(
-            [a.position for a in rec.atoms if a.is_ligand and a.element != "H"],
-            dtype=np.float64,
-        )
-
-    return compute_rmsd(heavy_coords(pose), heavy_coords(reference))
 
 
 def label_pose(rmsd: float) -> int | None:

@@ -58,7 +58,7 @@ from .autodiff import Tape, Value, _checked, constant, parameter
 from .chem import N_FEATURES
 from .errors import CheckpointError, NumericError
 from .fileio import open_checked, write_checked
-from .gat import GatParams, gat_forward, glorot, init_gat_params
+from .gat import GatParams, gat_forward
 from .graphs import Edges, GraphSample
 
 SIGMA_FLOOR = 1e-3
@@ -86,56 +86,54 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
-class ModelParams:
-    """Every learnable quantity, in the fixed checkpoint order."""
+def glorot(rows: int, cols: int, rng: np.random.Generator) -> Value:
+    """Trainable rows x cols matrix drawn uniformly from the Glorot range."""
+    bound = np.sqrt(6.0 / (rows + cols))
+    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
 
-    def __init__(self, embed: Value, layers: list[GatParams], mu: Value, sigma_raw: Value, fc):
-        self.embed = embed
-        self.layers = layers
-        self.mu = mu
-        self.sigma_raw = sigma_raw
-        self.fc = fc  # list of (weight, bias) pairs
+
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, int], object]]:
+    """The name, shape and initial value of every parameter, in checkpoint
+    order. An initial value of ``glorot`` is a draw from the Glorot range;
+    the draws are made in this order."""
+    f = config.gat_dim
+    layout = [("embed", (N_FEATURES, f), glorot)]
+    for k in range(config.num_gat_layers):
+        layout += [(f"gat{k}.w", (f, f), glorot), (f"gat{k}.e", (f, f), glorot),
+                   (f"gat{k}.u", (2 * f, 1), glorot), (f"gat{k}.b", (1, 1), 0.0)]
+    # softplus(raw) + floor == 2.0 at initialization
+    layout += [("mu", (1, 1), 3.0), ("sigma_raw", (1, 1), np.log(np.expm1(2.0 - SIGMA_FLOOR)))]
+    prev = f
+    for k, dim in enumerate(config.fc_dims):
+        layout += [(f"fc{k}.w", (prev, dim), glorot), (f"fc{k}.b", (1, dim), 0.0)]
+        prev = dim
+    return layout
+
+
+class ModelParams:
+    """Every learnable quantity: one value per ``_layout`` entry, in
+    checkpoint order, unpacked once into the model's parts."""
+
+    def __init__(self, config: ModelConfig, values: list[Value]):
+        self.config = config
+        self._values = list(values)
+        it = iter(self._values)
+        self.embed = next(it)
+        self.layers = [GatParams(w=next(it), e=next(it), u=next(it), b=next(it))
+                       for _ in range(config.num_gat_layers)]
+        self.mu, self.sigma_raw = next(it), next(it)
+        self.fc = [(next(it), next(it)) for _ in config.fc_dims]  # (weight, bias) pairs
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        embed = glorot(N_FEATURES, config.gat_dim, rng)
-        layers = [init_gat_params(config.gat_dim, rng) for _ in range(config.num_gat_layers)]
-        mu = parameter(np.array([[3.0]]))
-        # softplus(raw) + floor == 2.0 at initialization
-        sigma_raw = parameter(np.array([[np.log(np.expm1(2.0 - SIGMA_FLOOR))]]))
-        fc = []
-        prev = config.gat_dim
-        for dim in config.fc_dims:
-            fc.append((glorot(prev, dim, rng), parameter(np.zeros((1, dim)))))
-            prev = dim
-        return cls(embed, layers, mu, sigma_raw, fc)
-
-    @classmethod
-    def from_values(cls, values: list[Value], num_layers: int, num_fc: int) -> "ModelParams":
-        """The parameters from their values in checkpoint order."""
-        it = iter(values)
-        embed = next(it)
-        layers = [GatParams(w=next(it), e=next(it), u=next(it), b=next(it)) for _ in range(num_layers)]
-        mu, sigma_raw = next(it), next(it)
-        fc = [(next(it), next(it)) for _ in range(num_fc)]
-        return cls(embed, layers, mu, sigma_raw, fc)
+        return cls(config, [glorot(*shape, rng) if init is glorot else parameter(np.full(shape, init))
+                            for _, shape, init in _layout(config)])
 
     def named_values(self) -> list[tuple[str, Value]]:
-        named = [("embed", self.embed)]
-        for k, layer in enumerate(self.layers):
-            named += [
-                (f"gat{k}.w", layer.w),
-                (f"gat{k}.e", layer.e),
-                (f"gat{k}.u", layer.u),
-                (f"gat{k}.b", layer.b),
-            ]
-        named += [("mu", self.mu), ("sigma_raw", self.sigma_raw)]
-        for k, (w, b) in enumerate(self.fc):
-            named += [(f"fc{k}.w", w), (f"fc{k}.b", b)]
-        return named
+        return [(name, v) for (name, _, _), v in zip(_layout(self.config), self._values)]
 
     def values(self) -> list[Value]:
-        return [v for _, v in self.named_values()]
+        return list(self._values)
 
     def zero_grad(self) -> None:
         for v in self.values():
@@ -144,16 +142,14 @@ class ModelParams:
     def constants(self) -> "ModelParams":
         """The same weights as constants. Each shares its parameter's array,
         and a forward pass on them records nothing on its tape."""
-        values = [constant(v.data) for v in self.values()]
-        return ModelParams.from_values(values, len(self.layers), len(self.fc))
+        return ModelParams(self.config, [constant(v.data) for v in self._values])
 
     def views(self) -> "ModelParams":
         """The same weights as parameters with gradients of their own. Each
         shares its parameter's array, so an Adam step on the parameters
         moves them too, and a pass on them accumulates into their own
         ``grad``, which nothing else touches."""
-        values = [parameter(v.data) for v in self.values()]
-        return ModelParams.from_values(values, len(self.layers), len(self.fc))
+        return ModelParams(self.config, [parameter(v.data) for v in self._values])
 
     def sigma_on(self, tape: Tape) -> Value:
         """Positive sigma on the tape: softplus(raw) + floor."""
@@ -313,16 +309,7 @@ def score(sample: GraphSample, params: ModelParams, config: ModelConfig) -> floa
 # ---------------------------------------------------------------------------
 
 def _expected_shapes(config: ModelConfig) -> list[tuple[int, int]]:
-    shapes = [(N_FEATURES, config.gat_dim)]
-    f = config.gat_dim
-    for _ in range(config.num_gat_layers):
-        shapes += [(f, f), (f, f), (2 * f, 1), (1, 1)]
-    shapes += [(1, 1), (1, 1)]
-    prev = f
-    for dim in config.fc_dims:
-        shapes += [(prev, dim), (1, dim)]
-        prev = dim
-    return shapes
+    return [shape for _, shape, _ in _layout(config)]
 
 
 def save_params(path, params: ModelParams, config: ModelConfig, iteration: int = 0) -> None:
@@ -368,7 +355,7 @@ def load_params(path):
             raise CheckpointError(f"{path}: invalid stored config ({exc})") from None
         (iteration,) = r.unpack("<Q")
         (n_tensors,) = r.unpack("<I")
-        count = 4 * num_layers + 3 + 2 * n_fc  # the length of _expected_shapes(config)
+        count = 4 * num_layers + 3 + 2 * n_fc  # the length of _layout(config), without building it
         if n_tensors != count:
             raise CheckpointError(f"{path}: expected {count} tensors, found {n_tensors}")
         if 16 * count > r.remaining:  # each tensor holds a shape and at least one value
@@ -386,4 +373,4 @@ def load_params(path):
                 raise CheckpointError(f"{path}: tensor {len(tensors)} has non-finite values")
             tensors.append(parameter(data.copy()))
         r.finish()
-    return ModelParams.from_values(tensors, num_layers, n_fc), config, int(iteration)
+    return ModelParams(config, tensors), config, int(iteration)

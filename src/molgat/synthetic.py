@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chem import Bond, ComplexRecord, _assemble_side, pairs_within, pairwise_distances
+from .chem import ComplexRecord, _assemble_side, join_sides, pairs_within, pairwise_distances
 from .graphs import compute_rmsd, label_pose
 
 POSITIVE_PAIR_RANGE = (2.5, 3.3)
@@ -116,23 +116,14 @@ def generate_record(
 
     assert bool(_qualifying_pairs(lig_el, lig_xyz, prot_el, prot_xyz, LABEL_CUTOFF)) == bool(label)
 
-    lig_atoms, lb = _assemble_side(list(zip(lig_el, map(tuple, lig_xyz))), lig_bonds, True, None)
-    prot_atoms, pb = _assemble_side(list(zip(prot_el, map(tuple, prot_xyz))), prot_bonds, False, None)
-    offset = len(lig_atoms)
-    bonds = lb + [Bond(b.i + offset, b.j + offset, b.order) for b in pb]
+    ligand = _assemble_side(list(zip(lig_el, map(tuple, lig_xyz))), lig_bonds, True, None)
+    protein = _assemble_side(list(zip(prot_el, map(tuple, prot_xyz))), prot_bonds, False, None)
 
     if label == 1:
         category = "dude_active" if rng.random() < 0.5 else "pdbbind_positive"
     else:
         category = "dude_inactive" if rng.random() < 0.5 else "pdbbind_negative"
-    return ComplexRecord(
-        complex_id=complex_id,
-        protein_id=protein_id,
-        atoms=lig_atoms + prot_atoms,
-        bonds=bonds,
-        category=category,
-        label=label,
-    )
+    return join_sides(complex_id, protein_id, ligand, protein, category=category, label=label)
 
 
 def generate_corpus(

@@ -3,7 +3,8 @@ graph samples and a long ligand in a contact shell, random edge lists, the
 dense view of per-edge values, a recorder of gradient shapes, the one-sample
 loss, one-site dropout mask and parameter count the tests check the model
 against, one atom's feature row, a record's ligand atom count, the rows of a
-training log, and a whole-file decode of a graph cache.
+training log, a whole-file decode of a graph cache, one attention layer's
+initial weights, and the ligand heavy-atom RMSD of two records.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
@@ -16,10 +17,13 @@ import zlib
 import numpy as np
 
 from molgat import chem
-from molgat.autodiff import Value, constant
+from molgat.autodiff import Value, constant, parameter
 from molgat.errors import DataError
 from molgat.fileio import write_checked
-from molgat.graphs import CACHE_MAGIC, CACHE_VERSION, Edges, GraphSample, _encode_sample, pairwise_distances
+from molgat.gat import GatParams
+from molgat.graphs import (CACHE_MAGIC, CACHE_VERSION, Edges, GraphSample, _encode_sample, compute_rmsd,
+                           pairwise_distances)
+from molgat.model import glorot
 
 
 def finite_difference_grads(fn, leaves, h=1e-5):
@@ -181,6 +185,30 @@ def atom_feature_row(atom, stats=None):
 def num_ligand_atoms(rec):
     """Number of ligand atoms in a ``ComplexRecord``."""
     return sum(1 for a in rec.atoms if a.is_ligand)
+
+
+def ligand_rmsd(pose, reference) -> float:
+    """RMSD over the ligand heavy atoms of two records of the same molecule:
+    the reference the pose generator's RMSD is checked against."""
+
+    def heavy_coords(rec):
+        return np.array(
+            [a.position for a in rec.atoms if a.is_ligand and a.element != "H"],
+            dtype=np.float64,
+        )
+
+    return compute_rmsd(heavy_coords(pose), heavy_coords(reference))
+
+
+def init_gat_params(dim: int, rng: np.random.Generator) -> GatParams:
+    """One attention layer's weights, drawn as ``ModelParams.initialize``
+    draws a layer's."""
+    return GatParams(
+        w=glorot(dim, dim, rng),
+        e=glorot(dim, dim, rng),
+        u=glorot(2 * dim, 1, rng),
+        b=parameter(np.zeros((1, 1))),
+    )
 
 
 def write_unchecked(samples, path) -> None:

@@ -14,7 +14,7 @@ import pytest
 
 from molgat.autodiff import Tape, constant, parameter
 from molgat.chem import Atom, Bond, ComplexRecord
-from molgat.gat import GatParams, gat_forward, init_gat_params
+from molgat.gat import GatParams, gat_forward
 from molgat.graphs import Edges, build_sample, label_pose, prune_protein
 from molgat.metrics import adjusted_logauc, auroc, re_score, topn_success, ScoredItem
 from molgat.model import ModelConfig, ModelParams, load_params, materialize_a2, predict, score
@@ -29,6 +29,7 @@ from helpers import (
     dense_of,
     dropout_mask,
     finite_difference_grads,
+    init_gat_params,
     max_relative_error,
 )
 

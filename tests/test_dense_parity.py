@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from molgat.autodiff import Tape, constant, parameter
-from molgat.gat import gat_forward, init_gat_params
+from molgat.gat import gat_forward
 from molgat.graphs import build_sample, prune_protein
 from molgat.model import ModelConfig, ModelParams, dropout_masks, predict, score
 from molgat.synthetic import generate_corpus
 
 from composed import full_edges
 from dense_oracle import dense_gat_forward, dense_predict, dense_score
-from helpers import bce_loss, dense_of, pocket_sample, record_gradient_shapes
+from helpers import bce_loss, dense_of, init_gat_params, pocket_sample, record_gradient_shapes
 
 PAPER = ModelConfig()
 A4_SMALL = ModelConfig(num_gat_layers=2, gat_dim=12, fc_dims=(8, 1), dropout_rate=0.3)

@@ -5,12 +5,12 @@ import pytest
 
 from molgat.autodiff import Tape, constant, parameter
 from molgat.errors import NumericError, ShapeError
-from molgat.gat import GatParams, gat_forward, init_gat_params
+from molgat.gat import GatParams, gat_forward
 from molgat.graphs import Edges, build_sample, prune_protein
 from molgat.synthetic import generate_corpus
 
 from composed import ComposedTape, composed_gat_forward, full_edges
-from helpers import check_gradients, dense_of, pocket_sample, record_gradient_shapes
+from helpers import check_gradients, dense_of, init_gat_params, pocket_sample, record_gradient_shapes
 
 
 def gat_oracle(x, adj, w, e, u, b):

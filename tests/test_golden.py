@@ -6,11 +6,14 @@ entries, built by ``perfbench/inputs.py``), on seed 1 again at
 ``--cutoff 12`` and on a ``molgat synth`` JSON-lines corpus; then
 ``predict`` on that corpus's cache with a seeded paper-default checkpoint;
 ``synth`` of a pose set; ``predict`` on the corpus's JSON lines; and a
-3-iteration paper-default ``train`` on the corpus's cache.
+3-iteration paper-default ``train`` on the corpus's cache. It also saves
+freshly initialized checkpoints, at the paper defaults and at the README's
+2x24 config, for ``default_rng`` seeds 0-2.
 ``golden.json`` pins each command's exit code, stdout and config echo, with
 the working directory masked as ``<dir>``, and the SHA-256 of each file it
-writes, except predict's and train's. Featurizing and synthesizing involve
-no BLAS, so their bytes are pinned; predict's scores depend on the BLAS
+writes, except predict's and train's, and the SHA-256 of each initial
+checkpoint. Featurizing, synthesizing and initializing involve no BLAS, so
+their bytes are pinned; predict's scores depend on the BLAS
 build and thread count, so they are pinned within 1e-10, and train's log
 (``iteration``, ``train_loss``, ``val_auroc``, ``mu``, ``sigma``) within
 rtol 1e-9. Two runs of predict, and two of train, in one process must
@@ -41,6 +44,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCORE_TOL = 1e-10
 LOG_RTOL = 1e-9
 LOG_FIELDS = ("iteration", "train_loss", "val_auroc", "mu", "sigma")  # wall_time is not pinned
+INIT_CONFIGS = {"paper": ModelConfig(),
+                "2x24": ModelConfig(num_gat_layers=2, gat_dim=24, fc_dims=(24, 1), dropout_rate=0.1)}
 
 
 def _perfbench_inputs():
@@ -136,6 +141,12 @@ def run_commands(root: Path) -> dict:
     with open(run / "train_log.csv", newline="", encoding="utf-8") as fh:
         entry["log"] = [{k: float(row[k]) for k in LOG_FIELDS} for row in csv.DictReader(fh)]
     table["train synth"] = entry
+
+    for label, config in INIT_CONFIGS.items():
+        for seed in (0, 1, 2):
+            ckpt = root / f"init_{label}_seed{seed}.ckpt"
+            save_params(ckpt, ModelParams.initialize(config, np.random.default_rng(seed)), config)
+            table[f"init {label} seed {seed}"] = {"sha256": {ckpt.name: _sha256(ckpt)}}
     return table
 
 

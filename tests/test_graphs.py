@@ -20,7 +20,6 @@ from molgat.graphs import (
     compute_rmsd,
     iter_cache,
     label_pose,
-    ligand_rmsd,
     pairwise_distances,
     prune_protein,
     read_cache,
@@ -29,7 +28,7 @@ from molgat.graphs import (
 from molgat.synthetic import generate_corpus, generate_pose_set
 
 from composed import full_edges, merged_reach
-from helpers import dense_of, num_ligand_atoms, pocket_sample, whole_file_samples, write_unchecked
+from helpers import dense_of, ligand_rmsd, num_ligand_atoms, pocket_sample, whole_file_samples, write_unchecked
 
 
 def atom(element, pos, is_ligand, degree=1):

@@ -16,6 +16,7 @@ from molgat.model import (
     SIGMA_FLOOR,
     ModelConfig,
     ModelParams,
+    _layout,
     dropout_masks,
     load_params,
     materialize_a2,
@@ -536,6 +537,31 @@ class TestCheckpoint:
         for (name_a, a), (name_b, b) in zip(params.named_values(), loaded.named_values()):
             assert name_a == name_b
             assert np.array_equal(a.data, b.data), name_a
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 5])
+    @pytest.mark.parametrize("fc_dims", [(1,), (3, 1), (4, 2, 1)])
+    def test_tensors_follow_the_layout(self, tmp_path, num_layers, fc_dims):
+        config = ModelConfig(num_gat_layers=num_layers, gat_dim=3, fc_dims=fc_dims)
+        layout = _layout(config)
+        params = ModelParams.initialize(config, np.random.default_rng(0))
+        assert [(name, v.shape) for name, v in params.named_values()] == [(name, shape) for name, shape, _ in layout]
+        path = tmp_path / "model.ckpt"
+        save_params(path, params, config)
+        body = path.read_bytes()[len(CHECKPOINT_MAGIC):-4]
+        count_at = 36 + 4 * len(fc_dims)  # after the header fields up to and including the iteration
+        assert struct.unpack_from("<I", body, count_at) == (len(layout),)
+        at = count_at + 4
+        for name, v in params.named_values():
+            rows, cols = struct.unpack_from("<II", body, at)
+            assert (rows, cols) == v.shape, name
+            assert np.array_equal(np.frombuffer(body, "<f8", rows * cols, at + 8).reshape(rows, cols), v.data), name
+            at += 8 + 8 * rows * cols
+        assert at == len(body)
+        # load_params counts the tensors arithmetically, before any shape: that count is the layout's length
+        body = body[:count_at] + struct.pack("<I", len(layout) + 1) + body[count_at + 4:]
+        path.write_bytes(CHECKPOINT_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=f"expected {len(layout)} tensors, found {len(layout) + 1}"):
+            load_params(path)
 
     def test_save_is_deterministic(self, tmp_path):
         params = fresh_params()

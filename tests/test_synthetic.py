@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from molgat.chem import write_jsonl
-from molgat.graphs import build_sample, label_pose, ligand_rmsd, prune_protein
+from molgat.graphs import build_sample, label_pose, prune_protein
 from molgat.synthetic import LABEL_CUTOFF, generate_corpus, generate_pose_set
 
-from helpers import num_ligand_atoms
+from helpers import ligand_rmsd, num_ligand_atoms
 
 
 def brute_force_label(rec):
