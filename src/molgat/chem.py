@@ -12,9 +12,10 @@ side is populated. Each 28-block is [element one-hot (10) | degree 0-5 (6) |
 attached hydrogens 0-4 (5) | implicit valence 0-5 (6) | aromatic flag (1)].
 
 The distance helpers live here, below their users, as two searches. The
-cross search ``pairs_within(a, b, cutoff)`` is behind pruning here, contacts
-in ``graphs`` and the label rule in ``synthetic``, whose ``b`` is a ligand:
-blocked dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a time. The
+cross search ``pairs_within(a, b, cutoff)`` is behind pruning here and
+contacts in ``graphs``, whose ``b`` is a ligand (``synthetic``'s label rule
+takes its distances' bits on float triples): blocked dense distances,
+``_PAIR_BLOCK`` rows of ``a`` at a time. The
 self-search ``_pairs_above(a, cutoff)`` is behind bond inference over a whole
 PDB entry and returns each unordered pair once. It takes a cell list when
 the entry has more than ``_PAIR_BLOCK`` atoms, all less than 2**17 cells
@@ -360,9 +361,9 @@ def pairs_within(a: np.ndarray, b: np.ndarray, cutoff: float) -> tuple[np.ndarra
     ``pairwise_distances(a, b)[i, j]``. Every coordinate must be finite
     (``ValueError`` otherwise).
 
-    This is the cross search behind pruning, contacts and the synthetic label
-    rule, whose ``b`` is a ligand: dense distances, ``_PAIR_BLOCK`` rows of
-    ``a`` at a time, O(M K) time and memory linear in K. When ``a`` spans
+    This is the cross search behind pruning and contacts, whose ``b`` is a
+    ligand: dense distances, ``_PAIR_BLOCK`` rows of ``a`` at a time,
+    O(M K) time and memory linear in K. When ``a`` spans
     several blocks (pruning a whole entry against its ligand), rows outside
     the bounding box of ``b`` widened by a grid cell are skipped first: on
     some axis they lie farther from every row of ``b`` than any distance the
@@ -614,10 +615,6 @@ def jsonl_lines(path):
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 yield lineno, line
-
-
-def read_jsonl(path) -> list[ComplexRecord]:
-    return [record_from_json_line(line, path=path, lineno=lineno) for lineno, line in jsonl_lines(path)]
 
 
 def write_jsonl(records, path) -> None:

@@ -9,17 +9,28 @@ atoms arranged around it, and the activity label is a planted geometric rule:
 
 Positives get such a pair planted at 2.5-3.3 A. Negatives are scrubbed of any
 qualifying pair; half of them get a near-miss {N, O} pair planted at
-3.8-4.9 A so a model cannot succeed without using distances. Qualifying pairs
-are found with ``chem.pairs_within``, the search the graph cutoffs use.
+3.8-4.9 A so a model cannot succeed without using distances. A pair's
+distance has the bits ``chem.pairs_within``, the search the graph cutoffs
+use, gives it.
+
+The geometry runs on plain float triples, one Python float operation at a
+time, with no numpy call per atom beyond the generator's: a step is
+``x / sqrt(v.dot(v)) * length`` per axis, a position its parent plus the
+step, and a distance the squared differences summed in x, y, z order, then
+``sqrt``, the arithmetic of ``_unit`` and ``chem.pairwise_distances``. The
+generator calls and their order are those of the array code this replaced,
+so every corpus and pose set keeps its bytes; ``tests/test_synthetic.py``
+pins them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from .chem import ComplexRecord, _assemble_side, join_sides, pairs_within, pairwise_distances
+from .chem import ComplexRecord, _assemble_side, join_sides
 from .graphs import compute_rmsd, label_pose
 
 POSITIVE_PAIR_RANGE = (2.5, 3.3)
@@ -32,6 +43,7 @@ _LIGAND_ELEMENTS = ("C", "N", "O", "S", "F", "P", "Cl", "Br", "B", "H")
 _LIGAND_WEIGHTS = (0.50, 0.13, 0.13, 0.05, 0.04, 0.03, 0.03, 0.02, 0.02, 0.05)
 _PROTEIN_ELEMENTS = ("C", "N", "O", "S", "H")
 _PROTEIN_WEIGHTS = (0.50, 0.16, 0.16, 0.03, 0.15)
+_PARTNER = {"N": "O", "O": "N"}  # the element each half of a qualifying pair needs across the interface
 
 
 def _unit(rng):
@@ -39,49 +51,68 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
+def _moved(origin, rng, low, high):
+    """``origin + _unit(rng) * rng.uniform(low, high)`` on float triples: the
+    same draws in the same order, and per axis the same bits,
+    ``o + x / sqrt(v.dot(v)) * length`` (``np.linalg.norm`` of a vector is
+    ``sqrt(v.dot(v))``)."""
+    v = rng.normal(size=3)
+    norm = math.sqrt(v.dot(v))
+    length = rng.uniform(low, high)
+    x, y, z = v.tolist()
+    return (origin[0] + x / norm * length, origin[1] + y / norm * length, origin[2] + z / norm * length)
+
+
+def _distances(point, atoms):
+    """The distances from a float triple to each of ``atoms``, with the bits
+    of ``chem.pairwise_distances``: the squared differences summed in x, y, z
+    order, then ``sqrt``."""
+    x, y, z = point
+    return [math.sqrt((x - p) * (x - p) + (y - q) * (y - q) + (z - r) * (z - r)) for p, q, r in atoms]
+
+
 def _random_ligand(rng):
     n = int(rng.integers(5, 16))
-    coords = [np.zeros(3)]
+    coords = [(0.0, 0.0, 0.0)]
     bonds = []
     for k in range(1, n):
         parent = int(rng.integers(0, k))
-        coords.append(coords[parent] + _unit(rng) * rng.uniform(1.4, 1.6))
+        coords.append(_moved(coords[parent], rng, 1.4, 1.6))
         bonds.append((parent, k, "single"))
-    elements = list(rng.choice(_LIGAND_ELEMENTS, size=n, p=_LIGAND_WEIGHTS))
+    elements = rng.choice(_LIGAND_ELEMENTS, size=n, p=_LIGAND_WEIGHTS).tolist()
     return elements, coords, bonds
 
 
 def _random_protein(rng, ligand_coords, n_atoms):
-    ligand = np.array(ligand_coords)
     coords = []
     bonds = []
     while len(coords) < n_atoms:
         seg_len = min(int(rng.integers(4, 9)), n_atoms - len(coords))
         anchor = ligand_coords[int(rng.integers(0, len(ligand_coords)))]
-        pos = anchor + _unit(rng) * rng.uniform(3.0, 6.5)
+        pos = _moved(anchor, rng, 3.0, 6.5)
         start = len(coords)
         for k in range(seg_len):
             if k > 0:
-                for _ in range(8):  # avoid burrowing into the ligand
-                    step = _unit(rng) * rng.uniform(1.4, 1.6)
-                    candidate = coords[-1] + step
-                    if pairwise_distances(candidate[None], ligand).min() > 2.0:
+                for _ in range(8):  # avoid burrowing into the ligand; else keep the eighth step
+                    pos = _moved(coords[-1], rng, 1.4, 1.6)
+                    if min(_distances(pos, ligand_coords)) > 2.0:
                         break
-                else:
-                    candidate = coords[-1] + step
-                pos = candidate
-            coords.append(pos.copy())
+            coords.append(pos)
             if k > 0:
                 bonds.append((start + k - 1, start + k, "single"))
-    elements = list(rng.choice(_PROTEIN_ELEMENTS, size=n_atoms, p=_PROTEIN_WEIGHTS))
+    elements = rng.choice(_PROTEIN_ELEMENTS, size=n_atoms, p=_PROTEIN_WEIGHTS).tolist()
     return elements, coords, bonds
 
 
 def _qualifying_pairs(lig_el, lig_xyz, prot_el, prot_xyz, cutoff):
-    """Ligand/protein index pairs closer than ``cutoff`` with elements {N, O}."""
-    i, j, d = pairs_within(np.array(lig_xyz), np.array(prot_xyz), cutoff)
-    close = zip(i[d < cutoff].tolist(), j[d < cutoff].tolist())
-    return [(p, q) for p, q in close if {lig_el[p], prot_el[q]} == {"N", "O"}]
+    """Ligand/protein index pairs closer than ``cutoff`` with elements {N, O},
+    in ``(ligand, protein)`` order, as ``chem.pairs_within`` finds them."""
+    pairs = []
+    for p, a in enumerate(lig_el):
+        if a in _PARTNER:
+            d = _distances(lig_xyz[p], prot_xyz)
+            pairs += [(p, q) for q, b in enumerate(prot_el) if b == _PARTNER[a] and d[q] < cutoff]
+    return pairs
 
 
 def generate_record(
@@ -104,7 +135,7 @@ def generate_record(
             lig_el[li], prot_el[pj] = "N", "O"
         else:
             lig_el[li], prot_el[pj] = "O", "N"
-        prot_xyz[pj] = lig_xyz[li] + _unit(rng) * rng.uniform(*plant_range)
+        prot_xyz[pj] = _moved(lig_xyz[li], rng, *plant_range)
 
     if label == 0:
         # Scrub accidental qualifying pairs by carbonizing the ligand side.
@@ -116,8 +147,8 @@ def generate_record(
 
     assert bool(_qualifying_pairs(lig_el, lig_xyz, prot_el, prot_xyz, LABEL_CUTOFF)) == bool(label)
 
-    ligand = _assemble_side(list(zip(lig_el, map(tuple, lig_xyz))), lig_bonds, True, None)
-    protein = _assemble_side(list(zip(prot_el, map(tuple, prot_xyz))), prot_bonds, False, None)
+    ligand = _assemble_side(list(zip(lig_el, lig_xyz)), lig_bonds, True, None)
+    protein = _assemble_side(list(zip(prot_el, prot_xyz)), prot_bonds, False, None)
 
     if label == 1:
         category = "dude_active" if rng.random() < 0.5 else "pdbbind_positive"

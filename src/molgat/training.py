@@ -3,21 +3,28 @@
 Batches draw an equal number of samples from each category pool (with
 replacement; the pools are wildly unequal in practice), every parameter is
 updated by Adam, and checkpoints plus a CSV progress log are written
-periodically. A step splits its batch, in order, into passes of at most
-``PASS_ATOMS // 2`` atoms (a larger sample runs alone). Each pass is one
-batched forward pass (``model.predict``) and one backward pass of its mean
-BCE scaled by its share of the batch, so the parameters' gradients add up to
-those of the batch's mean BCE; Adam steps once per batch. Two consecutive
-passes that hold at most ``PASS_ATOMS`` atoms together run at once: this
-thread runs the first, one worker thread the second (in turn when the
-process may use one core only). Each pass accumulates into its own views of
-the parameters (``ModelParams.views``), and this thread adds their gradients
+periodically. A pass's memory grows with its atoms times the attention
+width, so its bound is stated in floats: ``PASS_FLOATS`` = 320 x 140, and a
+pass holds at most ``pass_atoms(config)`` = ``PASS_FLOATS // gat_dim`` atoms
+(1,866 at width 24; 320 at the paper's width of 140, as when the bound was
+640 atoms a pair at every width, so paper-width runs make the same draws and
+write the same bytes; ``tests/test_training.py`` pins the bound at each
+width). A step splits its
+batch, in order, into passes of at most that many atoms (a larger sample
+runs alone). Each pass is one batched forward pass (``model.predict``) and
+one backward pass of its mean BCE scaled by its share of the batch, so the
+parameters' gradients add up to those of the batch's mean BCE; Adam steps
+once per batch. Two consecutive passes that hold at most twice
+``pass_atoms`` together run at once: this thread runs the first, one worker
+thread the second (in turn when the process may use one core only). Each
+pass accumulates into its own views of the parameters
+(``ModelParams.views``), and this thread adds their gradients
 to the parameters in pass order, so the sum has the same bits whichever
 thread ran which pass. A pass's graph is freed once its backward pass is
 done, so a step holds one pair's values at a time.
 Each checkpoint scores the labelled validation samples without dropout, in
-chunks of at most ``PASS_ATOMS`` atoms, each chunk one ``predict`` on the
-constant weights (``ModelParams.constants``), which records no tape node.
+chunks of at most twice ``pass_atoms`` atoms, each chunk one ``predict`` on
+the constant weights (``ModelParams.constants``), which records no tape node.
 All randomness flows from one seeded generator, drawn on this thread in a
 fixed order per step: the batch draw, then each pass's dropout masks in pass
 order, sample by sample (its attention layers' masks in layer order, then
@@ -52,9 +59,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Atoms per pair of training passes (a pass holds at most half) and per
-# validation chunk. A pass's tape keeps every layer's N x F values, so the
-# bound, or one larger sample, caps a step's memory whatever the batch size.
+# Floats per training pass: a pass holds at most PASS_FLOATS // gat_dim atoms
+# (``pass_atoms``), a pair of passes and a validation chunk twice that. A
+# pass's tape keeps every layer's N x F values, so the bound, or one larger
+# sample, caps a step's memory whatever the batch size and width. At the
+# paper's width of 140 a pass holds 320 atoms and a pair 640.
 # Paper defaults, 2-core Xeon VM, one BLAS thread; 640-atom passes in turn
 # (the schedule before pairs) against 320-atom passes two at a time, run
 # alternately in one process (median of 12 or 24 steps; peak RSS of one
@@ -64,8 +73,12 @@ ADAM_EPS = 1e-8
 # 425 ms. A train-size step (32 x ~40 atoms) took 76 ms against 55 ms, at
 # 67 MB peak RSS both; 640-atom passes two at a time took 49 ms at 79 MB.
 # When the bound was set, one whole-batch pocket pass took 0.45-0.46 s at
-# 232 MB.
-PASS_ATOMS = 640
+# 232 MB. At width 24 (2 layers, fc 24,1, dropout 0.1; batches of 32
+# synthetic samples, about 1,260 atoms), where the float bound gives one
+# 1,866-atom pass, a step took 9.5-13.7 ms against 16.6-21.8 ms in 320-atom
+# passes two at a time (150-step runs, three alternating processes each):
+# a narrow pass's numpy calls are small, so their count sets its time.
+PASS_FLOATS = 320 * 140
 
 
 @dataclass
@@ -101,6 +114,13 @@ def mean_bce(tape: Tape, probs: Value, labels: list[int]) -> Value:
     return tape.scale(tape.sum_all(tape.log(picked)), -1.0 / len(labels))
 
 
+def pass_atoms(config: ModelConfig) -> int:
+    """Atoms per training pass at ``config``'s attention width:
+    ``PASS_FLOATS // gat_dim``. A pair of passes and a validation chunk hold
+    twice that."""
+    return PASS_FLOATS // config.gat_dim
+
+
 def atom_passes(samples: list, bound: int) -> list[list]:
     """The samples, in order, as consecutive runs of at most ``bound`` atoms
     in all; a sample larger than the bound runs alone."""
@@ -115,14 +135,14 @@ def atom_passes(samples: list, bound: int) -> list[list]:
     return passes
 
 
-def pass_pairs(passes: list[list]) -> list[list[list]]:
+def pass_pairs(passes: list[list], bound: int) -> list[list[list]]:
     """The passes, in order, in groups that run at once: two consecutive
-    passes holding at most ``PASS_ATOMS`` atoms together, else one."""
+    passes holding at most ``bound`` atoms together, else one."""
     groups = []
     k = 0
     while k < len(passes):
         pair = passes[k:k + 2]
-        if sum(s.num_atoms for part in pair for s in part) > PASS_ATOMS:
+        if sum(s.num_atoms for part in pair for s in part) > bound:
             pair = pair[:1]
         groups.append(pair)
         k += len(pair)
@@ -219,8 +239,8 @@ def _validation_auroc(val_samples, params, model_cfg) -> float:
     """AUROC of the labelled validation samples, ``nan`` unless both labels
     occur. They are scored without dropout in chunks of ``atom_passes``,
     each one ``predict`` on ``params.constants()``: a chunk records no tape
-    node and holds about one layer's values of at most ``PASS_ATOMS`` atoms
-    (or of one larger sample)."""
+    node and holds about one layer's values of at most twice
+    ``pass_atoms(model_cfg)`` atoms (or of one larger sample)."""
     labeled = [s for s in val_samples if s.label is not None]
     labels = [s.label for s in labeled]
     if not labeled or len(set(labels)) < 2:
@@ -228,7 +248,7 @@ def _validation_auroc(val_samples, params, model_cfg) -> float:
     weights = params.constants()
     scores = np.concatenate([
         predict(Tape(), chunk, weights, model_cfg).data[:, 0]
-        for chunk in atom_passes(labeled, PASS_ATOMS)
+        for chunk in atom_passes(labeled, 2 * pass_atoms(model_cfg))
     ])
     return auroc(scores, labels)
 
@@ -250,8 +270,8 @@ def _batch_gradient(batch, params, model_cfg, rng, pool) -> float:
     """Sets every parameter's ``grad`` to the gradient of the batch's mean
     BCE and returns that loss, the sum of the passes' shares in pass order.
 
-    The batch runs in passes of at most ``PASS_ATOMS // 2`` atoms, grouped by
-    ``pass_pairs``. Before a group starts, this thread draws its passes'
+    The batch runs in passes of at most ``pass_atoms(model_cfg)`` atoms,
+    grouped by ``pass_pairs`` into pairs of at most twice that. Before a group starts, this thread draws its passes'
     dropout masks in pass order and builds each sample's reach (a
     ``cached_property``, which locks on Python 3.10-3.11 and not from 3.12).
     With a ``pool``, its worker runs a pair's second pass while this thread
@@ -261,7 +281,8 @@ def _batch_gradient(batch, params, model_cfg, rng, pool) -> float:
     raised, the first pass's first."""
     params.zero_grad()
     losses = []
-    for group in pass_pairs(atom_passes(batch, PASS_ATOMS // 2)):
+    bound = pass_atoms(model_cfg)
+    for group in pass_pairs(atom_passes(batch, bound), 2 * bound):
         for sample in (sample for part in group for sample in part):
             sample.reach  # noqa: B018 - built on this thread, not on the worker
         jobs = [(part, len(part) / len(batch), params.views(), model_cfg, dropout_masks(part, model_cfg, rng))
@@ -302,7 +323,7 @@ def train(
     One worker thread serves the whole run and is shut down however
     ``train`` ends. The logged ``train_loss`` is the batch's mean BCE.
     ``val_samples`` are scored at each checkpoint in chunks of at most
-    ``PASS_ATOMS`` atoms; their AUROC picks ``best.ckpt``.
+    twice ``pass_atoms(model_cfg)`` atoms; their AUROC picks ``best.ckpt``.
     A non-finite value in a pass's forward pass, or a non-finite parameter
     gradient, aborts before the Adam step with a ``NumericError`` naming the
     iteration; the last written checkpoint stays on disk untouched.

@@ -4,7 +4,8 @@ dense view of per-edge values, a recorder of gradient shapes, the one-sample
 loss, one-site dropout mask and parameter count the tests check the model
 against, one atom's feature row, a record's ligand atom count, the rows of a
 training log, a whole-file decode of a graph cache, one attention layer's
-initial weights, and the ligand heavy-atom RMSD of two records.
+initial weights, the ligand heavy-atom RMSD of two records, and every record
+of a JSON-lines file.
 
 The oracle only ever calls the forward pass, so it stays independent of the
 analytic backward rules it is used to check.
@@ -198,6 +199,12 @@ def ligand_rmsd(pose, reference) -> float:
         )
 
     return compute_rmsd(heavy_coords(pose), heavy_coords(reference))
+
+
+def read_jsonl(path) -> list[chem.ComplexRecord]:
+    """Every record of a JSON-lines file, in file order; the first bad line
+    raises ``ParseError``."""
+    return [chem.record_from_json_line(line, path=path, lineno=lineno) for lineno, line in chem.jsonl_lines(path)]
 
 
 def init_gat_params(dim: int, rng: np.random.Generator) -> GatParams:

@@ -25,7 +25,6 @@ from molgat.chem import (
     parse_complex,
     parse_pdb_protein,
     parse_sdf_ligand,
-    read_jsonl,
     record_from_json_line,
     record_to_json_line,
     write_jsonl,
@@ -33,7 +32,7 @@ from molgat.chem import (
 from molgat.errors import DataError, ParseError
 
 import ingest_oracle
-from helpers import atom_feature_row, num_ligand_atoms
+from helpers import atom_feature_row, num_ligand_atoms, read_jsonl
 
 
 def make_atom(element="C", pos=(0.0, 0.0, 0.0), is_ligand=True, degree=1,

@@ -25,7 +25,7 @@ from molgat.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams, _expected_
 from molgat.synthetic import generate_corpus, generate_pose_set
 from molgat.training import TrainConfig, TrainResult, train
 
-from helpers import pocket_sample, write_unchecked
+from helpers import pocket_sample, read_jsonl, write_unchecked
 from test_chem import METHANE_ATOMS, METHANE_BONDS, sdf_text, triglycine_lines
 
 TINY_MODEL_FLAGS = ["--num-gat-layers", "2", "--gat-dim", "8", "--fc-dims", "8,1"]
@@ -887,8 +887,8 @@ class TestSynthCommand:
              "--poses-per-complex", "4", "--seed", "1", "--out", str(tmp_path)]
         )
         assert rc == 0
-        assert len(chem.read_jsonl(tmp_path / "train.jsonl")) == 6
-        assert len(chem.read_jsonl(tmp_path / "test.jsonl")) == 4
+        assert len(read_jsonl(tmp_path / "train.jsonl")) == 6
+        assert len(read_jsonl(tmp_path / "test.jsonl")) == 4
         assert (tmp_path / "poses.jsonl").exists()
 
 

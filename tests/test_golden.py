@@ -5,20 +5,24 @@ ingest_pdb inputs of seeds 1-3 (SDF ligands and 3,000-5,000-atom PDB
 entries, built by ``perfbench/inputs.py``), on seed 1 again at
 ``--cutoff 12`` and on a ``molgat synth`` JSON-lines corpus; then
 ``predict`` on that corpus's cache with a seeded paper-default checkpoint;
-``synth`` of a pose set; ``predict`` on the corpus's JSON lines; and a
-3-iteration paper-default ``train`` on the corpus's cache. It also saves
+``synth`` of a pose set; ``predict`` on the corpus's JSON lines; a
+3-iteration paper-default ``train`` on the corpus's cache; ``evaluate`` on
+that cache and ``poses`` on the pose set's cache, both with the seeded
+checkpoint. It also saves
 freshly initialized checkpoints, at the paper defaults and at the README's
 2x24 config, for ``default_rng`` seeds 0-2.
 ``golden.json`` pins each command's exit code, stdout and config echo, with
 the working directory masked as ``<dir>``, and the SHA-256 of each file it
-writes, except predict's and train's, and the SHA-256 of each initial
-checkpoint. Featurizing, synthesizing and initializing involve no BLAS, so
-their bytes are pinned; predict's scores depend on the BLAS
-build and thread count, so they are pinned within 1e-10, and train's log
-(``iteration``, ``train_loss``, ``val_auroc``, ``mu``, ``sigma``) within
-rtol 1e-9. Two runs of predict, and two of train, in one process must
-write the same bytes, and predict on the JSON lines the same scores as on
-their cache.
+writes, except predict's, train's, evaluate's and poses', and the SHA-256
+of each initial checkpoint. Featurizing, synthesizing and initializing
+involve no BLAS, so their bytes are pinned; predict's scores depend on the
+BLAS build and thread count, so they are pinned within 1e-10, and train's
+log (``iteration``, ``train_loss``, ``val_auroc``, ``mu``, ``sigma``) within
+rtol 1e-9. Evaluate's ``report.json``, ``report.csv``, ``roc_curve.csv``
+and ``pr_curve.csv``, and poses' ``topn_success.csv``, are pinned as their
+parsed contents, each number within 1e-10. Two runs of predict, and two of
+train, in one process must write the same bytes, and predict on the JSON
+lines the same scores as on their cache.
 
 A change that moves an output on purpose rewrites the table with
 ``PYTHONPATH=src python tests/test_golden.py`` and names each moved entry,
@@ -93,6 +97,42 @@ def _scores(pred: Path) -> dict:
     return {ids: float(p) for ids, p in rows}
 
 
+def _number_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _contents(out: Path, names) -> dict:
+    """Each named output file of ``out`` parsed: JSON as its document, CSV
+    as rows of cells, a cell that reads as a number as that number."""
+    parsed = {}
+    for name in names:
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            parsed[name] = (json.load(fh) if name.endswith(".json")
+                            else [[_number_or_text(c) for c in row] for row in csv.reader(fh)])
+    return parsed
+
+
+def _assert_close(got, want, path="") -> None:
+    """``got`` equals ``want`` in structure, text and booleans exactly, each
+    number within ``SCORE_TOL`` (NaN where NaN is)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}/{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}/{k}")
+    elif isinstance(want, float) or (isinstance(want, int) and not isinstance(want, bool)):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        np.testing.assert_allclose(got, want, rtol=0, atol=SCORE_TOL, err_msg=path)
+    else:
+        assert got == want, path
+
+
 def run_commands(root: Path) -> dict:
     """Build the inputs in ``root``, run every pinned command there and
     return the table of their outputs."""
@@ -142,6 +182,20 @@ def run_commands(root: Path) -> dict:
         entry["log"] = [{k: float(row[k]) for k in LOG_FIELDS} for row in csv.DictReader(fh)]
     table["train synth"] = entry
 
+    out = root / "eval"
+    entry = _entry(root, ["evaluate", "--cache", root / "synth.cache", "--checkpoint", root / "init.ckpt",
+                          "--out", out], out / "config.resolved.ini", [])
+    entry["contents"] = _contents(out, ("report.json", "report.csv", "roc_curve.csv", "pr_curve.csv"))
+    table["evaluate synth"] = entry
+    cache = root / "poses.cache"
+    table["featurize synth poses"] = _entry(
+        root, ["featurize", poses / "poses.jsonl", "--out", cache], root / "poses.cache.config.ini", [cache])
+    out = root / "topn"
+    entry = _entry(root, ["poses", "--cache", cache, "--checkpoint", root / "init.ckpt", "--out", out,
+                          "--top", "1,2,3"], out / "config.resolved.ini", [])
+    entry["contents"] = _contents(out, ("topn_success.csv",))
+    table["poses synth"] = entry
+
     for label, config in INIT_CONFIGS.items():
         for seed in (0, 1, 2):
             ckpt = root / f"init_{label}_seed{seed}.ckpt"
@@ -168,7 +222,9 @@ def test_outputs_match_the_table(outputs, name):
     got, want = dict(outputs[1][name]), dict(GOLDEN[name])
     got_scores, want_scores = got.pop("scores", {}), want.pop("scores", {})
     got_log, want_log = got.pop("log", []), want.pop("log", [])
+    got_contents, want_contents = got.pop("contents", {}), want.pop("contents", {})
     assert got == want
+    _assert_close(got_contents, want_contents)
     assert list(got_scores) == list(want_scores)
     np.testing.assert_allclose(list(got_scores.values()), list(want_scores.values()), rtol=0, atol=SCORE_TOL)
     assert [list(row) for row in got_log] == [list(row) for row in want_log]

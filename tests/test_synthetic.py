@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from molgat.chem import write_jsonl
+from molgat.chem import pairwise_distances, write_jsonl
 from molgat.graphs import build_sample, label_pose, prune_protein
-from molgat.synthetic import LABEL_CUTOFF, generate_corpus, generate_pose_set
+from molgat.synthetic import LABEL_CUTOFF, _distances, _moved, _unit, generate_corpus, generate_pose_set
 
 from helpers import ligand_rmsd, num_ligand_atoms
 
@@ -30,11 +30,64 @@ CORPUS_SHA256 = {
 }
 
 
+# SHA-256 of ``generate_corpus(160, seed, n_proteins=40, id_prefix="train")``,
+# the benchmark's training corpus shape, written by ``write_jsonl``.
+TRAIN_CORPUS_SHA256 = {
+    0: "131fc852459ee23fd7b24e8e6d5d2b961d9971aa079adae6ebabdcd4957cae47",
+    1: "d1040888348c72642d73eb451c7691e871d8a004f4d6a31807b48fd7ab5cde07",
+    2: "b0ebac8007c7bc0e9ad1d4099240b2c2d508cb6ca19acbba8999c2a85b560b23",
+}
+
+# SHA-256 of ``generate_pose_set(5, 9, seed)`` written by ``write_jsonl``.
+POSE_SET_SHA256 = {
+    0: "b46e114cfcce0208082e149f9ee30d3042d487e57d9fdfb0cc1e6e035e382f49",
+    1: "d45e11dc7e2895609e9340ef5864cbab6e34e3c8f285a8972e4fb776d8a4325a",
+    2: "0848ca6c896d3592ec1908923a074bd5dc052892ee150cce2b35842fc38aef19",
+}
+
+
+def _sha256_of_lines(records, path):
+    write_jsonl(records, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(CORPUS_SHA256))
 def test_corpus_json_lines_are_pinned(tmp_path, seed):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_corpus(40, seed=seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(TRAIN_CORPUS_SHA256))
+def test_train_size_corpus_json_lines_are_pinned(tmp_path, seed):
+    records = generate_corpus(160, seed, n_proteins=40, id_prefix="train")
+    assert _sha256_of_lines(records, tmp_path / "train.jsonl") == TRAIN_CORPUS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(POSE_SET_SHA256))
+def test_pose_set_json_lines_are_pinned(tmp_path, seed):
+    assert _sha256_of_lines(generate_pose_set(5, 9, seed), tmp_path / "poses.jsonl") == POSE_SET_SHA256[seed]
+
+
+class TestGeometry:
+    """The float-triple geometry has the draws and bits of the array code."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 7.5, 1e3])
+    def test_distances_have_the_bits_of_pairwise_distances(self, scale):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(scale=scale, size=(20, 3)), rng.normal(scale=scale, size=(30, 3))
+        got = [_distances(point, b.tolist()) for point in a.tolist()]
+        np.testing.assert_array_equal(np.array(got), pairwise_distances(a, b))
+
+    def test_a_move_has_the_draws_and_bits_of_a_unit_step(self):
+        rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+        origin = (0.0, 0.0, 0.0)
+        for low, high in [(1.4, 1.6), (3.0, 6.5), (2.5, 3.3)] * 50:
+            moved = _moved(origin, rng, low, high)
+            expected = np.array(origin) + _unit(reference) * reference.uniform(low, high)
+            assert type(moved) is tuple and moved == tuple(expected.tolist())
+            origin = moved
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestCorpus:

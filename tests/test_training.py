@@ -28,6 +28,11 @@ from molgat.training import (
 from helpers import bce_loss, log_rows, num_parameters, pocket_sample
 
 TINY_MODEL = ModelConfig(num_gat_layers=2, gat_dim=8, fc_dims=(8, 1), dropout_rate=0.2)
+# The paper's width, at which a training pass holds PASS_FLOATS // 140 = 320
+# atoms: a batch of 32 samples of 26-52 atoms runs in at least three passes,
+# two at a time, and validation chunks hold 640 atoms.
+PASS_MODEL = ModelConfig(num_gat_layers=2, gat_dim=140, fc_dims=(8, 1), dropout_rate=0.2)
+DEEP_PASS_MODEL = ModelConfig(num_gat_layers=3, gat_dim=140, fc_dims=(10, 6, 1), dropout_rate=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +417,8 @@ class TestTrainLoop:
 
 class TestValidation:
     """``_validation_auroc`` scores the labelled samples in chunks of at most
-    ``PASS_ATOMS`` atoms, one forward pass on the constant weights per chunk."""
+    twice ``pass_atoms`` atoms, one forward pass on the constant weights per
+    chunk."""
 
     @staticmethod
     def scores_seen(monkeypatch):
@@ -457,14 +463,30 @@ class TestValidation:
 
         monkeypatch.setattr(training, "predict", recording_predict)
         cfg = TrainConfig(batch_size=8, iterations=1, learning_rate=1e-3, seed=0, checkpoint_every=1)
-        train(pools, val, TINY_MODEL, cfg, tmp_path / "run")
+        train(pools, val, PASS_MODEL, cfg, tmp_path / "run")
         # the samples in order, each chunk within the bound and full: the next
         # chunk's first sample would not have fitted
+        bound = 2 * training.pass_atoms(PASS_MODEL)
+        assert bound == 640
         assert [s for chunk in chunks for s in chunk] == val
         atoms = [sum(s.num_atoms for s in chunk) for chunk in chunks]
-        assert max(atoms) <= training.PASS_ATOMS
-        assert all(a + nxt[0].num_atoms > training.PASS_ATOMS for a, nxt in zip(atoms, chunks[1:]))
+        assert max(atoms) <= bound
+        assert all(a + nxt[0].num_atoms > bound for a, nxt in zip(atoms, chunks[1:]))
         assert len(chunks) == 5  # 70 samples of 26-52 atoms; batch_size plays no part
+
+    def test_chunks_widen_as_the_width_narrows(self, pools, monkeypatch):
+        # at width 8 a chunk holds 2 * 44,800 // 8 = 11,200 atoms: 70 samples are one chunk
+        samples = [s for pool in pools.values() for s in pool][:70]
+        chunks = []
+
+        def recording_predict(tape, batch, params, config, masks=None, internals=None):
+            chunks.append(len(batch))
+            return predict(tape, batch, params, config, masks=masks, internals=internals)
+
+        monkeypatch.setattr(training, "predict", recording_predict)
+        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(2))
+        training._validation_auroc(samples, params, TINY_MODEL)
+        assert chunks == [70]
 
     def test_leaves_gradients_and_adam_state_untouched(self, pools):
         samples = [s for pool in pools.values() for s in pool]
@@ -504,13 +526,13 @@ class TestValidation:
 
 class TestPasses:
     """A step runs its batch in consecutive passes of at most
-    ``PASS_ATOMS // 2`` atoms, each pass's mean BCE scaled by its share of
-    the batch, two passes at once where they hold at most ``PASS_ATOMS``
-    atoms together, and Adam steps once on the gradients summed in pass
-    order."""
+    ``pass_atoms(config)`` = ``PASS_FLOATS // gat_dim`` atoms, each pass's
+    mean BCE scaled by its share of the batch, two passes at once where they
+    hold at most twice that together, and Adam steps once on the gradients
+    summed in pass order."""
 
     @staticmethod
-    def one_step(pools, tmp_path, monkeypatch, tag, model=TINY_MODEL, batch_size=32):
+    def one_step(pools, tmp_path, monkeypatch, tag, model=PASS_MODEL, batch_size=32):
         """One training step: its logged loss, the gradients Adam stepped on,
         each dropout site's mask over the whole batch, the generator state
         after the step, and the samples of each training pass in pass order
@@ -539,12 +561,12 @@ class TestPasses:
         return result.final_loss, seen["grads"], keeps, seen["state"], seen["passes"]
 
     def test_multi_pass_step_matches_one_pass_step(self, pools, tmp_path, monkeypatch):
-        model = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
+        model = DEEP_PASS_MODEL
         loss, grads, keeps, state, passes = self.one_step(pools, tmp_path, monkeypatch, "passes", model)
         assert len(passes) > 2  # at least one pair and another pass
-        assert all(sum(s.num_atoms for s in p) <= training.PASS_ATOMS // 2 for p in passes)
+        assert all(sum(s.num_atoms for s in p) <= training.pass_atoms(model) == 320 for p in passes)
         assert all(k.dtype == bool for k in keeps) and len(keeps) == 5
-        monkeypatch.setattr(training, "PASS_ATOMS", 10**9)
+        monkeypatch.setattr(training, "PASS_FLOATS", 10**12)
         loss1, grads1, keeps1, state1, passes1 = self.one_step(pools, tmp_path, monkeypatch, "one", model)
         assert len(passes1) == 1 and [id(s) for s in passes1[0]] == [id(s) for p in passes for s in p]
         assert loss == pytest.approx(loss1, rel=1e-15, abs=0)
@@ -557,14 +579,14 @@ class TestPasses:
     def test_one_pass_batch_checkpoint_equals_the_one_pass_step(self, pools, tmp_path):
         # the step as it ran before passes: one forward and one backward pass
         # of the whole batch's mean BCE
-        # (a batch of 4 samples of 26-52 atoms is one pass of at most PASS_ATOMS // 2)
+        # (a batch of 4 samples of 26-52 atoms is one pass of at most pass_atoms, 5,600 at width 8)
         cfg = TrainConfig(batch_size=4, iterations=4, learning_rate=1e-3, seed=19, checkpoint_every=4)
         rng = np.random.default_rng(cfg.seed)
         params = ModelParams.initialize(TINY_MODEL, rng)
         batches, adam = balanced_batches(pools, cfg, rng), Adam(cfg.learning_rate)
         for _ in range(cfg.iterations):
             batch = next(batches)
-            assert sum(s.num_atoms for s in batch) <= training.PASS_ATOMS // 2
+            assert sum(s.num_atoms for s in batch) <= 320 < training.pass_atoms(TINY_MODEL)
             tape = Tape()
             masks = dropout_masks(batch, TINY_MODEL, rng)
             loss = mean_bce(tape, predict(tape, batch, params, TINY_MODEL, masks=masks), [s.label for s in batch])
@@ -589,15 +611,26 @@ class TestPasses:
     def test_pass_pairs(self):
         sizes = [[300], [20], [300, 20], [700], [40], [600], [41], [320], [320], [1]]
         passes = [[SimpleNamespace(num_atoms=n) for n in p] for p in sizes]
-        groups = training.pass_pairs(passes)
+        groups = training.pass_pairs(passes, 640)
         assert [[[s.num_atoms for s in p] for p in g] for g in groups] == [
             [[300], [20]], [[300, 20]], [[700]], [[40], [600]], [[41], [320]], [[320], [1]],
         ]
         assert [p for g in groups for p in g] == passes
-        assert training.pass_pairs([]) == []
+        assert training.pass_pairs([], 640) == []
+        wide = training.pass_pairs(passes, 1280)
+        assert [[[s.num_atoms for s in p] for p in g] for g in wide] == [
+            [[300], [20]], [[300, 20], [700]], [[40], [600]], [[41], [320]], [[320], [1]],
+        ]
+
+    def test_pass_atoms_follow_the_float_bound(self):
+        # 320 x 140 floats: 320 atoms at the paper's width, as before the bound was in floats
+        assert training.PASS_FLOATS == 44_800
+        widths = {140: 320, 70: 640, 24: 1866, 12: 3733, 8: 5600, 44_800: 1}
+        assert {w: training.pass_atoms(ModelConfig(gat_dim=w)) for w in widths} == widths
+        assert training.pass_atoms(ModelConfig()) == 320
 
     def test_sample_larger_than_the_bound_gets_a_pass_of_its_own(self, pools, tmp_path, monkeypatch):
-        big = pocket_sample(training.PASS_ATOMS + 60, seed=81)
+        big = pocket_sample(2 * training.pass_atoms(PASS_MODEL) + 60, seed=81)
         big = dataclasses.replace(big, label=1, category="dude_active")
         mixed = {name: pool[:3] for name, pool in pools.items()}
         mixed["dude_active"] = [big]
@@ -621,8 +654,9 @@ class TestPasses:
         monkeypatch.setattr(Tape, "record", record)
         *_, passes = self.one_step(pools, tmp_path, monkeypatch, "rows")
         largest = max(s.num_atoms for p in passes for s in p)
-        assert sum(s.num_atoms for p in passes for s in p) > training.PASS_ATOMS
-        assert max(rows) <= max(training.PASS_ATOMS // 2, largest)
+        bound = training.pass_atoms(PASS_MODEL)
+        assert sum(s.num_atoms for p in passes for s in p) > 2 * bound == 640
+        assert max(rows) <= max(bound, largest)
 
     def test_no_tape_node_outlives_its_step(self, pools, tmp_path, monkeypatch):
         # every recorded node's data, weakly: once a pass's backward is done
@@ -650,7 +684,7 @@ class TestPasses:
         samples = [s for pool in pools.values() for s in pool]
         _, val = split_by_protein(samples, 0.2, seed=3)
         cfg = TrainConfig(batch_size=32, iterations=3, learning_rate=1e-3, seed=3, checkpoint_every=1)
-        train(pools, val, TINY_MODEL, cfg, tmp_path / "run")
+        train(pools, val, PASS_MODEL, cfg, tmp_path / "run")
         assert passes.count(True) > 3  # more than one pass per step
         assert all(r() is None for r in refs)
 
@@ -665,8 +699,8 @@ def pass_threads(monkeypatch):
         seen["names"].append(threading.current_thread().name)
         return real_pass(*args)
 
-    def counting_pairs(passes):
-        groups = real_pairs(passes)
+    def counting_pairs(passes, bound):
+        groups = real_pairs(passes, bound)
         seen["pairs"] += sum(len(g) == 2 for g in groups)
         return groups
 
@@ -686,7 +720,7 @@ class TestTwoThreads:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_outputs_equal_on_one_core_and_two(self, pools, tmp_path, monkeypatch, seed):
-        model = ModelConfig(num_gat_layers=3, gat_dim=12, fc_dims=(10, 6, 1), dropout_rate=0.3)
+        model = DEEP_PASS_MODEL
         samples = [s for pool in pools.values() for s in pool]
         _, val = split_by_protein(samples, 0.2, seed=seed)
         cfg = TrainConfig(batch_size=32, iterations=6, learning_rate=1e-3, seed=seed, checkpoint_every=3)
@@ -732,12 +766,12 @@ class TestTwoThreads:
 
         monkeypatch.setattr(training, "dropout_masks", numbered_masks)
         monkeypatch.setattr(training, "_backward_pass", failing_pass)
-        params = ModelParams.initialize(TINY_MODEL, np.random.default_rng(4))
+        params = ModelParams.initialize(PASS_MODEL, np.random.default_rng(4))
         before = [v.data.copy() for v in params.values()]
         cfg = TrainConfig(batch_size=32, iterations=2, learning_rate=1e-3, seed=4, checkpoint_every=1)
         first = min(failing)
         with pytest.raises(NumericError, match=rf"^pass {first} failed at iteration 1; last checkpoint retained$"):
-            train(pools, [], TINY_MODEL, cfg, tmp_path / "run", params=params)
+            train(pools, [], PASS_MODEL, cfg, tmp_path / "run", params=params)
         # the pair ran to its end, on two cores both passes of it
         assert sorted(finished) == ([0] if len(cores) == 1 and first == 0 else [0, 1])
         assert all(np.array_equal(v.data, b) for v, b in zip(params.values(), before))
@@ -764,7 +798,7 @@ class TestTwoThreads:
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match=r"^operation produced non-finite values at iteration 1; last checkpoint retained$"
         ):
-            train(pools, [], TINY_MODEL, cfg, tmp_path / "run")
+            train(pools, [], PASS_MODEL, cfg, tmp_path / "run")
 
     def test_no_pool_thread_outlives_train(self, pools, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -783,12 +817,12 @@ class TestTwoThreads:
 
         cfg = TrainConfig(batch_size=32, iterations=3, learning_rate=1e-3, seed=6, checkpoint_every=3)
         monkeypatch.setattr(Adam, "step", step)
-        train(pools, [], TINY_MODEL, cfg, tmp_path / "returns")
+        train(pools, [], PASS_MODEL, cfg, tmp_path / "returns")
         assert alive == [1, 1, 1] and not pool_threads()
 
         monkeypatch.setattr(Adam, "step", lambda adam, values: step(adam, values, stop_at=2))
         with pytest.raises(Stop):
-            train(pools, [], TINY_MODEL, cfg, tmp_path / "stopped")
+            train(pools, [], PASS_MODEL, cfg, tmp_path / "stopped")
         assert not pool_threads()
 
         def failing_pass(*args):
@@ -796,7 +830,7 @@ class TestTwoThreads:
 
         monkeypatch.setattr(training, "_backward_pass", failing_pass)
         with pytest.raises(NumericError, match="failed at iteration 1"):
-            train(pools, [], TINY_MODEL, cfg, tmp_path / "raises")
+            train(pools, [], PASS_MODEL, cfg, tmp_path / "raises")
         assert not pool_threads()
 
     def test_each_view_gets_one_gradient_per_pass(self, pools, monkeypatch):
